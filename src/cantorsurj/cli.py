@@ -46,9 +46,18 @@ from .surjections import (
 
 __all__ = ["main"]
 
+# tangent_number(830) has 4,298 digits; Python refuses to print an int of
+# more than 4,300 digits by default, and the number at 831 is over that
+MAX_TANGENT_INDEX = 830
+
 
 class BadInput(ValueError):
     pass
+
+
+def _reason(exc: Exception) -> str:
+    """What a decoder error says about the input; a KeyError names the key."""
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _read_json(path: str):
@@ -63,40 +72,45 @@ def _read_json(path: str):
         raise BadInput(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
-def _surjection(path: str):
+def _decode(path: str, decoder):
+    """Read a JSON file and decode it; any decoder error is bad input."""
     obj = _read_json(path)
     try:
-        return surjection_from_json(obj)
+        return decoder(obj)
     except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"{path}: {exc}") from exc
+        raise BadInput(f"{path}: {_reason(exc)}") from exc
 
 
-def _points(path: str) -> tuple[Point, ...]:
-    obj = _read_json(path)
+def _surjection(path: str):
+    return _decode(path, surjection_from_json)
+
+
+def _point_list(obj) -> tuple[Point, ...]:
     if isinstance(obj, dict):
         obj = obj.get("points", obj)
     if not isinstance(obj, list):
-        raise BadInput(f"{path}: expected a JSON list of points")
-    try:
-        return tuple(Point.from_json(p) for p in obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"{path}: {exc}") from exc
+        raise ValueError("expected a JSON list of points")
+    return tuple(Point.from_json(p) for p in obj)
+
+
+def _points(path: str) -> tuple[Point, ...]:
+    return _decode(path, _point_list)
 
 
 def _point_arg(text: str) -> Point:
     try:
         return Point.from_json(json.loads(text))
     except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"--point: {exc}") from exc
+        raise BadInput(f"--point: {_reason(exc)}") from exc
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _levels_arg(text: str) -> tuple[int, ...]:
+def _levels_arg(text: str) -> TreeType:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        return TreeType(tuple(int(t) for t in text.split(",") if t.strip() != ""))
     except ValueError as exc:
         raise BadInput(f"--levels: {exc}") from exc
 
@@ -105,8 +119,8 @@ def _levels_arg(text: str) -> tuple[int, ...]:
 
 
 def _cmd_tangent(args) -> int:
-    if args.k < 1:
-        raise BadInput("k must be >= 1")
+    if not 1 <= args.k <= MAX_TANGENT_INDEX:
+        raise BadInput(f"k must lie in 1..{MAX_TANGENT_INDEX}")
     print(tangent_number(args.k))
     return 0
 
@@ -119,12 +133,16 @@ def _cmd_types(args) -> int:
     return 0
 
 
-def _cmd_type_of(args) -> int:
-    pts = _points(args.points)
+def _colored_points(path: str) -> tuple[tuple[Point, ...], int]:
+    pts = _points(path)
     try:
-        color = canonical_coloring(pts, len(pts))
+        return pts, canonical_coloring(pts, len(pts))
     except ValueError as exc:
-        raise BadInput(f"{args.points}: {exc}") from exc
+        raise BadInput(f"{path}: {exc}") from exc
+
+
+def _cmd_type_of(args) -> int:
+    pts, color = _colored_points(args.points)
     if is_strongly_diagonal(pts):
         levels = list(similarity_type(pts).levels)
     else:
@@ -135,10 +153,7 @@ def _cmd_type_of(args) -> int:
 
 def _cmd_search_type(args) -> int:
     h = _surjection(args.surjection)
-    try:
-        t = TreeType(_levels_arg(args.levels))
-    except ValueError as exc:
-        raise BadInput(f"--levels: {exc}") from exc
+    t = _levels_arg(args.levels)
     out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
     _emit(
         {
@@ -221,20 +236,12 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_color_devlin(args) -> int:
-    pts = _points(args.points)
-    try:
-        print(canonical_coloring(pts, len(pts)))
-    except ValueError as exc:
-        raise BadInput(f"{args.points}: {exc}") from exc
+    print(_colored_points(args.points)[1])
     return 0
 
 
 def _cmd_color_omega(args) -> int:
-    obj = _read_json(args.copy)
-    try:
-        y = QCopy.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"{args.copy}: {exc}") from exc
+    y = _decode(args.copy, QCopy.from_json)
     try:
         print(omega_coloring(y, args.cap))
     except RuntimeError as exc:
@@ -244,11 +251,7 @@ def _cmd_color_omega(args) -> int:
 
 
 def _cmd_witness_omega(args) -> int:
-    obj = _read_json(args.copy)
-    try:
-        y = QCopy.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"{args.copy}: {exc}") from exc
+    y = _decode(args.copy, QCopy.from_json)
     if args.target < 0:
         raise BadInput("target must be >= 0")
     try:
@@ -276,12 +279,11 @@ def _cmd_realize_all(args) -> int:
 
 
 def _cmd_oscillation(args) -> int:
-    obj = _read_json(args.coloring)
+    spec = _decode(args.coloring, ColoringSpec.from_json)
     try:
-        spec = ColoringSpec.from_json(obj)
         eps = Fraction(args.eps)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise BadInput(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"--eps: {exc}") from exc
     try:
         rep = oscillation_search(spec, eps, args.budget, args.seed)
     except ValueError as exc:

@@ -21,14 +21,13 @@ cell as certificate, and the bounded no answers record their search bound.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .caps import default_depth_cap
-from .intervals import ClopenInterval
+from .intervals import ClopenInterval, cell_chain
 from .points import Node, Point, interval_successor, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering, random_surjection
 from .similarity import (
@@ -202,28 +201,19 @@ def realize_all_colors(
 # -- finitely described copies of the rationals ----------------------------
 
 
-def _support_hint(h: Surjection) -> int:
+def _structural_depth(h: Surjection) -> int:
+    """Support plus longest stored stem, summed over the filterings h is built from."""
     if isinstance(h, FilteringSurjection):
-        return h.filtering.support
+        f = h.filtering
+        return f.support + max((len(p.stem) for level in f.levels for p in level), default=0)
     if isinstance(h, ChainSurjection):
-        return _support_hint(h.outer) + _support_hint(h.inner)
-    return 0
-
-
-def _stem_hint(h: Surjection) -> int:
-    if isinstance(h, FilteringSurjection):
-        return max(
-            (len(p.stem) for level in h.filtering.levels for p in level),
-            default=0,
-        )
-    if isinstance(h, ChainSurjection):
-        return _stem_hint(h.outer) + _stem_hint(h.inner)
+        return _structural_depth(h.outer) + _structural_depth(h.inner)
     return 0
 
 
 def _cell_bound(h: Surjection, interval: ClopenInterval) -> int:
     ends = max(len(interval.lo.stem), len(interval.hi.stem))
-    return _support_hint(h) + _stem_hint(h) + ends + CELL_SEARCH_SLACK
+    return _structural_depth(h) + ends + CELL_SEARCH_SLACK
 
 
 def find_cell_within(
@@ -242,26 +232,13 @@ def find_cell_within(
         depth_bound = _cell_bound(h, interval)
     b = h.base
     lo, hi = interval.lo, interval.hi
-    wl: tuple[int, ...] = ()
-    wh: tuple[int, ...] = ()
-    alo, ahi = min_point(b), max_point(b)  # cell of the lo chain
-    blo, bhi = alo, ahi  # cell of the hi chain
-    rl = rh = 0
-    if alo == lo and ahi == hi:
+    if lo.is_min and hi.is_max:
         return ()
-    for d in range(1, depth_bound + 1):
-        slo = h.child_maxima(wl)
-        i = bisect_left(slo, lo)
-        wl = wl + (i,)
-        rl = rl * b + i
-        alo = alo if i == 0 else interval_successor(slo[i - 1])
-        ahi = slo[i] if i < b - 1 else ahi
-        shi = h.child_maxima(wh)
-        j = bisect_left(shi, hi)
-        wh = wh + (j,)
-        rh = rh * b + j
-        blo = blo if j == 0 else interval_successor(shi[j - 1])
-        bhi = shi[j] if j < b - 1 else bhi
+    rl = rh = 0  # ranks of the two chains' cells within their depth
+    chains = zip(range(1, depth_bound + 1), cell_chain(h, lo), cell_chain(h, hi))
+    for d, (wl, alo, ahi), (wh, _, bhi) in chains:
+        rl = rl * b + wl[-1]
+        rh = rh * b + wh[-1]
         if wl == wh:
             if alo == lo and ahi == hi:
                 return wl
@@ -415,6 +392,23 @@ def _branch_splits(y: QCopy, prefer: int, cap: int):
             raise RuntimeError(f"derived tree has no child below {word}; copy data invalid")
 
 
+def _branch_comparisons(y: QCopy, cap: int):
+    """For each minimum-branch splitting node t after the first, yield t,
+    the maximum-branch splitting nodes fetched so far (one spare at least as
+    long as t), and one less than the number of them shorter than t."""
+    s_gen = _branch_splits(y, 1, cap)
+    s_splits: list[tuple[int, ...]] = []
+    for n, t in enumerate(_branch_splits(y, 0, cap)):
+        if n == 0:
+            continue
+        while not s_splits or len(s_splits[-1]) < len(t):
+            nxt = next(s_gen, None)
+            if nxt is None:
+                raise RuntimeError("maximum-branch splitting nodes exhausted within cap")
+            s_splits.append(nxt)
+        yield t, s_splits, sum(1 for s in s_splits if len(s) < len(t)) - 1
+
+
 def omega_coloring(y: QCopy, cap: int | None = None) -> int:
     """Branch-comparison color of the copy: one less than the number of
     maximum-branch splitting nodes shorter than the second minimum-branch
@@ -422,18 +416,9 @@ def omega_coloring(y: QCopy, cap: int | None = None) -> int:
     splitting node."""
     if cap is None:
         cap = default_depth_cap()
-    min_splits = _branch_splits(y, 0, cap)
-    t0 = next(min_splits, None)
-    t1 = next(min_splits, None)
-    if t1 is None:
-        raise RuntimeError("fewer than two splitting nodes on the minimum branch within cap")
-    t1_len = len(t1)
-    count = 0
-    for s in _branch_splits(y, 1, cap):
-        if len(s) >= t1_len:
-            return count - 1
-        count += 1
-    raise RuntimeError("maximum-branch splitting nodes exhausted within cap")
+    for _, _, color in _branch_comparisons(y, cap):
+        return color
+    raise RuntimeError("fewer than two splitting nodes on the minimum branch within cap")
 
 
 @dataclass(frozen=True, slots=True)
@@ -465,28 +450,11 @@ def build_witness(y: QCopy, r: int, cap: int | None = None) -> WitnessOutcome:
         raise ValueError(f"target must be nonnegative, got {r}")
     if cap is None:
         cap = default_depth_cap()
-    s_gen = _branch_splits(y, 1, cap)
-    s_splits: list[tuple[int, ...]] = []
-
-    def s_below(length: int) -> int:
-        # of splitting nodes shorter than length, keeping one spare beyond
-        while not s_splits or len(s_splits[-1]) < length:
-            nxt = next(s_gen, None)
-            if nxt is None:
-                raise RuntimeError("maximum-branch splitting nodes exhausted within cap")
-            s_splits.append(nxt)
-        return sum(1 for s in s_splits if len(s) < length)
-
-    t0 = s0 = None
-    for n, t in enumerate(_branch_splits(y, 0, cap)):
-        if n == 0:
-            continue
-        m = s_below(len(t)) - 1
+    for t, s_splits, m in _branch_comparisons(y, cap):
         if m >= r:
-            t0 = t
-            s0 = s_splits[m - r + 1]
+            t0, s0 = t, s_splits[m - r + 1]
             break
-    if t0 is None or s0 is None:
+    else:
         raise RuntimeError(f"no minimum-branch splitting node deep enough for target {r} within cap")
     keep_low = ClopenInterval(min_point(2), Point(2, t0, 1))
     keep_high = ClopenInterval(Point(2, s0, 0), max_point(2))
@@ -679,7 +647,7 @@ def oscillation_search(
         achieved: dict[int, OscillationWitness] = {}
         spent = 0
         for d in range(1, depth_cap + 1):
-            pts = h.max_set(d)
+            pts = h.fingerprint(d)
             n = len(pts)
             if n < ell:
                 continue

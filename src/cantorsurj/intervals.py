@@ -39,7 +39,6 @@ __all__ = [
     "refine_canonical",
     "is_refinement",
     "refinement_report",
-    "cell_containing",
     "least_q_point_between",
     "canonical_split_maxima",
     "MATERIALIZE_LIMIT",
@@ -133,19 +132,45 @@ class DepthPartition:
         return len(self.cells)
 
 
-def partition_from_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> DepthPartition:
-    """Cells of the unique consecutive-interval partition with these maxima."""
-    if len(entries) != base**depth - 1:
-        raise ValueError(
-            f"depth-{depth} boundary tuple needs {base ** depth - 1} entries, got {len(entries)}"
+@dataclass(frozen=True, slots=True)
+class FilteringReport:
+    ok: bool
+    clause: str = ""
+    path: tuple[int, ...] = ()
+    message: str = ""
+
+
+def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> FilteringReport:
+    """Check one depth-`depth` boundary tuple on its own: entry count,
+    entries interior eventually-max points of this base, strict increase.
+
+    The single boundary-level check behind BoundaryTuple,
+    partition_from_tuple and validate_filtering.
+    """
+    want = base**depth - 1
+    if len(entries) != want:
+        return FilteringReport(
+            False, "length", (depth,), f"depth {depth} has {len(entries)} entries, needs {want}"
         )
     for i, y in enumerate(entries):
         if y.base != base:
-            raise ValueError(f"entry {i} has base {y.base}, expected {base}")
+            return FilteringReport(False, "entry", (depth, i), f"entry {i} base {y.base} != {base}")
         if not y.is_q_point:
-            raise ValueError(f"entry {i} is not an eventually-max interior point: {y}")
+            return FilteringReport(
+                False, "entry", (depth, i), f"entry {y} not an interior eventually-max point"
+            )
         if i > 0 and not entries[i - 1] < y:
-            raise ValueError(f"entries not strictly increasing at position {i}")
+            return FilteringReport(
+                False, "increasing", (depth, i), f"entries {i - 1},{i} out of order at depth {depth}"
+            )
+    return FilteringReport(True)
+
+
+def partition_from_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> DepthPartition:
+    """Cells of the unique consecutive-interval partition with these maxima."""
+    report = validate_level(base, depth, entries)
+    if not report.ok:
+        raise ValueError(report.message)
     cells = []
     lo = min_point(base)
     for y in entries:
@@ -155,8 +180,33 @@ def partition_from_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> D
     return DepthPartition(base, depth, tuple(cells))
 
 
-def cell_containing(p: DepthPartition, x: Point) -> int:
-    return p.index(x)
+def child_bounds(
+    splits: tuple[Point, ...], lo: Point, hi: Point, digit: int
+) -> tuple[Point, Point]:
+    """Ends of child `digit` of the cell [lo, hi] whose division points are
+    `splits` (the b-1 maxima of all children but the last)."""
+    return (
+        lo if digit == 0 else interval_successor(splits[digit - 1]),
+        splits[digit] if digit < len(splits) else hi,
+    )
+
+
+def cell_chain(tree, x: Point):
+    """The cells containing x, one level down at a time.
+
+    `tree` is anything with `base` and `child_maxima(word)`: a Filtering or
+    a Surjection.  Yields (word, lo, hi) for depths 1, 2, ... without end;
+    the child is found by bisecting the parent's division points, so under
+    the right-closed convention a division point stays in the lower cell.
+    """
+    word: tuple[int, ...] = ()
+    lo, hi = min_point(tree.base), max_point(tree.base)
+    while True:
+        splits = tree.child_maxima(word)
+        i = bisect_left(splits, x)
+        lo, hi = child_bounds(splits, lo, hi, i)
+        word += (i,)
+        yield word, lo, hi
 
 
 def _least_q_stem_of_length(lower: Point, length: int) -> Point | None:
@@ -258,31 +308,15 @@ class Filtering:
             self._split_memo[cell] = got
         return got
 
-    def _stored_cell(self, word: tuple[int, ...]) -> ClopenInterval:
-        d = len(word)
-        if d == 0:
-            return ClopenInterval.whole(self.base)
-        level = self.levels[d - 1]
-        r = word_rank(word, self.base)
-        lo = interval_successor(level[r - 1]) if r > 0 else min_point(self.base)
-        hi = level[r] if r < len(level) else max_point(self.base)
-        return ClopenInterval(lo, hi)
-
-    @staticmethod
-    def _child_interval(cell: ClopenInterval, splits: tuple[Point, ...], digit: int) -> ClopenInterval:
-        lo = cell.lo if digit == 0 else interval_successor(splits[digit - 1])
-        hi = splits[digit] if digit < len(splits) else cell.hi
-        return ClopenInterval(lo, hi)
-
     def cell(self, word: tuple[int, ...]) -> ClopenInterval:
         """The depth-len(word) cell at this word's lex position."""
-        d = len(word)
-        if d <= self.support:
-            return self._stored_cell(word)
+        if not word:
+            return ClopenInterval.whole(self.base)
         got = self._cell_memo.get(word)
         if got is None:
             parent = self.cell(word[:-1])
-            got = self._child_interval(parent, self.child_maxima(word[:-1]), word[-1])
+            splits = self.child_maxima(word[:-1])
+            got = ClopenInterval(*child_bounds(splits, parent.lo, parent.hi, word[-1]))
             self._cell_memo[word] = got
         return got
 
@@ -374,41 +408,20 @@ class Filtering:
         return f
 
 
-@dataclass(frozen=True, slots=True)
-class FilteringReport:
-    ok: bool
-    clause: str = ""
-    path: tuple[int, ...] = ()
-    message: str = ""
-
-
 def validate_filtering(f: Filtering) -> FilteringReport:
     """Check the stored levels form nested proper partitions.
 
-    Verified per level: entry count, entries interior eventually-max points,
-    strict increase, and that each level subsamples to the one above.  The
-    cell intervals themselves are derived data, so these four checks pin the
-    whole structure.
+    Verified per level: validate_level (entry count, entries interior
+    eventually-max points, strict increase), and that each level subsamples
+    to the one above.  The cell intervals themselves are derived data, so
+    these four checks pin the whole structure.
     """
     b = f.base
     for j, level in enumerate(f.levels):
         depth = j + 1
-        want = b**depth - 1
-        if len(level) != want:
-            return FilteringReport(
-                False, "length", (depth,), f"depth {depth} has {len(level)} entries, needs {want}"
-            )
-        for i, y in enumerate(level):
-            if y.base != b:
-                return FilteringReport(False, "entry", (depth, i), f"entry base {y.base} != {b}")
-            if not y.is_q_point:
-                return FilteringReport(
-                    False, "entry", (depth, i), f"entry {y} not an interior eventually-max point"
-                )
-            if i > 0 and not level[i - 1] < y:
-                return FilteringReport(
-                    False, "increasing", (depth, i), f"entries {i - 1},{i} out of order at depth {depth}"
-                )
+        report = validate_level(b, depth, level)
+        if not report.ok:
+            return report
         if j > 0:
             above = f.levels[j - 1]
             for i, y in enumerate(above):
@@ -452,15 +465,8 @@ def refinement_report(v: Filtering, u: Filtering, depth: int, cap: int | None = 
     if cap is None:
         cap = default_depth_cap()
     for y in v.boundary_tuple(depth):
-        word: tuple[int, ...] = ()
-        while True:
-            cell = u.cell(word)
-            if y == cell.hi:
-                break
-            if len(word) >= cap:
-                return RefinementReport("undecided_at_cap", y, cap)
-            splits = u.child_maxima(word)
-            word = word + (bisect_left(list(splits), y),)
+        if not any(y == hi for _, (_, _, hi) in zip(range(cap), cell_chain(u, y))):
+            return RefinementReport("undecided_at_cap", y, cap)
     return RefinementReport("yes", None, depth)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 __all__ = [
@@ -24,12 +25,9 @@ __all__ = [
     "Point",
     "Node",
     "Dyadic",
-    "lex_compare",
     "rho",
     "min_point",
     "max_point",
-    "node_max",
-    "node_min",
     "interval_successor",
     "interval_predecessor",
     "encode_binary",
@@ -158,10 +156,15 @@ class Point:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Point":
+        """Strict decoder: `b`, `tail` and every stem digit must be JSON
+        integers (not booleans or floats) and `stem` a list."""
         try:
-            return cls(int(obj["b"]), tuple(int(d) for d in obj["stem"]), int(obj["tail"]))
+            base, stem, tail = obj["b"], obj["stem"], obj["tail"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed point object: {obj!r}") from exc
+        if not isinstance(stem, list) or not all(type(v) is int for v in (base, tail, *stem)):
+            raise ValueError(f"malformed point object: {obj!r}")
+        return cls(base, tuple(stem), tail)
 
     def __str__(self) -> str:
         stem = "".join(map(str, self.stem)) or "^"
@@ -174,18 +177,17 @@ class Point:
 def load_point(obj: dict) -> tuple[Point, bool]:
     """Decode a point, reporting whether the input stem was already canonical."""
     p = Point.from_json(obj)
-    was_canonical = list(p.stem) == [int(d) for d in obj["stem"]]
-    return p, was_canonical
+    return p, list(p.stem) == obj["stem"]
 
 
-def lex_compare(x: Point, y: Point) -> int:
-    return x.compare(y)
-
-
+# Points are immutable, so the ends of the space are built once per base:
+# every cell descent starts from them
+@cache
 def min_point(base: int) -> Point:
     return Point(base, (), 0)
 
 
+@cache
 def max_point(base: int) -> Point:
     return Point(base, (), base - 1)
 
@@ -220,16 +222,6 @@ class Node:
 
     def __str__(self) -> str:
         return "".join(map(str, self.word)) or "^"
-
-
-def node_max(s: Node) -> Point:
-    """Largest sequence extending s.  Distinct words can alias to the same
-    point: appending max digits to s does not change the maximum."""
-    return s.max_point()
-
-
-def node_min(s: Node) -> Point:
-    return s.min_point()
 
 
 def interval_successor(x: Point) -> Point:

@@ -9,14 +9,9 @@ from __future__ import annotations
 
 import random
 
-from .intervals import ClopenInterval, Filtering, least_q_point_between
-from .points import Point, max_point, min_point
-from .surjections import (
-    ChainSurjection,
-    FilteringSurjection,
-    Surjection,
-    from_filtering,
-)
+from .intervals import Filtering, least_q_point_between
+from .points import Point
+from .surjections import ChainSurjection, Surjection, from_filtering
 
 __all__ = [
     "derive_rng",

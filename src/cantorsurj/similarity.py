@@ -105,46 +105,6 @@ class TreeType:
     def leaf_count(self) -> int:
         return (len(self.levels) + 1) // 2
 
-    @property
-    def node_count(self) -> int:
-        return len(self.levels)
-
-    @property
-    def leaf_levels(self) -> tuple[int, ...]:
-        return self.levels[0::2]
-
-    @property
-    def meet_levels(self) -> tuple[int, ...]:
-        return self.levels[1::2]
-
-    def parent_links(self) -> tuple[int, ...]:
-        """In-order index of each node's parent meet; -1 for the root."""
-        par = [-1] * len(self.levels)
-
-        def build(lo: int, hi: int, parent: int) -> None:
-            if lo > hi:
-                return
-            if lo == hi:
-                par[lo] = parent
-                return
-            m = min(range(lo, hi + 1), key=self.levels.__getitem__)
-            par[m] = parent
-            build(lo, m - 1, m)
-            build(m + 1, hi, m)
-
-        build(0, len(self.levels) - 1, -1)
-        return tuple(par)
-
-    def directions(self) -> tuple[int, ...]:
-        """0 for a left child, 1 for a right child, -1 for the root."""
-        return tuple(
-            -1 if p < 0 else (0 if i < p else 1)
-            for i, p in enumerate(self.parent_links())
-        )
-
-    def encoding(self) -> str:
-        return f"l{self.leaf_count}:" + ".".join(map(str, self.levels))
-
     def __lt__(self, other: "TreeType") -> bool:
         return self.levels < other.levels
 
@@ -308,19 +268,13 @@ def meet_closure(points: tuple[Point, ...]) -> MeetClosure:
 
 def is_strongly_diagonal(points: tuple[Point, ...]) -> bool:
     """Stems pairwise prefix-incomparable, neighbouring meets pairwise
-    distinct, and all 2*ell-1 closure nodes at pairwise distinct depths."""
+    distinct, and all 2*ell-1 closure nodes at pairwise distinct depths.
+
+    Distinct depths make the meets distinct, and _classify's neighbour test
+    covers all pairs, so this is exactly "_classify finds a type"."""
     if len(set(points)) != len(points):
         return False
-    stems = _binary_stems(tuple(sorted(points)))
-    for a, c in combinations(stems, 2):
-        m = _lcp_len(a, c)
-        if m == len(a) or m == len(c):
-            return False
-    meets = [stems[i][: _lcp_len(stems[i], stems[i + 1])] for i in range(len(stems) - 1)]
-    if len(set(meets)) != len(meets):
-        return False
-    lengths = [len(s) for s in stems] + [len(m) for m in meets]
-    return len(set(lengths)) == len(lengths)
+    return _classify(_binary_stems(tuple(sorted(points)))) is not None
 
 
 def similarity_type(points: tuple[Point, ...]) -> TreeType:
@@ -356,7 +310,7 @@ class TypeWitness:
 
 @dataclass(frozen=True, slots=True)
 class ScanOutcome:
-    """What an iterative-deepening scan of [max_set(h, d)]^ell saw.
+    """What an iterative-deepening scan of [h.fingerprint(d)]^ell saw.
 
     witnesses holds the first tuple found per type index, in construction
     order: depths increase outermost, combinations of the sorted max-set
@@ -388,17 +342,14 @@ def scan_types(
     combos = 0
     deepest_full = 0
     for d in range(1, depth_cap + 1):
-        pts = h.max_set(d)
+        pts = h.fingerprint(d)
         n = len(pts)
         if n < leaves:
             deepest_full = d
             continue
         if comb(n, leaves) > budget:
             break
-        if h.base > 2:
-            stems = tuple(encode_binary(p).stem for p in pts)
-        else:
-            stems = tuple(p.stem for p in pts)
+        stems = _binary_stems(pts)
         for picked in combinations(range(n), leaves):
             combos += 1
             ranks = _classify(tuple(stems[i] for i in picked))

@@ -14,12 +14,17 @@ the explicit lossy approximation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .caps import default_depth_cap
-from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering, validate_filtering
-from .points import Dyadic, Point, interval_successor, max_point, min_point, word_rank
+from .intervals import (
+    MATERIALIZE_LIMIT,
+    Filtering,
+    cell_chain,
+    validate_filtering,
+    validate_level,
+)
+from .points import Dyadic, Point, max_point, min_point, word_rank
 
 __all__ = [
     "Surjection",
@@ -73,16 +78,9 @@ class BoundaryTuple:
     entries: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        want = self.base**self.depth - 1
-        if len(self.entries) != want:
-            raise ValueError(f"depth-{self.depth} tuple needs {want} entries, got {len(self.entries)}")
-        for i, y in enumerate(self.entries):
-            if y.base != self.base:
-                raise ValueError(f"entry {i} base mismatch")
-            if not y.is_q_point:
-                raise ValueError(f"entry {i} must be an interior eventually-max point, got {y}")
-            if i > 0 and not self.entries[i - 1] < y:
-                raise ValueError(f"entries not strictly increasing at {i}")
+        report = validate_level(self.base, self.depth, self.entries)
+        if not report.ok:
+            raise ValueError(report.message)
 
     def to_json(self) -> dict:
         return {"b": self.base, "depth": self.depth, "entries": [p.to_json() for p in self.entries]}
@@ -111,17 +109,12 @@ class Surjection(ABC):
         r = word_rank(word, b)
         return tuple(self.boundary_entry(d + 1, r * b + p) for p in range(b - 1))
 
-    def cell(self, word: tuple[int, ...]) -> ClopenInterval:
-        b = self.base
-        d = len(word)
-        if d == 0:
-            return ClopenInterval.whole(b)
-        r = word_rank(word, b)
-        lo = interval_successor(self.boundary_entry(d, r - 1)) if r > 0 else min_point(b)
-        hi = self.boundary_entry(d, r) if r < b**d - 1 else max_point(b)
-        return ClopenInterval(lo, hi)
-
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
+        """All cell maxima down to `depth`, sorted, without the top point.
+
+        By nesting this is also the max-set to that depth: level d's tuple
+        contains every shallower tuple as a subsequence.
+        """
         count = self.base**depth - 1
         if count > MATERIALIZE_LIMIT:
             raise ValueError(f"depth {depth} fingerprint has {count} entries; over limit")
@@ -129,14 +122,6 @@ class Surjection(ABC):
 
     def boundary_tuple(self, depth: int) -> BoundaryTuple:
         return BoundaryTuple(self.base, depth, self.fingerprint(depth))
-
-    def max_set(self, depth: int) -> tuple[Point, ...]:
-        """All cell maxima down to `depth`, sorted, without the top point.
-
-        By nesting this is exactly the depth-`depth` fingerprint: level d's
-        tuple contains every shallower tuple as a subsequence.
-        """
-        return self.fingerprint(depth)
 
     # -- evaluation ------------------------------------------------------
 
@@ -147,28 +132,19 @@ class Surjection(ABC):
         if x.base != self.base:
             raise ValueError("base mismatch")
         b = self.base
-        cell = ClopenInterval.whole(b)
-        word: tuple[int, ...] = ()
-        out: list[int] = []
-        if x == cell.hi:
+        if x.is_max:
             return Evaluation((b - 1,) * digits, max_point(b))
-        if x == cell.lo:
+        if x.is_min:
             return Evaluation((0,) * digits, min_point(b))
-        while len(out) < digits:
-            splits = self.child_maxima(word)
-            i = bisect_left(splits, x)
-            out.append(i)
-            word = word + (i,)
-            lo = cell.lo if i == 0 else interval_successor(splits[i - 1])
-            hi = splits[i] if i < b - 1 else cell.hi
-            cell = ClopenInterval(lo, hi)
-            if x == cell.hi:
-                y = Point(b, tuple(out), b - 1)
+        word: tuple[int, ...] = ()
+        for _, (word, lo, hi) in zip(range(digits), cell_chain(self, x)):
+            if x == hi:
+                y = Point(b, word, b - 1)
                 return Evaluation(y.prefix(digits), y)
-            if x == cell.lo:
-                y = Point(b, tuple(out), 0)
+            if x == lo:
+                y = Point(b, word, 0)
                 return Evaluation(y.prefix(digits), y)
-        return Evaluation(tuple(out), None)
+        return Evaluation(word, None)
 
     def preimage_max(self, y: Point) -> Point:
         """Maximum of the preimage of the lower set {x : x <= y}, for y an
@@ -221,9 +197,6 @@ class FilteringSurjection(Surjection):
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         return self.filtering.child_maxima(word)
-
-    def cell(self, word: tuple[int, ...]) -> ClopenInterval:
-        return self.filtering.cell(word)
 
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
         return self.filtering.boundary_tuple(depth)
@@ -392,6 +365,17 @@ class FactorizationError(ValueError):
         self.depth = depth
 
 
+def _subsample_levels(
+    base: int, depth: int, entries: tuple[Point, ...]
+) -> tuple[tuple[Point, ...], ...]:
+    """Levels 1..depth forced by a depth-`depth` boundary tuple: by nesting,
+    depth-d entry i sits at position b^(depth-d) * (i+1) - 1."""
+    return tuple(
+        tuple(entries[base ** (depth - d) * (i + 1) - 1] for i in range(base**d - 1))
+        for d in range(1, depth + 1)
+    )
+
+
 def _image_in_max_set(h: Surjection, x: Point, cap: int) -> Point:
     """Exact image of a point of h's max-set; error with witness otherwise."""
     ev = h.evaluate(x, cap)
@@ -417,14 +401,9 @@ def factor_through(g: Surjection, h: Surjection, depth: int, cap: int | None = N
         raise ValueError("base mismatch")
     if cap is None:
         cap = default_depth_cap()
-    b = g.base
     deep = g.fingerprint(depth)
     images = tuple(_image_in_max_set(h, x, cap) for x in deep)
-    levels = tuple(
-        tuple(images[b ** (depth - d) * (i + 1) - 1] for i in range(b**d - 1))
-        for d in range(1, depth + 1)
-    )
-    filt = Filtering(b, levels)
+    filt = Filtering(g.base, _subsample_levels(g.base, depth, images))
     report = validate_filtering(filt)
     if not report.ok:
         raise FactorizationError(f"image tuple is not a filtering: {report.message}")
@@ -440,15 +419,9 @@ def tuple_to_surjection(depth: int, t: BoundaryTuple) -> FilteringSurjection:
     Shallower levels are the forced subsamples of t; deeper levels come from
     the greedy extension.
     """
-    b = t.base
     if t.depth != depth:
         raise ValueError(f"tuple has depth {t.depth}, expected {depth}")
-    entries = t.entries
-    levels = tuple(
-        tuple(entries[b ** (depth - d) * (i + 1) - 1] for i in range(b**d - 1))
-        for d in range(1, depth + 1)
-    )
-    return from_filtering(Filtering(b, levels))
+    return from_filtering(Filtering(t.base, _subsample_levels(t.base, depth, t.entries)))
 
 
 def tuple_to_factor(h: Surjection, t: BoundaryTuple, cap: int | None = None) -> FilteringSurjection:

@@ -132,67 +132,101 @@ def count_updown(n: int) -> int:
 
 
 # -- the nine checks --------------------------------------------------------
+#
+# A check draws its cases from the seeded stream and runs one predicate per
+# case: predicate(case) returns a failure dump or None.  replay rebuilds the
+# case from a dump and runs the same predicate.  Where the detail line needs
+# a quantity the predicate also reads (a distance, a search report), the case
+# carries it, made by one helper that suite and replay share.
+
+EPS = Fraction(3, 10)  # resolution of the oscillation searches in check 9
+
+
+def _failures(cases, predicate) -> list[dict]:
+    return [bad for bad in map(predicate, cases) if bad is not None]
+
+
+def _tangent_values() -> tuple[tuple[int, ...], ...]:
+    return (
+        tuple(tangent_number(k) for k in range(1, 6)),
+        taylor_tangent(5),
+        tuple(count_updown(2 * k - 1) for k in range(1, 6)),
+    )
+
+
+def _tangent_predicate(values) -> dict | None:
+    table, taylor, brute = values
+    if table == TANGENT_FIRST_FIVE == taylor == brute:
+        return None
+    return {"criterion": 1, "zigzag": table, "taylor": taylor, "brute": brute}
 
 
 def _check_tangent(rng) -> tuple[bool, str, list[dict]]:
-    table = tuple(tangent_number(k) for k in range(1, 6))
-    taylor = taylor_tangent(5)
-    brute = tuple(count_updown(2 * k - 1) for k in range(1, 6))
-    ok = table == TANGENT_FIRST_FIVE == taylor == brute
-    detail = f"zigzag(1..5)={table}; taylor={taylor}; brute={brute}"
-    bad = [] if ok else [{"criterion": 1, "zigzag": table, "taylor": taylor, "brute": brute}]
-    return ok, detail, bad
+    values = _tangent_values()
+    bad = _failures([values], _tangent_predicate)
+    return not bad, "zigzag(1..5)={}; taylor={}; brute={}".format(*values), bad
+
+
+def _type_count_values() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    counts = tuple(len(enumerate_types(l)) for l in range(1, 5))
+    return counts, tuple(tangent_number(l) for l in range(1, 5))
+
+
+def _type_count_predicate(values) -> dict | None:
+    counts, want = values
+    return None if counts == want else {"criterion": 2, "counts": counts, "want": want}
 
 
 def _check_type_counts(rng) -> tuple[bool, str, list[dict]]:
-    counts = tuple(len(enumerate_types(l)) for l in range(1, 5))
-    want = tuple(tangent_number(l) for l in range(1, 5))
-    ok = counts == want
-    detail = f"|types(l)| for l=1..4 = {counts}, want {want}"
-    bad = [] if ok else [{"criterion": 2, "counts": counts, "want": want}]
-    return ok, detail, bad
+    values = _type_count_values()
+    bad = _failures([values], _type_count_predicate)
+    return not bad, "|types(l)| for l=1..4 = {}, want {}".format(*values), bad
+
+
+def _roundtrip_predicate(case) -> dict | None:
+    filt, depths = case  # the dump names the first failing depth
+    f = from_filtering(filt)
+    for d in depths:
+        want = Filtering(filt.base, filt.levels[:d]) if d < filt.support else filt.extend(d)
+        if to_filtering(f, d) != want:
+            return {"criterion": 3, "filtering": filt.to_json(), "depth": d}
+    return None
 
 
 def _check_roundtrip(rng) -> tuple[bool, str, list[dict]]:
-    bad = []
-    for _ in range(1000):
-        b = rng.choice((2, 3))
-        filt = random_filtering(rng, b, rng.randint(0, 4))
-        f = from_filtering(filt)
-        for d in range(1, 7):
-            got = to_filtering(f, d)
-            want = Filtering(b, filt.levels[:d]) if d < filt.support else filt.extend(d)
-            if got != want:
-                bad.append({"criterion": 3, "filtering": filt.to_json(), "depth": d})
-                break
+    cases = (
+        (random_filtering(rng, rng.choice((2, 3)), rng.randint(0, 4)), range(1, 7))
+        for _ in range(1000)
+    )
+    bad = _failures(cases, _roundtrip_predicate)
     detail = f"1000 filterings (b in 2,3, support <= 4) x depths 1..6: {len(bad)} failures"
     return not bad, detail, bad
 
 
+def _monoid_predicate(case) -> dict | None:
+    f, g, h, e = case  # e: the base-2 identity
+    lhs = compose(compose(f, g), h).fingerprint(8)
+    rhs = compose(f, compose(g, h)).fingerprint(8)
+    base_fp = g.fingerprint(8)
+    left = compose(e, g).fingerprint(8)
+    right = compose(g, e).fingerprint(8)
+    if lhs == rhs and left == base_fp and right == base_fp:
+        return None
+    return {
+        "criterion": 4,
+        "f": f.to_json(),
+        "g": g.to_json(),
+        "h": h.to_json(),
+        "assoc": lhs == rhs,
+        "left_id": left == base_fp,
+        "right_id": right == base_fp,
+    }
+
+
 def _check_monoid(rng) -> tuple[bool, str, list[dict]]:
-    bad = []
-    e = identity(2)
-    for _ in range(200):
-        f = random_surjection(rng, 2, 3, 0.2)
-        g = random_surjection(rng, 2, 3, 0.2)
-        h = random_surjection(rng, 2, 3, 0.2)
-        lhs = compose(compose(f, g), h).fingerprint(8)
-        rhs = compose(f, compose(g, h)).fingerprint(8)
-        base_fp = g.fingerprint(8)
-        left = compose(e, g).fingerprint(8)
-        right = compose(g, e).fingerprint(8)
-        if not (lhs == rhs and left == base_fp and right == base_fp):
-            bad.append(
-                {
-                    "criterion": 4,
-                    "f": f.to_json(),
-                    "g": g.to_json(),
-                    "h": h.to_json(),
-                    "assoc": lhs == rhs,
-                    "left_id": left == base_fp,
-                    "right_id": right == base_fp,
-                }
-            )
+    e = identity(2)  # shared, so its greedy extension is computed once
+    cases = ((*(random_surjection(rng, 2, 3, 0.2) for _ in range(3)), e) for _ in range(200))
+    bad = _failures(cases, _monoid_predicate)
     detail = f"200 triples, depth-8 fingerprints, associativity + identity laws: {len(bad)} failures"
     return not bad, detail, bad
 
@@ -215,31 +249,36 @@ def _sampled_sup_exponent(table_f, table_g) -> int | None:
     return best
 
 
+def _sample_table(s, samples) -> tuple[tuple[int, ...], ...]:
+    return tuple(s.evaluate(x, SAMPLE_DIGITS).digits for x in samples)
+
+
+def _metric_case(f, g, table_f, table_g):
+    return f, g, table_f, table_g, distance(f, g)
+
+
+def _metric_predicate(case) -> dict | None:
+    f, g, table_f, table_g, d = case
+    m = _sampled_sup_exponent(table_f, table_g)
+    if (m is None) if d.kind == "zero" else (m == d.agree_depth):
+        return None
+    return {
+        "criterion": 5,
+        "f": f.to_json(),
+        "g": g.to_json(),
+        "distance": str(d),
+        "sampled_exponent": m,
+    }
+
+
 def _check_metric(rng) -> tuple[bool, str, list[dict]]:
     samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
     pool = [random_surjection(rng, 2, 4, 0.3) for _ in range(40)]
-    tables = [tuple(s.evaluate(x, SAMPLE_DIGITS).digits for x in samples) for s in pool]
-    bad = []
-    zeros = 0
-    for _ in range(500):
-        i, j = rng.randrange(40), rng.randrange(40)
-        d = distance(pool[i], pool[j])
-        m = _sampled_sup_exponent(tables[i], tables[j])
-        if d.kind == "zero":
-            zeros += 1
-            ok = m is None
-        else:
-            ok = m == d.agree_depth
-        if not ok:
-            bad.append(
-                {
-                    "criterion": 5,
-                    "f": pool[i].to_json(),
-                    "g": pool[j].to_json(),
-                    "distance": str(d),
-                    "sampled_exponent": m,
-                }
-            )
+    tables = [_sample_table(s, samples) for s in pool]  # once per map, not per pair
+    pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(500)]
+    cases = [_metric_case(pool[i], pool[j], tables[i], tables[j]) for i, j in pairs]
+    bad = _failures(cases, _metric_predicate)
+    zeros = sum(case[-1].kind == "zero" for case in cases)
     detail = (
         f"500 pairs vs sup-oracle over {len(samples)} points (stems <= {SAMPLE_STEM_LIMIT}): "
         f"{len(bad)} mismatches, {zeros} zero-distance pairs"
@@ -247,74 +286,93 @@ def _check_metric(rng) -> tuple[bool, str, list[dict]]:
     return not bad, detail, bad
 
 
+def _factorization_predicate(case) -> dict | None:
+    f, h = case
+    g = compose(f, h)
+    ff = factor_through(g, h, 6)
+    ok1 = ff.fingerprint(6) == f.fingerprint(6) and ff.fingerprint(3) == f.fingerprint(3)
+    t = BoundaryTuple(f.base, 6, g.fingerprint(6))
+    f2 = tuple_to_factor(h, t)
+    ok2 = compose(f2, h).fingerprint(6) == t.entries
+    if ok1 and ok2:
+        return None
+    return {"criterion": 6, "f": f.to_json(), "h": h.to_json(), "factor_ok": ok1, "tuple_ok": ok2}
+
+
 def _check_factorization(rng) -> tuple[bool, str, list[dict]]:
-    bad = []
-    for i in range(200):
-        b = 3 if i % 7 == 0 else 2
-        f = random_surjection(rng, b, 3, 0.25 if b == 2 else 0.0)
-        h = random_surjection(rng, b, 3, 0.25 if b == 2 else 0.0)
-        g = compose(f, h)
-        ff = factor_through(g, h, 6)
-        ok1 = ff.fingerprint(6) == f.fingerprint(6) and ff.fingerprint(3) == f.fingerprint(3)
-        t = BoundaryTuple(b, 6, g.fingerprint(6))
-        f2 = tuple_to_factor(h, t)
-        ok2 = compose(f2, h).fingerprint(6) == t.entries
-        if not (ok1 and ok2):
-            bad.append(
-                {
-                    "criterion": 6,
-                    "f": f.to_json(),
-                    "h": h.to_json(),
-                    "factor_ok": ok1,
-                    "tuple_ok": ok2,
-                }
-            )
+    bases = (3 if i % 7 == 0 else 2 for i in range(200))
+    cases = (
+        tuple(random_surjection(rng, b, 3, 0.25 if b == 2 else 0.0) for _ in range(2))
+        for b in bases
+    )
+    bad = _failures(cases, _factorization_predicate)
     detail = f"200 pairs, factor + tuple roundtrips at depth 6: {len(bad)} failures"
     return not bad, detail, bad
 
 
+def _realization_case(h):
+    return h, realize_all_colors(h, 2, 20)
+
+
+def _realization_predicate(case) -> dict | None:
+    h, rep = case
+    if rep.complete and all(r.verified for r in rep.realizations):
+        return None
+    missing = [r.color for r in rep.realizations if not r.verified]
+    return {"criterion": 7, "h": h.to_json(), "missing": missing}
+
+
 def _check_realization(rng) -> tuple[bool, str, list[dict]]:
-    bad = []
     inners = [identity(2)] + [
         from_filtering(random_filtering(rng, 2, rng.randint(0, 3))) for _ in range(20)
     ]
-    combos = 0
-    deepest = 0
-    for h in inners:
-        rep = realize_all_colors(h, 2, 20)
-        combos += rep.combos
-        deepest = max(deepest, rep.deepest_full)
-        if not (rep.complete and all(r.verified for r in rep.realizations)):
-            missing = [r.color for r in rep.realizations if not r.verified]
-            bad.append({"criterion": 7, "h": h.to_json(), "missing": missing})
+    cases = [_realization_case(h) for h in inners]
+    bad = _failures(cases, _realization_predicate)
     detail = (
         f"21 inner surjections, 16 colors each, cap 20: {len(bad)} incomplete"
-        f" (combos={combos}, deepest={deepest})"
+        f" (combos={sum(rep.combos for _, rep in cases)},"
+        f" deepest={max(rep.deepest_full for _, rep in cases)})"
     )
     return not bad, detail, bad
 
 
+def _omega_predicate(case) -> dict | None:
+    y, r = case
+    try:
+        out = build_witness(y, r)
+        if out.color != r:
+            raise RuntimeError(f"color {out.color}")
+    except (RuntimeError, ValueError) as exc:
+        return {"criterion": 8, "copy": y.to_json(), "target": r, "error": str(exc)}
+    return None
+
+
 def _check_omega(rng) -> tuple[bool, str, list[dict]]:
-    bad = []
     copies = [QCopy.unrestricted(identity(2))] + [random_qcopy(rng) for _ in range(50)]
-    done = 0
-    for y in copies:
-        for r in range(9):
-            try:
-                out = build_witness(y, r)
-                if out.color != r:
-                    raise RuntimeError(f"color {out.color}")
-                done += 1
-            except (RuntimeError, ValueError) as exc:
-                bad.append(
-                    {"criterion": 8, "copy": y.to_json(), "target": r, "error": str(exc)}
-                )
+    bad = _failures(((y, r) for y in copies for r in range(9)), _omega_predicate)
+    done = 9 * len(copies) - len(bad)
     detail = f"{len(copies)} copies x targets 0..8: {done} witnesses verified, {len(bad)} failures"
     return not bad, detail, bad
 
 
+def _oscillation_case(spec):
+    return spec, oscillation_search(spec, EPS)
+
+
+def _oscillation_predicate(case) -> dict | None:
+    spec, rep = case
+    ok = rep.regime == "exact" and rep.guaranteed and len(rep.labels) <= 16
+    if spec.kind == "relabeled_types":
+        ok = ok and set(rep.labels) == set(spec.relabel)
+    e = identity(2)
+    for w in rep.witnesses:
+        f = tuple_to_factor(e, BoundaryTuple(2, 2, w.points))
+        fp = compose(f, e).fingerprint(2)
+        ok = ok and spec.color_of(fp) == w.label
+    return None if ok else {"criterion": 9, "spec": spec.to_json(), "labels": list(rep.labels)}
+
+
 def _check_oscillation(rng) -> tuple[bool, str, list[dict]]:
-    eps = Fraction(3, 10)
     specs = [
         ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))),
         ColoringSpec(2, 2, 64, "constant", constant=63),
@@ -327,24 +385,12 @@ def _check_oscillation(rng) -> tuple[bool, str, list[dict]]:
                 relabel=tuple(rng.randrange(k_colors) for _ in range(16)),
             )
         )
-    bad = []
-    witnesses = 0
-    e = identity(2)
-    for spec in specs:
-        rep = oscillation_search(spec, eps)
-        ok = rep.regime == "exact" and rep.guaranteed and len(rep.labels) <= 16
-        if spec.kind == "relabeled_types":
-            ok = ok and set(rep.labels) == set(spec.relabel)
-        for w in rep.witnesses:
-            f = tuple_to_factor(e, BoundaryTuple(2, 2, w.points))
-            fp = compose(f, e).fingerprint(2)
-            ok = ok and spec.color_of(fp) == w.label
-            witnesses += 1
-        if not ok:
-            bad.append({"criterion": 9, "spec": spec.to_json(), "labels": list(rep.labels)})
+    cases = [_oscillation_case(spec) for spec in specs]
+    bad = _failures(cases, _oscillation_predicate)
     detail = (
         f"{len(specs)} colorings (K <= 64) through the type map: all |B| <= 16, "
-        f"{witnesses} near-cube witnesses re-verified, {len(bad)} failures"
+        f"{sum(len(rep.witnesses) for _, rep in cases)} near-cube witnesses re-verified, "
+        f"{len(bad)} failures"
     )
     return not bad, detail, bad
 
@@ -383,76 +429,38 @@ def run_suite(seed: int | str, only: set[int] | None = None) -> SuiteReport:
 # -- counterexample replay ---------------------------------------------------
 
 
+def _surjections(dump: dict, *keys: str) -> list:
+    return [surjection_from_json(dump[k]) for k in keys]
+
+
+def _metric_replay_case(dump: dict):
+    f, g = _surjections(dump, "f", "g")
+    samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
+    return _metric_case(f, g, _sample_table(f, samples), _sample_table(g, samples))
+
+
+# criterion -> (rebuild the case from its dump, the predicate the suite ran)
+_REPLAY = {
+    1: (lambda dump: _tangent_values(), _tangent_predicate),
+    2: (lambda dump: _type_count_values(), _type_count_predicate),
+    3: (
+        lambda dump: (Filtering.from_json(dump["filtering"]), (dump["depth"],)),
+        _roundtrip_predicate,
+    ),
+    4: (lambda dump: (*_surjections(dump, "f", "g", "h"), identity(2)), _monoid_predicate),
+    5: (_metric_replay_case, _metric_predicate),
+    6: (lambda dump: _surjections(dump, "f", "h"), _factorization_predicate),
+    7: (lambda dump: _realization_case(*_surjections(dump, "h")), _realization_predicate),
+    8: (lambda dump: (QCopy.from_json(dump["copy"]), dump["target"]), _omega_predicate),
+    9: (lambda dump: _oscillation_case(ColoringSpec.from_json(dump["spec"])), _oscillation_predicate),
+}
+
+
 def replay(dump: dict) -> bool:
     """Re-run the one assertion behind a counterexample dump.  Returns True
     when the assertion passes now, so any genuine dump replays to False."""
     c = dump["criterion"]
-    if c == 1:
-        return (
-            tuple(tangent_number(k) for k in range(1, 6))
-            == TANGENT_FIRST_FIVE
-            == taylor_tangent(5)
-            == tuple(count_updown(2 * k - 1) for k in range(1, 6))
-        )
-    if c == 2:
-        return tuple(len(enumerate_types(l)) for l in range(1, 5)) == tuple(
-            tangent_number(l) for l in range(1, 5)
-        )
-    if c == 3:
-        filt = Filtering.from_json(dump["filtering"])
-        d = dump["depth"]
-        want = Filtering(filt.base, filt.levels[:d]) if d < filt.support else filt.extend(d)
-        return to_filtering(from_filtering(filt), d) == want
-    if c == 4:
-        f = surjection_from_json(dump["f"])
-        g = surjection_from_json(dump["g"])
-        h = surjection_from_json(dump["h"])
-        e = identity(f.base)
-        base_fp = g.fingerprint(8)
-        return (
-            compose(compose(f, g), h).fingerprint(8) == compose(f, compose(g, h)).fingerprint(8)
-            and compose(e, g).fingerprint(8) == base_fp
-            and compose(g, e).fingerprint(8) == base_fp
-        )
-    if c == 5:
-        f = surjection_from_json(dump["f"])
-        g = surjection_from_json(dump["g"])
-        samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
-        tf = tuple(f.evaluate(x, SAMPLE_DIGITS).digits for x in samples)
-        tg = tuple(g.evaluate(x, SAMPLE_DIGITS).digits for x in samples)
-        m = _sampled_sup_exponent(tf, tg)
-        d = distance(f, g)
-        return m is None if d.kind == "zero" else m == d.agree_depth
-    if c == 6:
-        f = surjection_from_json(dump["f"])
-        h = surjection_from_json(dump["h"])
-        g = compose(f, h)
-        ff = factor_through(g, h, 6)
-        t = BoundaryTuple(f.base, 6, g.fingerprint(6))
-        f2 = tuple_to_factor(h, t)
-        return (
-            ff.fingerprint(6) == f.fingerprint(6)
-            and compose(f2, h).fingerprint(6) == t.entries
-        )
-    if c == 7:
-        h = surjection_from_json(dump["h"])
-        rep = realize_all_colors(h, 2, 20)
-        return rep.complete and all(r.verified for r in rep.realizations)
-    if c == 8:
-        y = QCopy.from_json(dump["copy"])
-        try:
-            return build_witness(y, dump["target"]).color == dump["target"]
-        except (RuntimeError, ValueError):
-            return False
-    if c == 9:
-        spec = ColoringSpec.from_json(dump["spec"])
-        rep = oscillation_search(spec, Fraction(3, 10))
-        ok = rep.regime == "exact" and rep.guaranteed and len(rep.labels) <= 16
-        if spec.kind == "relabeled_types":
-            ok = ok and set(rep.labels) == set(spec.relabel)
-        e = identity(2)
-        for w in rep.witnesses:
-            f = tuple_to_factor(e, BoundaryTuple(2, 2, w.points))
-            ok = ok and spec.color_of(compose(f, e).fingerprint(2)) == w.label
-        return ok
-    raise ValueError(f"unknown criterion index {c!r}")
+    if c not in _REPLAY:
+        raise ValueError(f"unknown criterion index {c!r}")
+    rebuild, predicate = _REPLAY[c]
+    return predicate(rebuild(dump)) is None

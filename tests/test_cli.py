@@ -174,6 +174,35 @@ def test_bad_levels_exits_2(capsys, files):
     assert code == 2 and err.startswith("error:")
 
 
+def test_tangent_index_over_print_limit_exits_2():
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "tangent", "831"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1
+
+
+def test_missing_key_is_named(capsys, files):
+    spec = files("spec.json", {"b": 2, "colors": 16, "kind": "constant", "value": 0})
+    code, _, err = run(capsys, "oscillation", spec, "--eps", "0.3", "--seed", "0")
+    assert code == 2 and err == f"error: {spec}: missing key 'k'\n"
+    chain = files("c.json", {"b": 2, "kind": "chain", "inner": identity(2).to_json()})
+    code, _, err = run(capsys, "boundaries", chain, "--depth", "1")
+    assert code == 2 and err == f"error: {chain}: missing key 'outer'\n"
+
+
+@pytest.mark.parametrize(
+    "point",
+    ['{"b":2,"stem":"0101","tail":1}', '{"b":2.7,"stem":[0],"tail":1}', '{"b":2,"stem":[0],"tail":true}'],
+)
+def test_non_integer_point_fields_exit_2(capsys, files, point):
+    surj = files("id.json", identity(2).to_json())
+    code, out, err = run(capsys, "eval", surj, "--point", point)
+    assert code == 2 and out == "" and err.startswith("error: --point: malformed point")
+
+
 def test_console_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "cantorsurj", "tangent", "3"],

@@ -16,6 +16,7 @@ from cantorsurj.intervals import (
     validate_filtering,
 )
 from cantorsurj.points import Node, Point, interval_successor, iter_points, max_point, min_point
+from cantorsurj.surjections import BoundaryTuple
 
 
 def test_interval_basics():
@@ -173,3 +174,22 @@ def test_generated_filterings_refine_canonically(f, d):
 def test_filtering_json_roundtrip():
     f = Filtering(2, ((q(0, 0),), (q(0, 0, 0), q(0, 0), q(1, 0))))
     assert Filtering.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "base, entries, clause",
+    [
+        (2, (q(0, 0), q(0)), "length"),
+        (2, (Point(3, (0,), 2),), "entry"),  # wrong base
+        (2, (Point(2, (0, 1), 0),), "entry"),  # not eventually max
+        (3, (Point(3, (1,), 2), Point(3, (0,), 2)), "increasing"),
+    ],
+    ids=["count", "base", "q-point", "increase"],
+)
+def test_boundary_level_faults_rejected_everywhere(base, entries, clause):
+    report = validate_filtering(Filtering(base, (entries,)))
+    assert not report.ok and report.clause == clause
+    with pytest.raises(ValueError):
+        BoundaryTuple(base, 1, entries)
+    with pytest.raises(ValueError):
+        partition_from_tuple(base, 1, entries)

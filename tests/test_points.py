@@ -152,3 +152,19 @@ def test_json_roundtrip():
     assert p == q(0) and not canonical
     with pytest.raises(ValueError):
         Point.from_json({"b": 2})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": 2, "stem": "0101", "tail": 1},
+        {"b": 2.7, "stem": [0, 1], "tail": 1},
+        {"b": 2, "stem": [0, 1], "tail": True},
+    ],
+    ids=["string-stem", "float-base", "bool-tail"],
+)
+def test_from_json_rejects_non_integer_fields(obj):
+    with pytest.raises(ValueError):
+        Point.from_json(obj)
+    with pytest.raises(ValueError):
+        load_point(obj)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -73,6 +74,30 @@ def test_strongly_diagonal():
     assert not is_strongly_diagonal((q(0, 0), q(0)))  # comparable stems
     assert not is_strongly_diagonal((q(0, 0), q(0), q(1, 0)))
     assert not is_strongly_diagonal((q(0, 0), q(1, 0)))  # equal leaf levels
+
+
+def _diagonal_by_definition(points):
+    # all-pairs reference: stems prefix-incomparable, neighbouring meets
+    # distinct, all stem and meet depths distinct
+    if len(set(points)) != len(points):
+        return False
+    stems = [p.stem for p in sorted(points)]
+    if any(a[: len(c)] == c or c[: len(a)] == a for a, c in combinations(stems, 2)):
+        return False
+    meets = []
+    for a, c in zip(stems, stems[1:]):
+        n = 0
+        while a[n] == c[n]:
+            n += 1
+        meets.append(a[:n])
+    depths = [len(s) for s in stems] + [len(m) for m in meets]
+    return len(set(meets)) == len(meets) and len(set(depths)) == len(depths)
+
+
+@given(st.lists(st.lists(st.integers(0, 1), max_size=7), min_size=1, max_size=5))
+def test_strongly_diagonal_matches_definition(stems):
+    points = tuple(Point(2, tuple(s) + (0,), 1) for s in stems)
+    assert is_strongly_diagonal(points) == _diagonal_by_definition(points)
 
 
 def test_similarity_type_goldens():

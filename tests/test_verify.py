@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import q
-from cantorsurj.experiments import QCopy
-from cantorsurj.intervals import Filtering
-from cantorsurj.surjections import identity
+from cantorsurj.experiments import ColoringSpec, QCopy
+from cantorsurj.intervals import ClopenInterval, Filtering
+from cantorsurj.points import Point, max_point
+from cantorsurj.surjections import compose, from_filtering, identity
 from cantorsurj.verify import (
     CHECKS,
     TANGENT_FIRST_FIVE,
@@ -62,6 +63,47 @@ def test_replay_passing_dumps():
     assert replay({"criterion": 3, "filtering": filt.to_json(), "depth": 3})
     copy = QCopy.unrestricted(identity(2))
     assert replay({"criterion": 8, "copy": copy.to_json(), "target": 2})
+
+
+SKEW = from_filtering(Filtering(2, ((q(0, 0),),)))
+
+
+def _passing_dump(criterion: int) -> dict:
+    """A dump in the shape the suite writes, for inputs on which the
+    criterion holds."""
+    e, chain = identity(2), compose(SKEW, SKEW)
+    if criterion == 1:
+        table = list(TANGENT_FIRST_FIVE)
+        return {"criterion": 1, "zigzag": table, "taylor": table, "brute": table}
+    if criterion == 2:
+        return {"criterion": 2, "counts": [1, 2, 16, 272], "want": [1, 2, 16, 272]}
+    if criterion == 3:
+        filt = Filtering(3, ((Point(3, (0, 1), 2), Point(3, (1, 0), 2)),))
+        return {"criterion": 3, "filtering": filt.to_json(), "depth": 2}
+    if criterion == 4:
+        return {"criterion": 4, "f": SKEW.to_json(), "g": chain.to_json(), "h": e.to_json(),
+                "assoc": False, "left_id": False, "right_id": False}
+    if criterion == 5:
+        return {"criterion": 5, "f": e.to_json(), "g": chain.to_json(),
+                "distance": "2^0", "sampled_exponent": None}
+    if criterion == 6:
+        return {"criterion": 6, "f": SKEW.to_json(), "h": chain.to_json(),
+                "factor_ok": False, "tuple_ok": False}
+    if criterion == 7:
+        return {"criterion": 7, "h": SKEW.to_json(), "missing": [0]}
+    if criterion == 8:
+        piece = ClopenInterval(Point(2, (1,), 0), max_point(2))
+        return {"criterion": 8, "copy": QCopy(SKEW, (piece,)).to_json(), "target": 1,
+                "error": "color 0"}
+    spec = ColoringSpec(2, 2, 3, "relabeled_types", relabel=tuple(i % 3 for i in range(16)))
+    return {"criterion": 9, "spec": spec.to_json(), "labels": []}
+
+
+@pytest.mark.parametrize("criterion", range(1, 10))
+def test_replay_passing_dump_per_criterion(criterion):
+    # replay re-runs the suite's predicate, so true inputs replay to True
+    # whatever verdict fields the dump carries
+    assert replay(_passing_dump(criterion))
 
 
 def test_replay_failing_dump():
