@@ -28,7 +28,7 @@ from math import comb
 
 from .caps import default_depth_cap
 from .intervals import ClopenInterval, cell_chain
-from .points import Node, Point, interval_successor, max_point, min_point, rank_word
+from .points import Node, Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering, random_surjection
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
@@ -540,15 +540,14 @@ class ColoringSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ColoringSpec":
-        kind = obj["kind"]
         return cls(
-            base=int(obj["b"]),
-            depth=int(obj["k"]),
-            colors=int(obj["colors"]),
-            kind=kind,
-            relabel=tuple(int(x) for x in obj.get("relabel", ())),
-            table=tuple(sorted((str(k), int(v)) for k, v in obj.get("table", {}).items())),
-            constant=int(obj.get("value", obj.get("default", 0))),
+            kind=obj["kind"],
+            base=json_int(obj["b"], "b"),
+            depth=json_int(obj["k"], "k"),
+            colors=json_int(obj["colors"], "colors"),
+            relabel=tuple(json_int(x, "relabel entry") for x in obj.get("relabel", ())),
+            table=tuple(sorted((str(k), json_int(v, "table label")) for k, v in obj.get("table", {}).items())),
+            constant=json_int(obj.get("value", obj.get("default", 0)), "value"),
         )
 
 

@@ -10,6 +10,8 @@ The greedy rule, per cell [lo, hi]: the next division point is the q-point
 (eventually-max point) strictly between the previous pick and hi that has the
 shortest stem, ties broken lexicographically.  The rule is deterministic and
 reproduces the standard cylinder partition when started from the whole space.
+It is computed in closed form from the first digit where the previous pick
+and hi differ (least_q_point_between), with no search over stems.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .points import (
     Node,
     Point,
     interval_successor,
+    json_int,
     max_point,
     min_point,
     rank_word,
@@ -209,53 +212,41 @@ def cell_chain(tree, x: Point):
         yield word, lo, hi
 
 
-def _least_q_stem_of_length(lower: Point, length: int) -> Point | None:
-    """Least q-point with canonical stem length exactly `length` strictly
-    above `lower`, or None when no such stem remains."""
-    b = lower.base
-    s = list(lower.prefix(length))
-    while True:
-        cand = Point(b, tuple(s), b - 1)
-        if len(cand.stem) == length and cand > lower:
-            return cand
-        # bump to the lexicographically next stem of this length
-        i = length - 1
-        while i >= 0 and s[i] == b - 1:
-            s[i] = 0
-            i -= 1
-        if i < 0:
-            return None
-        s[i] += 1
-
-
 def least_q_point_between(lower: Point, hi: Point) -> Point:
     """The (stem-length, then lex)-least eventually-max point strictly
-    between lower and hi.
+    between lower and hi, built from their first differing digit.
 
-    Exists whenever lower < hi and hi is a limit from below, i.e. hi is
-    itself eventually max (every cell/split endpoint is).  The one way an
-    order-open interval can be empty here is a successor pair: lower
-    eventually max with hi its immediate eventually-zero successor."""
-    if not lower < hi:
+    With n that index, c the common prefix, l < h the digits there and
+    top = b-1: every point between lies in the cylinder c, whose one q-point
+    of stem length <= n is c top^w >= hi, so no stem shorter than n+1 fits.
+    Of length n+1 the least fit is c l top^w unless that is lower, else
+    c (l+1) top^w when l+1 < h.  Otherwise lower = c l top^w, h = l+1, and
+    every point between lies in the cylinder c h below hi: with m > n the
+    first index where hi has a nonzero digit, the least is c h 0^(m-n) top^w.
+    No such m exists exactly for a successor pair (hi the eventually-zero
+    successor of lower), the one empty open interval with lower < hi.
+    """
+    n = lower.first_difference(hi)
+    if n is None or lower.digit(n) > hi.digit(n):
         raise ValueError(f"empty open interval ({lower}, {hi})")
-    if lower.tail == lower.base - 1 and interval_successor(lower) == hi:
+    b, top = lower.base, lower.base - 1
+    c, l, h = lower.prefix(n), lower.digit(n), hi.digit(n)
+    if lower.tail != top or len(lower.stem) > n + 1:
+        return Point(b, c + (l,), top)
+    if l + 1 < h:
+        return Point(b, c + (l + 1,), top)
+    if hi.tail == 0 and not any(hi.stem[n + 1 :]):
         raise ValueError(f"empty open interval ({lower}, {hi}): successor pair")
-    length = 1
-    while True:
-        cand = _least_q_stem_of_length(lower, length)
-        if cand is not None and cand < hi:
-            return cand
-        length += 1
-        if length > 10_000:
-            raise RuntimeError("greedy split failed to terminate; invariant broken")
+    m = next(i for i in range(n + 1, n + 2 + len(hi.stem)) if hi.digit(i))
+    return Point(b, c + (h,) + (0,) * (m - n), top)
 
 
 def canonical_split_maxima(cell: ClopenInterval) -> tuple[Point, ...]:
     """The b-1 greedy division points of a cell.
 
     Pick p is the (stem-length, lex)-least q-point strictly between pick p-1
-    (the cell minimum for p = 0) and the cell maximum.  Restarting the length
-    search per pick is sound: lengths that failed against hi keep failing.
+    (the cell minimum for p = 0) and the cell maximum, each computed in
+    closed form by least_q_point_between.
     """
     b = cell.base
     picks: list[Point] = []
@@ -275,7 +266,7 @@ class Filtering:
     across threads is safe and extension is idempotent.
     """
 
-    __slots__ = ("base", "levels", "_split_memo", "_cell_memo", "_word_splits")
+    __slots__ = ("base", "levels", "_split_memo", "_cell_memo", "_word_splits", "_level_memo")
 
     def __init__(self, base: int, levels: tuple[tuple[Point, ...], ...] = ()):
         self.base = base
@@ -283,6 +274,7 @@ class Filtering:
         self._split_memo: dict[ClopenInterval, tuple[Point, ...]] = {}
         self._cell_memo: dict[tuple[int, ...], ClopenInterval] = {}
         self._word_splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
+        self._level_memo: dict[int, tuple[Point, ...]] = {}
 
     @property
     def support(self) -> int:
@@ -357,26 +349,26 @@ class Filtering:
             return ()
         if depth <= self.support:
             return self.levels[depth - 1]
-        prev = self.boundary_tuple(depth - 1)
-        out: list[Point] = []
-        lo = min_point(self.base)
-        for r in range(self.base ** (depth - 1)):
-            hi = prev[r] if r < len(prev) else max_point(self.base)
-            cell = ClopenInterval(lo, hi)
-            out.extend(self._canonical_splits(cell))
-            if r < len(prev):
-                out.append(hi)
-                lo = interval_successor(hi)
-        return tuple(out)
+        got = self._level_memo.get(depth)
+        if got is None:
+            prev = self.boundary_tuple(depth - 1)
+            out: list[Point] = []
+            lo = min_point(self.base)
+            for r in range(self.base ** (depth - 1)):
+                hi = prev[r] if r < len(prev) else max_point(self.base)
+                out.extend(self._canonical_splits(ClopenInterval(lo, hi)))
+                if r < len(prev):
+                    out.append(hi)
+                    lo = interval_successor(hi)
+            got = self._level_memo[depth] = tuple(out)
+        return got
 
     def extend(self, depth: int) -> "Filtering":
         """A filtering equal to this one with support at least `depth`."""
         if depth <= self.support:
             return self
-        levels = list(self.levels)
-        for d in range(self.support + 1, depth + 1):
-            levels.append(self.boundary_tuple(d))
-        return Filtering(self.base, tuple(levels))
+        new = tuple(self.boundary_tuple(d) for d in range(self.support + 1, depth + 1))
+        return Filtering(self.base, self.levels + new)
 
     def partition(self, depth: int) -> DepthPartition:
         return partition_from_tuple(self.base, depth, self.boundary_tuple(depth))
@@ -393,9 +385,9 @@ class Filtering:
     @classmethod
     def from_json(cls, obj: dict) -> "Filtering":
         try:
-            base = int(obj["b"])
+            base = json_int(obj["b"], "filtering b")
             raw = obj["boundaries"]
-            depth = int(obj.get("depth", len(raw)))
+            depth = json_int(obj.get("depth", len(raw)), "filtering depth")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed filtering object: {exc}") from exc
         if depth != len(raw):

@@ -50,6 +50,13 @@ def _check_digit(d: int, base: int) -> None:
         raise ValueError(f"digit {d!r} out of range for base {base}")
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer: an int, not a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Point:
     """An eventually constant sequence over {0, ..., base-1}.
@@ -63,14 +70,19 @@ class Point:
     tail: int = 0
 
     def __post_init__(self) -> None:
-        _check_base(self.base)
-        _check_digit(self.tail, self.base)
+        base, tail = self.base, self.tail
+        # the checkers only run to word a fault, in the order base, tail, stem
+        if not (isinstance(base, int) and base >= 2 and isinstance(tail, int) and 0 <= tail < base):
+            _check_base(base)
+            _check_digit(tail, base)
         stem = tuple(self.stem)
         for d in stem:
-            _check_digit(d, self.base)
-        while stem and stem[-1] == self.tail:
-            stem = stem[:-1]
-        object.__setattr__(self, "stem", stem)
+            if not (isinstance(d, int) and 0 <= d < base):
+                _check_digit(d, base)
+        n = len(stem)
+        while n and stem[n - 1] == tail:
+            n -= 1
+        object.__setattr__(self, "stem", stem[:n])
 
     def digit(self, n: int) -> int:
         return self.stem[n] if n < len(self.stem) else self.tail
@@ -162,9 +174,10 @@ class Point:
             base, stem, tail = obj["b"], obj["stem"], obj["tail"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed point object: {obj!r}") from exc
-        if not isinstance(stem, list) or not all(type(v) is int for v in (base, tail, *stem)):
+        if not isinstance(stem, list):
             raise ValueError(f"malformed point object: {obj!r}")
-        return cls(base, tuple(stem), tail)
+        what = "malformed point object"
+        return cls(json_int(base, what), tuple(json_int(d, what) for d in stem), json_int(tail, what))
 
     def __str__(self) -> str:
         stem = "".join(map(str, self.stem)) or "^"

@@ -40,10 +40,8 @@ def random_q_point_between(
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo} and {hi}")
     b = lo.base
-    d = 0
-    while lo.digit(d) == hi.digit(d):
-        d += 1
-    common = [lo.digit(i) for i in range(d)]
+    d = lo.first_difference(hi)
+    common = list(lo.prefix(d))
     for _ in range(tries):
         c = rng.randint(lo.digit(d), hi.digit(d))
         extra = [rng.randrange(b) for _ in range(rng.randint(0, max_extra))]

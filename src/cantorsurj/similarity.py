@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .caps import default_depth_cap
-from .points import Point, encode_binary
+from .points import Point, encode_binary, json_int
 
 __all__ = [
     "tangent_number",
@@ -113,8 +113,8 @@ class TreeType:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeType":
-        t = cls(tuple(int(x) for x in obj["levels"]))
-        if "l" in obj and int(obj["l"]) != t.leaf_count:
+        t = cls(tuple(json_int(x, "level") for x in obj["levels"]))
+        if "l" in obj and json_int(obj["l"], "l") != t.leaf_count:
             raise ValueError(f"leaf count {obj['l']} does not match {t.leaf_count} levels")
         return t
 

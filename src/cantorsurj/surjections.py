@@ -24,7 +24,7 @@ from .intervals import (
     validate_filtering,
     validate_level,
 )
-from .points import Dyadic, Point, max_point, min_point, word_rank
+from .points import Dyadic, Point, json_int, max_point, min_point, word_rank
 
 __all__ = [
     "Surjection",
@@ -87,11 +87,8 @@ class BoundaryTuple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundaryTuple":
-        return cls(
-            int(obj["b"]),
-            int(obj["depth"]),
-            tuple(Point.from_json(p) for p in obj["entries"]),
-        )
+        entries = tuple(Point.from_json(p) for p in obj["entries"])
+        return cls(json_int(obj["b"], "b"), json_int(obj["depth"], "depth"), entries)
 
 
 class Surjection(ABC):

@@ -203,6 +203,25 @@ def test_non_integer_point_fields_exit_2(capsys, files, point):
     assert code == 2 and out == "" and err.startswith("error: --point: malformed point")
 
 
+def test_non_integer_filtering_base_exits_2(capsys, files):
+    obj = from_filtering(Filtering(2, ((q(0, 0),),))).to_json()
+    obj["b"] = 2.7
+    surj = files("f.json", obj)
+    code, out, err = run(capsys, "boundaries", surj, "--depth", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {surj}: filtering b: expected an integer, got 2.7\n"
+
+
+@pytest.mark.parametrize("field, value", [("k", 2.9), ("colors", True)])
+def test_non_integer_coloring_spec_exits_2(capsys, files, field, value):
+    obj = {"b": 2, "k": 2, "colors": 16, "kind": "relabeled_types", "relabel": list(range(16))}
+    obj[field] = value
+    spec = files("spec.json", obj)
+    code, out, err = run(capsys, "oscillation", spec, "--eps", "0.3", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: {spec}: {field}: expected an integer, got {value!r}\n"
+
+
 def test_console_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "cantorsurj", "tangent", "3"],

@@ -163,6 +163,18 @@ def test_coloring_spec_color_of():
     assert ColoringSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 2.9), ("colors", True), ("b", "2"), ("relabel", [0.0] * 16), ("value", 1.5)],
+    ids=["float-k", "bool-colors", "string-base", "float-relabel", "float-value"],
+)
+def test_coloring_spec_from_json_rejects_non_integers(field, value):
+    obj = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))).to_json()
+    obj[field] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        ColoringSpec.from_json(obj)
+
+
 def test_oscillation_exact_regime():
     spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
     rep = oscillation_search(spec, Fraction(3, 10))

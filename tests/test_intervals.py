@@ -16,7 +16,7 @@ from cantorsurj.intervals import (
     validate_filtering,
 )
 from cantorsurj.points import Node, Point, interval_successor, iter_points, max_point, min_point
-from cantorsurj.surjections import BoundaryTuple
+from cantorsurj.surjections import BoundaryTuple, identity
 
 
 def test_interval_basics():
@@ -70,6 +70,90 @@ def test_least_q_point_minimality(data):
     for cand in iter_points(2, 12, tails=(1,)):
         if cand.is_q_point and lo < cand < hi:
             assert (len(y.stem), y) <= (len(cand.stem), cand)
+
+
+def reference_least_q_point(lower, hi):
+    """The stem-length search the closed form replaced: for each length, the
+    lex-least canonical q-point of that stem length above lower, until one
+    lies below hi."""
+    if not lower < hi:
+        raise ValueError("empty open interval")
+    if lower.tail == lower.base - 1 and interval_successor(lower) == hi:
+        raise ValueError("successor pair")
+    b = lower.base
+    for length in range(1, len(lower.stem) + len(hi.stem) + 3):
+        s = list(lower.prefix(length))
+        while True:
+            cand = Point(b, tuple(s), b - 1)
+            if len(cand.stem) == length and cand > lower:
+                break
+            i = length - 1  # bump to the next stem of this length
+            while i >= 0 and s[i] == b - 1:
+                s[i] = 0
+                i -= 1
+            if i < 0:
+                cand = None
+                break
+            s[i] += 1
+        if cand is not None and cand < hi:
+            return cand
+    raise AssertionError(f"no q-point between {lower} and {hi} found")
+
+
+@settings(max_examples=600)
+@given(st.data())
+def test_least_q_point_matches_search(data):
+    # any tails on both ends; hi often shares a prefix with lower
+    b = data.draw(st.integers(2, 5))
+    digits = st.lists(st.integers(0, b - 1), max_size=6)
+    lower = Point(b, tuple(data.draw(digits)), data.draw(st.integers(0, b - 1)))
+    shared = data.draw(st.integers(0, len(lower.stem)))
+    hi = Point(b, lower.stem[:shared] + tuple(data.draw(digits)), data.draw(st.integers(0, b - 1)))
+    try:
+        want = reference_least_q_point(lower, hi)
+    except ValueError:
+        with pytest.raises(ValueError):
+            least_q_point_between(lower, hi)
+        return
+    assert least_q_point_between(lower, hi) == want
+
+
+@pytest.mark.parametrize(
+    "lower, hi",
+    [
+        (q(0, 0), Point(2, (0, 1), 0)),  # successor pair
+        (Point(3, (1, 2), 0), Point(3, (1, 2), 0)),  # equal
+        (Point(3, (2,), 0), Point(3, (1,), 2)),  # reversed
+    ],
+    ids=["successor", "equal", "reversed"],
+)
+def test_least_q_point_empty_cases_match_search(lower, hi):
+    for split in (least_q_point_between, reference_least_q_point):
+        with pytest.raises(ValueError):
+            split(lower, hi)
+
+
+@pytest.mark.parametrize("b, d", [(2, 12), (3, 7)])
+def test_identity_fingerprint_is_cylinder_maxima(b, d):
+    # the greedy rule from the whole space gives the standard cylinders
+    want = tuple(Node(b, w).max_point() for w in product(range(b), repeat=d))[:-1]
+    assert identity(b).fingerprint(d) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(filterings(max_support=3), st.integers(1, 5))
+def test_boundary_tuple_independent_of_call_order(f, d):
+    shallow_first = Filtering(f.base, f.levels)
+    want = (shallow_first.boundary_tuple(d), shallow_first.boundary_tuple(d + 1))
+    deep_first = Filtering(f.base, f.levels)
+    deep = deep_first.boundary_tuple(d + 1)
+    assert (deep_first.boundary_tuple(d), deep) == want
+    # warm the split, cell and word memos through entry look-ups first
+    warmed = Filtering(f.base, f.levels)
+    for i in range(0, f.base ** (d + 1) - 1, 3):
+        warmed.boundary_entry(d + 1, i)
+    deep = warmed.boundary_tuple(d + 1)
+    assert (warmed.boundary_tuple(d), deep) == want
 
 
 def test_least_q_point_empty_gap():
@@ -169,6 +253,18 @@ def test_refinement_undecided_at_cap():
 @given(filterings(bases=(2,), max_support=3), st.integers(1, 3))
 def test_generated_filterings_refine_canonically(f, d):
     assert is_refinement(f.extend(f.support + d), f, f.support + d)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("b", 2.7), ("b", True), ("b", "2"), ("depth", 1.0)],
+    ids=["float-base", "bool-base", "string-base", "float-depth"],
+)
+def test_filtering_from_json_rejects_non_integers(field, value):
+    obj = Filtering(2, ((q(0, 0),),)).to_json()
+    obj[field] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        Filtering.from_json(obj)
 
 
 def test_filtering_json_roundtrip():

@@ -56,6 +56,14 @@ def test_tree_type_validation():
         TreeType(tuple(range(2 * MAX_TYPE_LEAVES + 1)))
 
 
+def test_tree_type_from_json_is_strict():
+    t = TreeType((1, 0, 2))
+    assert TreeType.from_json(t.to_json()) == t
+    for bad in ({"levels": [1.0, 0, 2]}, {"l": 2.0, "levels": [1, 0, 2]}):
+        with pytest.raises(ValueError, match="expected an integer"):
+            TreeType.from_json(bad)
+
+
 def test_meet_closure():
     mc = meet_closure((q(0), q(1, 0)))
     assert mc.words == ((), (0,), (1, 0))

@@ -72,6 +72,14 @@ def test_boundary_tuple_validation():
         BoundaryTuple(2, 2, (q(0), q(0, 0), q(1, 0)))  # out of order
 
 
+def test_boundary_tuple_from_json_is_strict():
+    bt = BoundaryTuple(2, 1, (q(0, 0),))
+    assert BoundaryTuple.from_json(bt.to_json()) == bt
+    for field, value in (("b", 2.0), ("depth", True)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            BoundaryTuple.from_json({**bt.to_json(), field: value})
+
+
 def test_fingerprints():
     e = identity(2)
     assert e.fingerprint(2) == (q(0, 0), q(0), q(1, 0))
