@@ -32,6 +32,7 @@ from .points import Node, Point, interval_successor, json_int, max_point, min_po
 from .randgen import increasing_q_points, random_filtering, random_surjection
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
+    MAX_TYPE_LEAVES,
     canonical_coloring,
     scan_types,
     tangent_number,
@@ -171,6 +172,9 @@ def realize_all_colors(
 
     Colors whose type never shows up within the cap are reported missing,
     not raised."""
+    # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
+    if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
+        raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
     if depth_cap is None:
         depth_cap = default_depth_cap()
     ell = h.base**k - 1

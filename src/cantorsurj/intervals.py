@@ -387,6 +387,8 @@ class Filtering:
         try:
             base = json_int(obj["b"], "filtering b")
             raw = obj["boundaries"]
+            if not isinstance(raw, list) or not all(isinstance(level, list) for level in raw):
+                raise ValueError("filtering boundaries: expected a list of lists of points")
             depth = json_int(obj.get("depth", len(raw)), "filtering depth")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed filtering object: {exc}") from exc

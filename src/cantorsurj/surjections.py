@@ -7,8 +7,10 @@ so a surjection backed by explicit filtering data and a lazy composition
 chain share all derived operations: evaluation, preimages, distance,
 factorization.
 
-Composition is kept as a chain and never flattened implicitly; truncate() is
-the explicit lossy approximation.
+Every surjection has a support, the depth from which the greedy rule alone
+makes its levels, so distance is exact for every representation.
+Composition is kept as a chain and never flattened implicitly; truncate(f, d)
+is lossy below f.support and exact from it on.
 """
 
 from __future__ import annotations
@@ -43,12 +45,7 @@ __all__ = [
     "factor_through",
     "tuple_to_surjection",
     "tuple_to_factor",
-    "MATERIALIZE_GUARD",
 ]
-
-# distance() stops materializing fingerprint levels past this depth and
-# falls back to structural comparison
-MATERIALIZE_GUARD = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +90,7 @@ class BoundaryTuple:
 
 class Surjection(ABC):
     base: int
+    support: int  # every cell at this depth or deeper splits greedily
 
     @abstractmethod
     def boundary_entry(self, depth: int, index: int) -> Point:
@@ -155,27 +153,6 @@ class Surjection(ABC):
         depth = len(y.stem)
         return self.boundary_entry(depth, word_rank(y.stem, self.base))
 
-    # -- structure -------------------------------------------------------
-
-    def structurally_equal(self, other: "Surjection") -> bool | None:
-        """True when provably equal as infinite objects, None when unknown."""
-        if self.base != other.base:
-            return False
-        if isinstance(self, FilteringSurjection) and isinstance(other, FilteringSurjection):
-            d = max(self.filtering.support, other.filtering.support)
-            if self.base**d - 1 > MATERIALIZE_LIMIT:
-                return None
-            # equal data at the deepest stored level forces equality forever:
-            # the greedy extension depends only on that level's cells
-            return self.filtering.boundary_tuple(d) == other.filtering.boundary_tuple(d)
-        if isinstance(self, ChainSurjection) and isinstance(other, ChainSurjection):
-            a = self.outer.structurally_equal(other.outer)
-            b = self.inner.structurally_equal(other.inner)
-            if a and b:
-                return True
-            return None
-        return None
-
     @abstractmethod
     def to_json(self) -> dict: ...
 
@@ -183,11 +160,12 @@ class Surjection(ABC):
 class FilteringSurjection(Surjection):
     """A surjection given by explicit boundary data plus the greedy extension."""
 
-    __slots__ = ("base", "filtering")
+    __slots__ = ("base", "filtering", "support")
 
     def __init__(self, filtering: Filtering):
         self.base = filtering.base
         self.filtering = filtering
+        self.support = filtering.support
 
     def boundary_entry(self, depth: int, index: int) -> Point:
         return self.filtering.boundary_entry(depth, index)
@@ -204,7 +182,7 @@ class FilteringSurjection(Surjection):
         return out
 
     def __repr__(self) -> str:
-        return f"FilteringSurjection(b={self.base}, support={self.filtering.support})"
+        return f"FilteringSurjection(b={self.base}, support={self.support})"
 
 
 class ChainSurjection(Surjection):
@@ -213,9 +191,39 @@ class ChainSurjection(Surjection):
     The depth-d preimage cells of the composite are the inner-preimages of
     the outer's cells, so each boundary entry is one preimage_max pull of the
     outer's entry through the inner map.
+
+    Support: if f splits greedily from depth s_f on and h from s_h on, so
+    does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
+    q-points (eventually-max points): stem length, then lex.
+
+    1. If a cell's ends first differ at index n, its greedy picks include
+       every c i top^w between them (c the common prefix; see
+       least_q_point_between), so each child lies in a cylinder of length
+       n+1.  So a depth-(s+k) cell of a map greedy from s lies in one
+       cylinder of length k, and for a clopen interval D the labelling
+       sigma_D of its repeated greedy split (the cell with word w onto [w])
+       is an order-isomorphism D -> b^w.  A q-point x = c top^w is the max
+       of its cell at every depth > |c| (the cell lies in a cylinder whose
+       max is x), so sigma_D maps q-points onto q-points, and the stem
+       length of sigma_D(x) is the least depth at which x is a cell max.
+    2. Let J be a nonempty open interval with ends in D, k >= 1 the least
+       depth of a cell max in J, and g_j the least such max.  Holding no
+       depth-(k-1) max, J lies in one depth-(k-1) cell P, and not below the
+       pick g_{j-1} of P's split (P's min, no q-point, for j = 0), so J's
+       q-points lie in (g_{j-1}, max P), whose least q-point is g_j.  By 1,
+       g_j is also sigma_D^{-1} of the least q-point of sigma_D(J).  A split
+       is b-1 such picks, so sigma_D^{-1} commutes with greedy splits.  So
+       does stripping a prefix v from the points of [v]: stems there, bar
+       max [v] (never picked), shorten by |v| and keep their lex order.
+    3. A depth-d cell K of f, d >= s_f + s_h, splits greedily and by 1
+       lies in some [v] with |v| = s_h.  h is greedy below its cell
+       D_v = h^{-1}([v]), so on D_v it is x -> v sigma_{D_v}(x), and by 2
+       the preimages of K's children, its children in f o h, are the greedy
+       split of h^{-1}(K).  Only where each part turns greedy is used, so
+       nested chains add their supports too.
     """
 
-    __slots__ = ("base", "outer", "inner", "_memo", "_splits")
+    __slots__ = ("base", "outer", "inner", "support", "_memo", "_splits")
 
     def __init__(self, outer: Surjection, inner: Surjection):
         if outer.base != inner.base:
@@ -223,6 +231,7 @@ class ChainSurjection(Surjection):
         self.base = outer.base
         self.outer = outer
         self.inner = inner
+        self.support = outer.support + inner.support
         self._memo: dict[Point, Point] = {}
         self._splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
 
@@ -284,8 +293,8 @@ def to_filtering(f: Surjection, depth: int) -> Filtering:
 
 
 def truncate(f: Surjection, depth: int) -> FilteringSurjection:
-    """Materialize depth levels and re-extend canonically.  Lossy for chains:
-    the result is within 2^-(depth-1) of f but generally not equal."""
+    """Materialize depth levels and re-extend canonically.  The result is
+    within 2^-depth of f, and equal to f when depth >= f.support."""
     return FilteringSurjection(to_filtering(f, depth))
 
 
@@ -295,18 +304,16 @@ def compose(outer: Surjection, inner: Surjection) -> ChainSurjection:
 
 @dataclass(frozen=True, slots=True)
 class DistanceResult:
-    """Exact sup-distance, or a verified-zero token.
+    """Exact sup-distance, for every representation.
 
     agree_depth is the largest depth whose fingerprints were confirmed equal.
     kind "exact": distance is exactly 2^-agree_depth (first mismatch one
-    level deeper).  kind "zero": no mismatch found; certified tells whether
-    that covers the full cap ("cap"), was proven structurally for all depths
-    ("structural"), or only reaches the materialization guard ("guard").
+    level deeper).  kind "zero": agree_depth is the cap, and the maps agree
+    through it; a cap at or past both supports makes them equal.
     """
 
     kind: str  # "exact" | "zero"
     agree_depth: int
-    certified: str = ""
 
     def dyadic(self) -> Dyadic:
         if self.kind == "exact":
@@ -316,43 +323,28 @@ class DistanceResult:
     def __str__(self) -> str:
         if self.kind == "exact":
             return str(self.dyadic())
-        if self.certified == "guard":
-            return f"0 (to depth {self.agree_depth}; equality beyond unverified)"
         return f"0 (to cap {self.agree_depth})"
 
 
-def distance(f: Surjection, g: Surjection, cap: int | None = None, guard: int = MATERIALIZE_GUARD) -> DistanceResult:
+def distance(f: Surjection, g: Surjection, cap: int | None = None, guard: int | None = None) -> DistanceResult:
     """Exact sup-metric distance from fingerprint agreement.
 
     Fingerprints equal exactly at depths 1..m and differing at m+1 give
     distance exactly 2^-m; tuple agreement is downward closed so the scan
-    stops at the first mismatching level.
+    stops at the first mismatching level.  Past the deeper support both maps
+    split every cell greedily, so agreement there is agreement at every depth.
     """
+    # guard is accepted for callers written before supports bounded the scan
     if f.base != g.base:
         raise ValueError("base mismatch")
     if cap is None:
         cap = default_depth_cap()
-    b = f.base
-    if isinstance(f, FilteringSurjection) and isinstance(g, FilteringSurjection):
-        # stored data determine the whole extension, so agreement at the
-        # joint support depth is agreement at every depth
-        horizon = min(cap, max(f.filtering.support, g.filtering.support))
-        certified = "cap"
-    elif f.structurally_equal(g):
-        # componentwise-equal chains are equal as maps; skip the deep scan
-        return DistanceResult("zero", cap, "structural")
-    else:
-        while guard > 1 and b**guard - 1 > MATERIALIZE_LIMIT:
-            guard -= 1
-        horizon = min(cap, guard)
-        certified = "cap" if horizon >= cap else "guard"
-    for d in range(1, horizon + 1):
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    for d in range(1, min(cap, max(f.support, g.support)) + 1):
         if f.fingerprint(d) != g.fingerprint(d):
             return DistanceResult("exact", d - 1)
-    if certified == "guard" and f.structurally_equal(g):
-        certified = "structural"
-    depth = cap if certified != "guard" else horizon
-    return DistanceResult("zero", depth, certified)
+    return DistanceResult("zero", cap)
 
 
 class FactorizationError(ValueError):

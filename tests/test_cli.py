@@ -8,7 +8,7 @@ from conftest import q
 from cantorsurj.cli import main
 from cantorsurj.experiments import QCopy
 from cantorsurj.intervals import Filtering
-from cantorsurj.surjections import from_filtering, identity
+from cantorsurj.surjections import compose, from_filtering, identity
 
 
 @pytest.fixture
@@ -95,6 +95,21 @@ def test_dist_tokens(capsys, files):
     assert run(capsys, "dist", a, a) == (0, "0 (to cap 64)\n", "")
     code, out, _ = run(capsys, "dist", a, a, "--cap", "8")
     assert out == "0 (to cap 8)\n"
+
+
+def test_dist_is_exact_for_chains(capsys, files):
+    skew = from_filtering(Filtering(2, ((q(0, 0),),)))
+    a = files("a.json", compose(identity(2), skew).to_json())
+    b = files("b.json", compose(skew, identity(2)).to_json())
+    assert run(capsys, "dist", a, b) == (0, "0 (to cap 64)\n", "")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dist_cap_below_one_exits_2(capsys, files, cap):
+    a = files("id.json", identity(2).to_json())
+    b = files("h.json", from_filtering(Filtering(2, ((q(0, 0),),))).to_json())
+    code, out, err = run(capsys, "dist", a, b, "--cap", cap)
+    assert code == 2 and out == "" and err == f"error: cap must be positive, got {cap}\n"
 
 
 def test_boundaries(capsys, files):
@@ -210,6 +225,21 @@ def test_non_integer_filtering_base_exits_2(capsys, files):
     code, out, err = run(capsys, "boundaries", surj, "--depth", "1")
     assert code == 2 and out == ""
     assert err == f"error: {surj}: filtering b: expected an integer, got 2.7\n"
+
+
+@pytest.mark.parametrize("boundaries", ["", {}], ids=["string", "object"])
+def test_non_list_boundaries_exit_2(capsys, files, boundaries):
+    surj = files("f.json", {"b": 2, "boundaries": boundaries, "kind": "filtering"})
+    code, out, err = run(capsys, "boundaries", surj, "--depth", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {surj}: filtering boundaries: expected a list of lists of points\n"
+
+
+def test_realize_all_k_over_leaf_bound_exits_2(capsys, files):
+    surj = files("id.json", identity(2).to_json())
+    code, out, err = run(capsys, "realize-all", surj, "--k", "40")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: k=40 gives 2^40 - 1 leaves")
 
 
 @pytest.mark.parametrize("field, value", [("k", 2.9), ("colors", True)])

@@ -137,6 +137,18 @@ def test_realize_all_colors_skewed():
     assert rep.complete and all(r.verified for r in rep.realizations)
 
 
+@pytest.mark.parametrize("k", [3, 40])
+def test_realize_all_colors_bounds_k_before_work(monkeypatch, k):
+    import cantorsurj.experiments as experiments
+
+    def refuse(ell):
+        raise AssertionError("tangent_number reached before the leaf bound")
+
+    monkeypatch.setattr(experiments, "tangent_number", refuse)
+    with pytest.raises(ValueError, match="types are enumerated up to 6"):
+        realize_all_colors(identity(2), k, 20)
+
+
 def test_realize_reports_missing_when_starved():
     rep = realize_all_colors(identity(2), 2, 20, budget=10)
     assert not rep.complete

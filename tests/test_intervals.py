@@ -267,6 +267,14 @@ def test_filtering_from_json_rejects_non_integers(field, value):
         Filtering.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "boundaries", ["", {}, [{}], ["ab"]], ids=["string", "object", "level-object", "level-string"]
+)
+def test_filtering_from_json_rejects_non_list_boundaries(boundaries):
+    with pytest.raises(ValueError, match="expected a list of lists"):
+        Filtering.from_json({"b": 2, "boundaries": boundaries})
+
+
 def test_filtering_json_roundtrip():
     f = Filtering(2, ((q(0, 0),), (q(0, 0, 0), q(0, 0), q(1, 0))))
     assert Filtering.from_json(f.to_json()) == f

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import q, surjections
 from cantorsurj.intervals import Filtering
 from cantorsurj.points import Point, iter_points, max_point, min_point
+from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
     BoundaryTuple,
     ChainSurjection,
+    DistanceResult,
     FactorizationError,
     FilteringSurjection,
     compose,
@@ -16,6 +20,7 @@ from cantorsurj.surjections import (
     identity,
     surjection_from_json,
     to_filtering,
+    truncate,
     tuple_to_factor,
     tuple_to_surjection,
 )
@@ -101,13 +106,54 @@ def test_distance_goldens():
 def test_distance_chain_guard():
     a = compose(identity(2), SKEW)
     b = compose(SKEW, identity(2))
-    d = distance(a, b)
-    # extensionally equal chains in different factorizations: verified only
-    # to the materialization guard, and the token says so
-    assert d.kind == "zero" and d.certified == "guard"
-    assert str(d) == "0 (to depth 16; equality beyond unverified)"
+    # extensionally equal chains in different factorizations: both split
+    # greedily from their support on, so agreement there is exact
+    assert str(distance(a, b)) == "0 (to cap 64)"
     assert str(distance(a, a)) == "0 (to cap 64)"
-    assert distance(a, a).certified == "structural"
+    assert distance(a, b, guard=12) == distance(a, b)  # accepted, ignored
+
+
+def test_distance_rejects_cap_below_one():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            distance(identity(2), SKEW, cap=cap)
+
+
+def _filtering_map(seed, base, support):
+    return from_filtering(random_filtering(random.Random(seed), base, support))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_chain_support_is_sum_of_supports(b, s_f, s_h, seed):
+    # f o h splits greedily from s_f + s_h on (ChainSurjection docstring), so
+    # re-extending its first s_f + s_h levels reproduces it at every depth
+    f, h = _filtering_map(seed, b, s_f), _filtering_map(seed + 1, b, s_h)
+    chain = compose(f, h)
+    assert chain.support == s_f + s_h
+    depth = max(s_f + s_h + 3, 10) if b == 2 else max(s_f + s_h + 2, 6)
+    assert chain.fingerprint(depth) == truncate(chain, s_f + s_h).fingerprint(depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_nested_chain_support_is_sum_of_supports(s_f, s_g, s_h, seed):
+    chain = compose(compose(_filtering_map(seed, 2, s_f), _filtering_map(seed + 1, 2, s_g)),
+                    _filtering_map(seed + 2, 2, s_h))
+    s = s_f + s_g + s_h
+    assert chain.support == s
+    depth = max(s + 3, 10)
+    assert chain.fingerprint(depth) == truncate(chain, s).fingerprint(depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surjections(), st.data())
+def test_distance_to_truncation_matches_deeper_scan(h, data):
+    assert str(distance(h, truncate(h, h.support))) == "0 (to cap 64)"
+    g = truncate(h, data.draw(st.integers(0, h.support)))
+    depth = h.support + 3
+    m = next((d - 1 for d in range(1, depth + 1) if h.fingerprint(d) != g.fingerprint(d)), None)
+    assert distance(h, g) == (DistanceResult("zero", 64) if m is None else DistanceResult("exact", m))
 
 
 @settings(max_examples=40, deadline=None)
