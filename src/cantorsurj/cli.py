@@ -110,9 +110,12 @@ def _emit(obj) -> None:
 
 def _levels_arg(text: str) -> TreeType:
     try:
-        return TreeType(tuple(int(t) for t in text.split(",") if t.strip() != ""))
+        t = TreeType(tuple(int(t) for t in text.split(",") if t.strip() != ""))
     except ValueError as exc:
         raise BadInput(f"--levels: {exc}") from exc
+    if t.leaf_count > MAX_TYPE_LEAVES:
+        raise BadInput(f"--levels: {t.leaf_count} leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
+    return t
 
 
 # -- handlers ----------------------------------------------------------------
@@ -152,8 +155,8 @@ def _cmd_type_of(args) -> int:
 
 
 def _cmd_search_type(args) -> int:
-    h = _surjection(args.surjection)
     t = _levels_arg(args.levels)
+    h = _surjection(args.surjection)
     out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
     _emit(
         {

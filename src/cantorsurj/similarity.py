@@ -179,6 +179,11 @@ def _lcp_len(a: tuple[int, ...], c: tuple[int, ...]) -> int:
     return i
 
 
+def _ranks(depths: list[int]) -> tuple[int, ...]:
+    """Rank of each node depth among all of them; the depths are distinct."""
+    return tuple(map(sorted(depths).index, depths))
+
+
 def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """In-order level ranks of a point-ordered stem tuple, or None when the
     tuple is not strongly diagonal.
@@ -196,14 +201,73 @@ def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
             return None
         lengths.append(m)
         lengths.append(len(c))
-    n = len(lengths)
-    if len(set(lengths)) != n:
+    if len(set(lengths)) != len(lengths):
         return None
-    order = sorted(range(n), key=lengths.__getitem__)
-    ranks = [0] * n
-    for r, idx in enumerate(order):
-        ranks[idx] = r
-    return tuple(ranks)
+    return _ranks(lengths)
+
+
+def _meet_table(stems: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """meet[i][j], for i < j, is the depth of the common prefix of stems i
+    and j, or -1 when one stem is a prefix of the other (no tuple holding
+    both as neighbours is diagonal)."""
+    table = []
+    for i, a in enumerate(stems):
+        row = [-1] * len(stems)
+        for j in range(i + 1, len(stems)):
+            c = stems[j]
+            m = _lcp_len(a, c)
+            if m != len(a) and m != len(c):
+                row[j] = m
+        table.append(row)
+    return table
+
+
+def _walk_diagonal(
+    stems: tuple[tuple[int, ...], ...], leaves: int, visit
+) -> tuple[int, bool]:
+    """Walk combinations(range(len(stems)), leaves) in order and call
+    visit(picked, depths) on each one _classify accepts, with its in-order
+    node depths; stop when visit returns True.  Returns the number of
+    combinations covered, up to and including the one visit stopped at,
+    and whether visit stopped the walk.
+
+    The depths of a prefix are a prefix of the depths of every extension,
+    so a prefix with a comparable neighbouring pair or a repeated depth
+    fails in all of them: they are counted, not visited.
+    """
+    n = len(stems)
+    lens = [len(s) for s in stems]
+    # the caller's budget on C(n, leaves) bounds this C(n, 2) table only
+    # from two leaves on; a single leaf has no neighbours to meet
+    meet = _meet_table(stems) if leaves > 1 else []
+    picked = [0] * leaves
+    covered = 0
+
+    def extend(pos: int, start: int, depths: list[int]) -> bool:
+        nonlocal covered
+        rest = leaves - 1 - pos
+        row = meet[picked[pos - 1]] if pos else None
+        for j in range(start, n - rest):
+            if row is None:
+                here = [lens[j]]
+            else:
+                m = row[j]
+                if m < 0 or m in depths or lens[j] in depths:
+                    covered += comb(n - 1 - j, rest)
+                    continue
+                here = depths + [m, lens[j]]
+            picked[pos] = j
+            if rest:
+                if extend(pos + 1, j + 1, here):
+                    return True
+            else:
+                covered += 1
+                if visit(picked, here):
+                    return True
+        return False
+
+    stopped = extend(0, 0, [])
+    return covered, stopped
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,9 +378,11 @@ class ScanOutcome:
 
     witnesses holds the first tuple found per type index, in construction
     order: depths increase outermost, combinations of the sorted max-set
-    innermost.  deepest_full is the largest depth whose combinations were
-    all classified; the scan refuses depths whose combination count passes
-    the budget, so missing colors beyond that are "unknown", not "absent".
+    innermost.  combos counts the combinations the scan covered, each one
+    either classified or counted as an extension of a prefix that already
+    failed.  deepest_full is the largest depth whose combinations were all
+    covered; the scan refuses depths whose combination count passes the
+    budget, so missing colors beyond that are "unknown", not "absent".
     """
 
     witnesses: dict[int, TypeWitness]
@@ -349,17 +415,18 @@ def scan_types(
             continue
         if comb(n, leaves) > budget:
             break
-        stems = _binary_stems(pts)
-        for picked in combinations(range(n), leaves):
-            combos += 1
-            ranks = _classify(tuple(stems[i] for i in picked))
-            if ranks is None:
-                continue
-            r = index[ranks]
+
+        def visit(picked: list[int], depths: list[int]) -> bool:
+            r = index[_ranks(depths)]
             if r in want and r not in witnesses:
                 witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
-                if want <= witnesses.keys():
-                    return ScanOutcome(witnesses, combos, d, True)
+                return want <= witnesses.keys()
+            return False
+
+        covered, stopped = _walk_diagonal(_binary_stems(pts), leaves, visit)
+        combos += covered
+        if stopped:
+            return ScanOutcome(witnesses, combos, d, True)
         deepest_full = d
     return ScanOutcome(witnesses, combos, deepest_full, want <= witnesses.keys())
 

@@ -189,6 +189,20 @@ def test_bad_levels_exits_2(capsys, files):
     assert code == 2 and err.startswith("error:")
 
 
+def test_levels_over_leaf_bound_exit_2(capsys, files, monkeypatch):
+    import cantorsurj.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(cli, "search_tuple_of_type", refuse)
+    surj = files("id.json", identity(2).to_json())
+    levels = "7,3,8,1,9,4,10,0,11,5,12,2,13,6,14"  # a valid 8-leaf type
+    code, out, err = run(capsys, "search-type", surj, "--levels", levels)
+    assert code == 2 and out == ""
+    assert err == "error: --levels: 8 leaves; types are enumerated up to 6\n"
+
+
 def test_tangent_index_over_print_limit_exits_2():
     out = subprocess.run(
         [sys.executable, "-m", "cantorsurj", "tangent", "831"],

@@ -129,6 +129,14 @@ def test_realize_all_colors_identity():
     assert len(rep.realizations) == 16
     assert all(r.verified and r.witness is not None for r in rep.realizations)
     assert rep.to_json()["t"] == 16
+    assert rep.combos == 5266
+
+
+@pytest.mark.parametrize("base, combos", [(2, 1), (3, 12)])
+def test_realize_all_colors_one_digit(base, combos):
+    rep = realize_all_colors(identity(base), 1, 20)
+    assert rep.complete and all(r.verified for r in rep.realizations)
+    assert rep.combos == combos
 
 
 def test_realize_all_colors_skewed():

@@ -1,13 +1,20 @@
 from itertools import combinations
 from math import comb
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import q
+from cantorsurj.caps import default_depth_cap
 from cantorsurj.points import Point
+from cantorsurj.randgen import random_surjection
 from cantorsurj.similarity import (
+    DEFAULT_SCAN_BUDGET,
     MAX_TYPE_LEAVES,
+    ScanOutcome,
+    TypeWitness,
     TreeType,
     canonical_coloring,
     enumerate_types,
@@ -18,6 +25,9 @@ from cantorsurj.similarity import (
     similarity_type,
     tangent_number,
     tangent_table,
+    _binary_stems,
+    _classify,
+    _type_index,
 )
 from cantorsurj.surjections import identity
 
@@ -162,6 +172,69 @@ def test_scan_budget_exhaustion():
     out = scan_types(identity(2), 3, budget=50)
     assert not out.complete
     assert out.combos <= 50
+
+
+def test_scan_four_leaves_on_identity_finds_none():
+    # 4 leaves need 7 distinct node depths, so depth 6 at the earliest, and
+    # C(63, 4) is over the budget: depths 1-5 are covered and refused after
+    out = scan_types(identity(2), 4)
+    assert (out.combos, out.deepest_full, out.complete) == (32865, 5, False)
+    assert out.witnesses == {}
+
+
+def reference_scan_types(h, leaves, depth_cap=None, budget=DEFAULT_SCAN_BUDGET, targets=None):
+    """scan_types as one loop over combinations: classify every tuple of
+    every depth's max-set, in construction order."""
+    if depth_cap is None:
+        depth_cap = default_depth_cap()
+    want = set(range(tangent_number(leaves))) if targets is None else set(targets)
+    index = _type_index(leaves)
+    witnesses = {}
+    combos = 0
+    deepest_full = 0
+    for d in range(1, depth_cap + 1):
+        pts = h.fingerprint(d)
+        n = len(pts)
+        if n < leaves:
+            deepest_full = d
+            continue
+        if comb(n, leaves) > budget:
+            break
+        stems = _binary_stems(pts)
+        for picked in combinations(range(n), leaves):
+            combos += 1
+            ranks = _classify(tuple(stems[i] for i in picked))
+            if ranks is None:
+                continue
+            r = index[ranks]
+            if r in want and r not in witnesses:
+                witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
+                if want <= witnesses.keys():
+                    return ScanOutcome(witnesses, combos, d, True)
+        deepest_full = d
+    return ScanOutcome(witnesses, combos, deepest_full, want <= witnesses.keys())
+
+
+@st.composite
+def scan_inputs(draw):
+    b = draw(st.sampled_from([2, 3]))
+    h = random_surjection(random.Random(draw(st.integers(0, 2**32 - 1))), b, 3, chain_prob=0.4)
+    leaves = draw(st.integers(1, 4))
+    t = tangent_number(leaves)
+    targets = draw(st.none() | st.frozensets(st.integers(0, t - 1), max_size=min(t, 4)))
+    # counted down, so draws (and shrinks) favour the deepest cap
+    deepest = 5 if b == 2 else 3
+    depth_cap = deepest - draw(st.integers(0, deepest - 1))
+    budget = draw(st.sampled_from([20_000, 1_000, 100, 10]))
+    return h, leaves, depth_cap, budget, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_inputs())
+def test_scan_matches_reference(args):
+    got, want = scan_types(*args), reference_scan_types(*args)
+    assert got == want
+    assert list(got.witnesses) == list(want.witnesses)
 
 
 def test_search_single_type():
