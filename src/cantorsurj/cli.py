@@ -70,6 +70,8 @@ def _read_json(path: str):
         raise BadInput(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _decode(path: str, decoder):

@@ -13,9 +13,10 @@ Three strands share this module:
   binary tree; comparing splitting depths of its extreme branches yields a
   number that a one-interval surgery can steer to any target.
 
-Scatteredness questions are decided only for these finitely described
-copies, via the contains-a-full-cell criterion; all yes answers carry a
-cell as certificate, and the bounded no answers record their search bound.
+Every clopen piece of such a copy contains a full cell of its surjection
+(corollary (ii) of the greedy-cylinder lemma in surjections), so the derived
+tree is interval arithmetic on the pieces; find_cell_within still names a
+cell per piece as certificate, by the lemma's exact depth.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .caps import default_depth_cap
-from .intervals import ClopenInterval, cell_chain
+from .intervals import ClopenInterval, cell_chain, validate_level
 from .points import Node, Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering, random_surjection
 from .similarity import (
@@ -39,8 +40,6 @@ from .similarity import (
 )
 from .surjections import (
     BoundaryTuple,
-    ChainSurjection,
-    FilteringSurjection,
     Surjection,
     compose,
     from_filtering,
@@ -70,13 +69,7 @@ __all__ = [
     "OscillationReport",
     "oscillation_search",
     "random_qcopy",
-    "CELL_SEARCH_SLACK",
 ]
-
-# extra levels granted to the cell search beyond the structural depth of the
-# inputs; generous because a miss only costs time while the yes answers all
-# carry certificates
-CELL_SEARCH_SLACK = 12
 
 
 # -- resolution parameters and the fingerprint coloring -------------------
@@ -89,21 +82,20 @@ class EpsilonParameters:
     t: int  # color budget: tangent_number(ell)
 
 
-def epsilon_parameters(base: int, eps) -> EpsilonParameters:
-    """Depth, width, and color budget at resolution eps, exactly.
-
-    k is the least depth with 2^{-k} < eps, i.e. floor(log2(1/eps)) + 1,
-    computed by exact rational comparison.
-    """
-    if base < 2:
-        raise ValueError(f"need base >= 2, got {base}")
+def _resolution_depth(eps) -> int:
+    """The least depth k with 2^{-k} < eps, i.e. floor(log2(1/eps)) + 1,
+    exactly: for eps = p/q, the integer 2^k exceeds q/p iff it exceeds q // p."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {eps}")
-    j = 0
-    while eps <= Fraction(1, 2 ** (j + 1)):
-        j += 1
-    k = j + 1
+    return (eps.denominator // eps.numerator).bit_length()
+
+
+def epsilon_parameters(base: int, eps) -> EpsilonParameters:
+    """Depth, width, and color budget at resolution eps, exactly."""
+    if base < 2:
+        raise ValueError(f"need base >= 2, got {base}")
+    k = _resolution_depth(eps)
     ell = base**k - 1
     return EpsilonParameters(k, ell, tangent_number(ell))
 
@@ -205,35 +197,22 @@ def realize_all_colors(
 # -- finitely described copies of the rationals ----------------------------
 
 
-def _structural_depth(h: Surjection) -> int:
-    """Support plus longest stored stem, summed over the filterings h is built from."""
-    if isinstance(h, FilteringSurjection):
-        f = h.filtering
-        return f.support + max((len(p.stem) for level in f.levels for p in level), default=0)
-    if isinstance(h, ChainSurjection):
-        return _structural_depth(h.outer) + _structural_depth(h.inner)
-    return 0
-
-
-def _cell_bound(h: Surjection, interval: ClopenInterval) -> int:
-    ends = max(len(interval.lo.stem), len(interval.hi.stem))
-    return _structural_depth(h) + ends + CELL_SEARCH_SLACK
-
-
 def find_cell_within(
     h: Surjection, interval: ClopenInterval, depth_bound: int | None = None
 ) -> tuple[int, ...] | None:
-    """Word of some cell of h contained in the interval, or None if the
-    bounded search finds none.
+    """Word of some cell of h contained in the interval, or None if none
+    shows by depth_bound.
 
     Walks the two endpoint cell chains in lockstep; a containment appears
     exactly when the interval's ends go flush with cell ends or a whole
-    cell opens up strictly between the chains.
+    cell opens up strictly between the chains.  The default bound, h's
+    support plus the longer endpoint stem, always finds one (corollary (ii)
+    in surjections).
     """
     if h.base != interval.base:
         raise ValueError("base mismatch")
     if depth_bound is None:
-        depth_bound = _cell_bound(h, interval)
+        depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
     b = h.base
     lo, hi = interval.lo, interval.hi
     if lo.is_min and hi.is_max:
@@ -260,9 +239,11 @@ class QCopy:
     """A copy of the rationals cut from a max-set: the base-2 surjection's
     cell maxima restricted to finitely many clopen pieces.
 
-    Pieces are normalized (sorted, overlapping or abutting ones merged) and
-    each surviving piece must contain a full cell of the surjection, which
-    keeps the point set dense in itself everywhere it lives."""
+    Pieces are normalized (sorted, overlapping or abutting ones merged).
+    Every clopen piece contains a full cell of the surjection (corollary
+    (ii) in surjections), which keeps the point set dense in itself
+    everywhere it lives; find_cell_within names one per piece as the
+    certificate."""
 
     __slots__ = ("surjection", "pieces")
 
@@ -315,13 +296,10 @@ def _merge_pieces(pieces: tuple[ClopenInterval, ...]) -> tuple[ClopenInterval, .
 
 def _node_in_tree(y: QCopy, word: tuple[int, ...]) -> bool:
     # the derived tree keeps a node when the copy is non-scattered inside
-    # its cylinder: witnessed by a full cell inside cylinder-cap-piece
+    # its cylinder, that is when the cylinder meets a piece: the clopen
+    # overlap holds a full cell (corollary (ii) in surjections)
     cyl = ClopenInterval.of_node(Node(2, word))
-    for piece in y.pieces:
-        j = cyl.intersect(piece)
-        if j is not None and find_cell_within(y.surjection, j) is not None:
-            return True
-    return False
+    return any(cyl.intersect(piece) is not None for piece in y.pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,6 +460,26 @@ def _fingerprint_key(fp: tuple[Point, ...]) -> str:
     return "|".join("".join(map(str, p.stem)) for p in fp)
 
 
+def _check_table_key(base: int, depth: int, key: str) -> None:
+    """Refuse a key that no depth-`depth` fingerprint serializes to: it must
+    decode to b^k - 1 strictly increasing interior q-points whose key is
+    the key itself (a stem ending in a top digit would normalize away)."""
+    stems = key.split("|")
+    # b >= 2, so b^k - 1 stems need k at most their count's bit length;
+    # checked before b^k is built
+    if depth > len(stems).bit_length() or len(stems) != base**depth - 1:
+        raise ValueError(f"table key {key!r}: {len(stems)} stems, not {base}^{depth} - 1")
+    try:
+        fp = tuple(Point(base, tuple(int(c) for c in stem), base - 1) for stem in stems)
+    except ValueError as exc:
+        raise ValueError(f"table key {key!r}: {exc}") from exc
+    report = validate_level(base, depth, fp)
+    if not report.ok:
+        raise ValueError(f"table key {key!r}: {report.message}")
+    if _fingerprint_key(fp) != key:
+        raise ValueError(f"table key {key!r} is not canonical: reads as {_fingerprint_key(fp)!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ColoringSpec:
     """A coloring of surjections that factors through depth-k fingerprints.
@@ -504,12 +502,21 @@ class ColoringSpec:
             raise ValueError(f"unknown coloring kind {self.kind!r}")
         if self.colors < 1:
             raise ValueError("need at least one color")
+        if self.base < 2 or self.depth < 1:
+            raise ValueError(f"need b >= 2 and k >= 1, got b={self.base}, k={self.depth}")
         if self.kind == "relabeled_types":
+            # ell >= k, so a k past the leaf cap is refused before b^k is built
+            if self.depth > MAX_TYPE_LEAVES or self.ell > MAX_TYPE_LEAVES:
+                raise ValueError(
+                    f"b={self.base}, k={self.depth}: types are enumerated up to {MAX_TYPE_LEAVES} leaves"
+                )
             want = tangent_number(self.ell)
             if len(self.relabel) != want:
                 raise ValueError(f"relabel table needs {want} entries, got {len(self.relabel)}")
             bad = [c for c in self.relabel if not 0 <= c < self.colors]
         elif self.kind == "table":
+            for key, _ in self.table:
+                _check_table_key(self.base, self.depth, key)
             bad = [c for _, c in self.table if not 0 <= c < self.colors]
             bad += [] if 0 <= self.constant < self.colors else [self.constant]
         else:
@@ -544,6 +551,8 @@ class ColoringSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ColoringSpec":
+        if not isinstance(obj, dict) or not isinstance(obj.get("table", {}), dict):
+            raise ValueError("expected a coloring object whose table maps fingerprint keys to labels")
         return cls(
             kind=obj["kind"],
             base=json_int(obj["b"], "b"),
@@ -610,14 +619,13 @@ def oscillation_search(
     (arbitrary tables): try seeded candidate inner surjections, scan each
     cube's reachable fingerprints within budget, and report the smallest
     achieved label set with no guarantee attached."""
-    params = epsilon_parameters(spec.base, eps)
-    if params.k != spec.depth:
-        raise ValueError(
-            f"coloring reads depth {spec.depth} but resolution {eps} needs depth {params.k}"
-        )
+    # the color budget t_ell is not needed here, and is huge for fine eps
+    k = _resolution_depth(eps)
+    if k != spec.depth:
+        raise ValueError(f"coloring reads depth {spec.depth} but resolution {eps} needs depth {k}")
     if depth_cap is None:
         depth_cap = default_depth_cap()
-    k, ell = params.k, params.ell
+    ell = spec.ell
     if spec.factors_through_types():
         h = identity(spec.base)
         if spec.kind == "constant":

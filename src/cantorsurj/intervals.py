@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .caps import default_depth_cap
 from .points import (
     Node,
     Point,
@@ -36,12 +35,8 @@ __all__ = [
     "DepthPartition",
     "Filtering",
     "FilteringReport",
-    "RefinementReport",
     "partition_from_tuple",
     "validate_filtering",
-    "refine_canonical",
-    "is_refinement",
-    "refinement_report",
     "least_q_point_between",
     "canonical_split_maxima",
     "MATERIALIZE_LIMIT",
@@ -342,6 +337,8 @@ class Filtering:
         return self.child_maxima(rank_word(r, depth - 1, self.base))[p]
 
     def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
+        if depth < 0:
+            raise ValueError(f"depth must be nonnegative, got {depth}")
         count = self.base**depth - 1
         if count > MATERIALIZE_LIMIT:
             raise ValueError(f"depth {depth} boundary tuple has {count} entries; over limit")
@@ -427,42 +424,3 @@ def validate_filtering(f: Filtering) -> FilteringReport:
                         f"depth-{depth} tuple does not carry depth-{j} maximum {i}",
                     )
     return FilteringReport(True)
-
-
-def refine_canonical(f: Filtering, depth: int) -> Filtering:
-    """Materialize the greedy extension down to `depth`.  Deterministic and
-    monotone: refining to d then d' equals refining straight to d'."""
-    return f.extend(depth)
-
-
-@dataclass(frozen=True, slots=True)
-class RefinementReport:
-    verdict: str  # "yes" | "undecided_at_cap"
-    witness: Point | None = None
-    searched_depth: int = 0
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "yes"
-
-
-def refinement_report(v: Filtering, u: Filtering, depth: int, cap: int | None = None) -> RefinementReport:
-    """Does every depth-<=depth boundary of v occur among u's boundaries?
-
-    Each boundary y of v is tracked down u's cell chain; hitting a cell
-    maximum certifies membership.  A y still strictly interior at `cap` is
-    reported undecided: deeper maxima may yet equal y, so a hard "no" has no
-    finite certificate in this representation.
-    """
-    if v.base != u.base:
-        raise ValueError("base mismatch")
-    if cap is None:
-        cap = default_depth_cap()
-    for y in v.boundary_tuple(depth):
-        if not any(y == hi for _, (_, _, hi) in zip(range(cap), cell_chain(u, y))):
-            return RefinementReport("undecided_at_cap", y, cap)
-    return RefinementReport("yes", None, depth)
-
-
-def is_refinement(v: Filtering, u: Filtering, depth: int, cap: int | None = None) -> bool:
-    return refinement_report(v, u, depth, cap).holds

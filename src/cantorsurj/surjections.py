@@ -11,6 +11,19 @@ Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
 Composition is kept as a chain and never flattened implicitly; truncate(f, d)
 is lossy below f.support and exact from it on.
+
+The greedy-cylinder lemma (proved in step 1 of ChainSurjection): if h has
+support s, every depth-(s+k) cell of h lies in one cylinder of length k.
+Two corollaries bound every cell search exactly:
+
+(i)  Every interior q-point x = c top^w is a cell maximum of h by depth
+     s + |c|: its cell there lies in a length-|c| cylinder holding x, which
+     is [c], and x = max [c].  So h's max-set is every interior q-point, and
+     evaluate(x, s + |c|) is exact.
+(ii) Every clopen interval [lo, hi] contains a full cell of h by depth
+     s + m, m the longer endpoint stem: the cylinder [v], v the first m
+     digits of lo, lies in [lo, hi], and the depth-(s+m) cell holding
+     max [v] lies in [v].
 """
 
 from __future__ import annotations
@@ -110,6 +123,8 @@ class Surjection(ABC):
         By nesting this is also the max-set to that depth: level d's tuple
         contains every shallower tuple as a subsequence.
         """
+        if depth < 0:
+            raise ValueError(f"depth must be nonnegative, got {depth}")
         count = self.base**depth - 1
         if count > MATERIALIZE_LIMIT:
             raise ValueError(f"depth {depth} fingerprint has {count} entries; over limit")
@@ -126,6 +141,8 @@ class Surjection(ABC):
         maximum maps to that cell's image word followed by max digits)."""
         if x.base != self.base:
             raise ValueError("base mismatch")
+        if digits < 0:
+            raise ValueError(f"digits must be nonnegative, got {digits}")
         b = self.base
         if x.is_max:
             return Evaluation((b - 1,) * digits, max_point(b))
@@ -267,6 +284,8 @@ class ChainSurjection(Surjection):
 
 
 def surjection_from_json(obj: dict) -> Surjection:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a surjection object, got {type(obj).__name__}")
     kind = obj.get("kind", "filtering")
     if kind == "filtering":
         return FilteringSurjection(Filtering.from_json(obj))
@@ -365,38 +384,26 @@ def _subsample_levels(
     )
 
 
-def _image_in_max_set(h: Surjection, x: Point, cap: int) -> Point:
-    """Exact image of a point of h's max-set; error with witness otherwise."""
-    ev = h.evaluate(x, cap)
-    if ev.exact is None:
-        raise FactorizationError(
-            f"{x} is not a cell maximum of the inner map within depth {cap}", witness=x, depth=cap
-        )
-    y = ev.exact
-    if y.tail != h.base - 1:
-        raise FactorizationError(f"{x} maps to {y}, not an eventually-max point", witness=x)
-    return y
+def _image_factor(h: Surjection, depth: int, entries: tuple[Point, ...]) -> FilteringSurjection:
+    """The canonical surjection whose depth-`depth` tuple is the h-image of
+    `entries`.  Each entry, an interior q-point, is a cell maximum of h by
+    depth h.support + len(stem) (corollary (i)), where its image is exact;
+    increasing cell maxima have increasing images."""
+    images = tuple(h.evaluate(x, h.support + len(x.stem)).as_point() for x in entries)
+    return tuple_to_surjection(depth, BoundaryTuple(h.base, depth, images))
 
 
-def factor_through(g: Surjection, h: Surjection, depth: int, cap: int | None = None) -> FilteringSurjection:
+def factor_through(g: Surjection, h: Surjection, depth: int) -> FilteringSurjection:
     """Find f with g = f o h, on fingerprints to `depth`.
 
-    f's boundaries are the exact h-images of g's boundaries; strict increase
-    of the images is automatic because distinct cell maxima of h have
-    distinct images.  Raises FactorizationError, with the offending boundary
-    point, when some boundary of g is not a boundary of h.
+    f's boundaries are the exact h-images of g's boundaries.  Every interior
+    q-point is in h's max-set, so the one way to fail is the composed check:
+    FactorizationError when f o h does not reproduce g's fingerprint.
     """
     if g.base != h.base:
         raise ValueError("base mismatch")
-    if cap is None:
-        cap = default_depth_cap()
     deep = g.fingerprint(depth)
-    images = tuple(_image_in_max_set(h, x, cap) for x in deep)
-    filt = Filtering(g.base, _subsample_levels(g.base, depth, images))
-    report = validate_filtering(filt)
-    if not report.ok:
-        raise FactorizationError(f"image tuple is not a filtering: {report.message}")
-    f = FilteringSurjection(filt)
+    f = _image_factor(h, depth, deep)
     if ChainSurjection(f, h).fingerprint(depth) != deep:
         raise FactorizationError("factor verification failed: composed fingerprint differs", depth=depth)
     return f
@@ -413,27 +420,16 @@ def tuple_to_surjection(depth: int, t: BoundaryTuple) -> FilteringSurjection:
     return from_filtering(Filtering(t.base, _subsample_levels(t.base, depth, t.entries)))
 
 
-def tuple_to_factor(h: Surjection, t: BoundaryTuple, cap: int | None = None) -> FilteringSurjection:
-    """Find f with fingerprint(f o h, k) = t, for t drawn from h's max-set.
+def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> FilteringSurjection:
+    """Find f with fingerprint(f o h, k) = t; by corollary (i) every valid
+    tuple is drawn from h's max-set.
 
     f is the canonical surjection on the h-images of t's entries; composing
     back must reproduce t exactly and is verified before returning.
     """
     if h.base != t.base:
         raise ValueError("base mismatch")
-    if cap is None:
-        cap = default_depth_cap()
-    for x in t.entries:
-        if not x.is_q_point:
-            raise FactorizationError(f"entry {x} is not an interior eventually-max point", witness=x)
-    images = []
-    for x in t.entries:
-        y = _image_in_max_set(h, x, cap)
-        if h.preimage_max(y) != x:
-            raise FactorizationError(f"{x} is not in the max-set of the inner map", witness=x)
-        images.append(y)
-    f = tuple_to_surjection(t.depth, BoundaryTuple(t.base, t.depth, tuple(images)))
-    got = ChainSurjection(f, h).fingerprint(t.depth)
-    if got != t.entries:
+    f = _image_factor(h, t.depth, t.entries)
+    if ChainSurjection(f, h).fingerprint(t.depth) != t.entries:
         raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=t.depth)
     return f

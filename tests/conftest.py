@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cantorsurj.points import Point
 from cantorsurj.randgen import random_filtering, random_surjection
+from cantorsurj.surjections import compose, from_filtering
 
 
 def q(*stem, base=2):
@@ -31,3 +32,19 @@ def filterings(draw, bases=(2, 3), max_support=4):
 def surjections(draw, max_depth=3, chain_prob=0.3):
     seed = draw(st.integers(0, 2**32 - 1))
     return random_surjection(random.Random(seed), 2, max_depth, chain_prob)
+
+
+@st.composite
+def nested_maps(draw, bases=(2, 3), max_factors=3):
+    """A filtering map, or a chain of up to max_factors of them nested on
+    either side; base-3 factors are kept shallower."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    b = draw(st.sampled_from(bases))
+    n = draw(st.integers(1, max_factors))
+    rng = random.Random(seed)
+    deepest = 3 if b == 2 else 2
+    h = from_filtering(random_filtering(rng, b, rng.randint(0, deepest)))
+    for _ in range(n - 1):
+        g = from_filtering(random_filtering(rng, b, rng.randint(0, deepest - 1)))
+        h = compose(g, h) if rng.random() < 0.5 else compose(h, g)
+    return h

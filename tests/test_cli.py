@@ -1,13 +1,20 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import q
 from cantorsurj.cli import main
 from cantorsurj.experiments import QCopy
-from cantorsurj.intervals import Filtering
+from cantorsurj.intervals import ClopenInterval, Filtering
+from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.surjections import compose, from_filtering, identity
 
 
@@ -264,6 +271,144 @@ def test_non_integer_coloring_spec_exits_2(capsys, files, field, value):
     code, out, err = run(capsys, "oscillation", spec, "--eps", "0.3", "--seed", "0")
     assert code == 2 and out == ""
     assert err == f"error: {spec}: {field}: expected an integer, got {value!r}\n"
+
+
+def test_eval_negative_digits_exits_2(capsys, files):
+    surj = files("id.json", identity(2).to_json())
+    code, out, err = run(capsys, "eval", surj, "--point", json.dumps(q(0).to_json()), "--digits", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: digits must be nonnegative, got -3\n"
+
+
+TABLE_SPEC = {"b": 2, "k": 2, "colors": 4, "kind": "table", "default": 1}
+
+
+@pytest.mark.parametrize(
+    "key, why",
+    [
+        ("1101", "1 stems, not 2^2 - 1"),
+        ("00|0|11", "not an interior"),  # 11 top^w normalizes to the top point
+        ("00|01|10", "is not canonical"),  # a stem ending in a top digit
+        ("0|00|10", "out of order"),
+        ("00|0|1x", "invalid literal"),
+        ("00|0|", "not an interior eventually-max point"),
+    ],
+)
+def test_oscillation_rejects_table_keys_that_never_match(capsys, files, key, why):
+    spec = files("spec.json", dict(TABLE_SPEC, table={key: 3}))
+    code, out, err = run(capsys, "oscillation", spec, "--eps", "0.3", "--seed", "0")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {spec}: table key {key!r}") and why in err
+
+
+def test_oscillation_fine_eps_depth_mismatch_exits_2_before_work(capsys, files):
+    # resolution 1e-20 needs depth 67; the color budget t_(2^67 - 1) is never computed
+    spec = files("spec.json", {"b": 2, "k": 2, "colors": 7, "kind": "constant", "value": 5})
+    code, out, err = run(capsys, "oscillation", spec, "--eps", "1e-20", "--seed", "0")
+    assert code == 2 and out == "" and err.endswith("needs depth 67\n")
+
+
+# -- exit contract under random input ----------------------------------------
+
+_SURJECTIONS = [
+    identity(2).to_json(),
+    identity(3).to_json(),
+    from_filtering(Filtering(2, ((q(0, 0),),))).to_json(),
+    compose(from_filtering(Filtering(2, ((q(0, 0),),))), identity(2)).to_json(),
+]
+_COPIES = [
+    QCopy.unrestricted(identity(2)).to_json(),
+    QCopy(from_filtering(Filtering(2, ((q(1, 0),),))), (ClopenInterval(min_point(2), q(0, 1)),)).to_json(),
+]
+_SPECS = [
+    {"b": 2, "k": 2, "colors": 16, "kind": "relabeled_types", "relabel": list(range(16))},
+    dict(TABLE_SPEC, table={"00|0|10": 3}),
+    {"b": 2, "k": 2, "colors": 7, "kind": "constant", "value": 5},
+]
+_KEYS = ["b", "k", "stem", "tail", "kind", "boundaries", "depth", "outer", "inner", "surjection",
+         "restrictions", "lo", "hi", "colors", "relabel", "table", "default", "value", "00|0|10"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-4, 4) | st.text(max_size=8)
+    | st.sampled_from(["filtering", "chain", "table", "constant", "relabeled_types", "1101"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A valid object with a few values replaced or keys dropped, at random depths."""
+    obj = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = obj
+        while isinstance(node, (dict, list)) and node:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys))
+            if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+                if isinstance(node, dict) and draw(st.booleans()):
+                    del node[key]
+                else:
+                    node[key] = draw(json_values)
+                break
+            node = node[key]
+    return obj
+
+
+def _dump(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+def payloads(seeds):
+    """File contents: a valid object (drawn twice as often), a mutated one,
+    random JSON, or bytes that may not even be text."""
+    valid = st.sampled_from(seeds).map(_dump)
+    return st.one_of(valid, valid, mutated(seeds).map(_dump), json_values.map(_dump), st.binary(max_size=24))
+
+
+@st.composite
+def cli_calls(draw):
+    verb = draw(st.sampled_from(["eval", "factor", "color-omega", "witness-omega", "oscillation"]))
+    if verb == "eval":
+        points = [q(0, 1).to_json(), Point(2, (1, 0), 0).to_json(), max_point(2).to_json(), q(2, base=3).to_json()]
+        point = draw(st.one_of(st.sampled_from(points), st.sampled_from(points), mutated(points), json_values))
+        flags = [f"--point={json.dumps(point)}", f"--digits={draw(st.integers(-3, 30))}"]
+        return verb, [draw(payloads(_SURJECTIONS))], flags
+    if verb == "factor":
+        files = [draw(payloads(_SURJECTIONS)), draw(payloads(_SURJECTIONS))]
+        return verb, files, [f"--depth={draw(st.integers(-2, 3))}"]
+    if verb in ("color-omega", "witness-omega"):
+        cap = draw(st.none() | st.integers(-2, 12))
+        flags = [] if cap is None else [f"--cap={cap}"]
+        if verb == "witness-omega":
+            flags.append(f"--target={draw(st.integers(-2, 9))}")
+        return verb, [draw(payloads(_COPIES))], flags
+    eps = draw(st.sampled_from(["0.3", "3/10", "0.6", "1", "0.1", "1e-20", "0", "2", "1/0", "x"]))
+    budget = draw(st.sampled_from([2_000, 30_000]))
+    return verb, [draw(payloads(_SPECS))], [f"--eps={eps}", "--seed=0", f"--budget={budget}"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_calls())
+def test_cli_exit_contract_under_random_input(call):
+    verb, contents, flags = call
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(contents):
+            path = Path(tmp) / f"in{i}.json"
+            path.write_bytes(data)
+            paths.append(str(path))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([verb, *paths, *flags])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err == "" and isinstance(json.loads(out), dict)
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_console_entry_point():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import q
+from conftest import nested_maps, q
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
+    _node_in_tree,
     build_witness,
     epsilon_parameters,
     find_cell_within,
@@ -16,10 +18,17 @@ from cantorsurj.experiments import (
     random_qcopy,
     realize_all_colors,
 )
-from cantorsurj.intervals import ClopenInterval, Filtering
-from cantorsurj.points import Point, max_point, min_point
+from cantorsurj.intervals import ClopenInterval, Filtering, child_bounds
+from cantorsurj.points import Node, Point, max_point, min_point
 from cantorsurj.randgen import derive_rng
-from cantorsurj.surjections import compose, from_filtering, identity, tuple_to_factor
+from cantorsurj.surjections import (
+    ChainSurjection,
+    FilteringSurjection,
+    compose,
+    from_filtering,
+    identity,
+    tuple_to_factor,
+)
 from cantorsurj.surjections import BoundaryTuple
 
 
@@ -49,9 +58,68 @@ def test_find_cell_within_identity():
 
 
 def _node(word):
-    from cantorsurj.points import Node
-
     return Node(2, word)
+
+
+def _cell(h, word):
+    lo, hi = min_point(h.base), max_point(h.base)
+    for i, digit in enumerate(word):
+        lo, hi = child_bounds(h.child_maxima(word[:i]), lo, hi, digit)
+    return ClopenInterval(lo, hi)
+
+
+@st.composite
+def clopen_intervals(draw, base):
+    # lo eventually 0, hi eventually top, stems short enough to stay cheap
+    top, n = base - 1, 5 if base == 2 else 3
+    lo = Point(base, tuple(draw(st.lists(st.integers(0, top), max_size=n))), 0)
+    hi = Point(base, tuple(draw(st.lists(st.integers(0, top), max_size=n))), top)
+    assume(lo < hi)
+    return ClopenInterval(lo, hi)
+
+
+@settings(max_examples=150)
+@given(nested_maps(), st.data())
+def test_find_cell_within_default_bound_never_misses(h, data):
+    # corollary (ii): h.support plus the longer endpoint stem always suffices
+    interval = data.draw(clopen_intervals(h.base))
+    word = find_cell_within(h, interval)
+    assert word is not None and interval.contains_interval(_cell(h, word))
+
+
+def _structural_depth(h):
+    """Support plus longest stored stem, summed over the filterings h is built from."""
+    if isinstance(h, FilteringSurjection):
+        f = h.filtering
+        return f.support + max((len(p.stem) for level in f.levels for p in level), default=0)
+    assert isinstance(h, ChainSurjection)
+    return _structural_depth(h.outer) + _structural_depth(h.inner)
+
+
+def reference_node_in_tree(y, word):
+    """The derived-tree predicate as a cell search: some piece meets the
+    cylinder in an interval holding a full cell, searched to the structural
+    depth of the map plus the longer endpoint stem plus 12 levels of slack."""
+    cyl = ClopenInterval.of_node(Node(2, word))
+    for piece in y.pieces:
+        j = cyl.intersect(piece)
+        if j is None:
+            continue
+        bound = _structural_depth(y.surjection) + max(len(j.lo.stem), len(j.hi.stem)) + 12
+        if find_cell_within(y.surjection, j, bound) is not None:
+            return True
+    return False
+
+
+@settings(max_examples=40)
+@given(nested_maps(bases=(2,)), st.integers(0, 2**32 - 1))
+def test_node_in_tree_matches_cell_search(h, seed):
+    y = QCopy(h, random_qcopy(derive_rng(seed, "pieces")).pieces)
+    words = [()]
+    for _ in range(7):
+        words = [w + (c,) for w in words for c in (0, 1)]
+        for w in words:
+            assert _node_in_tree(y, w) == reference_node_in_tree(y, w)
 
 
 def test_qcopy_normalization():
@@ -172,6 +240,21 @@ def test_coloring_spec_validation():
         ColoringSpec(2, 2, 3, "relabeled_types", relabel=(0, 1, 5) + (0,) * 13)
     with pytest.raises(ValueError):
         ColoringSpec(2, 2, 4, "nonsense")
+    for base, depth in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="need b >= 2 and k >= 1"):
+            ColoringSpec(base, depth, 4, "constant")
+
+
+@pytest.mark.parametrize("base, depth", [(2, 3), (3, 2), (2, 10**6)])
+def test_relabeled_spec_past_leaf_cap_refused_before_tangent(monkeypatch, base, depth):
+    import cantorsurj.experiments as experiments
+
+    def refuse(ell):
+        raise AssertionError("tangent_number reached before the leaf bound")
+
+    monkeypatch.setattr(experiments, "tangent_number", refuse)
+    with pytest.raises(ValueError, match="types are enumerated up to 6 leaves"):
+        ColoringSpec(base, depth, 4, "relabeled_types", relabel=(0,))
 
 
 def test_coloring_spec_color_of():

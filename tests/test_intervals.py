@@ -8,11 +8,8 @@ from cantorsurj.intervals import (
     ClopenInterval,
     Filtering,
     canonical_split_maxima,
-    is_refinement,
     least_q_point_between,
     partition_from_tuple,
-    refine_canonical,
-    refinement_report,
     validate_filtering,
 )
 from cantorsurj.points import Node, Point, interval_successor, iter_points, max_point, min_point
@@ -227,32 +224,12 @@ def test_validate_rejects_corrupted():
     assert not short.ok and short.clause == "length"
 
 
-def test_refinement_yes():
+def test_extend_materializes_greedy_levels():
     f = Filtering(2, ((q(0, 0),),))
-    g = refine_canonical(f, 3)
-    assert g.support == 3
-    rep = refinement_report(g, f, 3)
-    assert rep.verdict == "yes" and rep.holds and rep.witness is None
-    assert is_refinement(g, f, 3)
-    # refinement is monotone in depth
-    assert refine_canonical(refine_canonical(f, 2), 4) == refine_canonical(f, 4)
-
-
-def test_refinement_undecided_at_cap():
-    deep = Filtering(2, ((q(0, 0, 0, 0, 0),),))
-    rep = refinement_report(deep, Filtering(2, ()), 1, cap=3)
-    assert rep.verdict == "undecided_at_cap"
-    assert rep.witness == q(0, 0, 0, 0, 0)
-    assert rep.searched_depth == 3
-    assert not rep.holds
-    # with room to look deeper the same point is certified
-    assert is_refinement(deep, Filtering(2, ()), 1, cap=16)
-
-
-@settings(max_examples=40)
-@given(filterings(bases=(2,), max_support=3), st.integers(1, 3))
-def test_generated_filterings_refine_canonically(f, d):
-    assert is_refinement(f.extend(f.support + d), f, f.support + d)
+    g = f.extend(3)
+    assert g.support == 3 and g.levels[0] == f.levels[0]
+    assert g.boundary_tuple(5) == f.boundary_tuple(5)
+    assert f.extend(2).extend(4) == f.extend(4) and f.extend(1) is f
 
 
 @pytest.mark.parametrize(

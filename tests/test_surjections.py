@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import q, surjections
+from conftest import nested_maps, q, surjections
 from cantorsurj.intervals import Filtering
 from cantorsurj.points import Point, iter_points, max_point, min_point
 from cantorsurj.randgen import random_filtering
@@ -11,7 +11,6 @@ from cantorsurj.surjections import (
     BoundaryTuple,
     ChainSurjection,
     DistanceResult,
-    FactorizationError,
     FilteringSurjection,
     compose,
     distance,
@@ -191,12 +190,33 @@ def test_factor_roundtrip(f, h):
     assert compose(via_tuple, h).fingerprint(4) == t.entries
 
 
-def test_factor_cap_exhaustion():
+@settings(max_examples=150)
+@given(nested_maps(), st.data())
+def test_q_point_is_cell_max_by_support_plus_stem(h, data):
+    # corollary (i): x = c top^w is a cell maximum of h by depth
+    # h.support + len(c), so the image is exact there and pulls back to x
+    top = h.base - 1
+    stem = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5 if h.base == 2 else 3))
+    x = Point(h.base, tuple(stem), top)
+    assume(x.is_q_point)
+    y = h.evaluate(x, h.support + len(x.stem)).exact
+    assert y is not None and h.preimage_max(y) == x
+
+
+def test_q_point_bound_is_tight():
+    # the identity's cells are cylinders: c top^w is first a cell max at depth |c|
+    x = q(0, 1, 0)
+    assert identity(2).evaluate(x, 2).exact is None
+    assert identity(2).evaluate(x, 3).exact == x
+
+
+def test_factor_deep_boundary_needs_no_cap():
+    # a stem-10 boundary is a cell maximum of the identity at depth 10, the
+    # bound corollary (i) gives; no depth cap is read
     deep = from_filtering(Filtering(2, ((q(0, 0, 0, 0, 0, 0, 0, 0, 0, 0),),)))
-    with pytest.raises(FactorizationError) as info:
-        factor_through(deep, identity(2), 1, cap=6)
-    assert info.value.witness == q(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    assert info.value.depth == 6
+    got = factor_through(deep, identity(2), 1)
+    assert got.filtering == deep.filtering
+    assert compose(got, identity(2)).fingerprint(4) == deep.fingerprint(4)
 
 
 def test_tuple_to_surjection():
