@@ -1,8 +1,9 @@
-"""Shrink a coloring's visible range on a cube of composites.
+"""Read off a coloring's exact range on a cube of composites.
 
 With --collapse the 16 type classes are relabeled onto a handful of values
-and the exact regime proves the small range; with --table the coloring no
-longer factors through types and the seeded heuristic takes over.
+and the range is provably small; with --table the coloring is a lookup on
+fingerprints, no longer factors through types, and its range is the
+default label plus the label of every key.
 """
 
 import argparse
@@ -16,7 +17,6 @@ def main() -> None:
     ap.add_argument("--collapse", type=int, default=0, help="relabel the 16 classes mod this")
     ap.add_argument("--table", action="store_true", help="use an ad-hoc lookup coloring instead")
     ap.add_argument("--eps", default="0.3")
-    ap.add_argument("--seed", default="0")
     ap.add_argument("--budget", type=int, default=120_000)
     args = ap.parse_args()
 
@@ -28,13 +28,17 @@ def main() -> None:
     else:
         spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
 
-    rep = oscillation_search(spec, Fraction(args.eps), budget=args.budget, seed=args.seed)
+    rep = oscillation_search(spec, Fraction(args.eps), budget=args.budget)
+    keys = {key for key, _ in spec.table}
     print(f"regime: {rep.regime}  guaranteed: {rep.guaranteed}  "
           f"labels achieved: {rep.labels}")
     for w in rep.witnesses:
-        stems = " ".join("".join(map(str, p.stem)) for p in w.points)
-        kind = "heuristic" if w.type_index is None else f"type {w.type_index:2d}"
-        print(f"  label {w.label:2d}  {kind}  stems {stems}")
+        stems = ["".join(map(str, p.stem)) for p in w.points]
+        if w.type_index is not None:
+            kind = f"type {w.type_index:2d}"
+        else:
+            kind = "key" if "|".join(stems) in keys else "default"
+        print(f"  label {w.label:2d}  {kind}  stems {' '.join(stems)}")
 
 
 if __name__ == "__main__":

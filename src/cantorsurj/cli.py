@@ -290,7 +290,7 @@ def _cmd_oscillation(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"--eps: {exc}") from exc
     try:
-        rep = oscillation_search(spec, eps, args.budget, args.seed)
+        rep = oscillation_search(spec, eps, args.budget)
     except ValueError as exc:
         raise BadInput(str(exc)) from exc
     except RuntimeError as exc:
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("coloring", help="JSON file: coloring spec")
     sp.add_argument("--eps", required=True, help="resolution, e.g. 0.3 or 3/10")
     sp.add_argument("--budget", type=int, default=400_000)
-    sp.add_argument("--seed", required=True, help="seed for the heuristic regime")
+    sp.add_argument("--seed", default=None, help="ignored; the search is exact and unseeded")
     sp.set_defaults(fn=_cmd_oscillation)
 
     sp = sub.add_parser("verify", help="run the seeded verification suite")

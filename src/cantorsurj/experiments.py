@@ -24,13 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from .caps import default_depth_cap
 from .intervals import ClopenInterval, cell_chain, validate_level
 from .points import Node, Point, interval_successor, json_int, max_point, min_point, rank_word
-from .randgen import increasing_q_points, random_filtering, random_surjection
+from .randgen import increasing_q_points, random_filtering
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
     MAX_TYPE_LEAVES,
@@ -460,6 +458,10 @@ def _fingerprint_key(fp: tuple[Point, ...]) -> str:
     return "|".join("".join(map(str, p.stem)) for p in fp)
 
 
+def _key_points(base: int, key: str) -> tuple[Point, ...]:
+    return tuple(Point(base, tuple(int(c) for c in stem), base - 1) for stem in key.split("|"))
+
+
 def _check_table_key(base: int, depth: int, key: str) -> None:
     """Refuse a key that no depth-`depth` fingerprint serializes to: it must
     decode to b^k - 1 strictly increasing interior q-points whose key is
@@ -470,7 +472,7 @@ def _check_table_key(base: int, depth: int, key: str) -> None:
     if depth > len(stems).bit_length() or len(stems) != base**depth - 1:
         raise ValueError(f"table key {key!r}: {len(stems)} stems, not {base}^{depth} - 1")
     try:
-        fp = tuple(Point(base, tuple(int(c) for c in stem), base - 1) for stem in stems)
+        fp = _key_points(base, key)
     except ValueError as exc:
         raise ValueError(f"table key {key!r}: {exc}") from exc
     report = validate_level(base, depth, fp)
@@ -487,7 +489,8 @@ class ColoringSpec:
     kinds: "relabeled_types" wires each similarity type to a label;
     "table" maps serialized fingerprints to labels with a default for
     misses; "constant" ignores its input.  Only the first and last factor
-    through types, which is what the exact search regime requires."""
+    through types, so only they are guaranteed at most t_ell labels; a
+    table's label set is read off its keys and default."""
 
     base: int
     depth: int
@@ -567,7 +570,7 @@ class ColoringSpec:
 @dataclass(frozen=True, slots=True)
 class OscillationWitness:
     label: int
-    type_index: int | None
+    type_index: int | None  # None for a table coloring's candidates
     points: tuple[Point, ...]
 
     def to_json(self) -> dict:
@@ -580,14 +583,14 @@ class OscillationWitness:
 
 @dataclass(frozen=True, slots=True)
 class OscillationReport:
-    regime: str  # "exact" | "heuristic"
+    regime: str  # always "exact": B is the whole label set on the cube
     base: int
     k: int
     ell: int
     labels: tuple[int, ...]  # the achieved color set B, sorted
     witnesses: tuple[OscillationWitness, ...]
     guaranteed: bool  # True when |B| <= t_ell is forced by factoring through types
-    candidates_tried: int
+    candidates_tried: int  # always 1: the identity cube
     budget: int
 
     def to_json(self) -> dict:
@@ -608,76 +611,52 @@ def oscillation_search(
     spec: ColoringSpec,
     eps,
     budget: int = DEFAULT_SCAN_BUDGET,
-    seed: int | str = 0,
     depth_cap: int | None = None,
 ) -> OscillationReport:
-    """Shrink the coloring's range on a cube of composites.
+    """The exact label set B of the coloring on the identity cube of
+    composites f o identity, with one certified witness per label.
 
-    Exact regime (spec factors through similarity types): the identity cube
-    already achieves exactly the relabeled type set, so sweep one witness
-    tuple per type and report B with the t_ell guarantee.  Heuristic regime
-    (arbitrary tables): try seeded candidate inner surjections, scan each
-    cube's reachable fingerprints within budget, and report the smallest
-    achieved label set with no guarantee attached."""
+    Every valid depth-k fingerprint is reached by some composite (corollary
+    (i) in surjections), so B is the set of labels over a short candidate
+    list: one scan witness per similarity type for "relabeled_types", the
+    identity's fingerprint for "constant", and for "table" every key plus
+    one fingerprint that is no key.  The first candidate of each label is
+    its witness, certified by tuple_to_factor unless it is the identity's
+    own fingerprint."""
     # the color budget t_ell is not needed here, and is huge for fine eps
     k = _resolution_depth(eps)
     if k != spec.depth:
         raise ValueError(f"coloring reads depth {spec.depth} but resolution {eps} needs depth {k}")
     if depth_cap is None:
         depth_cap = default_depth_cap()
-    ell = spec.ell
-    if spec.factors_through_types():
-        h = identity(spec.base)
-        if spec.kind == "constant":
-            fp = h.fingerprint(k)
-            wit = OscillationWitness(spec.constant, canonical_coloring(fp, ell), fp)
-            return OscillationReport(
-                "exact", spec.base, k, ell, (spec.constant,), (wit,), True, 1, budget
-            )
+    b, ell = spec.base, spec.ell
+    h = identity(b)
+    ident = h.fingerprint(k)
+    if spec.kind == "relabeled_types":
         outcome = scan_types(h, ell, depth_cap, budget)
-        labels: dict[int, OscillationWitness] = {}
-        for r in sorted(outcome.witnesses):
-            w = outcome.witnesses[r]
-            f = tuple_to_factor(h, BoundaryTuple(spec.base, k, w.points))
-            fp = compose(f, h).fingerprint(k)
-            label = spec.color_of(fp)
-            if label not in labels:
-                labels[label] = OscillationWitness(label, r, w.points)
         if not outcome.complete:
             raise RuntimeError("type sweep incomplete within cap; cannot certify the bound")
-        return OscillationReport(
-            "exact", spec.base, k, ell, tuple(sorted(labels)),
-            tuple(labels[c] for c in sorted(labels)), True, 1, budget,
-        )
-    rng = random.Random(f"{seed}/oscillation")
-    n_candidates = max(1, min(8, budget // 40_000))
-    per_budget = max(1_000, budget // n_candidates)
-    best: tuple[int, int, dict[int, OscillationWitness]] | None = None
-    for c_idx in range(n_candidates):
-        h = identity(spec.base) if c_idx == 0 else random_surjection(rng, spec.base, 3)
-        achieved: dict[int, OscillationWitness] = {}
-        spent = 0
-        for d in range(1, depth_cap + 1):
-            pts = h.fingerprint(d)
-            n = len(pts)
-            if n < ell:
-                continue
-            cost = comb(n, ell)
-            if spent + cost > per_budget:
-                break
-            spent += cost
-            for picked in combinations(range(n), ell):
-                fp = tuple(pts[i] for i in picked)
-                label = spec.color_of(fp)
-                if label not in achieved:
-                    achieved[label] = OscillationWitness(label, None, fp)
-        if best is None or len(achieved) < best[0]:
-            best = (len(achieved), c_idx, achieved)
-    assert best is not None
-    _, _, achieved = best
+        candidates = [(r, outcome.witnesses[r].points) for r in sorted(outcome.witnesses)]
+    elif spec.kind == "constant":
+        candidates = [(canonical_coloring(ident, ell), ident)]
+    else:
+        # lengthening the first stem by a zero keeps the tuple valid and new,
+        # so this stops within len(table) steps
+        keys = {key for key, _ in spec.table}
+        miss = ident
+        while _fingerprint_key(miss) in keys:
+            miss = (Point(b, miss[0].stem + (0,), b - 1),) + miss[1:]
+        candidates = [(None, _key_points(b, key)) for key, _ in spec.table] + [(None, miss)]
+    labels: dict[int, OscillationWitness] = {}
+    for type_index, fp in candidates:
+        label = spec.color_of(fp)
+        if label not in labels:
+            if fp != ident:
+                tuple_to_factor(h, BoundaryTuple(b, k, fp))
+            labels[label] = OscillationWitness(label, type_index, fp)
     return OscillationReport(
-        "heuristic", spec.base, k, ell, tuple(sorted(achieved)),
-        tuple(achieved[c] for c in sorted(achieved)), False, n_candidates, budget,
+        "exact", b, k, ell, tuple(sorted(labels)),
+        tuple(labels[c] for c in sorted(labels)), spec.factors_through_types(), 1, budget,
     )
 
 

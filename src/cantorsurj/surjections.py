@@ -143,6 +143,8 @@ class Surjection(ABC):
             raise ValueError("base mismatch")
         if digits < 0:
             raise ValueError(f"digits must be nonnegative, got {digits}")
+        if digits > MATERIALIZE_LIMIT:
+            raise ValueError(f"{digits} digits requested; over limit {MATERIALIZE_LIMIT}")
         b = self.base
         if x.is_max:
             return Evaluation((b - 1,) * digits, max_point(b))

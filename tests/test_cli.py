@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import q
 from cantorsurj.cli import main
 from cantorsurj.experiments import QCopy
-from cantorsurj.intervals import ClopenInterval, Filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.surjections import compose, from_filtering, identity
 
@@ -165,6 +165,13 @@ def test_oscillation(capsys, files):
     assert code == 0 and got["regime"] == "exact" and got["guaranteed"]
 
 
+def test_oscillation_seed_is_optional_and_ignored(capsys, files):
+    spec = files("spec.json", dict(TABLE_SPEC, table={"00|0|10": 3}))
+    code, out, err = run(capsys, "oscillation", spec, "--eps", "0.3")
+    assert code == 0 and err == "" and json.loads(out)["labels"] == [1, 3]
+    assert run(capsys, "oscillation", spec, "--eps", "0.3", "--seed", "5") == (0, out, "")
+
+
 def test_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "42", "--only", "1,2")
     assert code == 0
@@ -280,6 +287,14 @@ def test_eval_negative_digits_exits_2(capsys, files):
     assert err == "error: digits must be nonnegative, got -3\n"
 
 
+def test_eval_digits_over_materialize_limit_exits_2(capsys, files):
+    surj = files("id.json", identity(2).to_json())
+    digits = str(MATERIALIZE_LIMIT + 1)
+    code, out, err = run(capsys, "eval", surj, "--point", json.dumps(q(0).to_json()), "--digits", digits)
+    assert code == 2 and out == ""
+    assert err == f"error: {digits} digits requested; over limit {MATERIALIZE_LIMIT}\n"
+
+
 TABLE_SPEC = {"b": 2, "k": 2, "colors": 4, "kind": "table", "default": 1}
 
 
@@ -325,6 +340,12 @@ _SPECS = [
     dict(TABLE_SPEC, table={"00|0|10": 3}),
     {"b": 2, "k": 2, "colors": 7, "kind": "constant", "value": 5},
 ]
+_POINT_LISTS = [
+    [p.to_json() for p in identity(2).fingerprint(2)],
+    [p.to_json() for p in identity(3).fingerprint(1)],
+    [q(0, 0).to_json(), q(1).to_json()],
+    {"points": [q(0).to_json(), q(1, 0).to_json()]},
+]
 _KEYS = ["b", "k", "stem", "tail", "kind", "boundaries", "depth", "outer", "inner", "surjection",
          "restrictions", "lo", "hi", "colors", "relabel", "table", "default", "value", "00|0|10"]
 
@@ -368,7 +389,27 @@ def payloads(seeds):
 
 @st.composite
 def cli_calls(draw):
-    verb = draw(st.sampled_from(["eval", "factor", "color-omega", "witness-omega", "oscillation"]))
+    verb = draw(st.sampled_from([
+        "eval", "factor", "color-omega", "witness-omega", "oscillation", "boundaries", "dist",
+        "compose", "type-of", "color-devlin", "search-type", "realize-all",
+    ]))
+    small = st.integers(-2, 3)
+    if verb in ("type-of", "color-devlin"):
+        return verb, [draw(payloads(_POINT_LISTS))], []
+    if verb in ("dist", "compose"):
+        files = [draw(payloads(_SURJECTIONS)), draw(payloads(_SURJECTIONS))]
+        cap = draw(st.none() | st.integers(-2, 12))
+        return verb, files, [] if verb == "compose" or cap is None else [f"--cap={cap}"]
+    if verb == "boundaries":
+        return verb, [draw(payloads(_SURJECTIONS))], [f"--depth={draw(small)}"]
+    if verb in ("search-type", "realize-all"):
+        flags = [f"--depth-cap={draw(small)}", f"--budget={draw(st.sampled_from([-1, 0, 200, 2_000]))}"]
+        if verb == "search-type":
+            levels = draw(st.sampled_from(["0", "0,1", "1,0,2", "", "x", "-1", "0,0", "0,1,2,3,4,5,6,7"]))
+            flags.append(f"--levels={levels}")
+        else:
+            flags.append(f"--k={draw(small)}")
+        return verb, [draw(payloads(_SURJECTIONS))], flags
     if verb == "eval":
         points = [q(0, 1).to_json(), Point(2, (1, 0), 0).to_json(), max_point(2).to_json(), q(2, base=3).to_json()]
         point = draw(st.one_of(st.sampled_from(points), st.sampled_from(points), mutated(points), json_values))
@@ -388,7 +429,7 @@ def cli_calls(draw):
     return verb, [draw(payloads(_SPECS))], [f"--eps={eps}", "--seed=0", f"--budget={budget}"]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(cli_calls())
 def test_cli_exit_contract_under_random_input(call):
     verb, contents, flags = call

@@ -7,6 +7,7 @@ from conftest import nested_maps, q
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
+    _fingerprint_key,
     _node_in_tree,
     build_witness,
     epsilon_parameters,
@@ -20,7 +21,7 @@ from cantorsurj.experiments import (
 )
 from cantorsurj.intervals import ClopenInterval, Filtering, child_bounds
 from cantorsurj.points import Node, Point, max_point, min_point
-from cantorsurj.randgen import derive_rng
+from cantorsurj.randgen import derive_rng, random_filtering
 from cantorsurj.surjections import (
     ChainSurjection,
     FilteringSurjection,
@@ -299,13 +300,49 @@ def test_oscillation_constant():
     assert rep.labels == (5,) and rep.guaranteed and rep.regime == "exact"
 
 
-def test_oscillation_heuristic_deterministic():
+def test_oscillation_table_labels_exact():
     spec = ColoringSpec(2, 2, 4, "table", table=(("00|0|10", 3),), constant=1)
-    a = oscillation_search(spec, Fraction(3, 10), budget=30_000, seed=11)
-    b = oscillation_search(spec, Fraction(3, 10), budget=30_000, seed=11)
-    assert a.regime == "heuristic" and not a.guaranteed
-    assert a.to_json() == b.to_json()
-    assert 1 in a.labels  # the default label shows up once tables run dry
+    rep = oscillation_search(spec, Fraction(3, 10))
+    assert rep.regime == "exact" and not rep.guaranteed and rep.candidates_tried == 1
+    assert rep.labels == (1, 3)
+    default = rep.witnesses[0]
+    assert default.label == 1 and default.type_index is None
+    # the identity's fingerprint is the key, so its first stem grows by a zero
+    assert _fingerprint_key(default.points) == "000|0|10"
+    assert rep.to_json() == oscillation_search(spec, Fraction(3, 10)).to_json()
+
+
+def test_oscillation_table_key_off_the_identity_is_reached():
+    spec = ColoringSpec(2, 2, 4, "table", table=(("0000000|0010000|1100000", 3),), constant=1)
+    rep = oscillation_search(spec, Fraction(3, 10))
+    assert rep.labels == (1, 3)
+    assert _fingerprint_key(rep.witnesses[1].points) == "0000000|0010000|1100000"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(1, 5),
+)
+def test_oscillation_table_labels_are_default_and_key_labels(base, k, seed, n_keys, with_identity, colors):
+    rng = derive_rng(seed, "table-keys")
+    e = identity(base)
+    fps = [from_filtering(random_filtering(rng, base, rng.randint(0, 3))).fingerprint(k) for _ in range(n_keys)]
+    if with_identity:
+        fps.append(e.fingerprint(k))
+    table = {_fingerprint_key(fp): rng.randrange(colors) for fp in fps}
+    default = rng.randrange(colors)
+    spec = ColoringSpec(base, k, colors, "table", table=tuple(sorted(table.items())), constant=default)
+    rep = oscillation_search(spec, Fraction(1, 2 ** (k - 1)))
+    assert set(rep.labels) == {default} | set(table.values())
+    assert [w.label for w in rep.witnesses] == list(rep.labels)
+    for w in rep.witnesses:
+        f = tuple_to_factor(e, BoundaryTuple(base, k, w.points))
+        assert spec.color_of(compose(f, e).fingerprint(k)) == w.label
 
 
 def test_oscillation_depth_mismatch():
