@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .experiments import (
     ColoringSpec,
@@ -107,7 +108,11 @@ def _point_arg(text: str) -> Point:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # streamed in batches of chunks: a large answer is never one string
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    for batch in iter(lambda: list(islice(chunks, 1 << 14)), []):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _levels_arg(text: str) -> TreeType:

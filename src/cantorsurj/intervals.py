@@ -10,8 +10,10 @@ The greedy rule, per cell [lo, hi]: the next division point is the q-point
 (eventually-max point) strictly between the previous pick and hi that has the
 shortest stem, ties broken lexicographically.  The rule is deterministic and
 reproduces the standard cylinder partition when started from the whole space.
-It is computed in closed form from the first digit where the previous pick
-and hi differ (least_q_point_between), with no search over stems.
+Each pick is in closed form (least_q_point_between), and so are a cell's
+b-1 picks together, from the one first digit where lo and hi differ
+(canonical_split_maxima).  A greedy level is built in one pass over the
+level above, carrying each cell minimum as a stem (Filtering.boundary_tuple).
 """
 
 from __future__ import annotations
@@ -237,18 +239,42 @@ def least_q_point_between(lower: Point, hi: Point) -> Point:
 
 
 def canonical_split_maxima(cell: ClopenInterval) -> tuple[Point, ...]:
-    """The b-1 greedy division points of a cell.
+    """The b-1 greedy division points of a cell, in closed form.
 
-    Pick p is the (stem-length, lex)-least q-point strictly between pick p-1
-    (the cell minimum for p = 0) and the cell maximum, each computed in
-    closed form by least_q_point_between.
+    Pick p is least_q_point_between(pick p-1, hi), with pick -1 the cell
+    minimum lo.  With n the first index where lo and hi differ, pick 0 is
+    hi[:n] lo[n] top^w (that function's first case: lo is eventually 0).
+    Every pick has the shape hi[:n] l top^w with l < hi[n], so its first
+    difference with hi is n and its stem has length <= n+1; the next pick is
+    the second case, hi[:n] (l+1) top^w, when l+1 < hi[n], else the third,
+    hi[:m] 0 top^w with m > n the next index where hi has a nonzero digit:
+    the same shape with (n, l) = (m, 0).  hi is eventually top >= 1, so m
+    exists and no successor pair arises.
     """
-    b = cell.base
-    picks: list[Point] = []
-    prev = cell.lo
-    for _ in range(b - 1):
-        prev = least_q_point_between(prev, cell.hi)
-        picks.append(prev)
+    return _greedy_picks(cell.base, cell.lo.stem, cell.hi)
+
+
+def _greedy_picks(b: int, lo: tuple[int, ...], hi: Point) -> tuple[Point, ...]:
+    """canonical_split_maxima of the cell [lo 0^w, hi], given lo's stem."""
+    top = b - 1
+    if hi.tail != top:
+        raise ValueError(f"interval maximum must be eventually max-digit, got {hi}")
+    n = 0
+    while (lo[n] if n < len(lo) else 0) == hi.digit(n):
+        n += 1
+    l, h = (lo[n] if n < len(lo) else 0), hi.digit(n)
+    if l > h:
+        raise ValueError(f"empty interval: {Point(b, lo, 0)} >= {hi}")
+    picks = [Point(b, hi.prefix(n) + (l,), top)]
+    while len(picks) < top:
+        if l + 1 < h:
+            l += 1
+        else:
+            n += 1
+            while not hi.digit(n):
+                n += 1
+            l, h = 0, hi.digit(n)
+        picks.append(Point(b, hi.prefix(n) + (l,), top))
     return tuple(picks)
 
 
@@ -257,16 +283,16 @@ class Filtering:
 
     levels[j] holds the depth-(j+1) boundary tuple: the b^(j+1) - 1 cell
     maxima except the global maximum.  Instances are immutable in value;
-    internal memo tables only cache the deterministic extension, so sharing
-    across threads is safe and extension is idempotent.
+    three memo tables (cells and child maxima by word, greedy levels by
+    depth) only cache the deterministic extension, so sharing across
+    threads is safe and extension is idempotent.
     """
 
-    __slots__ = ("base", "levels", "_split_memo", "_cell_memo", "_word_splits", "_level_memo")
+    __slots__ = ("base", "levels", "_cell_memo", "_word_splits", "_level_memo")
 
     def __init__(self, base: int, levels: tuple[tuple[Point, ...], ...] = ()):
         self.base = base
         self.levels = tuple(tuple(level) for level in levels)
-        self._split_memo: dict[ClopenInterval, tuple[Point, ...]] = {}
         self._cell_memo: dict[tuple[int, ...], ClopenInterval] = {}
         self._word_splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
         self._level_memo: dict[int, tuple[Point, ...]] = {}
@@ -287,13 +313,6 @@ class Filtering:
         return f"Filtering(b={self.base}, support={self.support})"
 
     # -- cells ---------------------------------------------------------
-
-    def _canonical_splits(self, cell: ClopenInterval) -> tuple[Point, ...]:
-        got = self._split_memo.get(cell)
-        if got is None:
-            got = canonical_split_maxima(cell)
-            self._split_memo[cell] = got
-        return got
 
     def cell(self, word: tuple[int, ...]) -> ClopenInterval:
         """The depth-len(word) cell at this word's lex position."""
@@ -316,7 +335,7 @@ class Filtering:
             return level[r * self.base : r * self.base + self.base - 1]
         got = self._word_splits.get(word)
         if got is None:
-            got = self._canonical_splits(self.cell(word))
+            got = canonical_split_maxima(self.cell(word))
             self._word_splits[word] = got
         return got
 
@@ -348,15 +367,16 @@ class Filtering:
             return self.levels[depth - 1]
         got = self._level_memo.get(depth)
         if got is None:
-            prev = self.boundary_tuple(depth - 1)
-            out: list[Point] = []
-            lo = min_point(self.base)
-            for r in range(self.base ** (depth - 1)):
-                hi = prev[r] if r < len(prev) else max_point(self.base)
-                out.extend(self._canonical_splits(ClopenInterval(lo, hi)))
-                if r < len(prev):
-                    out.append(hi)
-                    lo = interval_successor(hi)
+            # one pass: the next cell's minimum is carried as the stem of
+            # interval_successor(previous maximum), tail 0
+            b, out, lo = self.base, [], ()
+            for hi in self.boundary_tuple(depth - 1):
+                out += _greedy_picks(b, lo, hi)
+                out.append(hi)
+                if not hi.stem:
+                    raise ValueError("the top point has no successor")
+                lo = hi.stem[:-1] + (hi.stem[-1] + 1,)
+            out += _greedy_picks(b, lo, max_point(b))
             got = self._level_memo[depth] = tuple(out)
         return got
 

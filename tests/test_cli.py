@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import q
-from cantorsurj.cli import main
+from cantorsurj.cli import _emit, main
 from cantorsurj.experiments import QCopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
@@ -32,6 +32,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": [], "b": {}, "c": [[], {}, {"z": [1, {"y": []}]}]},
+        [],
+        {},
+        list(range(40_000)),  # more chunks than one write batch
+    ],
+    ids=["nested-empties", "empty-list", "empty-dict", "many-batches"],
+)
+def test_emit_matches_json_dumps(capsys, obj):
+    _emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@given(JSON_VALUES)
+def test_emit_matches_json_dumps_random(obj):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_tangent(capsys):

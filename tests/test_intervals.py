@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import filterings, q
 from cantorsurj.intervals import (
@@ -46,6 +46,69 @@ def test_canonical_split_maxima():
         Point(3, (1,), 2),
     )
     assert canonical_split_maxima(ClopenInterval(min_point(2), q(0))) == (q(0, 0),)
+
+
+def reference_canonical_split_maxima(cell):
+    """The loop the closed form replaced: b-1 calls of least_q_point_between,
+    each from the previous pick."""
+    picks, prev = [], cell.lo
+    for _ in range(cell.base - 1):
+        prev = least_q_point_between(prev, cell.hi)
+        picks.append(prev)
+    return tuple(picks)
+
+
+@st.composite
+def cells(draw):
+    """Cells of bases 2-5 whose maximum's stem has runs of zeros, and whose
+    minimum often shares a prefix with it."""
+    b = draw(st.integers(2, 5))
+    digit = st.integers(0, b - 1)
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), digit), max_size=4))
+    hi = Point(b, tuple(x for zeros, d in runs for x in (0,) * zeros + (d,)), b - 1)
+    shared = draw(st.integers(0, len(hi.stem)))
+    lo = Point(b, hi.stem[:shared] + tuple(draw(st.lists(digit, max_size=5))), 0)
+    assume(lo < hi)
+    return ClopenInterval(lo, hi)
+
+
+@settings(max_examples=500)
+@given(cells())
+def test_canonical_split_matches_least_q_point_loop(cell):
+    assert canonical_split_maxima(cell) == reference_canonical_split_maxima(cell)
+
+
+def reference_boundary_tuple(f, depth):
+    """The per-cell level builder the one-pass walk replaced: one
+    ClopenInterval per cell of the level above, split by the reference loop."""
+    if depth <= f.support:
+        return f.boundary_tuple(depth)
+    prev, out, lo = reference_boundary_tuple(f, depth - 1), [], min_point(f.base)
+    for r in range(f.base ** (depth - 1)):
+        hi = prev[r] if r < len(prev) else max_point(f.base)
+        out.extend(reference_canonical_split_maxima(ClopenInterval(lo, hi)))
+        if r < len(prev):
+            out.append(hi)
+            lo = interval_successor(hi)
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filterings())
+def test_boundary_tuple_matches_cell_loop_and_entries(f):
+    entries = Filtering(f.base, f.levels)  # warmed only through entry look-ups
+    for d in range(f.support + 4):
+        level = f.boundary_tuple(d)
+        assert level == reference_boundary_tuple(f, d)
+        assert level == tuple(entries.boundary_entry(d, i) for i in range(f.base**d - 1))
+
+
+def test_boundary_tuple_refuses_out_of_order_level():
+    # unvalidated: the depth-2 level swaps its first two entries
+    f = Filtering(2, ((q(0),), (q(0), q(0, 0), q(1, 0))))
+    for _ in range(2):  # a refused level is not memoized either
+        with pytest.raises(ValueError, match="empty interval"):
+            f.boundary_tuple(f.support + 1)
 
 
 def test_least_q_point_between_goldens():
