@@ -309,11 +309,13 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = {int(t) for t in args.only.split(",") if t.strip() != ""}
         except ValueError as exc:
             raise BadInput(f"--only: {exc}") from exc
+        if not only:
+            raise BadInput("--only: no checks selected")
         unknown = only - set(range(1, 10))
         if unknown:
             raise BadInput(f"--only: no such checks {sorted(unknown)}")
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the seeded verification suite")
     sp.add_argument("--seed", required=True)
-    sp.add_argument("--only", default="", help="comma-separated check indices")
+    sp.add_argument("--only", default=None, help="comma-separated check indices")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 

@@ -217,6 +217,8 @@ def find_cell_within(
         return ()
     rl = rh = 0  # ranks of the two chains' cells within their depth
     chains = zip(range(1, depth_bound + 1), cell_chain(h, lo), cell_chain(h, hi))
+    # cell ends come as stems; lo's tail is 0 and hi's is b-1, as the cells'
+    lo, hi = lo.stem, hi.stem
     for d, (wl, alo, ahi), (wh, _, bhi) in chains:
         rl = rl * b + wl[-1]
         rh = rh * b + wh[-1]

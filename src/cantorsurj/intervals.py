@@ -13,7 +13,9 @@ reproduces the standard cylinder partition when started from the whole space.
 Each pick is in closed form (least_q_point_between), and so are a cell's
 b-1 picks together, from the one first digit where lo and hi differ
 (canonical_split_maxima).  A greedy level is built in one pass over the
-level above, carrying each cell minimum as a stem (Filtering.boundary_tuple).
+level above, carrying each cell minimum as a stem (Filtering.boundary_tuple),
+and kept in a filtering's one memo table.  A single cell, cell maximum or
+cell chain is read by a stateless descent on end stems instead (Filtering).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "validate_filtering",
     "least_q_point_between",
     "canonical_split_maxima",
+    "entry_word",
     "MATERIALIZE_LIMIT",
 ]
 
@@ -180,31 +183,33 @@ def partition_from_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> D
     return DepthPartition(base, depth, tuple(cells))
 
 
-def child_bounds(
-    splits: tuple[Point, ...], lo: Point, hi: Point, digit: int
-) -> tuple[Point, Point]:
-    """Ends of child `digit` of the cell [lo, hi] whose division points are
-    `splits` (the b-1 maxima of all children but the last)."""
-    return (
-        lo if digit == 0 else interval_successor(splits[digit - 1]),
-        splits[digit] if digit < len(splits) else hi,
-    )
-
-
 def cell_chain(tree, x: Point):
     """The cells containing x, one level down at a time.
 
-    `tree` is anything with `base` and `child_maxima(word)`: a Filtering or
-    a Surjection.  Yields (word, lo, hi) for depths 1, 2, ... without end;
-    the child is found by bisecting the parent's division points, so under
-    the right-closed convention a division point stays in the lower cell.
+    `tree` is a Filtering or a Surjection: anything with `base`, `support`
+    and `child_maxima(word)`.  Yields (word, lo, hi) for depths 1, 2, ...
+    without end, lo and hi being the stems of the cell's ends (lo's tail is
+    0, hi's is b-1).  From the support on, a cell's division points are its
+    greedy picks (_pick_stems); above it they are the tree's child maxima.
+    A division point s top^w is at least x exactly when x's first |s| digits
+    are at most s, so under the right-closed convention a division point
+    stays in the lower cell.
     """
+    top, s = tree.base - 1, tree.support
     word: tuple[int, ...] = ()
-    lo, hi = min_point(tree.base), max_point(tree.base)
+    lo: tuple[int, ...] = ()
+    hi: tuple[int, ...] = ()
+    n = 0  # lo and hi agree on their first n digits
     while True:
-        splits = tree.child_maxima(word)
-        i = bisect_left(splits, x)
-        lo, hi = child_bounds(splits, lo, hi, i)
+        if len(word) < s:
+            picks = [_max_stem(p, top) for p in tree.child_maxima(word)]
+        else:
+            picks = _pick_stems(top, lo, hi, n)
+            n = len(picks[0])
+        i = 0
+        while i < top and x.prefix(len(picks[i])) > picks[i]:
+            i += 1
+        lo, hi = _child_stems(top, lo, hi, picks, i)
         word += (i,)
         yield word, lo, hi
 
@@ -251,31 +256,78 @@ def canonical_split_maxima(cell: ClopenInterval) -> tuple[Point, ...]:
     the same shape with (n, l) = (m, 0).  hi is eventually top >= 1, so m
     exists and no successor pair arises.
     """
-    return _greedy_picks(cell.base, cell.lo.stem, cell.hi)
+    top = cell.base - 1
+    return tuple(Point(cell.base, s, top) for s in _pick_stems(top, cell.lo.stem, cell.hi.stem))
 
 
-def _greedy_picks(b: int, lo: tuple[int, ...], hi: Point) -> tuple[Point, ...]:
-    """canonical_split_maxima of the cell [lo 0^w, hi], given lo's stem."""
-    top = b - 1
-    if hi.tail != top:
-        raise ValueError(f"interval maximum must be eventually max-digit, got {hi}")
-    n = 0
-    while (lo[n] if n < len(lo) else 0) == hi.digit(n):
+def _pick_stems(
+    top: int, lo: tuple[int, ...], hi: tuple[int, ...], n: int = 0
+) -> list[tuple[int, ...]]:
+    """Stems of the b-1 greedy picks of the cell [lo 0^w, hi top^w], each
+    pick being its stem followed by top^w (canonical_split_maxima's rule),
+    given that lo and hi agree on their first n digits.  Pick 0 has length
+    n'+1, n' the first index where they differ; the ends of every child
+    agree on their first n'+1 digits, as it lies in a cylinder that long."""
+    k, m = len(hi), len(lo)
+    while (lo[n] if n < m else 0) == (hi[n] if n < k else top):
         n += 1
-    l, h = (lo[n] if n < len(lo) else 0), hi.digit(n)
+    l, h = (lo[n] if n < m else 0), (hi[n] if n < k else top)
     if l > h:
-        raise ValueError(f"empty interval: {Point(b, lo, 0)} >= {hi}")
-    picks = [Point(b, hi.prefix(n) + (l,), top)]
-    while len(picks) < top:
+        raise ValueError(f"empty interval: {Point(top + 1, lo, 0)} >= {Point(top + 1, hi, top)}")
+    c = hi[:n] if n <= k else hi + (top,) * (n - k)
+    picks = [c + (l,)]
+    for _ in range(top - 1):
         if l + 1 < h:
             l += 1
         else:
             n += 1
-            while not hi.digit(n):
+            while n < k and not hi[n]:
                 n += 1
-            l, h = 0, hi.digit(n)
-        picks.append(Point(b, hi.prefix(n) + (l,), top))
-    return tuple(picks)
+            l, h = 0, (hi[n] if n < k else top)
+            c = hi[:n] if n <= k else hi + (top,) * (n - k)
+        picks.append(c + (l,))
+    return picks
+
+
+def _child_stems(
+    top: int, lo: tuple[int, ...], hi: tuple[int, ...], picks: list[tuple[int, ...]], digit: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """End stems of child `digit` of the cell [lo 0^w, hi top^w] divided at
+    the points pick top^w: the successor of the pick before it, and its own
+    pick.  Greedy children's ends agree on their first len(picks[0]) digits."""
+    return (_successor_stem(picks[digit - 1]) if digit else lo), (picks[digit] if digit < top else hi)
+
+
+def _max_stem(p: Point, top: int) -> tuple[int, ...]:
+    """Stem of a cell maximum p = stem top^w; any other tail is refused."""
+    if p.tail != top:
+        raise ValueError(f"interval maximum must be eventually max-digit, got {p}")
+    return p.stem
+
+
+def entry_word(base: int, depth: int, index: int) -> tuple[int, ...]:
+    """The word whose cell maximum is entry `index` of the depth-`depth`
+    boundary tuple."""
+    if not 1 <= depth:
+        raise ValueError("boundary tuples exist for depth >= 1")
+    if not 0 <= index < base**depth - 1:
+        raise ValueError(f"index {index} out of range at depth {depth}")
+    return rank_word(index, depth, base)
+
+
+def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
+    """Stem of interval_successor(stem top^w), whose tail is 0."""
+    if not stem:
+        raise ValueError("the top point has no successor")
+    return stem[:-1] + (stem[-1] + 1,)
+
+
+def _strip(word: tuple[int, ...], digit: int) -> tuple[int, ...]:
+    """The stem of word digit^w: word without its trailing `digit`s."""
+    k = len(word)
+    while k and word[k - 1] == digit:
+        k -= 1
+    return word[:k]
 
 
 class Filtering:
@@ -283,23 +335,33 @@ class Filtering:
 
     levels[j] holds the depth-(j+1) boundary tuple: the b^(j+1) - 1 cell
     maxima except the global maximum.  Instances are immutable in value;
-    three memo tables (cells and child maxima by word, greedy levels by
-    depth) only cache the deterministic extension, so sharing across
-    threads is safe and extension is idempotent.
+    one memo table (greedy levels by depth) only caches the deterministic
+    extension, so sharing across threads is safe and extension is
+    idempotent.
+
+    A single cell below the support is reached by a stateless descent on
+    end stems from the stored depth-s cell (_cell_stems), unless cell_max
+    finds its level in the table.  With n the first index where the ends lo < hi differ,
+    c = hi[:n] and l = lo[n] < h = hi[n], the greedy picks are c j top^w
+    for l <= j < h and then, while picks remain, hi[:m] j top^w for j
+    below hi[m] at the later indices m where hi has a nonzero digit
+    (canonical_split_maxima).  So every child is one of three kinds:
+    child 0, [lo, c l top^w], is the suffix of the cylinder [c l] from lo;
+    a child between two consecutive picks is a full cylinder ([c j], or
+    [hi[:m] j], the first of these being [c h 0^(m-n-1)] = [hi[:m] 0]);
+    and the last child, [successor of the last pick, hi], is a prefix of
+    [c h] up to hi, less the full cylinders cut off before it.  A full
+    cylinder [v] splits into [v 0], ..., [v top], so its descendant at
+    word w is [v w] and the descent ends there in closed form.
     """
 
-    __slots__ = ("base", "levels", "_cell_memo", "_word_splits", "_level_memo")
+    __slots__ = ("base", "levels", "support", "_level_memo")
 
     def __init__(self, base: int, levels: tuple[tuple[Point, ...], ...] = ()):
         self.base = base
         self.levels = tuple(tuple(level) for level in levels)
-        self._cell_memo: dict[tuple[int, ...], ClopenInterval] = {}
-        self._word_splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
+        self.support = len(self.levels)
         self._level_memo: dict[int, tuple[Point, ...]] = {}
-
-    @property
-    def support(self) -> int:
-        return len(self.levels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Filtering):
@@ -314,46 +376,51 @@ class Filtering:
 
     # -- cells ---------------------------------------------------------
 
+    def _cell_stems(self, word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Stems of the ends of the cell at `word`: lo (tail 0), hi (tail top)."""
+        s, top = self.support, self.base - 1
+        stored, lo, hi = word[:s], (), ()
+        if stored:
+            level, r = self.levels[len(stored) - 1], word_rank(stored, self.base)
+            lo = _successor_stem(_max_stem(level[r - 1], top)) if r else ()
+            hi = _max_stem(level[r], top) if r < len(level) else ()
+        n = 0  # lo and hi agree on their first n digits
+        for j in range(s, len(word)):
+            picks = _pick_stems(top, lo, hi, n)
+            n = len(picks[0])
+            if len(lo) < n and len(hi) < n:
+                # the full cylinder [v], v = lo 0^w and hi top^w cut at n-1
+                v = hi + (top,) * (n - 1 - len(hi)) + word[j:]
+                return _strip(v, 0), _strip(v, top)
+            lo, hi = _child_stems(top, lo, hi, picks, word[j])
+        return lo, hi
+
     def cell(self, word: tuple[int, ...]) -> ClopenInterval:
         """The depth-len(word) cell at this word's lex position."""
-        if not word:
-            return ClopenInterval.whole(self.base)
-        got = self._cell_memo.get(word)
-        if got is None:
-            parent = self.cell(word[:-1])
-            splits = self.child_maxima(word[:-1])
-            got = ClopenInterval(*child_bounds(splits, parent.lo, parent.hi, word[-1]))
-            self._cell_memo[word] = got
-        return got
+        lo, hi = self._cell_stems(word)
+        return ClopenInterval(Point(self.base, lo, 0), Point(self.base, hi, self.base - 1))
+
+    def cell_max(self, word: tuple[int, ...]) -> Point:
+        """Maximum of cell(word), the top point for the last cell of a depth."""
+        b, d = self.base, len(word)
+        if d > self.support and d not in self._level_memo:
+            return Point(b, self._cell_stems(word)[1], b - 1)
+        level, r = self.boundary_tuple(d), word_rank(word, b)
+        return level[r] if r < len(level) else max_point(b)
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         """The b-1 division points of cell(word) one level down."""
-        d = len(word)
+        b, d = self.base, len(word)
         if d < self.support:
-            level = self.levels[d]
-            r = word_rank(word, self.base)
-            return level[r * self.base : r * self.base + self.base - 1]
-        got = self._word_splits.get(word)
-        if got is None:
-            got = canonical_split_maxima(self.cell(word))
-            self._word_splits[word] = got
-        return got
+            r = word_rank(word, b)
+            return self.levels[d][r * b : r * b + b - 1]
+        return tuple(Point(b, s, b - 1) for s in _pick_stems(b - 1, *self._cell_stems(word)))
 
     # -- boundary tuples -----------------------------------------------
 
     def boundary_entry(self, depth: int, index: int) -> Point:
         """Entry of the depth-d boundary tuple without materializing it."""
-        if not 1 <= depth:
-            raise ValueError("boundary tuples exist for depth >= 1")
-        if not 0 <= index < self.base**depth - 1:
-            raise ValueError(f"index {index} out of range at depth {depth}")
-        if depth <= self.support:
-            return self.levels[depth - 1][index]
-        r, p = divmod(index, self.base)
-        if p == self.base - 1:
-            # position b*r + b-1 carries the depth-(d-1) maximum unchanged
-            return self.boundary_entry(depth - 1, r)
-        return self.child_maxima(rank_word(r, depth - 1, self.base))[p]
+        return self.cell_max(entry_word(self.base, depth, index))
 
     def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
         if depth < 0:
@@ -367,16 +434,14 @@ class Filtering:
             return self.levels[depth - 1]
         got = self._level_memo.get(depth)
         if got is None:
-            # one pass: the next cell's minimum is carried as the stem of
-            # interval_successor(previous maximum), tail 0
-            b, out, lo = self.base, [], ()
+            # one pass: the next cell's minimum is carried as a stem
+            b, top, out, lo = self.base, self.base - 1, [], ()
             for hi in self.boundary_tuple(depth - 1):
-                out += _greedy_picks(b, lo, hi)
+                stem = _max_stem(hi, top)
+                out += [Point(b, s, top) for s in _pick_stems(top, lo, stem)]
                 out.append(hi)
-                if not hi.stem:
-                    raise ValueError("the top point has no successor")
-                lo = hi.stem[:-1] + (hi.stem[-1] + 1,)
-            out += _greedy_picks(b, lo, max_point(b))
+                lo = _successor_stem(stem)
+            out += [Point(b, s, top) for s in _pick_stems(top, lo, ())]
             got = self._level_memo[depth] = tuple(out)
         return got
 

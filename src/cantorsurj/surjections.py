@@ -2,10 +2,12 @@
 
 A surjection is represented by its system of cell preimages: the depth-d
 boundary tuple lists the maxima of the b^d preimage cells (except the global
-maximum).  Everything here is driven by one primitive, boundary_entry(d, i),
-so a surjection backed by explicit filtering data and a lazy composition
-chain share all derived operations: evaluation, preimages, distance,
-factorization.
+maximum).  Each representation, explicit filtering data or a lazy
+composition chain, gives two primitives: the word-keyed cell maximum
+cell_max(word), which is boundary_entry(d, i) at the depth-d word of rank i,
+and a whole level; a chain's level is the outer's level pulled in bulk
+through the inner map's preimage_max.  Both share all derived operations:
+evaluation, preimages, distance, factorization.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
@@ -36,10 +38,11 @@ from .intervals import (
     MATERIALIZE_LIMIT,
     Filtering,
     cell_chain,
+    entry_word,
     validate_filtering,
     validate_level,
 )
-from .points import Dyadic, Point, json_int, max_point, min_point, word_rank
+from .points import Dyadic, Point, json_int, max_point, min_point
 
 __all__ = [
     "Surjection",
@@ -106,16 +109,22 @@ class Surjection(ABC):
     support: int  # every cell at this depth or deeper splits greedily
 
     @abstractmethod
-    def boundary_entry(self, depth: int, index: int) -> Point:
-        """Entry `index` of the depth-`depth` boundary tuple."""
+    def cell_max(self, word: tuple[int, ...]) -> Point:
+        """Maximum of the preimage cell at `word`, of any length: the
+        depth-len(word) boundary entry at word's rank, or the top point."""
+
+    @abstractmethod
+    def _level(self, depth: int) -> tuple[Point, ...]:
+        """The whole depth-`depth` boundary tuple; fingerprint checks depth."""
 
     # -- derived cell geometry -----------------------------------------
 
+    def boundary_entry(self, depth: int, index: int) -> Point:
+        """Entry `index` of the depth-`depth` boundary tuple."""
+        return self.cell_max(entry_word(self.base, depth, index))
+
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        b = self.base
-        d = len(word)
-        r = word_rank(word, b)
-        return tuple(self.boundary_entry(d + 1, r * b + p) for p in range(b - 1))
+        return tuple(self.cell_max(word + (p,)) for p in range(self.base - 1))
 
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
         """All cell maxima down to `depth`, sorted, without the top point.
@@ -128,7 +137,7 @@ class Surjection(ABC):
         count = self.base**depth - 1
         if count > MATERIALIZE_LIMIT:
             raise ValueError(f"depth {depth} fingerprint has {count} entries; over limit")
-        return tuple(self.boundary_entry(depth, i) for i in range(count))
+        return self._level(depth)
 
     def boundary_tuple(self, depth: int) -> BoundaryTuple:
         return BoundaryTuple(self.base, depth, self.fingerprint(depth))
@@ -150,27 +159,28 @@ class Surjection(ABC):
             return Evaluation((b - 1,) * digits, max_point(b))
         if x.is_min:
             return Evaluation((0,) * digits, min_point(b))
+        # cell ends are compared as stems: hi has tail b-1, lo tail 0
+        stem, at_hi, at_lo = x.stem, x.tail == b - 1, x.tail == 0
         word: tuple[int, ...] = ()
         for _, (word, lo, hi) in zip(range(digits), cell_chain(self, x)):
-            if x == hi:
+            if at_hi and stem == hi:
                 y = Point(b, word, b - 1)
                 return Evaluation(y.prefix(digits), y)
-            if x == lo:
+            if at_lo and stem == lo:
                 y = Point(b, word, 0)
                 return Evaluation(y.prefix(digits), y)
         return Evaluation(word, None)
 
     def preimage_max(self, y: Point) -> Point:
         """Maximum of the preimage of the lower set {x : x <= y}, for y an
-        eventually-max point.  Equals the relevant preimage-cell maximum."""
+        eventually-max point.  Equals the preimage-cell maximum at y's stem."""
         if y.base != self.base:
             raise ValueError("base mismatch")
         if y.tail != y.base - 1:
             raise ValueError(f"preimage_max needs an eventually-max point, got {y}")
         if y.is_max:
             return y
-        depth = len(y.stem)
-        return self.boundary_entry(depth, word_rank(y.stem, self.base))
+        return self.cell_max(y.stem)
 
     @abstractmethod
     def to_json(self) -> dict: ...
@@ -186,13 +196,13 @@ class FilteringSurjection(Surjection):
         self.filtering = filtering
         self.support = filtering.support
 
-    def boundary_entry(self, depth: int, index: int) -> Point:
-        return self.filtering.boundary_entry(depth, index)
+    def cell_max(self, word: tuple[int, ...]) -> Point:
+        return self.filtering.cell_max(word)
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         return self.filtering.child_maxima(word)
 
-    def fingerprint(self, depth: int) -> tuple[Point, ...]:
+    def _level(self, depth: int) -> tuple[Point, ...]:
         return self.filtering.boundary_tuple(depth)
 
     def to_json(self) -> dict:
@@ -208,8 +218,8 @@ class ChainSurjection(Surjection):
     """outer o inner, evaluated lazily and exactly.
 
     The depth-d preimage cells of the composite are the inner-preimages of
-    the outer's cells, so each boundary entry is one preimage_max pull of the
-    outer's entry through the inner map.
+    the outer's cells, so each cell maximum is one preimage_max pull of the
+    outer's cell maximum through the inner map, memoized per distinct one.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -251,27 +261,28 @@ class ChainSurjection(Surjection):
         self.outer = outer
         self.inner = inner
         self.support = outer.support + inner.support
-        self._memo: dict[Point, Point] = {}
+        self._memo: dict[tuple[int, ...], Point] = {}
         self._splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
 
-    def boundary_entry(self, depth: int, index: int) -> Point:
-        y = self.outer.boundary_entry(depth, index)
-        got = self._memo.get(y)
+    def _pull(self, y: Point) -> Point:
+        # one inner preimage_max per distinct outer cell maximum
+        got = self._memo.get(y.stem)
         if got is None:
-            got = self.inner.preimage_max(y)
-            self._memo[y] = got
+            got = self._memo[y.stem] = self.inner.preimage_max(y)
         return got
+
+    def cell_max(self, word: tuple[int, ...]) -> Point:
+        return self._pull(self.outer.cell_max(word))
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         got = self._splits.get(word)
         if got is None:
-            got = Surjection.child_maxima(self, word)
-            self._splits[word] = got
+            got = self._splits[word] = Surjection.child_maxima(self, word)
         return got
 
-    def preimage_max(self, y: Point) -> Point:
-        # pulling back through the chain composes the pullbacks
-        return self.inner.preimage_max(self.outer.preimage_max(y))
+    def _level(self, depth: int) -> tuple[Point, ...]:
+        # the outer's whole level, pulled in bulk through the inner map
+        return tuple(map(self._pull, self.outer.fingerprint(depth)))
 
     def to_json(self) -> dict:
         return {

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from cantorsurj.points import Point
+from cantorsurj.points import Point, interval_successor
 from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.surjections import compose, from_filtering
 
@@ -10,6 +10,15 @@ from cantorsurj.surjections import compose, from_filtering
 def q(*stem, base=2):
     """Interior eventually-max point with the given stem."""
     return Point(base, tuple(stem), base - 1)
+
+
+def child_bounds(splits, lo, hi, digit):
+    """Ends of child `digit` of the cell [lo, hi] whose division points are
+    `splits` (the b-1 maxima of all children but the last)."""
+    return (
+        lo if digit == 0 else interval_successor(splits[digit - 1]),
+        splits[digit] if digit < len(splits) else hi,
+    )
 
 
 @st.composite

@@ -6,9 +6,10 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import q
 from cantorsurj.cli import _emit, main
@@ -472,7 +473,11 @@ def test_cli_exit_contract_under_random_input(call):
             paths.append(str(path))
         with redirect_stdout(out), redirect_stderr(err):
             code = main([verb, *paths, *flags])
-    out, err = out.getvalue(), err.getvalue()
+    assert_exit_contract(code, out.getvalue(), err.getvalue())
+
+
+def assert_exit_contract(code, out, err):
+    """0; 1 with a JSON object on stdout; or 2 with one line on stderr."""
     if code == 0:
         assert err == ""
     elif code == 1:
@@ -480,6 +485,51 @@ def test_cli_exit_contract_under_random_input(call):
     else:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _no_checks(*args):
+    raise AssertionError("a verify check ran")
+
+
+@st.composite
+def malformed_only(draw):
+    """--only values that select no valid check set: blank, or holding at
+    least one token that is no integer or names no check."""
+    good = draw(st.lists(st.integers(1, 9).map(str), max_size=3))
+    junk = st.text(alphabet="x-._/ ", min_size=1, max_size=3).filter(str.strip)
+    bad = draw(st.lists(junk | st.sampled_from(["0", "10", "-1", "1.5", "99"]), min_size=1 if good else 0, max_size=3))
+    blanks = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    return ",".join(draw(st.permutations(good + bad + blanks)))
+
+
+@st.composite
+def fileless_calls(draw):
+    """tangent and types with random integers; verify with a malformed --only."""
+    verb = draw(st.sampled_from(["tangent", "types", "verify"]))
+    if verb == "verify":
+        return [verb, "--seed", "42", f"--only={draw(malformed_only())}"]
+    n = draw(st.integers() | st.integers(-2, 40))
+    # the one slow valid value: 353,792 similarity types of six leaves
+    assume(verb == "tangent" or n != 6)
+    return [verb, str(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fileless_calls())
+def test_cli_exit_contract_for_verbs_without_files(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with patch("cantorsurj.verify.run_suite", _no_checks), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert_exit_contract(code, out.getvalue(), err.getvalue())
+    if argv[0] == "verify":
+        assert code == 2
+
+
+@pytest.mark.parametrize("only", [",", " ", "", " , ,"])
+def test_verify_empty_only_exits_2_before_any_check(capsys, only):
+    with patch("cantorsurj.verify.run_suite", _no_checks):
+        got = run(capsys, "verify", "--seed", "42", "--only", only)
+    assert got == (2, "", "error: --only: no checks selected\n")
 
 
 def test_console_entry_point():

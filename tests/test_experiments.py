@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import nested_maps, q
+from conftest import child_bounds, nested_maps, q
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
@@ -19,7 +19,7 @@ from cantorsurj.experiments import (
     random_qcopy,
     realize_all_colors,
 )
-from cantorsurj.intervals import ClopenInterval, Filtering, child_bounds
+from cantorsurj.intervals import ClopenInterval, Filtering
 from cantorsurj.points import Node, Point, max_point, min_point
 from cantorsurj.randgen import derive_rng, random_filtering
 from cantorsurj.surjections import (

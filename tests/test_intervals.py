@@ -1,19 +1,37 @@
-from itertools import product
+from bisect import bisect_left
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import filterings, q
+from conftest import child_bounds, filterings, nested_maps, q
 from cantorsurj.intervals import (
     ClopenInterval,
     Filtering,
     canonical_split_maxima,
+    cell_chain,
     least_q_point_between,
     partition_from_tuple,
     validate_filtering,
 )
-from cantorsurj.points import Node, Point, interval_successor, iter_points, max_point, min_point
-from cantorsurj.surjections import BoundaryTuple, identity
+from cantorsurj.points import (
+    Node,
+    Point,
+    interval_successor,
+    iter_points,
+    max_point,
+    min_point,
+    rank_word,
+    word_rank,
+)
+from cantorsurj.surjections import (
+    BoundaryTuple,
+    Evaluation,
+    FilteringSurjection,
+    compose,
+    identity,
+    surjection_from_json,
+)
 
 
 def test_interval_basics():
@@ -208,7 +226,7 @@ def test_boundary_tuple_independent_of_call_order(f, d):
     deep_first = Filtering(f.base, f.levels)
     deep = deep_first.boundary_tuple(d + 1)
     assert (deep_first.boundary_tuple(d), deep) == want
-    # warm the split, cell and word memos through entry look-ups first
+    # entry look-ups first: they leave the level memo cold
     warmed = Filtering(f.base, f.levels)
     for i in range(0, f.base ** (d + 1) - 1, 3):
         warmed.boundary_entry(d + 1, i)
@@ -337,3 +355,151 @@ def test_boundary_level_faults_rejected_everywhere(base, entries, clause):
         BoundaryTuple(base, 1, entries)
     with pytest.raises(ValueError):
         partition_from_tuple(base, 1, entries)
+
+
+def test_descent_refuses_stored_entry_not_eventually_max():
+    # unvalidated: the one depth-1 entry has tail 0 (the "q-point" fault above)
+    f = Filtering(2, ((Point(2, (0, 1), 0),),))
+    h, x = FilteringSurjection(f), Point(2, (1,), 0)
+    calls = [
+        lambda: f.cell_max((0, 0)),
+        lambda: f.cell_max((1, 1, 0)),
+        lambda: f.cell((0,)),
+        lambda: f.child_maxima((1,)),
+        lambda: f.boundary_entry(2, 0),
+        lambda: f.boundary_tuple(2),
+        lambda: h.boundary_entry(3, 5),
+        lambda: h.preimage_max(Point(2, (1, 0), 1)),
+        lambda: next(cell_chain(f, x)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="eventually max-digit"):
+            call()
+
+
+@pytest.mark.parametrize("depth, index", [(0, 0), (-1, 0), (2, 3), (2, -1)])
+def test_boundary_entry_refuses_bad_position(depth, index):
+    for tree in (Filtering(2), identity(2), compose(identity(2), identity(2))):
+        with pytest.raises(ValueError):
+            tree.boundary_entry(depth, index)
+
+
+# -- the stem-level descent against the memoized walk it replaced ----------
+
+
+class ReferenceWalk:
+    """The memo tables of the walk the stem descent replaced, for one
+    filtering: cells and child maxima by word."""
+
+    def __init__(self, f):
+        self.f, self.cells, self.splits = f, {(): ClopenInterval.whole(f.base)}, {}
+
+
+def reference_cell(walk, word):
+    """A cell is cut from its parent by child_bounds."""
+    got = walk.cells.get(word)
+    if got is None:
+        parent = reference_cell(walk, word[:-1])
+        bounds = child_bounds(reference_child_maxima(walk, word[:-1]), parent.lo, parent.hi, word[-1])
+        got = walk.cells[word] = ClopenInterval(*bounds)
+    return got
+
+
+def reference_child_maxima(walk, word):
+    """Stored above the support, canonical_split_maxima of the cell below."""
+    f, b = walk.f, walk.f.base
+    if len(word) < f.support:
+        r = word_rank(word, b)
+        return f.levels[len(word)][r * b : r * b + b - 1]
+    got = walk.splits.get(word)
+    if got is None:
+        got = walk.splits[word] = canonical_split_maxima(reference_cell(walk, word))
+    return got
+
+
+def reference_boundary_entry(walk, depth, index):
+    f, b = walk.f, walk.f.base
+    if depth <= f.support:
+        return f.levels[depth - 1][index]
+    r, p = divmod(index, b)
+    if p == b - 1:
+        return reference_boundary_entry(walk, depth - 1, r)
+    return reference_child_maxima(walk, rank_word(r, depth - 1, b))[p]
+
+
+def reference_cell_chain(child_maxima, base, x):
+    """cell_chain with Point ends, by bisecting the child maxima."""
+    word, lo, hi = (), min_point(base), max_point(base)
+    while True:
+        splits = child_maxima(word)
+        i = bisect_left(splits, x)
+        lo, hi = child_bounds(splits, lo, hi, i)
+        word += (i,)
+        yield word, lo, hi
+
+
+def reference_evaluate(child_maxima, base, x, digits):
+    """Surjection.evaluate comparing x with Point cell ends."""
+    top = base - 1
+    if x.is_max or x.is_min:
+        return Evaluation((x.tail,) * digits, x)
+    word = ()
+    for _, (word, lo, hi) in zip(range(digits), reference_cell_chain(child_maxima, base, x)):
+        if x in (lo, hi):
+            y = Point(base, word, top if x == hi else 0)
+            return Evaluation(y.prefix(digits), y)
+    return Evaluation(word, None)
+
+
+@st.composite
+def descent_cases(draw):
+    """A filtering of base 2-5 and support 0-4, with words down to support+6
+    (some ending in top digits) and points: random ones, and cell ends."""
+    f = draw(filterings(bases=(2, 3, 4, 5)))
+    b, top, s = f.base, f.base - 1, f.support
+    digit = st.integers(0, top)
+    words = draw(st.lists(st.lists(digit, max_size=s + 6).map(tuple), min_size=1, max_size=6))
+    words += [w + (top,) * draw(st.integers(1, 3)) for w in words[:2]]
+    walk = ReferenceWalk(f)
+    ends = [p for w in words if w for p in (reference_cell(walk, w).lo, reference_cell(walk, w).hi)]
+    randoms = [Point(b, tuple(draw(st.lists(digit, max_size=s + 8))), draw(digit)) for _ in range(3)]
+    return f, walk, words, ends + randoms
+
+
+@settings(max_examples=120, deadline=None)
+@given(descent_cases())
+def test_descent_matches_memoized_walk(case):
+    f, walk, words, points = case
+    b, top = f.base, f.base - 1
+    for word in words:
+        assert f.cell(word) == reference_cell(walk, word)
+        assert f.cell_max(word) == reference_cell(walk, word).hi
+        assert f.child_maxima(word) == reference_child_maxima(walk, word)
+        depth = len(word)
+        if depth and word != (top,) * depth:
+            i = word_rank(word, b)
+            assert f.boundary_entry(depth, i) == reference_boundary_entry(walk, depth, i)
+    h, child_maxima = FilteringSurjection(f), lambda word: reference_child_maxima(walk, word)
+    for x in points:
+        depth = f.support + 6
+        got = [(w, Point(b, lo, 0), Point(b, hi, top)) for w, lo, hi in islice(cell_chain(f, x), depth)]
+        assert got == list(islice(reference_cell_chain(child_maxima, b, x), depth))
+        assert h.evaluate(x, depth) == reference_evaluate(child_maxima, b, x, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_maps(), st.data())
+def test_chain_fingerprint_and_evaluate_match_entrywise(h, data):
+    b = h.base
+    fresh = surjection_from_json(h.to_json())  # no memo shared with h
+    for d in range(1, 4 if b == 2 else 3):
+        assert h.fingerprint(d) == tuple(fresh.boundary_entry(d, i) for i in range(b**d - 1))
+    digit = st.integers(0, b - 1)
+    for _ in range(3):
+        x = Point(b, tuple(data.draw(st.lists(digit, max_size=8))), data.draw(digit))
+        assert h.evaluate(x, 10) == reference_evaluate(fresh.child_maxima, b, x, 10)
+
+
+@given(st.integers(0, 2**200 - 2))
+def test_identity_entry_at_depth_200_is_a_cylinder_max(i):
+    assert identity(2).boundary_entry(200, i) == Point(2, rank_word(i, 200, 2), 1)
