@@ -164,7 +164,10 @@ def _cmd_type_of(args) -> int:
 def _cmd_search_type(args) -> int:
     t = _levels_arg(args.levels)
     h = _surjection(args.surjection)
-    out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
+    try:
+        out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc
     _emit(
         {
             "levels": list(t.levels),
@@ -257,6 +260,8 @@ def _cmd_color_omega(args) -> int:
     except RuntimeError as exc:
         _emit({"error": str(exc)})
         return 1
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc
     return 0
 
 
@@ -269,6 +274,8 @@ def _cmd_witness_omega(args) -> int:
     except RuntimeError as exc:
         _emit({"error": str(exc), "target": args.target})
         return 1
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc
     _emit(out.to_json())
     return 0
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .caps import default_depth_cap
+from . import caps
 from .intervals import ClopenInterval, cell_chain, validate_level
 from .points import Node, Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering
@@ -165,8 +165,7 @@ def realize_all_colors(
     # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
     if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
         raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
-    if depth_cap is None:
-        depth_cap = default_depth_cap()
+    depth_cap = caps.depth_cap(depth_cap)
     ell = h.base**k - 1
     t = tangent_number(ell)
     outcome = scan_types(h, ell, depth_cap, budget)
@@ -358,20 +357,18 @@ def perfect_tree(y: QCopy, depth: int) -> PerfectTreeReport:
 
 def _branch_splits(y: QCopy, prefer: int, cap: int):
     """Splitting nodes along the extreme branch of the derived tree,
-    preferring child `prefer` (1 walks the maximum branch, 0 the minimum)."""
-    word: tuple[int, ...] = ()
-    for _ in range(cap + 1):
-        pref, other = word + (prefer,), word + (1 - prefer,)
-        in_pref = _node_in_tree(y, pref)
-        in_other = _node_in_tree(y, other)
-        if in_pref and in_other:
-            yield word
-        if in_pref:
-            word = pref
-        elif in_other:
-            word = other
-        else:
-            raise RuntimeError(f"derived tree has no child below {word}; copy data invalid")
+    preferring child `prefer` (1 walks the maximum branch, 0 the minimum).
+
+    The branch follows the digits of the copy's extreme point: the top of
+    its last piece, or the bottom of its first.  Every prefix of that point
+    meets the piece holding it, and the pieces are sorted and merged, so the
+    child on the far side of the point misses them all.  A prefix is thus
+    a splitting node exactly when the point's next digit is `prefer` and
+    the other child meets a piece."""
+    end = y.pieces[-1].hi if prefer else y.pieces[0].lo
+    for j in range(cap + 1):
+        if end.digit(j) == prefer and _node_in_tree(y, end.prefix(j) + (1 - prefer,)):
+            yield end.prefix(j)
 
 
 def _branch_comparisons(y: QCopy, cap: int):
@@ -396,8 +393,7 @@ def omega_coloring(y: QCopy, cap: int | None = None) -> int:
     maximum-branch splitting nodes shorter than the second minimum-branch
     splitting node.  Nonnegative, since the branches share their first
     splitting node."""
-    if cap is None:
-        cap = default_depth_cap()
+    cap = caps.depth_cap(cap)
     for _, _, color in _branch_comparisons(y, cap):
         return color
     raise RuntimeError("fewer than two splitting nodes on the minimum branch within cap")
@@ -430,8 +426,7 @@ def build_witness(y: QCopy, r: int, cap: int | None = None) -> WitnessOutcome:
     node's cylinder min.  The returned copy re-verifies to color r."""
     if r < 0:
         raise ValueError(f"target must be nonnegative, got {r}")
-    if cap is None:
-        cap = default_depth_cap()
+    cap = caps.depth_cap(cap)
     for t, s_splits, m in _branch_comparisons(y, cap):
         if m >= r:
             t0, s0 = t, s_splits[m - r + 1]
@@ -629,8 +624,7 @@ def oscillation_search(
     k = _resolution_depth(eps)
     if k != spec.depth:
         raise ValueError(f"coloring reads depth {spec.depth} but resolution {eps} needs depth {k}")
-    if depth_cap is None:
-        depth_cap = default_depth_cap()
+    depth_cap = caps.depth_cap(depth_cap)
     b, ell = spec.base, spec.ell
     h = identity(b)
     ident = h.fingerprint(k)

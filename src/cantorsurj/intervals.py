@@ -1,4 +1,4 @@
-"""Clopen lex-intervals of b^w, depth partitions, and filterings.
+"""Clopen lex-intervals of b^w and filterings.
 
 A filtering is a b-branching system of nested interval partitions: the depth-d
 partition has b^d right-closed cells and each cell splits into b consecutive
@@ -11,22 +11,22 @@ The greedy rule, per cell [lo, hi]: the next division point is the q-point
 shortest stem, ties broken lexicographically.  The rule is deterministic and
 reproduces the standard cylinder partition when started from the whole space.
 Each pick is in closed form (least_q_point_between), and so are a cell's
-b-1 picks together, from the one first digit where lo and hi differ
-(canonical_split_maxima).  A greedy level is built in one pass over the
-level above, carrying each cell minimum as a stem (Filtering.boundary_tuple),
-and kept in a filtering's one memo table.  A single cell, cell maximum or
-cell chain is read by a stateless descent on end stems instead (Filtering).
+b-1 picks together, read as stems from the one first digit where lo and hi
+differ (_pick_stems, the one greedy-split implementation).  A greedy level
+is built in one pass over the level above, carrying each cell minimum as a
+stem (Filtering.boundary_tuple), and kept in a filtering's one memo table.
+A single cell, cell maximum or cell chain is read by a stateless descent on
+end stems instead (Filtering).  Cells are ClopenIntervals only where a
+caller asks for one; the depth-d partition is its boundary tuple.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .points import (
     Node,
     Point,
-    interval_successor,
     json_int,
     max_point,
     min_point,
@@ -36,13 +36,10 @@ from .points import (
 
 __all__ = [
     "ClopenInterval",
-    "DepthPartition",
     "Filtering",
     "FilteringReport",
-    "partition_from_tuple",
     "validate_filtering",
     "least_q_point_between",
-    "canonical_split_maxima",
     "entry_word",
     "MATERIALIZE_LIMIT",
 ]
@@ -106,35 +103,6 @@ class ClopenInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-class DepthPartition:
-    """The b^k consecutive cells of one depth of a filtering."""
-
-    __slots__ = ("base", "depth", "cells", "_maxima")
-
-    def __init__(self, base: int, depth: int, cells: tuple[ClopenInterval, ...]):
-        if len(cells) != base**depth:
-            raise ValueError(f"depth-{depth} partition needs {base**depth} cells, got {len(cells)}")
-        self.base = base
-        self.depth = depth
-        self.cells = cells
-        self._maxima = [c.hi for c in cells]
-
-    def index(self, x: Point) -> int:
-        """Cell containing x under the right-closed convention."""
-        if x.base != self.base:
-            raise ValueError("base mismatch")
-        return bisect_left(self._maxima, x)
-
-    def boundary_tuple(self) -> tuple[Point, ...]:
-        return tuple(self._maxima[:-1])
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
 @dataclass(frozen=True, slots=True)
 class FilteringReport:
     ok: bool
@@ -147,8 +115,8 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     """Check one depth-`depth` boundary tuple on its own: entry count,
     entries interior eventually-max points of this base, strict increase.
 
-    The single boundary-level check behind BoundaryTuple,
-    partition_from_tuple and validate_filtering.
+    The single boundary-level check behind BoundaryTuple and
+    validate_filtering.
     """
     want = base**depth - 1
     if len(entries) != want:
@@ -167,20 +135,6 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
                 False, "increasing", (depth, i), f"entries {i - 1},{i} out of order at depth {depth}"
             )
     return FilteringReport(True)
-
-
-def partition_from_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> DepthPartition:
-    """Cells of the unique consecutive-interval partition with these maxima."""
-    report = validate_level(base, depth, entries)
-    if not report.ok:
-        raise ValueError(report.message)
-    cells = []
-    lo = min_point(base)
-    for y in entries:
-        cells.append(ClopenInterval(lo, y))
-        lo = interval_successor(y)
-    cells.append(ClopenInterval(lo, max_point(base)))
-    return DepthPartition(base, depth, tuple(cells))
 
 
 def cell_chain(tree, x: Point):
@@ -243,31 +197,24 @@ def least_q_point_between(lower: Point, hi: Point) -> Point:
     return Point(b, c + (h,) + (0,) * (m - n), top)
 
 
-def canonical_split_maxima(cell: ClopenInterval) -> tuple[Point, ...]:
-    """The b-1 greedy division points of a cell, in closed form.
-
-    Pick p is least_q_point_between(pick p-1, hi), with pick -1 the cell
-    minimum lo.  With n the first index where lo and hi differ, pick 0 is
-    hi[:n] lo[n] top^w (that function's first case: lo is eventually 0).
-    Every pick has the shape hi[:n] l top^w with l < hi[n], so its first
-    difference with hi is n and its stem has length <= n+1; the next pick is
-    the second case, hi[:n] (l+1) top^w, when l+1 < hi[n], else the third,
-    hi[:m] 0 top^w with m > n the next index where hi has a nonzero digit:
-    the same shape with (n, l) = (m, 0).  hi is eventually top >= 1, so m
-    exists and no successor pair arises.
-    """
-    top = cell.base - 1
-    return tuple(Point(cell.base, s, top) for s in _pick_stems(top, cell.lo.stem, cell.hi.stem))
-
-
 def _pick_stems(
     top: int, lo: tuple[int, ...], hi: tuple[int, ...], n: int = 0
 ) -> list[tuple[int, ...]]:
-    """Stems of the b-1 greedy picks of the cell [lo 0^w, hi top^w], each
-    pick being its stem followed by top^w (canonical_split_maxima's rule),
-    given that lo and hi agree on their first n digits.  Pick 0 has length
-    n'+1, n' the first index where they differ; the ends of every child
-    agree on their first n'+1 digits, as it lies in a cylinder that long."""
+    """Stems of the b-1 greedy division points of the cell
+    [lo 0^w, hi top^w], each pick being its stem followed by top^w, given
+    that lo and hi agree on their first n digits.
+
+    Pick p is least_q_point_between(pick p-1, hi), with pick -1 the cell
+    minimum.  With n' the first index where lo and hi differ, pick 0 is
+    hi[:n'] lo[n'] top^w (that function's first case: lo is eventually 0).
+    Every pick has the shape hi[:i] l top^w with l < hi[i], so its first
+    difference with hi is i and its stem has length <= i+1; the next pick
+    is the second case, hi[:i] (l+1) top^w, when l+1 < hi[i], else the
+    third, hi[:m] 0 top^w with m > i the next index where hi has a nonzero
+    digit: the same shape with (i, l) = (m, 0).  hi is eventually top >= 1,
+    so m exists and no successor pair arises.  Pick 0 has length n'+1; the
+    ends of every child agree on their first n'+1 digits, as it lies in a
+    cylinder that long."""
     k, m = len(hi), len(lo)
     while (lo[n] if n < m else 0) == (hi[n] if n < k else top):
         n += 1
@@ -345,7 +292,7 @@ class Filtering:
     c = hi[:n] and l = lo[n] < h = hi[n], the greedy picks are c j top^w
     for l <= j < h and then, while picks remain, hi[:m] j top^w for j
     below hi[m] at the later indices m where hi has a nonzero digit
-    (canonical_split_maxima).  So every child is one of three kinds:
+    (_pick_stems).  So every child is one of three kinds:
     child 0, [lo, c l top^w], is the suffix of the cylinder [c l] from lo;
     a child between two consecutive picks is a full cylinder ([c j], or
     [hi[:m] j], the first of these being [c h 0^(m-n-1)] = [hi[:m] 0]);
@@ -451,9 +398,6 @@ class Filtering:
             return self
         new = tuple(self.boundary_tuple(d) for d in range(self.support + 1, depth + 1))
         return Filtering(self.base, self.levels + new)
-
-    def partition(self, depth: int) -> DepthPartition:
-        return partition_from_tuple(self.base, depth, self.boundary_tuple(depth))
 
     # -- serialization ---------------------------------------------------
 

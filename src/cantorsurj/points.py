@@ -14,7 +14,6 @@ as infinite sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -29,12 +28,10 @@ __all__ = [
     "min_point",
     "max_point",
     "interval_successor",
-    "interval_predecessor",
     "encode_binary",
     "iter_points",
     "word_rank",
     "rank_word",
-    "load_point",
 ]
 
 LT, EQ, GT = -1, 0, 1
@@ -151,18 +148,6 @@ class Point:
     def __ge__(self, other: "Point") -> bool:
         return self.compare(other) != LT
 
-    def as_fraction(self) -> Fraction:
-        """Value of 0.d0 d1 d2 ... in base b.  Collapses the one ambiguous
-        pair (w d (b-1)^w equals w (d+1) 0^w in value), so use it only for
-        display, never for ordering."""
-        v = Fraction(0)
-        for i, d in enumerate(self.stem):
-            v += Fraction(d, self.base ** (i + 1))
-        # tail contributes tail/(b-1) * b^-len(stem)
-        if self.tail:
-            v += Fraction(self.tail, self.base - 1) * Fraction(1, self.base ** len(self.stem))
-        return v
-
     def to_json(self) -> dict:
         return {"b": self.base, "stem": list(self.stem), "tail": self.tail}
 
@@ -185,12 +170,6 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point(b={self.base}, stem={''.join(map(str, self.stem))!r}, tail={self.tail})"
-
-
-def load_point(obj: dict) -> tuple[Point, bool]:
-    """Decode a point, reporting whether the input stem was already canonical."""
-    p = Point.from_json(obj)
-    return p, list(p.stem) == obj["stem"]
 
 
 # Points are immutable, so the ends of the space are built once per base:
@@ -251,16 +230,6 @@ def interval_successor(x: Point) -> Point:
     return Point(x.base, stem[:-1] + (stem[-1] + 1,), 0)
 
 
-def interval_predecessor(x: Point) -> Point:
-    """Inverse of interval_successor, defined for eventually-zero points."""
-    if x.tail != 0:
-        raise ValueError(f"predecessor is defined for eventually-zero points, got {x}")
-    if x.is_min:
-        raise ValueError("the bottom point has no predecessor")
-    stem = x.stem
-    return Point(x.base, stem[:-1] + (stem[-1] - 1,), x.base - 1)
-
-
 def encode_binary(x: Point) -> Point:
     """Order-preserving embedding of base-b points into base 2.
 
@@ -300,13 +269,6 @@ class Dyadic:
     @classmethod
     def two_to(cls, exp: int) -> "Dyadic":
         return cls(False, exp)
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if self.exp >= 0:
-            return Fraction(2**self.exp)
-        return Fraction(1, 2**-self.exp)
 
     def _key(self) -> tuple:
         # zero sorts below every power of two

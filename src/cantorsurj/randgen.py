@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .intervals import Filtering, least_q_point_between
-from .points import Point
+from .points import Point, interval_successor, max_point, min_point
 from .surjections import ChainSurjection, Surjection, from_filtering
 
 __all__ = [
@@ -70,19 +70,22 @@ def increasing_q_points(
 def random_filtering(rng: random.Random, base: int, depth: int) -> Filtering:
     """A random filtering with support exactly `depth`, built level by
     level: each cell gets b-1 fresh strictly interior split maxima, and the
-    nesting entries are copied from the parent level."""
+    nesting entries are copied from the parent level.  A cell's ends are
+    read off the level above: the successor of the previous maximum (or the
+    bottom point) and its own maximum (or the top point)."""
     levels: list[tuple[Point, ...]] = []
-    f = Filtering(base, ())
-    for d in range(depth):
-        cells = f.partition(d).cells
+    above: tuple[Point, ...] = ()
+    for _ in range(depth):
         entries: list[Point] = []
-        for i, cell in enumerate(cells):
-            entries.extend(increasing_q_points(rng, cell.lo, cell.hi, base - 1))
-            if i < len(cells) - 1:
-                entries.append(cell.hi)
-        levels.append(tuple(entries))
-        f = Filtering(base, tuple(levels))
-    return f
+        lo = min_point(base)
+        for hi in above:
+            entries.extend(increasing_q_points(rng, lo, hi, base - 1))
+            entries.append(hi)
+            lo = interval_successor(hi)
+        entries.extend(increasing_q_points(rng, lo, max_point(base), base - 1))
+        above = tuple(entries)
+        levels.append(above)
+    return Filtering(base, tuple(levels))
 
 
 def random_surjection(

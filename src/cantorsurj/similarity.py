@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .caps import default_depth_cap
+from . import caps
 from .points import Point, encode_binary, json_int
 
 __all__ = [
@@ -400,8 +400,7 @@ def scan_types(
 ) -> ScanOutcome:
     """Classify tuples from h's max-set, deepening until every target type
     (default: all of them) has a witness or the cap/budget stops play."""
-    if depth_cap is None:
-        depth_cap = default_depth_cap()
+    depth_cap = caps.depth_cap(depth_cap)
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)
     index = _type_index(leaves)
     witnesses: dict[int, TypeWitness] = {}

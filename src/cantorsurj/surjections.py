@@ -33,7 +33,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .caps import default_depth_cap
+from . import caps
 from .intervals import (
     MATERIALIZE_LIMIT,
     Filtering,
@@ -369,10 +369,7 @@ def distance(f: Surjection, g: Surjection, cap: int | None = None, guard: int | 
     # guard is accepted for callers written before supports bounded the scan
     if f.base != g.base:
         raise ValueError("base mismatch")
-    if cap is None:
-        cap = default_depth_cap()
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+    cap = caps.depth_cap(cap)
     for d in range(1, min(cap, max(f.support, g.support)) + 1):
         if f.fingerprint(d) != g.fingerprint(d):
             return DistanceResult("exact", d - 1)

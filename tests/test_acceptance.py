@@ -2,9 +2,11 @@
 
 Each test prints a single PASS/FAIL line and asserts.  Criteria 1..9 run
 the matching case of the seeded verification suite; criterion 10 runs the
-installed entry point twice and compares raw bytes.
+installed entry point twice and compares raw bytes, and pins them to the
+regression oracle's sha256.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -12,6 +14,8 @@ import time
 from cantorsurj.verify import run_suite
 
 SEED = 42
+# sha256 of `cantorsurj verify --seed 42` stdout, the regression oracle
+VERIFY_42_SHA256 = "97ff6356e1bf11ec3afe4c66dbe887006db9f74cab96e13745201f80062f6645"
 
 
 def _criterion(n, name, budget_s=None):
@@ -81,3 +85,4 @@ def test_c10_byte_identical_verify():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode().endswith("9/9 passed, seed=42\n")
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_42_SHA256

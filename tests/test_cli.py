@@ -142,11 +142,35 @@ def test_dist_is_exact_for_chains(capsys, files):
     assert run(capsys, "dist", a, b) == (0, "0 (to cap 64)\n", "")
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_dist_cap_below_one_exits_2(capsys, files, cap):
+CAPPED_VERBS = [
+    ("color-omega", "--cap"),
+    ("witness-omega", "--cap"),
+    ("realize-all", "--depth-cap"),
+    ("search-type", "--depth-cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, cap",
+    [pytest.param("dist", "--cap", cap, id=cap) for cap in ("0", "-1")]
+    + [
+        pytest.param(verb, flag, cap, id=f"{verb}-{cap}")
+        for verb, flag in CAPPED_VERBS
+        for cap in ("0", "-1")
+    ],
+)
+def test_dist_cap_below_one_exits_2(capsys, files, verb, flag, cap):
     a = files("id.json", identity(2).to_json())
     b = files("h.json", from_filtering(Filtering(2, ((q(0, 0),),))).to_json())
-    code, out, err = run(capsys, "dist", a, b, "--cap", cap)
+    copy = files("y.json", QCopy.unrestricted(identity(2)).to_json())
+    argv = {
+        "dist": [a, b],
+        "color-omega": [copy],
+        "witness-omega": [copy, "--target", "0"],
+        "realize-all": [a, "--k", "1"],
+        "search-type": [a, "--levels", "1,0,2"],
+    }[verb]
+    code, out, err = run(capsys, verb, *argv, flag, cap)
     assert code == 2 and out == "" and err == f"error: cap must be positive, got {cap}\n"
 
 

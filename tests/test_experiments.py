@@ -7,6 +7,7 @@ from conftest import child_bounds, nested_maps, q
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
+    _branch_splits,
     _fingerprint_key,
     _node_in_tree,
     build_witness,
@@ -121,6 +122,36 @@ def test_node_in_tree_matches_cell_search(h, seed):
         words = [w + (c,) for w in words for c in (0, 1)]
         for w in words:
             assert _node_in_tree(y, w) == reference_node_in_tree(y, w)
+
+
+def reference_branch_splits(y, prefer, cap):
+    """The extreme-branch walk probe by probe: both children of every node
+    on the branch are tested, and the walk takes child `prefer` when kept."""
+    word = ()
+    for _ in range(cap + 1):
+        pref, other = word + (prefer,), word + (1 - prefer,)
+        in_pref, in_other = _node_in_tree(y, pref), _node_in_tree(y, other)
+        if in_pref and in_other:
+            yield word
+        if in_pref:
+            word = pref
+        elif in_other:
+            word = other
+        else:
+            raise AssertionError(f"derived tree has no child below {word}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_branch_splits_follow_endpoint_digits(seed):
+    # random copies, and the copies build_witness cuts from them
+    y = random_qcopy(derive_rng(seed, "branch"))
+    copies = [y] + [build_witness(y, r).copy for r in (0, 2, 5)]
+    for c in copies:
+        for prefer in (0, 1):
+            for cap in (0, 1, 7, 30):
+                got = list(_branch_splits(c, prefer, cap))
+                assert got == list(reference_branch_splits(c, prefer, cap))
 
 
 def test_qcopy_normalization():

@@ -8,10 +8,9 @@ from conftest import child_bounds, filterings, nested_maps, q
 from cantorsurj.intervals import (
     ClopenInterval,
     Filtering,
-    canonical_split_maxima,
+    _pick_stems,
     cell_chain,
     least_q_point_between,
-    partition_from_tuple,
     validate_filtering,
 )
 from cantorsurj.points import (
@@ -57,13 +56,20 @@ def test_interval_json():
     assert ClopenInterval.from_json(iv.to_json()) == iv
 
 
-def test_canonical_split_maxima():
-    assert canonical_split_maxima(ClopenInterval.whole(2)) == (q(0),)
-    assert canonical_split_maxima(ClopenInterval.whole(3)) == (
-        Point(3, (0,), 2),
-        Point(3, (1,), 2),
-    )
-    assert canonical_split_maxima(ClopenInterval(min_point(2), q(0))) == (q(0, 0),)
+def split_maxima(cell):
+    """The cell's b-1 greedy division points, as Points."""
+    top = cell.base - 1
+    return tuple(Point(cell.base, s, top) for s in _pick_stems(top, cell.lo.stem, cell.hi.stem))
+
+
+def test_pick_stems_goldens():
+    assert _pick_stems(1, (), ()) == [(0,)]
+    assert _pick_stems(2, (), ()) == [(0,), (1,)]
+    assert _pick_stems(1, (), (0,)) == [(0, 0)]
+    # past hi's first digit the picks skip to its next nonzero digit
+    assert _pick_stems(2, (), (1, 0, 2)) == [(0,), (1, 0, 0)]
+    # a shared prefix the caller already knows is skipped over
+    assert _pick_stems(1, (1, 0, 1), (1, 1), 1) == [(1, 0)]
 
 
 def reference_canonical_split_maxima(cell):
@@ -93,7 +99,12 @@ def cells(draw):
 @settings(max_examples=500)
 @given(cells())
 def test_canonical_split_matches_least_q_point_loop(cell):
-    assert canonical_split_maxima(cell) == reference_canonical_split_maxima(cell)
+    want = reference_canonical_split_maxima(cell)
+    assert split_maxima(cell) == want
+    # any count of leading digits the ends are known to share gives the same picks
+    n = cell.lo.first_difference(cell.hi)
+    for known in {0, n // 2, n}:
+        assert _pick_stems(cell.base - 1, cell.lo.stem, cell.hi.stem, known) == [p.stem for p in want]
 
 
 def reference_boundary_tuple(f, depth):
@@ -251,14 +262,6 @@ def test_identity_boundaries():
     assert e.support == 0
 
 
-def test_partition_from_tuple():
-    p = partition_from_tuple(2, 1, (q(0, 0),))
-    assert len(p) == 2
-    assert p.cells[0] == ClopenInterval(min_point(2), q(0, 0))
-    assert p.index(q(0, 0)) == 0 and p.index(q(0)) == 1
-    assert p.boundary_tuple() == (q(0, 0),)
-
-
 @given(filterings())
 def test_boundary_nesting(f):
     # each level's maxima appear verbatim one level down, at stride b
@@ -283,7 +286,8 @@ def test_boundary_subsample(f, j, k):
 def test_children_tile_parent(f):
     b = f.base
     for d in range(3):
-        for word, cell in zip(product(range(b), repeat=d), f.partition(d).cells):
+        for word in product(range(b), repeat=d):
+            cell = f.cell(word)
             kids = [f.cell(word + (c,)) for c in range(b)]
             assert kids[0].lo == cell.lo and kids[-1].hi == cell.hi
             for left, right in zip(kids, kids[1:]):
@@ -353,8 +357,6 @@ def test_boundary_level_faults_rejected_everywhere(base, entries, clause):
     assert not report.ok and report.clause == clause
     with pytest.raises(ValueError):
         BoundaryTuple(base, 1, entries)
-    with pytest.raises(ValueError):
-        partition_from_tuple(base, 1, entries)
 
 
 def test_descent_refuses_stored_entry_not_eventually_max():
@@ -406,14 +408,14 @@ def reference_cell(walk, word):
 
 
 def reference_child_maxima(walk, word):
-    """Stored above the support, canonical_split_maxima of the cell below."""
+    """Stored above the support, the least_q_point_between loop on the cell below."""
     f, b = walk.f, walk.f.base
     if len(word) < f.support:
         r = word_rank(word, b)
         return f.levels[len(word)][r * b : r * b + b - 1]
     got = walk.splits.get(word)
     if got is None:
-        got = walk.splits[word] = canonical_split_maxima(reference_cell(walk, word))
+        got = walk.splits[word] = reference_canonical_split_maxima(reference_cell(walk, word))
     return got
 
 
