@@ -16,8 +16,11 @@ differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
 stem (Filtering.boundary_tuple), and kept in a filtering's one memo table.
 A single cell, cell maximum or cell chain is read by a stateless descent on
-end stems instead (Filtering).  Cells are ClopenIntervals only where a
-caller asks for one; the depth-d partition is its boundary tuple.
+end stems instead (Filtering); below a full cylinder a chain follows x's
+own digits.  Cells are ClopenIntervals only where a caller asks for one; the
+depth-d partition is its boundary tuple.  A pick stem c + (l,) has l < top,
+so it is canonical as it stands and its point skips validation
+(points.canonical_point); decoders and public constructors validate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from .points import (
     Node,
     Point,
+    canonical_point,
     json_int,
     max_point,
     min_point,
@@ -80,12 +84,6 @@ class ClopenInterval:
     @classmethod
     def of_node(cls, s: Node) -> "ClopenInterval":
         return cls(s.min_point(), s.max_point())
-
-    def contains(self, x: Point) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "ClopenInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def intersect(self, other: "ClopenInterval") -> "ClopenInterval | None":
         lo = self.lo if other.lo < self.lo else other.lo
@@ -147,7 +145,8 @@ def cell_chain(tree, x: Point):
     greedy picks (_pick_stems); above it they are the tree's child maxima.
     A division point s top^w is at least x exactly when x's first |s| digits
     are at most s, so under the right-closed convention a division point
-    stays in the lower cell.
+    stays in the lower cell.  From the first full cylinder on (the test of
+    _cell_stems) the cells are the cylinders of x's prefixes: no more picks.
     """
     top, s = tree.base - 1, tree.support
     word: tuple[int, ...] = ()
@@ -160,12 +159,19 @@ def cell_chain(tree, x: Point):
         else:
             picks = _pick_stems(top, lo, hi, n)
             n = len(picks[0])
+            if len(lo) < n and len(hi) < n:
+                break  # a full cylinder: the cells below are x's prefixes
         i = 0
         while i < top and x.prefix(len(picks[i])) > picks[i]:
             i += 1
         lo, hi = _child_stems(top, lo, hi, picks, i)
         word += (i,)
         yield word, lo, hi
+    while True:
+        word += (x.digit(n - 1),)
+        v = x.prefix(n)
+        yield word, _strip(v, 0), _strip(v, top)
+        n += 1
 
 
 def least_q_point_between(lower: Point, hi: Point) -> Point:
@@ -299,7 +305,10 @@ class Filtering:
     and the last child, [successor of the last pick, hi], is a prefix of
     [c h] up to hi, less the full cylinders cut off before it.  A full
     cylinder [v] splits into [v 0], ..., [v top], so its descendant at
-    word w is [v w] and the descent ends there in closed form.
+    word w is [v w] and the descent ends there in closed form, as cell_chain
+    does.  cell_max, child_maxima and the greedy levels build their points
+    unvalidated (canonical_point): each stem is a pick c + (l,) with l < top,
+    or a cell's hi stem, stripped of top digits.
     """
 
     __slots__ = ("base", "levels", "support", "_level_memo")
@@ -351,7 +360,7 @@ class Filtering:
         """Maximum of cell(word), the top point for the last cell of a depth."""
         b, d = self.base, len(word)
         if d > self.support and d not in self._level_memo:
-            return Point(b, self._cell_stems(word)[1], b - 1)
+            return canonical_point(b, self._cell_stems(word)[1], b - 1)
         level, r = self.boundary_tuple(d), word_rank(word, b)
         return level[r] if r < len(level) else max_point(b)
 
@@ -361,7 +370,7 @@ class Filtering:
         if d < self.support:
             r = word_rank(word, b)
             return self.levels[d][r * b : r * b + b - 1]
-        return tuple(Point(b, s, b - 1) for s in _pick_stems(b - 1, *self._cell_stems(word)))
+        return tuple(canonical_point(b, s, b - 1) for s in _pick_stems(b - 1, *self._cell_stems(word)))
 
     # -- boundary tuples -----------------------------------------------
 
@@ -385,10 +394,10 @@ class Filtering:
             b, top, out, lo = self.base, self.base - 1, [], ()
             for hi in self.boundary_tuple(depth - 1):
                 stem = _max_stem(hi, top)
-                out += [Point(b, s, top) for s in _pick_stems(top, lo, stem)]
+                out += [canonical_point(b, s, top) for s in _pick_stems(top, lo, stem)]
                 out.append(hi)
                 lo = _successor_stem(stem)
-            out += [Point(b, s, top) for s in _pick_stems(top, lo, ())]
+            out += [canonical_point(b, s, top) for s in _pick_stems(top, lo, ())]
             got = self._level_memo[depth] = tuple(out)
         return got
 

@@ -24,7 +24,6 @@ __all__ = [
     "Point",
     "Node",
     "Dyadic",
-    "rho",
     "min_point",
     "max_point",
     "interval_successor",
@@ -172,6 +171,24 @@ class Point:
         return f"Point(b={self.base}, stem={''.join(map(str, self.stem))!r}, tail={self.tail})"
 
 
+_set_base, _set_stem, _set_tail = Point.base.__set__, Point.stem.__set__, Point.tail.__set__
+
+
+def canonical_point(base: int, stem: tuple[int, ...], tail: int) -> Point:
+    """Point(base, stem, tail) without validation, for the greedy descent.
+
+    Precondition: tail < base and stem is a tuple of digits below the base
+    that does not end in the tail digit, so the Point is canonical as built;
+    a pick stem c + (l,) with l < top is one.  Not exported: decoders and
+    public constructors validate.
+    """
+    p = object.__new__(Point)
+    _set_base(p, base)
+    _set_stem(p, stem)
+    _set_tail(p, tail)
+    return p
+
+
 # Points are immutable, so the ends of the space are built once per base:
 # every cell descent starts from them
 @cache
@@ -199,18 +216,11 @@ class Node:
             _check_digit(d, self.base)
         object.__setattr__(self, "word", word)
 
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
     def max_point(self) -> Point:
         return Point(self.base, self.word, self.base - 1)
 
     def min_point(self) -> Point:
         return Point(self.base, self.word, 0)
-
-    def contains(self, x: Point) -> bool:
-        return x.prefix(len(self.word)) == self.word
 
     def __str__(self) -> str:
         return "".join(map(str, self.word)) or "^"
@@ -270,30 +280,8 @@ class Dyadic:
     def two_to(cls, exp: int) -> "Dyadic":
         return cls(False, exp)
 
-    def _key(self) -> tuple:
-        # zero sorts below every power of two
-        return (0, 0) if self.is_zero else (1, self.exp)
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._key() >= other._key()
-
     def __str__(self) -> str:
         return "0" if self.is_zero else f"2^{self.exp}"
-
-
-def rho(x: Point, y: Point) -> Dyadic:
-    """Standard ultrametric: 2^(-n0) with n0 the first differing index."""
-    n0 = x.first_difference(y)
-    return Dyadic.zero() if n0 is None else Dyadic.two_to(-n0)
 
 
 def iter_points(base: int, max_stem: int, tails: tuple[int, ...] | None = None):

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line and asserts.  Criteria 1..9 run
 the matching case of the seeded verification suite; criterion 10 runs the
-installed entry point twice and compares raw bytes, and pins them to the
-regression oracle's sha256.
+installed entry point twice and compares raw bytes, and pins them and a
+`verify --seed 7 --json` run to the regression oracles' sha256.
 """
 
 import hashlib
@@ -14,8 +14,9 @@ import time
 from cantorsurj.verify import run_suite
 
 SEED = 42
-# sha256 of `cantorsurj verify --seed 42` stdout, the regression oracle
+# sha256 of `cantorsurj verify --seed 42` and `--seed 7 --json` stdout, the regression oracles
 VERIFY_42_SHA256 = "97ff6356e1bf11ec3afe4c66dbe887006db9f74cab96e13745201f80062f6645"
+VERIFY_7_JSON_SHA256 = "e8324e9da182958d8fe927d870f23ef8bff165eeb8c834f297b0392dc3b556d6"
 
 
 def _criterion(n, name, budget_s=None):
@@ -86,3 +87,6 @@ def test_c10_byte_identical_verify():
     assert first.stdout == second.stdout
     assert first.stdout.decode().endswith("9/9 passed, seed=42\n")
     assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_42_SHA256
+    as_json = subprocess.run(cmd[:-1] + ["7", "--json"], capture_output=True)
+    assert as_json.returncode == 0, as_json.stdout.decode()[-2000:]
+    assert hashlib.sha256(as_json.stdout).hexdigest() == VERIFY_7_JSON_SHA256

@@ -1,3 +1,4 @@
+import random
 from bisect import bisect_left
 from itertools import islice, product
 
@@ -23,6 +24,7 @@ from cantorsurj.points import (
     rank_word,
     word_rank,
 )
+from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
     BoundaryTuple,
     Evaluation,
@@ -35,7 +37,7 @@ from cantorsurj.surjections import (
 
 def test_interval_basics():
     w = ClopenInterval.whole(2)
-    assert w.contains(min_point(2)) and w.contains(max_point(2))
+    assert w.lo <= min_point(2) <= w.hi and w.lo <= max_point(2) <= w.hi
     c0 = ClopenInterval.of_node(Node(2, (0,)))
     assert c0.lo == min_point(2) and c0.hi == q(0)
     with pytest.raises(ValueError):
@@ -48,7 +50,8 @@ def test_intersect():
     assert a.intersect(b) is None
     inner = ClopenInterval(Point(2, (0, 1), 0), q(0))
     assert a.intersect(inner) == inner
-    assert a.contains_interval(inner) and not inner.contains_interval(a)
+    assert a.lo <= inner.lo and inner.hi <= a.hi
+    assert not (inner.lo <= a.lo and a.hi <= inner.hi)
 
 
 def test_interval_json():
@@ -505,3 +508,55 @@ def test_chain_fingerprint_and_evaluate_match_entrywise(h, data):
 @given(st.integers(0, 2**200 - 2))
 def test_identity_entry_at_depth_200_is_a_cylinder_max(i):
     assert identity(2).boundary_entry(200, i) == Point(2, rank_word(i, 200, 2), 1)
+
+
+# -- points built without validation, and the closed-form cylinder walk ----
+
+
+def assert_canonical(p):
+    """p is field for field the Point the validating constructor builds."""
+    assert type(p.stem) is tuple
+    fresh = Point(p.base, p.stem, p.tail)
+    assert (p.base, p.stem, p.tail) == (fresh.base, fresh.stem, fresh.tail)
+
+
+@settings(max_examples=80, deadline=None)
+@given(filterings(bases=(2, 3, 4, 5)), nested_maps(), st.data())
+def test_greedy_points_are_canonical(f, h, data):
+    b, s = f.base, f.support
+    words = st.lists(st.integers(0, b - 1), max_size=s + 3).map(tuple)
+    got = []
+    for d in range(1, s + 4):
+        if b**d <= 4096:
+            got += f.boundary_tuple(d)
+    for word in data.draw(st.lists(words, min_size=1, max_size=6)):
+        got += f.child_maxima(word)
+        got.append(f.cell_max(word))
+    hb = h.base
+    for d in range(1, 4 if hb == 2 else 3):
+        got += h.fingerprint(d)
+    for word in data.draw(st.lists(st.lists(st.integers(0, hb - 1), max_size=6).map(tuple), max_size=4)):
+        got += h.child_maxima(word)
+        got.append(h.cell_max(word))
+    for p in got:
+        assert_canonical(p)
+
+
+def test_cell_chain_below_a_full_cylinder_follows_x():
+    x = Point(2, tuple(random.Random(7).randrange(2) for _ in range(39)) + (0,), 1)
+    for word, lo, hi in islice(cell_chain(identity(2), x), 40):
+        v = x.prefix(len(word))
+        assert (word, lo, hi) == (v, Point(2, v, 0).stem, Point(2, v, 1).stem)
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_cell_chain_matches_reference_deep_below_the_support(b):
+    rng = random.Random(b)
+    f = random_filtering(rng, b, 3)
+    walk, depth = ReferenceWalk(f), f.support + 24
+    child_maxima = lambda word: reference_child_maxima(walk, word)
+    xs = [Point(b, tuple(rng.randrange(b) for _ in range(30)), t) for t in range(b)]
+    xs += [reference_cell(walk, tuple(rng.randrange(b) for _ in range(depth - 2))).hi for _ in range(3)]
+    for x in xs:
+        got = [(w, Point(b, lo, 0), Point(b, hi, b - 1)) for w, lo, hi in islice(cell_chain(f, x), depth)]
+        assert got == list(islice(reference_cell_chain(child_maxima, b, x), depth))

@@ -11,7 +11,6 @@ from cantorsurj.points import (
     max_point,
     min_point,
     rank_word,
-    rho,
     word_rank,
 )
 
@@ -113,17 +112,9 @@ def test_word_rank_roundtrip(base, depth, data):
     assert rank_word(r, depth, base) == word
 
 
-def test_dyadic_ordering():
-    assert Dyadic.zero() < Dyadic.two_to(-40)
-    assert Dyadic.two_to(-3) < Dyadic.two_to(-2) < Dyadic.two_to(0)
+def test_dyadic_str():
     assert str(Dyadic.zero()) == "0"
     assert str(Dyadic.two_to(-3)) == "2^-3"
-
-
-def test_rho():
-    assert str(rho(q(0), q(1, 0))) == "2^0"
-    assert str(rho(q(0, 0), q(0))) == "2^-1"
-    assert rho(q(0), q(0)).is_zero
 
 
 def test_iter_points_is_canonical_and_complete():
@@ -148,8 +139,10 @@ def test_json_roundtrip():
         {"b": 2, "stem": "0101", "tail": 1},
         {"b": 2.7, "stem": [0, 1], "tail": 1},
         {"b": 2, "stem": [0, 1], "tail": True},
+        {"b": 2, "stem": [0, 1.0], "tail": 1},
+        {"b": 2, "stem": [0, 2], "tail": 1},
     ],
-    ids=["string-stem", "float-base", "bool-tail"],
+    ids=["string-stem", "float-base", "bool-tail", "float-digit", "digit-out-of-range"],
 )
 def test_from_json_rejects_non_integer_fields(obj):
     with pytest.raises(ValueError):
