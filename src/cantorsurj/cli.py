@@ -27,6 +27,7 @@ from .experiments import (
 )
 from .points import Point
 from .similarity import (
+    MAX_TANGENT_INDEX,
     MAX_TYPE_LEAVES,
     TreeType,
     canonical_coloring,
@@ -46,11 +47,6 @@ from .surjections import (
 )
 
 __all__ = ["main"]
-
-# tangent_number(830) has 4,298 digits; Python refuses to print an int of
-# more than 4,300 digits by default, and the number at 831 is over that
-MAX_TANGENT_INDEX = 830
-
 
 class BadInput(ValueError):
     pass
@@ -145,6 +141,8 @@ def _cmd_types(args) -> int:
 
 def _colored_points(path: str) -> tuple[tuple[Point, ...], int]:
     pts = _points(path)
+    if len(pts) > MAX_TANGENT_INDEX:
+        raise BadInput(f"{path}: {len(pts)} points; types are ranked up to {MAX_TANGENT_INDEX} leaves")
     try:
         return pts, canonical_coloring(pts, len(pts))
     except ValueError as exc:

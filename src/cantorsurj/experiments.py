@@ -56,9 +56,6 @@ __all__ = [
     "realize_all_colors",
     "QCopy",
     "find_cell_within",
-    "TreeNodeReport",
-    "PerfectTreeReport",
-    "perfect_tree",
     "omega_coloring",
     "WitnessOutcome",
     "build_witness",
@@ -299,60 +296,6 @@ def _node_in_tree(y: QCopy, word: tuple[int, ...]) -> bool:
     # overlap holds a full cell (corollary (ii) in surjections)
     cyl = ClopenInterval.of_node(Node(2, word))
     return any(cyl.intersect(piece) is not None for piece in y.pieces)
-
-
-@dataclass(frozen=True, slots=True)
-class TreeNodeReport:
-    word: tuple[int, ...]
-    splitting: bool | None  # None at the frontier, where children went untested
-    pending: bool  # no splitting node at or below this one materialized yet
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word), "splitting": self.splitting, "pending": self.pending}
-
-
-@dataclass(frozen=True, slots=True)
-class PerfectTreeReport:
-    depth: int
-    nodes: tuple[TreeNodeReport, ...]
-
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(n.word for n in self.nodes)
-
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "nodes": [n.to_json() for n in self.nodes]}
-
-
-def perfect_tree(y: QCopy, depth: int) -> PerfectTreeReport:
-    """The derived tree of the copy, materialized to `depth`: prefix-closed
-    by construction, with each node marked splitting (both children kept)
-    or pending (no splitting node found at or below it yet)."""
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    for d in range(depth):
-        nxt = []
-        for w in levels[d]:
-            for c in (0, 1):
-                if _node_in_tree(y, w + (c,)):
-                    nxt.append(w + (c,))
-        levels.append(nxt)
-    present = {w for lvl in levels for w in lvl}
-    splitting: dict[tuple[int, ...], bool | None] = {}
-    for lvl in levels[:-1]:
-        for w in lvl:
-            splitting[w] = (w + (0,) in present) and (w + (1,) in present)
-    for w in levels[-1]:
-        splitting[w] = None
-    settled: dict[tuple[int, ...], bool] = {}
-    for d in range(depth, -1, -1):
-        for w in levels[d]:
-            below = any(settled.get(w + (c,), False) for c in (0, 1))
-            settled[w] = bool(splitting[w]) or below
-    nodes = tuple(
-        TreeNodeReport(w, splitting[w], not settled[w])
-        for lvl in levels
-        for w in lvl
-    )
-    return PerfectTreeReport(depth, nodes)
 
 
 def _branch_splits(y: QCopy, prefer: int, cap: int):

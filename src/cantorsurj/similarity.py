@@ -1,23 +1,24 @@
-"""Similarity types of point tuples and the tangent-number census.
+"""Similarity types of point tuples and their lex ranks.
 
 An increasing tuple of eventually-max points determines a binary meet tree:
 its leaves are the stems, its internal nodes the longest common prefixes of
 neighbouring stems.  When the tuple is strongly diagonal (stems form an
-antichain, meets distinct, all node depths distinct) the tree's shape,
-branch directions, and relative depth order form its similarity type.  The
-number of types over ell leaves is the ell-th odd tangent number, and that
-count is asserted by tests rather than assumed.
+antichain, meets distinct, all node depths distinct) the in-order depth
+ranks of its nodes form its similarity type.  The types over ell leaves are
+exactly the down-up permutations of 0..2*ell-2 (proof at type_rank), so
+there are t_ell of them, the ell-th odd tangent number.
 
-Colors: canonical_coloring maps every increasing tuple to {0..t_ell-1}, the
-index of its type in the fixed enumeration order, with 0 doubling as the
-catch-all for non-diagonal tuples.
+Colors: canonical_coloring maps every increasing tuple to {0..t_ell-1}: a
+strongly diagonal tuple gets its type's lex rank among the down-up
+permutations, and 0 doubles as the catch-all for non-diagonal tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import islice
 from math import comb
 
 from . import caps
@@ -27,9 +28,7 @@ __all__ = [
     "tangent_number",
     "tangent_table",
     "TreeType",
-    "MeetClosure",
-    "ClosureNode",
-    "meet_closure",
+    "type_rank",
     "is_strongly_diagonal",
     "similarity_type",
     "enumerate_types",
@@ -39,33 +38,41 @@ __all__ = [
     "TypeSearch",
     "ScanOutcome",
     "MAX_TYPE_LEAVES",
+    "MAX_TANGENT_INDEX",
     "DEFAULT_SCAN_BUDGET",
 ]
 
-# enumerate_types materializes every type; the census at 7 leaves tops 21M
+# what lists every type stops here; the census at 7 leaves tops 21M
 MAX_TYPE_LEAVES = 6
+
+# tangent_number(830) has 4,298 digits, the most Python prints by default
+# (the number at 831 has more); a rank lies below it, so it bounds ranks too
+MAX_TANGENT_INDEX = 830
 
 # per-depth combination budget for the type scan: depth 7 at base 2 with
 # 3-tuples is C(127,3) = 333,375, the largest level the scan will enter
 DEFAULT_SCAN_BUDGET = 400_000
 
 
+def _boustrophedon_rows():
+    """Rows m = 0, 1, ... of the boustrophedon triangle, one at a time:
+    D(0, 0) = 1 and D(m, j) = sum of D(m-1, m-1-i) over i < j, j = 0..m.
+    D(m, j) counts the down-up permutations of m+1 letters that start with
+    the letter of rank j; D(m, m) counts the alternating ones of m letters."""
+    row = [1]
+    while True:
+        yield row
+        prev, row = row, [0]
+        for j in range(len(prev)):
+            row.append(row[-1] + prev[-1 - j])
+
+
 def tangent_table(n: int) -> tuple[int, ...]:
-    """First n odd tangent numbers (1, 2, 16, 272, 7936, ...) by the
-    boustrophedon sweep: row m of the zigzag triangle ends in the count of
-    alternating permutations of m letters, and the odd rows are ours."""
+    """First n odd tangent numbers (1, 2, 16, 272, 7936, ...): the last
+    entries of the odd boustrophedon rows."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    out: list[int] = []
-    row = [1]
-    for m in range(1, 2 * n):
-        prev = row
-        row = [0]
-        for j in range(m):
-            row.append(row[-1] + prev[m - 1 - j])
-        if m % 2 == 1:
-            out.append(row[-1])
-    return tuple(out)
+    return tuple(row[-1] for row in islice(_boustrophedon_rows(), 1, 2 * n, 2))
 
 
 def tangent_number(k: int) -> int:
@@ -80,33 +87,24 @@ class TreeType:
 
     A tuple of ell leaves yields 2*ell-1 nodes in-order: stem, meet, stem,
     ..., stem.  levels[i] is the rank of node i's depth among all nodes.
-    The min-rank node of any subtree window is its root meet; the dataclass
-    rejects rank sequences that do not parse as such a tree.
+    The sequences that parse as such a tree are the down-up permutations
+    (see type_rank); the dataclass rejects every other.
     """
 
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.levels)
-        if n % 2 == 0 or n == 0:
+        levels, n = self.levels, len(self.levels)
+        if n % 2 == 0:
             raise ValueError(f"need an odd number of nodes, got {n}")
-        if sorted(self.levels) != list(range(n)):
+        if sorted(levels) != list(range(n)):
             raise ValueError(f"levels must be a permutation of 0..{n - 1}")
-        if not self._window_ok(0, n - 1):
-            raise ValueError(f"levels {self.levels} do not form a leaf-rooted meet tree")
-
-    def _window_ok(self, lo: int, hi: int) -> bool:
-        if lo == hi:
-            return True
-        m = min(range(lo, hi + 1), key=self.levels.__getitem__)
-        return m % 2 == 1 and self._window_ok(lo, m - 1) and self._window_ok(m + 1, hi)
+        if not all(a > m < c for a, m, c in zip(levels[::2], levels[1::2], levels[2::2])):
+            raise ValueError(f"levels {levels} do not form a leaf-rooted meet tree")
 
     @property
     def leaf_count(self) -> int:
         return (len(self.levels) + 1) // 2
-
-    def __lt__(self, other: "TreeType") -> bool:
-        return self.levels < other.levels
 
     def to_json(self) -> dict:
         return {"l": self.leaf_count, "levels": list(self.levels)}
@@ -119,41 +117,72 @@ class TreeType:
         return t
 
 
-def _gen_level_sequences(leaves: int, pool: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # pool is sorted; the window minimum must be the root meet, and any odd
-    # split of the remaining ranks between the two subtrees is realizable
-    if leaves == 1:
-        return [(pool[0],)]
-    root, rest = pool[0], pool[1:]
-    out: list[tuple[int, ...]] = []
-    for left_leaves in range(1, leaves):
-        take = 2 * left_leaves - 1
-        for chosen in combinations(rest, take):
-            taken = set(chosen)
-            remain = tuple(x for x in rest if x not in taken)
-            for left in _gen_level_sequences(left_leaves, chosen):
-                for right in _gen_level_sequences(leaves - left_leaves, remain):
-                    out.append(left + (root,) + right)
-    return out
+class _RankMemo(dict):
+    """type_rank's answers by level tuple: a hit is one dict subscription."""
+
+    def __missing__(self, levels: tuple[int, ...]) -> int:
+        leaves = TreeType(levels).leaf_count
+        if leaves > MAX_TANGENT_INDEX:
+            raise ValueError(f"{leaves} leaves; types are ranked up to {MAX_TANGENT_INDEX}")
+        n, rank = len(levels), 0
+        free: list[int] = []  # levels[i:], sorted
+        for i, row in zip(range(n - 1, -1, -1), _boustrophedon_rows()):
+            insort(free, levels[i])
+            below = bisect_left(free, levels[i])
+            past = bisect_left(free, levels[i - 1]) if i and i % 2 == 0 else 0
+            rank += sum((row if i % 2 == 0 else row[::-1])[past:below])
+        self[levels] = rank
+        return rank
+
+
+_RANKS = _RankMemo()
+
+
+def type_rank(levels: tuple[int, ...]) -> int:
+    """Lex rank of a type's level sequence among all types of its leaf
+    count, which is its canonical color.
+
+    Types are the down-up permutations, levels[0] > levels[1] < levels[2]
+    > ...: in-order, node 2i is a leaf and node 2i+1 the meet of leaves i
+    and i+1, and a leaf extends both meets beside it, so it is deeper.
+    Conversely, in a down-up sequence every even position of a window from
+    one even position to another has a smaller neighbour inside it, so the
+    window's least entry sits at an odd position and parses as its root
+    meet, and so on down both halves.
+
+    So the rank counts down-up sequences that first differ below levels at
+    some position i: each free letter v < levels[i] that keeps the
+    alternation with levels[i-1] is followed by D(m, r) completions, r
+    being v's rank among the m+1 letters free at i; at an odd i, where the
+    next step goes up, by D(m, m-r), the count for the complement.
+    Position i reads row m = n-1-i, so one row sweep serves every position.
+    """
+    return _RANKS[tuple(levels)]
 
 
 @lru_cache(maxsize=None)
 def enumerate_types(leaves: int) -> tuple[TreeType, ...]:
-    """All similarity types over `leaves` leaves, sorted by level sequence.
+    """All similarity types over `leaves` leaves, that is the down-up
+    permutations of 0..2*leaves-2, in lex order.
 
-    The position of a type in this tuple is its canonical color.
+    The position of a type in this tuple is its canonical color, type_rank.
     """
     if leaves < 1:
         raise ValueError(f"need leaves >= 1, got {leaves}")
     if leaves > MAX_TYPE_LEAVES:
         raise ValueError(f"enumeration capped at {MAX_TYPE_LEAVES} leaves, got {leaves}")
-    seqs = _gen_level_sequences(leaves, tuple(range(2 * leaves - 1)))
-    return tuple(TreeType(s) for s in sorted(seqs))
+    out: list[TreeType] = []
 
+    def extend(prefix: tuple[int, ...], free: list[int]) -> None:
+        if not free:
+            out.append(TreeType(prefix))
+            return
+        split = bisect_left(free, prefix[-1]) if prefix else 0
+        for v in free[:split] if len(prefix) % 2 else free[split:]:
+            extend(prefix + (v,), [x for x in free if x != v])
 
-@lru_cache(maxsize=None)
-def _type_index(leaves: int) -> dict[tuple[int, ...], int]:
-    return {t.levels: i for i, t in enumerate(enumerate_types(leaves))}
+    extend((), list(range(2 * leaves - 1)))
+    return tuple(out)
 
 
 def _binary_stems(points: tuple[Point, ...]) -> tuple[tuple[int, ...], ...]:
@@ -270,66 +299,6 @@ def _walk_diagonal(
     return covered, stopped
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureNode:
-    word: tuple[int, ...]
-    kind: str  # "stem" | "meet" | "both"
-    parent: int  # index of the longest proper prefix in the closure, -1 at root
-    direction: int  # digit following the parent's word, -1 at root
-
-    @property
-    def level(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True, slots=True)
-class MeetClosure:
-    """Stems of a base-2 tuple together with all pairwise common prefixes,
-    in level order, each node linked to its longest proper prefix."""
-
-    nodes: tuple[ClosureNode, ...]
-
-    @property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(n.word for n in self.nodes)
-
-
-def meet_closure(points: tuple[Point, ...]) -> MeetClosure:
-    """Closure of the points' stems under pairwise longest common prefix.
-
-    The pairwise closure equals the closure under neighbouring meets of the
-    sorted tuple, so only those are formed.  Duplicate points are an error;
-    prefix-comparable stems are allowed here (a node may be stem and meet
-    at once) since diagonality is a separate predicate.
-    """
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate points")
-    pts = tuple(sorted(points))
-    stems = _binary_stems(pts)
-    words: dict[tuple[int, ...], str] = {}
-    for s in stems:
-        words[s] = "stem"
-    for i in range(1, len(stems)):
-        m = stems[i - 1][: _lcp_len(stems[i - 1], stems[i])]
-        if m in words:
-            if words[m] == "stem":
-                words[m] = "both"
-        else:
-            words[m] = "meet"
-    ordered = sorted(words, key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(ordered)}
-    nodes = []
-    for w in ordered:
-        parent, direction = -1, -1
-        for cut in range(len(w) - 1, -1, -1):
-            if w[:cut] in index:
-                parent = index[w[:cut]]
-                direction = w[cut]
-                break
-        nodes.append(ClosureNode(w, words[w], parent, direction))
-    return MeetClosure(tuple(nodes))
-
-
 def is_strongly_diagonal(points: tuple[Point, ...]) -> bool:
     """Stems pairwise prefix-incomparable, neighbouring meets pairwise
     distinct, and all 2*ell-1 closure nodes at pairwise distinct depths.
@@ -354,7 +323,8 @@ def similarity_type(points: tuple[Point, ...]) -> TreeType:
 
 def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
     """Total color map on increasing tuples: a strongly diagonal tuple gets
-    its type's index in enumerate_types(leaves), anything else color 0."""
+    its type's lex rank among the down-up permutations of 0..2*leaves-2
+    (type_rank, its index in enumerate_types), anything else color 0."""
     if len(points) != leaves:
         raise ValueError(f"expected {leaves} points, got {len(points)}")
     for i in range(1, leaves):
@@ -363,7 +333,7 @@ def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
     ranks = _classify(_binary_stems(points))
     if ranks is None:
         return 0
-    return _type_index(leaves)[ranks]
+    return _RANKS[ranks]
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,10 +369,12 @@ def scan_types(
     targets: frozenset[int] | None = None,
 ) -> ScanOutcome:
     """Classify tuples from h's max-set, deepening until every target type
-    (default: all of them) has a witness or the cap/budget stops play."""
+    (default: all of them, up to MAX_TYPE_LEAVES leaves) has a witness or
+    the cap/budget stops play."""
     depth_cap = caps.depth_cap(depth_cap)
+    if targets is None and leaves > MAX_TYPE_LEAVES:
+        raise ValueError(f"a scan for every type is capped at {MAX_TYPE_LEAVES} leaves, got {leaves}")
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)
-    index = _type_index(leaves)
     witnesses: dict[int, TypeWitness] = {}
     combos = 0
     deepest_full = 0
@@ -416,7 +388,7 @@ def scan_types(
             break
 
         def visit(picked: list[int], depths: list[int]) -> bool:
-            r = index[_ranks(depths)]
+            r = _RANKS[_ranks(depths)]
             if r in want and r not in witnesses:
                 witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
                 return want <= witnesses.keys()
@@ -446,9 +418,8 @@ def search_tuple_of_type(
 ) -> TypeSearch:
     """First tuple from h's max-set realizing the type, in construction
     order (depths outermost, sorted-tuple combinations innermost)."""
-    leaves = tree_type.leaf_count
-    r = _type_index(leaves)[tree_type.levels]
-    out = scan_types(h, leaves, depth_cap, budget, targets=frozenset({r}))
+    r = _RANKS[tree_type.levels]
+    out = scan_types(h, tree_type.leaf_count, depth_cap, budget, targets=frozenset({r}))
     if r in out.witnesses:
         w = out.witnesses[r]
         return TypeSearch(w.points, w.depth, out.combos, False)

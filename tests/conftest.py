@@ -12,6 +12,25 @@ def q(*stem, base=2):
     return Point(base, tuple(stem), base - 1)
 
 
+def diagonal_points(levels):
+    """A base-2 tuple of the given type: node i gets depth 3 * (levels[i] + 1);
+    a window's root meet is padded with zeros to its depth, its left subtree
+    continues with 0 and its right with 1, and each leaf closes with zeros."""
+    stems = []
+
+    def build(lo, hi, word):
+        m = lo if lo == hi else min(range(lo, hi + 1), key=levels.__getitem__)
+        word += (0,) * (3 * (levels[m] + 1) - len(word))
+        if lo == hi:
+            stems.append(word)
+        else:
+            build(lo, m - 1, word + (0,))
+            build(m + 1, hi, word + (1,))
+
+    build(0, len(levels) - 1, ())
+    return tuple(q(*s) for s in stems)
+
+
 def child_bounds(splits, lo, hi, digit):
     """Ends of child `digit` of the cell [lo, hi] whose division points are
     `splits` (the b-1 maxima of all children but the last)."""

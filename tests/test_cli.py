@@ -11,11 +11,12 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import q
+from conftest import diagonal_points, q
 from cantorsurj.cli import _emit, main
 from cantorsurj.experiments import QCopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
+from cantorsurj.similarity import similarity_type, type_rank
 from cantorsurj.surjections import compose, from_filtering, identity
 
 
@@ -97,6 +98,32 @@ def test_color_devlin(capsys, files):
     pts = files("pts.json", {"points": [q(0, 0, 0, 0).to_json(), q(0, 1, 0).to_json()]})
     code, out, _ = run(capsys, "color-devlin", pts)
     assert code == 0 and out == "1\n"
+
+
+@pytest.mark.parametrize("levels", [(12, 0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6), (3, 1, 2, 0, 12, 4, 11, 5, 10, 6, 9, 7, 8)])
+def test_seven_leaf_tuples_are_colored(capsys, files, levels):
+    pts = diagonal_points(levels)
+    path = files("pts.json", [p.to_json() for p in pts])
+    color = type_rank(similarity_type(pts).levels)
+    code, out, _ = run(capsys, "type-of", path)
+    assert code == 0 and json.loads(out) == {"l": 7, "diagonal": True, "color": color, "levels": list(levels)}
+    assert run(capsys, "color-devlin", path) == (0, f"{color}\n", "")
+
+
+@pytest.mark.parametrize("verb", ["type-of", "color-devlin"])
+def test_points_over_rank_bound_exit_2(capsys, files, monkeypatch, verb):
+    import cantorsurj.cli as cli
+    import cantorsurj.similarity as similarity
+
+    def refuse(*args):
+        raise AssertionError("coloring started")
+
+    monkeypatch.setattr(cli, "canonical_coloring", refuse)
+    monkeypatch.setattr(similarity._RankMemo, "__missing__", refuse)
+    path = files("pts.json", [p.to_json() for p in identity(2).fingerprint(10)[:831]])
+    code, out, err = run(capsys, verb, path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: 831 points; types are ranked up to 830 leaves\n"
 
 
 def test_search_type(capsys, files):
@@ -400,6 +427,7 @@ _POINT_LISTS = [
     [p.to_json() for p in identity(3).fingerprint(1)],
     [q(0, 0).to_json(), q(1).to_json()],
     {"points": [q(0).to_json(), q(1, 0).to_json()]},
+    [p.to_json() for p in diagonal_points((12, 0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6))],
 ]
 _KEYS = ["b", "k", "stem", "tail", "kind", "boundaries", "depth", "outer", "inner", "surjection",
          "restrictions", "lo", "hi", "colors", "relabel", "table", "default", "value", "00|0|10"]

@@ -16,7 +16,6 @@ from cantorsurj.experiments import (
     lower_bound_coloring,
     omega_coloring,
     oscillation_search,
-    perfect_tree,
     random_qcopy,
     realize_all_colors,
 )
@@ -172,19 +171,6 @@ def test_qcopy_normalization():
 def test_qcopy_json_roundtrip():
     y = random_qcopy(derive_rng(3, "json"))
     assert QCopy.from_json(y.to_json()).to_json() == y.to_json()
-
-
-def test_perfect_tree_flags():
-    y = QCopy(identity(2), (ClopenInterval(min_point(2), q(0)),))
-    rep = perfect_tree(y, 3)
-    words = rep.words()
-    assert () in words and (0,) in words and (1,) not in words
-    assert (0, 1, 1) in words and len(words) == 8
-    node = {n.word: n for n in rep.nodes}
-    assert node[()].splitting is False and node[()].pending is False
-    assert node[(0,)].splitting is True
-    # the frontier cannot be settled yet: splitting may appear deeper
-    assert node[(0, 1, 1)].splitting is None and node[(0, 1, 1)].pending
 
 
 def test_omega_coloring_goldens():

@@ -499,10 +499,16 @@ def test_chain_fingerprint_and_evaluate_match_entrywise(h, data):
     fresh = surjection_from_json(h.to_json())  # no memo shared with h
     for d in range(1, 4 if b == 2 else 3):
         assert h.fingerprint(d) == tuple(fresh.boundary_entry(d, i) for i in range(b**d - 1))
-    digit = st.integers(0, b - 1)
+    # stems run several digits past the support, so the chain's cells reach
+    # the closed form below the first full cylinder, and both walks go a
+    # few digits deeper than the stem
+    top, digit = b - 1, st.integers(0, b - 1)
     for _ in range(3):
-        x = Point(b, tuple(data.draw(st.lists(digit, max_size=8))), data.draw(digit))
-        assert h.evaluate(x, 10) == reference_evaluate(fresh.child_maxima, b, x, 10)
+        stem = tuple(data.draw(st.lists(digit, min_size=h.support + 3, max_size=h.support + 8)))
+        x, depth = Point(b, stem, data.draw(digit)), len(stem) + 4
+        got = [(w, Point(b, lo, 0), Point(b, hi, top)) for w, lo, hi in islice(cell_chain(h, x), depth)]
+        assert got == list(islice(reference_cell_chain(fresh.child_maxima, b, x), depth))
+        assert h.evaluate(x, depth) == reference_evaluate(fresh.child_maxima, b, x, depth)
 
 
 @given(st.integers(0, 2**200 - 2))

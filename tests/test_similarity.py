@@ -1,4 +1,5 @@
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb
 
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import q
+from conftest import diagonal_points, q
 from cantorsurj.caps import default_depth_cap
 from cantorsurj.points import Point
 from cantorsurj.randgen import random_surjection
@@ -19,15 +20,14 @@ from cantorsurj.similarity import (
     canonical_coloring,
     enumerate_types,
     is_strongly_diagonal,
-    meet_closure,
     scan_types,
     search_tuple_of_type,
     similarity_type,
     tangent_number,
     tangent_table,
+    type_rank,
     _binary_stems,
     _classify,
-    _type_index,
 )
 from cantorsurj.surjections import identity
 
@@ -66,25 +66,116 @@ def test_tree_type_validation():
         TreeType(tuple(range(2 * MAX_TYPE_LEAVES + 1)))
 
 
+def _gen_level_sequences(leaves, pool):
+    # pool is sorted; the window minimum must be the root meet, and any odd
+    # split of the remaining ranks between the two subtrees is realizable
+    if leaves == 1:
+        return [(pool[0],)]
+    root, rest = pool[0], pool[1:]
+    out = []
+    for left_leaves in range(1, leaves):
+        take = 2 * left_leaves - 1
+        for chosen in combinations(rest, take):
+            taken = set(chosen)
+            remain = tuple(x for x in rest if x not in taken)
+            for left in _gen_level_sequences(left_leaves, chosen):
+                for right in _gen_level_sequences(leaves - left_leaves, remain):
+                    out.append(left + (root,) + right)
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_type_index(leaves):
+    """Index of each type among the sorted level sequences that parse as
+    meet trees, built tree by tree."""
+    seqs = sorted(_gen_level_sequences(leaves, tuple(range(2 * leaves - 1))))
+    return {s: i for i, s in enumerate(seqs)}
+
+
+def _window_ok(levels, lo, hi):
+    # the window's least level must be an odd (meet) position, recursively
+    if lo == hi:
+        return True
+    m = min(range(lo, hi + 1), key=levels.__getitem__)
+    return m % 2 == 1 and _window_ok(levels, lo, m - 1) and _window_ok(levels, m + 1, hi)
+
+
+@lru_cache(maxsize=None)
+def _alternating_completions(free, last, down):
+    """Orders of all of `free` after `last` that keep alternating, the
+    first step going down when `down`."""
+    if not free:
+        return 1
+    return sum(_alternating_completions(free - {v}, v, not down) for v in free if (v < last) == down)
+
+
+def reference_rank(levels):
+    """Lex rank among down-up permutations, by counting the completions of
+    every smaller admissible letter over subsets of free letters."""
+    rank, free = 0, frozenset(range(len(levels)))
+    for i, x in enumerate(levels):
+        for v in free:
+            if v < x and (i == 0 or (v < levels[i - 1]) == (i % 2 == 1)):
+                rank += _alternating_completions(free - {v}, v, i % 2 == 0)
+        free -= {x}
+    return rank
+
+
+def test_enumerate_types_matches_tree_generator():
+    for ell in range(1, 6):
+        assert [t.levels for t in enumerate_types(ell)] == list(reference_type_index(ell))
+
+
+def test_type_rank_matches_reference_index():
+    for ell in range(1, 6):
+        for levels, i in reference_type_index(ell).items():
+            assert type_rank(levels) == i == reference_rank(levels)
+
+
+def test_type_rank_on_a_six_leaf_sample():
+    rng, sample = random.Random(6), []
+    while len(sample) < 40:
+        p = rng.sample(range(11), 11)
+        if _window_ok(p, 0, 10):
+            sample.append(tuple(p))
+    for levels in sample:
+        assert type_rank(levels) == reference_rank(levels)
+
+
+def test_type_rank_ends_at_seven_leaves():
+    first = (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 12)
+    last = (12, 10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1)
+    assert type_rank(first) == 0
+    assert type_rank(last) == tangent_number(7) - 1 == 22_368_255
+    for bad in ((1, 2, 0), (4, 0, 3, 2, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            type_rank(bad)
+
+
+def test_tree_type_accepts_exactly_the_meet_tree_parses():
+    for n in range(1, 8):
+        for p in permutations(range(n)):
+            try:
+                TreeType(p)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (n % 2 == 1 and _window_ok(p, 0, n - 1)), p
+
+
+def test_coloring_of_a_seven_leaf_diagonal_tuple():
+    levels = (12, 0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6)
+    pts = diagonal_points(levels)
+    assert similarity_type(pts).levels == levels
+    assert canonical_coloring(pts, 7) == type_rank(levels) == reference_rank(levels) == 19_975_536
+
+
 def test_tree_type_from_json_is_strict():
     t = TreeType((1, 0, 2))
     assert TreeType.from_json(t.to_json()) == t
     for bad in ({"levels": [1.0, 0, 2]}, {"l": 2.0, "levels": [1, 0, 2]}):
         with pytest.raises(ValueError, match="expected an integer"):
             TreeType.from_json(bad)
-
-
-def test_meet_closure():
-    mc = meet_closure((q(0), q(1, 0)))
-    assert mc.words == ((), (0,), (1, 0))
-    assert [n.kind for n in mc.nodes] == ["meet", "stem", "stem"]
-    root = mc.nodes[0]
-    assert root.parent == -1 and root.level == 0
-    # a stem that is also a pairwise meet keeps both roles
-    both = meet_closure((q(0, 0), q(0), q(1, 0)))
-    assert dict(zip(both.words, (n.kind for n in both.nodes)))[(0,)] == "both"
-    with pytest.raises(ValueError):
-        meet_closure((q(0), q(0)))
 
 
 def test_strongly_diagonal():
@@ -166,6 +257,11 @@ def test_scan_identity_depth2():
 def test_scan_targets_subset():
     out = scan_types(identity(2), 3, targets={0, 5})
     assert out.complete and sorted(out.witnesses) == [0, 5]
+    # named targets past the leaf cap are ranked; all 22M of them are refused
+    seven = TreeType((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 12))
+    assert search_tuple_of_type(identity(2), seven).exhausted
+    with pytest.raises(ValueError, match="capped at 6 leaves"):
+        scan_types(identity(2), 7)
 
 
 def test_scan_budget_exhaustion():
@@ -188,7 +284,7 @@ def reference_scan_types(h, leaves, depth_cap=None, budget=DEFAULT_SCAN_BUDGET, 
     if depth_cap is None:
         depth_cap = default_depth_cap()
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)
-    index = _type_index(leaves)
+    index = reference_type_index(leaves)
     witnesses = {}
     combos = 0
     deepest_full = 0
