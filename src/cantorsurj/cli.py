@@ -433,6 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--opt=--" as an empty list, skipping the option's type
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name.replace('_', '-')}: expected one value", file=sys.stderr)
+            return 2
     try:
         code = args.fn(args)
         sys.stdout.flush()

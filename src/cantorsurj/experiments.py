@@ -31,6 +31,7 @@ from .points import Node, Point, interval_successor, json_int, max_point, min_po
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
+    MAX_TANGENT_INDEX,
     MAX_TYPE_LEAVES,
     canonical_coloring,
     scan_types,
@@ -87,11 +88,15 @@ def _resolution_depth(eps) -> int:
 
 
 def epsilon_parameters(base: int, eps) -> EpsilonParameters:
-    """Depth, width, and color budget at resolution eps, exactly."""
+    """Depth, width, and color budget at resolution eps, exactly.  The
+    budget's tangent number is refused past MAX_TANGENT_INDEX before its
+    sweep starts."""
     if base < 2:
         raise ValueError(f"need base >= 2, got {base}")
     k = _resolution_depth(eps)
     ell = base**k - 1
+    if ell > MAX_TANGENT_INDEX:
+        raise ValueError(f"tuple width {ell} at eps {eps}; tangent numbers stop at {MAX_TANGENT_INDEX}")
     return EpsilonParameters(k, ell, tangent_number(ell))
 
 

@@ -15,11 +15,15 @@ b-1 picks together, read as stems from the one first digit where lo and hi
 differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
 stem (Filtering.boundary_tuple), and kept in a filtering's one memo table.
-A single cell, cell maximum or cell chain is read by a stateless descent on
-end stems instead (Filtering); below a full cylinder a chain follows x's
-own digits.  Cells are ClopenIntervals only where a caller asks for one; the
-depth-d partition is its boundary tuple.  A pick stem c + (l,) has l < top,
-so it is canonical as it stands and its point skips validation
+Cells read one at a time take a stateless walk on end stems instead, one
+walk per batch: Filtering._cell_ends descends for many words at once,
+splitting each cell they share once (a single word is a batch of one), and
+max_words finds for many points at once the shallowest cell each is the
+maximum of (factor images).  Below a full cylinder every walk is in closed
+form; cell_chain, one point's walk through every depth, follows x's own
+digits there.  Cells are ClopenIntervals only where a caller asks for one;
+the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
+l < top, so it is canonical as it stands and its point skips validation
 (points.canonical_point); decoders and public constructors validate.
 """
 
@@ -145,8 +149,8 @@ def cell_chain(tree, x: Point):
     greedy picks (_pick_stems); above it they are the tree's child maxima.
     A division point s top^w is at least x exactly when x's first |s| digits
     are at most s, so under the right-closed convention a division point
-    stays in the lower cell.  From the first full cylinder on (the test of
-    _cell_stems) the cells are the cylinders of x's prefixes: no more picks.
+    stays in the lower cell.  From the first full cylinder on (_greedy_split)
+    the cells are the cylinders of x's prefixes: no more picks.
     """
     top, s = tree.base - 1, tree.support
     word: tuple[int, ...] = ()
@@ -157,9 +161,8 @@ def cell_chain(tree, x: Point):
         if len(word) < s:
             picks = [_max_stem(p, top) for p in tree.child_maxima(word)]
         else:
-            picks = _pick_stems(top, lo, hi, n)
-            n = len(picks[0])
-            if len(lo) < n and len(hi) < n:
+            picks, n = _greedy_split(top, lo, hi, n)
+            if picks is None:
                 break  # a full cylinder: the cells below are x's prefixes
         i = 0
         while i < top and x.prefix(len(picks[i])) > picks[i]:
@@ -167,11 +170,72 @@ def cell_chain(tree, x: Point):
         lo, hi = _child_stems(top, lo, hi, picks, i)
         word += (i,)
         yield word, lo, hi
+    # [v] -> [v d], d = x.digit(|v|): the ends' stems are v d, except that
+    # lo keeps its stem when d is 0 and hi keeps its stem when d is top
     while True:
-        word += (x.digit(n - 1),)
+        d = x.digit(n - 1)
+        word += (d,)
         v = x.prefix(n)
-        yield word, _strip(v, 0), _strip(v, top)
+        if d:
+            lo = v
+        if d != top:
+            hi = v
+        yield word, lo, hi
         n += 1
+
+
+def max_words(tree, xs) -> list[tuple[int, ...] | None]:
+    """For ascending interior q-points xs, the word of the shallowest cell
+    of `tree` whose maximum each one is, or None where that cell is deeper
+    than tree.support + len(stem), the bound of corollary (i) of the
+    greedy-cylinder lemma (in surjections).
+
+    One walk of the tree for the whole batch, so a cell holding several
+    entries is split once: a cell's entries are cut at its division points
+    by cell_chain's rule, and an entry stops at the first cell whose hi end
+    it equals.  Such a word never ends in the top digit: a last child shares
+    its parent's maximum, so the shallowest hit is at the parent, and the
+    depth-0 maximum is the top point, no interior point.  A full cylinder
+    [v] below the support holds no entry of stem length <= |v| (that entry
+    would be max [v]); an entry with stem c is max [c], whose word is the
+    cylinder's word followed by c's digits after v.
+    """
+    top, s = tree.base - 1, tree.support
+    out: list[tuple[int, ...] | None] = [None] * len(xs)
+    stack = [((), (), (), 0, range(len(xs)))]
+    while stack:
+        word, lo, hi, n, group = stack.pop()
+        j = len(word)
+        if j < s:
+            picks = [_max_stem(p, top) for p in tree.child_maxima(word)]
+        else:
+            picks, n = _greedy_split(top, lo, hi, n)
+            if picks is None:
+                if j - (n - 1) <= s:  # the depth j + |c| - |v| is within bound
+                    for k in group:
+                        out[k] = word + xs[k].stem[n - 1 :]
+                continue
+        children: list[list[int]] = [[] for _ in range(top + 1)]
+        i = 0
+        for k in group:
+            x = xs[k]
+            while i < top and x.prefix(len(picks[i])) > picks[i]:
+                i += 1
+            children[i].append(k)
+        j += 1
+        for digit, kids in enumerate(children):
+            if kids:
+                lo_k, hi_k = _child_stems(top, lo, hi, picks, digit)
+                word_k, rest = word + (digit,), []
+                for k in kids:
+                    stem = xs[k].stem
+                    if stem == hi_k:
+                        out[k] = word_k
+                    elif j < s + len(stem):
+                        rest.append(k)
+                if rest:
+                    stack.append((word_k, lo_k, hi_k, n, rest))
+    return out
 
 
 def least_q_point_between(lower: Point, hi: Point) -> Point:
@@ -242,6 +306,18 @@ def _pick_stems(
     return picks
 
 
+def _greedy_split(
+    top: int, lo: tuple[int, ...], hi: tuple[int, ...], n: int
+) -> tuple[list[tuple[int, ...]] | None, int]:
+    """_pick_stems of the cell [lo 0^w, hi top^w] and the new count of
+    digits its children's ends agree on; None for the picks when the cell is
+    the full cylinder [v], v = lo 0^w and hi top^w cut at that count less
+    one, whose descendant at word w is [v w]."""
+    picks = _pick_stems(top, lo, hi, n)
+    n = len(picks[0])
+    return (None if len(lo) < n and len(hi) < n else picks), n
+
+
 def _child_stems(
     top: int, lo: tuple[int, ...], hi: tuple[int, ...], picks: list[tuple[int, ...]], digit: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -292,9 +368,10 @@ class Filtering:
     extension, so sharing across threads is safe and extension is
     idempotent.
 
-    A single cell below the support is reached by a stateless descent on
-    end stems from the stored depth-s cell (_cell_stems), unless cell_max
-    finds its level in the table.  With n the first index where the ends lo < hi differ,
+    Cells below the support are reached by a stateless descent on end
+    stems from the stored depth-s cells (_cell_ends), one for a whole batch
+    of words, unless cell_maxima finds a word's level in the table.  With n
+    the first index where the ends lo < hi differ,
     c = hi[:n] and l = lo[n] < h = hi[n], the greedy picks are c j top^w
     for l <= j < h and then, while picks remain, hi[:m] j top^w for j
     below hi[m] at the later indices m where hi has a nonzero digit
@@ -306,7 +383,7 @@ class Filtering:
     [c h] up to hi, less the full cylinders cut off before it.  A full
     cylinder [v] splits into [v 0], ..., [v top], so its descendant at
     word w is [v w] and the descent ends there in closed form, as cell_chain
-    does.  cell_max, child_maxima and the greedy levels build their points
+    does.  cell_maxima, child_maxima and the greedy levels build their points
     unvalidated (canonical_point): each stem is a pick c + (l,) with l < top,
     or a cell's hi stem, stripped of top digits.
     """
@@ -332,37 +409,72 @@ class Filtering:
 
     # -- cells ---------------------------------------------------------
 
-    def _cell_stems(self, word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Stems of the ends of the cell at `word`: lo (tail 0), hi (tail top)."""
+    def _cell_ends(self, words) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Stems of the ends of the cell at each word, lo (tail 0) and hi
+        (tail top), in one descent: words are grouped by their stored
+        prefix, then by their next digit, so a cell that several words pass
+        through is split once, and a group ends in closed form at its first
+        full cylinder [v], whose descendant at word w is [v w]."""
         s, top = self.support, self.base - 1
-        stored, lo, hi = word[:s], (), ()
-        if stored:
-            level, r = self.levels[len(stored) - 1], word_rank(stored, self.base)
-            lo = _successor_stem(_max_stem(level[r - 1], top)) if r else ()
-            hi = _max_stem(level[r], top) if r < len(level) else ()
-        n = 0  # lo and hi agree on their first n digits
-        for j in range(s, len(word)):
-            picks = _pick_stems(top, lo, hi, n)
-            n = len(picks[0])
-            if len(lo) < n and len(hi) < n:
-                # the full cylinder [v], v = lo 0^w and hi top^w cut at n-1
-                v = hi + (top,) * (n - 1 - len(hi)) + word[j:]
-                return _strip(v, 0), _strip(v, top)
-            lo, hi = _child_stems(top, lo, hi, picks, word[j])
-        return lo, hi
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for w in words:
+            groups.setdefault(w[:s], []).append(w)
+        stack = []
+        for stored, group in groups.items():
+            lo: tuple[int, ...] = ()
+            hi: tuple[int, ...] = ()
+            if stored:
+                level, r = self.levels[len(stored) - 1], word_rank(stored, self.base)
+                lo = _successor_stem(_max_stem(level[r - 1], top)) if r else ()
+                hi = _max_stem(level[r], top) if r < len(level) else ()
+            stack.append((lo, hi, 0, len(stored), group))
+        out = {}
+        while stack:
+            lo, hi, n, j, group = stack.pop()  # lo and hi agree on n digits
+            below: dict[int, list[tuple[int, ...]]] = {}
+            for w in group:
+                if len(w) == j:
+                    out[w] = lo, hi
+                else:
+                    below.setdefault(w[j], []).append(w)
+            if not below:
+                continue
+            picks, n = _greedy_split(top, lo, hi, n)
+            if picks is None:
+                v = hi + (top,) * (n - 1 - len(hi))
+                for ws in below.values():
+                    for w in ws:
+                        u = v + w[j:]
+                        out[w] = _strip(u, 0), _strip(u, top)
+                continue
+            for digit, ws in below.items():
+                stack.append((*_child_stems(top, lo, hi, picks, digit), n, j + 1, ws))
+        return out
 
     def cell(self, word: tuple[int, ...]) -> ClopenInterval:
         """The depth-len(word) cell at this word's lex position."""
-        lo, hi = self._cell_stems(word)
+        lo, hi = self._cell_ends((word,))[word]
         return ClopenInterval(Point(self.base, lo, 0), Point(self.base, hi, self.base - 1))
 
+    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
+        """Maximum of cell(word) for every word, the top point for the last
+        cell of a depth: read from a stored or memoized level where the
+        word's depth has one, else from one shared descent (_cell_ends)."""
+        b, out, deep = self.base, {}, []
+        for w in words:
+            d = len(w)
+            if d > self.support and d not in self._level_memo:
+                deep.append(w)
+            else:
+                level, r = self.boundary_tuple(d), word_rank(w, b)
+                out[w] = level[r] if r < len(level) else max_point(b)
+        for w, (_, hi) in self._cell_ends(deep).items():
+            out[w] = canonical_point(b, hi, b - 1)
+        return out
+
     def cell_max(self, word: tuple[int, ...]) -> Point:
-        """Maximum of cell(word), the top point for the last cell of a depth."""
-        b, d = self.base, len(word)
-        if d > self.support and d not in self._level_memo:
-            return canonical_point(b, self._cell_stems(word)[1], b - 1)
-        level, r = self.boundary_tuple(d), word_rank(word, b)
-        return level[r] if r < len(level) else max_point(b)
+        """Maximum of cell(word): cell_maxima of one word."""
+        return self.cell_maxima((word,))[word]
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         """The b-1 division points of cell(word) one level down."""
@@ -370,7 +482,8 @@ class Filtering:
         if d < self.support:
             r = word_rank(word, b)
             return self.levels[d][r * b : r * b + b - 1]
-        return tuple(canonical_point(b, s, b - 1) for s in _pick_stems(b - 1, *self._cell_stems(word)))
+        stems = _pick_stems(b - 1, *self._cell_ends((word,))[word])
+        return tuple(canonical_point(b, s, b - 1) for s in stems)
 
     # -- boundary tuples -----------------------------------------------
 

@@ -3,11 +3,14 @@
 A surjection is represented by its system of cell preimages: the depth-d
 boundary tuple lists the maxima of the b^d preimage cells (except the global
 maximum).  Each representation, explicit filtering data or a lazy
-composition chain, gives two primitives: the word-keyed cell maximum
-cell_max(word), which is boundary_entry(d, i) at the depth-d word of rank i,
-and a whole level; a chain's level is the outer's level pulled in bulk
-through the inner map's preimage_max.  Both share all derived operations:
-evaluation, preimages, distance, factorization.
+composition chain, gives two primitives: the word-keyed cell maxima of a
+batch of words, cell_maxima(words) (cell_max(word) is a batch of one, and
+boundary_entry(d, i) the depth-d word of rank i), and a whole level.  A
+filtering answers a batch with one shared descent; a chain answers it with
+the outer's batch and then one inner batch for the outer maxima its memo
+lacks, and its level is the outer's level pulled the same way, so nested
+chains stay batched.  Both share all derived operations: evaluation,
+preimages, distance, factorization.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
@@ -21,7 +24,9 @@ Two corollaries bound every cell search exactly:
 (i)  Every interior q-point x = c top^w is a cell maximum of h by depth
      s + |c|: its cell there lies in a length-|c| cylinder holding x, which
      is [c], and x = max [c].  So h's max-set is every interior q-point, and
-     evaluate(x, s + |c|) is exact.
+     evaluate(x, s + |c|) is exact.  Factorization finds the images of a
+     whole sorted tuple in one walk of h's cells (intervals.max_words),
+     which checks the same bound per entry.
 (ii) Every clopen interval [lo, hi] contains a full cell of h by depth
      s + m, m the longer endpoint stem: the cylinder [v], v the first m
      digits of lo, lies in [lo, hi], and the depth-(s+m) cell holding
@@ -39,10 +44,11 @@ from .intervals import (
     Filtering,
     cell_chain,
     entry_word,
+    max_words,
     validate_filtering,
     validate_level,
 )
-from .points import Dyadic, Point, json_int, max_point, min_point
+from .points import Dyadic, Point, canonical_point, json_int, max_point, min_point
 
 __all__ = [
     "Surjection",
@@ -63,6 +69,8 @@ __all__ = [
     "tuple_to_factor",
 ]
 
+_UNSTABLE = "image not stabilized within the requested digit budget"
+
 
 @dataclass(frozen=True, slots=True)
 class Evaluation:
@@ -78,7 +86,7 @@ class Evaluation:
 
     def as_point(self) -> Point:
         if self.exact is None:
-            raise ValueError("image not stabilized within the requested digit budget")
+            raise ValueError(_UNSTABLE)
         return self.exact
 
 
@@ -109,8 +117,8 @@ class Surjection(ABC):
     support: int  # every cell at this depth or deeper splits greedily
 
     @abstractmethod
-    def cell_max(self, word: tuple[int, ...]) -> Point:
-        """Maximum of the preimage cell at `word`, of any length: the
+    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
+        """Maximum of the preimage cell at each word, of any length: the
         depth-len(word) boundary entry at word's rank, or the top point."""
 
     @abstractmethod
@@ -119,12 +127,17 @@ class Surjection(ABC):
 
     # -- derived cell geometry -----------------------------------------
 
+    def cell_max(self, word: tuple[int, ...]) -> Point:
+        return self.cell_maxima((word,))[word]
+
     def boundary_entry(self, depth: int, index: int) -> Point:
         """Entry `index` of the depth-`depth` boundary tuple."""
         return self.cell_max(entry_word(self.base, depth, index))
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        return tuple(self.cell_max(word + (p,)) for p in range(self.base - 1))
+        words = [word + (p,) for p in range(self.base - 1)]
+        got = self.cell_maxima(words)
+        return tuple(got[w] for w in words)
 
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
         """All cell maxima down to `depth`, sorted, without the top point.
@@ -196,8 +209,8 @@ class FilteringSurjection(Surjection):
         self.filtering = filtering
         self.support = filtering.support
 
-    def cell_max(self, word: tuple[int, ...]) -> Point:
-        return self.filtering.cell_max(word)
+    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
+        return self.filtering.cell_maxima(words)
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         return self.filtering.child_maxima(word)
@@ -218,8 +231,11 @@ class ChainSurjection(Surjection):
     """outer o inner, evaluated lazily and exactly.
 
     The depth-d preimage cells of the composite are the inner-preimages of
-    the outer's cells, so each cell maximum is one preimage_max pull of the
-    outer's cell maximum through the inner map, memoized per distinct one.
+    the outer's cells, so each cell maximum is the inner preimage_max of
+    the outer's cell maximum y, the inner cell maximum at y's stem.  A batch
+    of words, and a whole level, takes the outer's maxima in one call and
+    pulls the distinct stems not yet in the memo through one inner
+    cell_maxima call (_pull), so shared inner cells are split once.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -264,15 +280,24 @@ class ChainSurjection(Surjection):
         self._memo: dict[tuple[int, ...], Point] = {}
         self._splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
 
-    def _pull(self, y: Point) -> Point:
-        # one inner preimage_max per distinct outer cell maximum
-        got = self._memo.get(y.stem)
-        if got is None:
-            got = self._memo[y.stem] = self.inner.preimage_max(y)
-        return got
+    def _pull(self, ys) -> dict[tuple[int, ...], Point]:
+        """The memo, holding the inner preimage_max of every outer cell
+        maximum y in ys by y's stem: the ones missing are pulled in one
+        inner cell_maxima call, the top point's stem () included."""
+        memo, top, stems = self._memo, self.base - 1, set()
+        for y in ys:
+            if y.tail != top:
+                raise ValueError(f"preimage_max needs an eventually-max point, got {y}")
+            stems.add(y.stem)
+        missing = stems - memo.keys()
+        if missing:
+            memo.update(self.inner.cell_maxima(missing))
+        return memo
 
-    def cell_max(self, word: tuple[int, ...]) -> Point:
-        return self._pull(self.outer.cell_max(word))
+    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
+        ys = self.outer.cell_maxima(words)
+        memo = self._pull(ys.values())
+        return {w: memo[y.stem] for w, y in ys.items()}
 
     def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
         got = self._splits.get(word)
@@ -282,7 +307,9 @@ class ChainSurjection(Surjection):
 
     def _level(self, depth: int) -> tuple[Point, ...]:
         # the outer's whole level, pulled in bulk through the inner map
-        return tuple(map(self._pull, self.outer.fingerprint(depth)))
+        ys = self.outer.fingerprint(depth)
+        memo = self._pull(ys)
+        return tuple(memo[y.stem] for y in ys)
 
     def to_json(self) -> dict:
         return {
@@ -396,10 +423,16 @@ def _subsample_levels(
 
 def _image_factor(h: Surjection, depth: int, entries: tuple[Point, ...]) -> FilteringSurjection:
     """The canonical surjection whose depth-`depth` tuple is the h-image of
-    `entries`.  Each entry, an interior q-point, is a cell maximum of h by
-    depth h.support + len(stem) (corollary (i)), where its image is exact;
-    increasing cell maxima have increasing images."""
-    images = tuple(h.evaluate(x, h.support + len(x.stem)).as_point() for x in entries)
+    the ascending `entries`.  Each entry, an interior q-point, is a cell
+    maximum of h by depth h.support + len(stem) (corollary (i)); its image
+    is the word of the shallowest such cell followed by top digits, found
+    for all entries in one walk (max_words) and refused with evaluate's
+    error past that bound.  Increasing cell maxima have increasing images."""
+    words = max_words(h, entries)
+    if None in words:
+        raise ValueError(_UNSTABLE)
+    b = h.base
+    images = tuple(canonical_point(b, w, b - 1) for w in words)
     return tuple_to_surjection(depth, BoundaryTuple(h.base, depth, images))
 
 

@@ -577,6 +577,24 @@ def test_cli_exit_contract_for_verbs_without_files(argv):
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "42", "--only=--"],
+        ["verify", "--seed=--"],
+        ["oscillation", "spec.json", "--eps=--"],
+        ["dist", "f.json", "g.json", "--cap=--"],
+    ],
+)
+def test_option_given_as_double_dash_exits_2(argv):
+    # argparse hands "--opt=--" over as an empty list, past the option's type
+    out, err = io.StringIO(), io.StringIO()
+    with patch("cantorsurj.verify.run_suite", _no_checks), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert_exit_contract(code, out.getvalue(), err.getvalue())
+    assert code == 2 and "expected one value" in err.getvalue()
+
+
 @pytest.mark.parametrize("only", [",", " ", "", " , ,"])
 def test_verify_empty_only_exits_2_before_any_check(capsys, only):
     with patch("cantorsurj.verify.run_suite", _no_checks):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import child_bounds, nested_maps, q
+import cantorsurj.experiments as experiments
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
@@ -45,6 +46,21 @@ def test_epsilon_parameters():
     for bad in (0, -1, Fraction(11, 10)):
         with pytest.raises(ValueError):
             epsilon_parameters(2, bad)
+
+
+def test_epsilon_parameters_refuse_past_the_tangent_bound(monkeypatch):
+    # the width b^k - 1 is checked against MAX_TANGENT_INDEX (830) before
+    # any tangent number is computed
+    def unreachable(n):
+        raise AssertionError(f"tangent_number({n}) reached")
+
+    monkeypatch.setattr(experiments, "tangent_number", unreachable)
+    for base, eps in ((2, Fraction(1, 1024)), (2, Fraction(1, 512)), (29, Fraction(1, 2)), (832, 1)):
+        with pytest.raises(ValueError, match="tangent numbers stop at 830"):
+            epsilon_parameters(base, eps)
+    monkeypatch.setattr(experiments, "tangent_number", lambda n: -n)
+    assert epsilon_parameters(28, Fraction(1, 2)).t == -783
+    assert epsilon_parameters(831, 1).t == -830
 
 
 def test_find_cell_within_identity():

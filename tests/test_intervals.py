@@ -12,6 +12,7 @@ from cantorsurj.intervals import (
     _pick_stems,
     cell_chain,
     least_q_point_between,
+    max_words,
     validate_filtering,
 )
 from cantorsurj.points import (
@@ -27,11 +28,15 @@ from cantorsurj.points import (
 from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
     BoundaryTuple,
+    ChainSurjection,
     Evaluation,
     FilteringSurjection,
     compose,
+    factor_through,
+    from_filtering,
     identity,
     surjection_from_json,
+    tuple_to_factor,
 )
 
 
@@ -535,15 +540,22 @@ def test_greedy_points_are_canonical(f, h, data):
     for d in range(1, s + 4):
         if b**d <= 4096:
             got += f.boundary_tuple(d)
-    for word in data.draw(st.lists(words, min_size=1, max_size=6)):
+    batch = data.draw(st.lists(words, min_size=1, max_size=6))
+    for word in batch:
         got += f.child_maxima(word)
         got.append(f.cell_max(word))
+    got += f.cell_maxima(batch).values()
     hb = h.base
     for d in range(1, 4 if hb == 2 else 3):
         got += h.fingerprint(d)
-    for word in data.draw(st.lists(st.lists(st.integers(0, hb - 1), max_size=6).map(tuple), max_size=4)):
+    batch = data.draw(st.lists(st.lists(st.integers(0, hb - 1), max_size=6).map(tuple), max_size=4))
+    for word in batch:
         got += h.child_maxima(word)
         got.append(h.cell_max(word))
+    got += h.cell_maxima(batch).values()
+    # factor images: the h-images of a composite's fingerprint
+    g = compose(from_filtering(random_filtering(random.Random(s), hb, 2)), h)
+    got += factor_through(g, h, 2).filtering.levels[-1]
     for p in got:
         assert_canonical(p)
 
@@ -566,3 +578,149 @@ def test_cell_chain_matches_reference_deep_below_the_support(b):
     for x in xs:
         got = [(w, Point(b, lo, 0), Point(b, hi, b - 1)) for w, lo, hi in islice(cell_chain(f, x), depth)]
         assert got == list(islice(reference_cell_chain(child_maxima, b, x), depth))
+
+
+# -- one descent for a batch: cell maxima by word, image words by point -----
+
+
+def reference_cell_max(h, word, walks):
+    """A chain's cell maximum is the inner preimage_max of the outer's, down
+    to the reference walks of its filtering factors (one walk each, kept in
+    `walks`)."""
+    if isinstance(h, ChainSurjection):
+        y = reference_cell_max(h.outer, word, walks)
+        return y if y.is_max else reference_cell_max(h.inner, y.stem, walks)
+    walk = walks.setdefault(id(h), ReferenceWalk(h.filtering))
+    return reference_cell(walk, word).hi
+
+
+def batch_words(draw, b, s, deepest):
+    """Words shorter than, at and deeper than support s, two of them ending
+    in top digits, and every word of the first depth below s when that
+    level is small."""
+    digit = st.integers(0, b - 1)
+    words = draw(st.lists(st.lists(digit, max_size=deepest).map(tuple), min_size=1, max_size=8))
+    words += [(0,) * s, (b - 1,) * s] + [w + (b - 1,) * draw(st.integers(1, 3)) for w in words[:2]]
+    if b ** (s + 1) <= 256:
+        words += [rank_word(r, s + 1, b) for r in range(b ** (s + 1))]
+    return words
+
+
+@settings(max_examples=80, deadline=None)
+@given(filterings(bases=(2, 3, 4, 5)), st.booleans(), st.data())
+def test_cell_maxima_match_cell_max_and_reference(f, memo_first, data):
+    b, s = f.base, f.support
+    words = batch_words(data.draw, b, s, s + 6)
+    if memo_first and b ** (s + 2) <= 4096:
+        f.boundary_tuple(s + 2)  # words of that depth are read from the memo
+        assert s + 2 in f._level_memo
+    got = f.cell_maxima(words)
+    fresh, walk = Filtering(b, f.levels), ReferenceWalk(f)
+    assert set(got) == set(words)
+    for w in words:
+        assert got[w] == fresh.cell_max(w) == reference_cell(walk, w).hi
+        assert fresh.cell(w) == reference_cell(walk, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_maps(), st.booleans(), st.data())
+def test_chain_cell_maxima_match_cell_max_and_reference(h, pull_first, data):
+    b = h.base
+    words = batch_words(data.draw, b, h.support, h.support + 4)
+    if pull_first:
+        h.fingerprint(2)  # some outer maxima are in the chains' memos
+    got, fresh, walks = h.cell_maxima(words), surjection_from_json(h.to_json()), {}
+    assert set(got) == set(words)
+    for w in words:
+        assert got[w] == fresh.cell_max(w) == reference_cell_max(h, w, walks)
+    for w in words[:3]:
+        assert h.child_maxima(w) == tuple(reference_cell_max(h, w + (p,), walks) for p in range(b - 1))
+
+
+def evaluated_images(h, xs):
+    """The per-entry path: evaluate each x to corollary (i)'s bound."""
+    return [h.evaluate(x, h.support + len(x.stem)).as_point() for x in xs]
+
+
+def batch_images(h, xs):
+    words = max_words(h, xs)
+    if None in words:
+        raise ValueError("image not stabilized within the requested digit budget")
+    return [Point(h.base, w, h.base - 1) for w in words]
+
+
+def image_entries(draw, h, deepest):
+    """Ascending interior q-points: cell maxima of h and random points."""
+    b, top = h.base, h.base - 1
+    digit = st.integers(0, top)
+    stems = draw(st.lists(st.lists(digit, min_size=1, max_size=deepest).map(tuple), max_size=12))
+    xs = {Point(b, stem, top) for stem in stems}
+    words = draw(st.lists(st.lists(digit, min_size=1, max_size=deepest).map(tuple), max_size=12))
+    xs |= set(h.cell_maxima(words).values())
+    return sorted(x for x in xs if x.is_q_point)
+
+
+def outcome(fn, h, xs):
+    try:
+        return fn(h, xs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(filterings(bases=(2, 3, 4, 5)), nested_maps(), st.data())
+def test_batch_images_match_evaluate(f, chain, data):
+    for h in (FilteringSurjection(f), chain):
+        xs = image_entries(data.draw, h, h.support + 5)
+        assert batch_images(h, xs) == evaluated_images(h, xs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(filterings(bases=(2, 3, 4, 5)), st.data())
+def test_batch_images_with_support_set_short(f, data):
+    # both paths read the slot alone.  With the filtering's slot short, its
+    # last stored level is ignored; with the surjection's, cells are split
+    # greedily one level early and the bound is one short.  Either way the
+    # cells stay nested, so the bound holds, except for a slot of -1
+    # (support 0 set short), where no entry is a cell maximum within it
+    short = Filtering(f.base, f.levels)
+    short.support = max(f.support - 1, 0)
+    wrapped = FilteringSurjection(f)
+    wrapped.support -= 1
+    xs = image_entries(data.draw, FilteringSurjection(f), f.support + 4)
+    for h in (FilteringSurjection(short), wrapped):
+        got = outcome(batch_images, h, xs)
+        assert got == outcome(evaluated_images, h, xs)
+        assert isinstance(got, str) == (h.support < 0 and bool(xs))
+
+
+def test_batch_images_refuse_past_the_bound_like_evaluate():
+    # a slot of -1 on the identity: c top^w is first a cell maximum at
+    # depth |c|, one past the bound |c| - 1
+    h = identity(2)
+    h.support = -1
+    xs = [q(0, 0), q(0), q(1, 0)]
+    want = outcome(evaluated_images, h, xs)
+    assert want == "image not stabilized within the requested digit budget"
+    assert outcome(batch_images, h, xs) == want
+    with pytest.raises(ValueError, match=want):
+        tuple_to_factor(h, BoundaryTuple(2, 2, tuple(xs)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_maps(), st.data())
+def test_factor_images_match_evaluate_on_a_fingerprint(h, data):
+    # _image_factor's entries: a composite's whole fingerprint
+    b, d = h.base, 3 if h.base == 2 else 2
+    g = compose(from_filtering(random_filtering(random.Random(data.draw(st.integers(0, 99))), b, 2)), h)
+    xs = list(g.fingerprint(d))
+    assert batch_images(h, xs) == evaluated_images(h, xs)
+    assert factor_through(g, h, d).fingerprint(d) == g.outer.fingerprint(d)
+
+
+def test_chain_pull_refuses_an_outer_maximum_not_eventually_max():
+    # unvalidated outer data: a stored maximum with tail 0
+    h = compose(FilteringSurjection(Filtering(2, ((Point(2, (0,), 0),),))), identity(2))
+    for pull in (lambda: h.fingerprint(1), lambda: h.cell_max((0,)), lambda: h.child_maxima(())):
+        with pytest.raises(ValueError, match="needs an eventually-max point"):
+            pull()
