@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import caps
-from .intervals import ClopenInterval, cell_chain, validate_level
-from .points import Node, Point, interval_successor, json_int, max_point, min_point, rank_word
+from .intervals import ClopenInterval, point_words, validate_level
+from .points import Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
@@ -202,35 +202,39 @@ def find_cell_within(
     """Word of some cell of h contained in the interval, or None if none
     shows by depth_bound.
 
-    Walks the two endpoint cell chains in lockstep; a containment appears
-    exactly when the interval's ends go flush with cell ends or a whole
-    cell opens up strictly between the chains.  The default bound, h's
-    support plus the longer endpoint stem, always finds one (corollary (ii)
-    in surjections).
+    Reads the cells holding the two ends in lockstep, depth by depth; a
+    containment appears exactly when the interval's ends go flush with cell
+    ends or a whole cell opens up strictly between them.  One point walk
+    gives each end's word to the bound, or to the shallowest cell it is an
+    end of, from which on it stays flush: a cell's minimum (maximum) is its
+    first (last) child's, so the word goes on in 0s (top digits).  The
+    default bound, h's support plus the longer endpoint stem, always finds
+    one (corollary (ii) in surjections).
     """
     if h.base != interval.base:
         raise ValueError("base mismatch")
     if depth_bound is None:
         depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
+    depth_bound = max(depth_bound, 0)
     b = h.base
-    lo, hi = interval.lo, interval.hi
-    if lo.is_min and hi.is_max:
-        return ()
-    rl = rh = 0  # ranks of the two chains' cells within their depth
-    chains = zip(range(1, depth_bound + 1), cell_chain(h, lo), cell_chain(h, hi))
-    # cell ends come as stems; lo's tail is 0 and hi's is b-1, as the cells'
-    lo, hi = lo.stem, hi.stem
-    for d, (wl, alo, ahi), (wh, _, bhi) in chains:
-        rl = rl * b + wl[-1]
-        rh = rh * b + wh[-1]
-        if wl == wh:
-            if alo == lo and ahi == hi:
-                return wl
+    (wl, lo_hit), (wh, hi_hit) = point_words(h, (interval.lo, interval.hi), (depth_bound,) * 2)
+    # the depths from which each end is flush with its cell's end
+    flush_lo, flush_hi = (len(wl) if lo_hit else depth_bound + 1), (len(wh) if hi_hit else depth_bound + 1)
+    wl += (0,) * (depth_bound - len(wl))
+    wh += (b - 1,) * (depth_bound - len(wh))
+    rl = rh = 0  # ranks of the two ends' cells within their depth
+    for d in range(depth_bound + 1):
+        if d:
+            rl = rl * b + wl[d - 1]
+            rh = rh * b + wh[d - 1]
+        if rl == rh:
+            if d >= flush_lo and d >= flush_hi:
+                return wl[:d]
             continue
-        if alo == lo:
-            return wl
-        if bhi == hi:
-            return wh
+        if d >= flush_lo:
+            return wl[:d]
+        if d >= flush_hi:
+            return wh[:d]
         if rh - rl >= 2:
             return rank_word(rl + 1, d, b)
     return None
@@ -299,7 +303,7 @@ def _node_in_tree(y: QCopy, word: tuple[int, ...]) -> bool:
     # the derived tree keeps a node when the copy is non-scattered inside
     # its cylinder, that is when the cylinder meets a piece: the clopen
     # overlap holds a full cell (corollary (ii) in surjections)
-    cyl = ClopenInterval.of_node(Node(2, word))
+    cyl = ClopenInterval(Point(2, word, 0), Point(2, word, 1))
     return any(cyl.intersect(piece) is not None for piece in y.pieces)
 
 

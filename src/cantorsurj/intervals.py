@@ -16,14 +16,14 @@ differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
 stem (Filtering.boundary_tuple), and kept in a filtering's one memo table.
 Cells read one at a time take a stateless walk on end stems instead, one
-walk per batch: Filtering._cell_ends descends for many words at once,
-splitting each cell they share once (a single word is a batch of one), and
-max_words finds for many points at once the shallowest cell each is the
-maximum of (factor images).  Below a full cylinder every walk is in closed
-form; cell_chain, one point's walk through every depth, follows x's own
-digits there.  Cells are ClopenIntervals only where a caller asks for one;
-the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
-l < top, so it is canonical as it stands and its point skips validation
+walk per batch and two walks in all: Filtering._cell_ends, the word walk,
+descends for many words at once, splitting each cell they share once; and
+point_words, the point walk, finds for many ascending points at once the
+shallowest cell each is an end of, or its cell at a depth limit
+(evaluation, cell searches, factor images).  Below a full cylinder both
+walks are in closed form.  No cell is built as a ClopenInterval: the
+depth-d partition is its boundary tuple.  A pick stem c + (l,) has l < top,
+so it is canonical as it stands and its point skips validation
 (points.canonical_point); decoders and public constructors validate.
 """
 
@@ -31,16 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .points import (
-    Node,
-    Point,
-    canonical_point,
-    json_int,
-    max_point,
-    min_point,
-    rank_word,
-    word_rank,
-)
+from .points import Point, canonical_point, json_int, max_point, min_point, word_rank
 
 __all__ = [
     "ClopenInterval",
@@ -48,12 +39,21 @@ __all__ = [
     "FilteringReport",
     "validate_filtering",
     "least_q_point_between",
-    "entry_word",
     "MATERIALIZE_LIMIT",
 ]
 
 # boundary_tuple(d) materializes b^d - 1 points; refuse silly depths
 MATERIALIZE_LIMIT = 1 << 21
+
+
+def check_materialize(base: int, depth: int, what: str) -> None:
+    """Refuse a negative depth, and one whose b^depth - 1 entries exceed
+    MATERIALIZE_LIMIT.  From depth MATERIALIZE_LIMIT.bit_length() on every
+    base b >= 2 is over, so such a depth is refused before the power."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if depth >= MATERIALIZE_LIMIT.bit_length() or base**depth - 1 > MATERIALIZE_LIMIT:
+        raise ValueError(f"depth {depth} {what} has more than {MATERIALIZE_LIMIT} entries; over limit")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,10 +84,6 @@ class ClopenInterval:
     @classmethod
     def whole(cls, base: int) -> "ClopenInterval":
         return cls(min_point(base), max_point(base))
-
-    @classmethod
-    def of_node(cls, s: Node) -> "ClopenInterval":
-        return cls(s.min_point(), s.max_point())
 
     def intersect(self, other: "ClopenInterval") -> "ClopenInterval | None":
         lo = self.lo if other.lo < self.lo else other.lo
@@ -139,102 +135,73 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     return FilteringReport(True)
 
 
-def cell_chain(tree, x: Point):
-    """The cells containing x, one level down at a time.
+def point_words(tree, xs, limits) -> list[tuple[tuple[int, ...], bool]]:
+    """For ascending points xs, per point: the word of the shallowest cell
+    of `tree` that has xs[k] as an end (its maximum for tail b-1, its
+    minimum for tail 0) and True, or else its depth-limits[k] word and False.
 
     `tree` is a Filtering or a Surjection: anything with `base`, `support`
-    and `child_maxima(word)`.  Yields (word, lo, hi) for depths 1, 2, ...
-    without end, lo and hi being the stems of the cell's ends (lo's tail is
-    0, hi's is b-1).  From the support on, a cell's division points are its
-    greedy picks (_pick_stems); above it they are the tree's child maxima.
-    A division point s top^w is at least x exactly when x's first |s| digits
-    are at most s, so under the right-closed convention a division point
-    stays in the lower cell.  From the first full cylinder on (_greedy_split)
-    the cells are the cylinders of x's prefixes: no more picks.
+    and `cell_maxima(words)`.  One walk for the whole batch, a depth at a
+    time, so a cell holding several points is split once.  Above the
+    support a cell's division points are its children's maxima, read for
+    the whole depth in one cell_maxima call; from it on they are its greedy
+    picks (_pick_stems).  A division point s top^w is at least x exactly
+    when x's first |s| digits are at most s, so a division point stays in
+    the lower cell (cells are right-closed), and ascending points go to
+    ascending children.  A hit word never ends in the point's tail digit: a
+    first (last) child shares its parent's minimum (maximum), and the
+    depth-0 ends are the extreme points.  From the first full cylinder [v]
+    on (_greedy_split) the cells are the cylinders of x's prefixes:
+    x = c 0^w or c top^w, not an end of [v], has |c| > |v| and is first an
+    end of [c], whose word is the cylinder's word followed by c's digits
+    after v.
     """
     top, s = tree.base - 1, tree.support
-    word: tuple[int, ...] = ()
-    lo: tuple[int, ...] = ()
-    hi: tuple[int, ...] = ()
-    n = 0  # lo and hi agree on their first n digits
-    while True:
-        if len(word) < s:
-            picks = [_max_stem(p, top) for p in tree.child_maxima(word)]
-        else:
-            picks, n = _greedy_split(top, lo, hi, n)
-            if picks is None:
-                break  # a full cylinder: the cells below are x's prefixes
-        i = 0
-        while i < top and x.prefix(len(picks[i])) > picks[i]:
-            i += 1
-        lo, hi = _child_stems(top, lo, hi, picks, i)
-        word += (i,)
-        yield word, lo, hi
-    # [v] -> [v d], d = x.digit(|v|): the ends' stems are v d, except that
-    # lo keeps its stem when d is 0 and hi keeps its stem when d is top
-    while True:
-        d = x.digit(n - 1)
-        word += (d,)
-        v = x.prefix(n)
-        if d:
-            lo = v
-        if d != top:
-            hi = v
-        yield word, lo, hi
-        n += 1
-
-
-def max_words(tree, xs) -> list[tuple[int, ...] | None]:
-    """For ascending interior q-points xs, the word of the shallowest cell
-    of `tree` whose maximum each one is, or None where that cell is deeper
-    than tree.support + len(stem), the bound of corollary (i) of the
-    greedy-cylinder lemma (in surjections).
-
-    One walk of the tree for the whole batch, so a cell holding several
-    entries is split once: a cell's entries are cut at its division points
-    by cell_chain's rule, and an entry stops at the first cell whose hi end
-    it equals.  Such a word never ends in the top digit: a last child shares
-    its parent's maximum, so the shallowest hit is at the parent, and the
-    depth-0 maximum is the top point, no interior point.  A full cylinder
-    [v] below the support holds no entry of stem length <= |v| (that entry
-    would be max [v]); an entry with stem c is max [c], whose word is the
-    cylinder's word followed by c's digits after v.
-    """
-    top, s = tree.base - 1, tree.support
-    out: list[tuple[int, ...] | None] = [None] * len(xs)
-    stack = [((), (), (), 0, range(len(xs)))]
-    while stack:
-        word, lo, hi, n, group = stack.pop()
-        j = len(word)
+    out: list = [None] * len(xs)
+    cells = [((), (), (), 0, range(len(xs)))]  # the depth-j cells holding points
+    j = 0
+    while cells:
+        live = []
+        for word, lo, hi, n, group in cells:  # lo and hi agree on n digits
+            rest = []
+            for k in group:
+                x = xs[k]
+                t = x.tail
+                if (t == top and x.stem == hi) or (t == 0 and x.stem == lo):
+                    out[k] = word, True
+                elif j >= limits[k]:
+                    out[k] = word, False
+                else:
+                    rest.append(k)
+            if rest:
+                live.append((word, lo, hi, n, rest))
         if j < s:
-            picks = [_max_stem(p, top) for p in tree.child_maxima(word)]
-        else:
-            picks, n = _greedy_split(top, lo, hi, n)
-            if picks is None:
-                if j - (n - 1) <= s:  # the depth j + |c| - |v| is within bound
-                    for k in group:
-                        out[k] = word + xs[k].stem[n - 1 :]
-                continue
-        children: list[list[int]] = [[] for _ in range(top + 1)]
-        i = 0
-        for k in group:
-            x = xs[k]
-            while i < top and x.prefix(len(picks[i])) > picks[i]:
-                i += 1
-            children[i].append(k)
+            maxima = tree.cell_maxima([cell[0] + (p,) for cell in live for p in range(top)])
+        cells = []
+        for word, lo, hi, n, rest in live:
+            if j < s:
+                picks = [_max_stem(maxima[word + (p,)], top) for p in range(top)]
+            else:
+                picks, n = _greedy_split(top, lo, hi, n)
+                if picks is None:  # the cell is [v], |v| = n - 1
+                    for k in rest:
+                        x, limit = xs[k], limits[k]
+                        if x.tail in (0, top) and j + len(x.stem) - (n - 1) <= limit:
+                            out[k] = word + x.stem[n - 1 :], True
+                        else:
+                            out[k] = word + x.prefix(n - 1 + limit - j)[n - 1 :], False
+                    continue
+            children: list[list[int]] = [[] for _ in range(top + 1)]
+            i = 0
+            for k in rest:
+                x = xs[k]
+                while i < top and x.prefix(len(picks[i])) > picks[i]:
+                    i += 1
+                children[i].append(k)
+            for digit, kids in enumerate(children):
+                if kids:
+                    cells.append((word + (digit,), *_child_stems(top, lo, hi, picks, digit), n, kids))
         j += 1
-        for digit, kids in enumerate(children):
-            if kids:
-                lo_k, hi_k = _child_stems(top, lo, hi, picks, digit)
-                word_k, rest = word + (digit,), []
-                for k in kids:
-                    stem = xs[k].stem
-                    if stem == hi_k:
-                        out[k] = word_k
-                    elif j < s + len(stem):
-                        rest.append(k)
-                if rest:
-                    stack.append((word_k, lo_k, hi_k, n, rest))
     return out
 
 
@@ -334,16 +301,6 @@ def _max_stem(p: Point, top: int) -> tuple[int, ...]:
     return p.stem
 
 
-def entry_word(base: int, depth: int, index: int) -> tuple[int, ...]:
-    """The word whose cell maximum is entry `index` of the depth-`depth`
-    boundary tuple."""
-    if not 1 <= depth:
-        raise ValueError("boundary tuples exist for depth >= 1")
-    if not 0 <= index < base**depth - 1:
-        raise ValueError(f"index {index} out of range at depth {depth}")
-    return rank_word(index, depth, base)
-
-
 def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
     """Stem of interval_successor(stem top^w), whose tail is 0."""
     if not stem:
@@ -382,8 +339,8 @@ class Filtering:
     and the last child, [successor of the last pick, hi], is a prefix of
     [c h] up to hi, less the full cylinders cut off before it.  A full
     cylinder [v] splits into [v 0], ..., [v top], so its descendant at
-    word w is [v w] and the descent ends there in closed form, as cell_chain
-    does.  cell_maxima, child_maxima and the greedy levels build their points
+    word w is [v w] and the descent ends there in closed form, as the point
+    walk does.  cell_maxima and the greedy levels build their points
     unvalidated (canonical_point): each stem is a pick c + (l,) with l < top,
     or a cell's hi stem, stripped of top digits.
     """
@@ -451,15 +408,11 @@ class Filtering:
                 stack.append((*_child_stems(top, lo, hi, picks, digit), n, j + 1, ws))
         return out
 
-    def cell(self, word: tuple[int, ...]) -> ClopenInterval:
-        """The depth-len(word) cell at this word's lex position."""
-        lo, hi = self._cell_ends((word,))[word]
-        return ClopenInterval(Point(self.base, lo, 0), Point(self.base, hi, self.base - 1))
-
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
-        """Maximum of cell(word) for every word, the top point for the last
-        cell of a depth: read from a stored or memoized level where the
-        word's depth has one, else from one shared descent (_cell_ends)."""
+        """Maximum of the depth-len(word) cell at each word's lex position,
+        the top point for the last cell of a depth: read from a stored or
+        memoized level where the word's depth has one, else from one shared
+        descent (_cell_ends)."""
         b, out, deep = self.base, {}, []
         for w in words:
             d = len(w)
@@ -472,31 +425,10 @@ class Filtering:
             out[w] = canonical_point(b, hi, b - 1)
         return out
 
-    def cell_max(self, word: tuple[int, ...]) -> Point:
-        """Maximum of cell(word): cell_maxima of one word."""
-        return self.cell_maxima((word,))[word]
-
-    def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        """The b-1 division points of cell(word) one level down."""
-        b, d = self.base, len(word)
-        if d < self.support:
-            r = word_rank(word, b)
-            return self.levels[d][r * b : r * b + b - 1]
-        stems = _pick_stems(b - 1, *self._cell_ends((word,))[word])
-        return tuple(canonical_point(b, s, b - 1) for s in stems)
-
     # -- boundary tuples -----------------------------------------------
 
-    def boundary_entry(self, depth: int, index: int) -> Point:
-        """Entry of the depth-d boundary tuple without materializing it."""
-        return self.cell_max(entry_word(self.base, depth, index))
-
     def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
-        if depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {depth}")
-        count = self.base**depth - 1
-        if count > MATERIALIZE_LIMIT:
-            raise ValueError(f"depth {depth} boundary tuple has {count} entries; over limit")
+        check_materialize(self.base, depth, "boundary tuple")
         if depth == 0:
             return ()
         if depth <= self.support:

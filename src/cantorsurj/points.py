@@ -22,7 +22,6 @@ __all__ = [
     "EQ",
     "GT",
     "Point",
-    "Node",
     "Dyadic",
     "min_point",
     "max_point",
@@ -175,12 +174,13 @@ _set_base, _set_stem, _set_tail = Point.base.__set__, Point.stem.__set__, Point.
 
 
 def canonical_point(base: int, stem: tuple[int, ...], tail: int) -> Point:
-    """Point(base, stem, tail) without validation, for the greedy descent.
+    """Point(base, stem, tail) without validation, for the cell walks.
 
     Precondition: tail < base and stem is a tuple of digits below the base
     that does not end in the tail digit, so the Point is canonical as built;
-    a pick stem c + (l,) with l < top is one.  Not exported: decoders and
-    public constructors validate.
+    a pick stem c + (l,) with l < top is one, and so is the word of the
+    shallowest cell a point of that tail is an end of.  Not exported:
+    decoders and public constructors validate.
     """
     p = object.__new__(Point)
     _set_base(p, base)
@@ -199,31 +199,6 @@ def min_point(base: int) -> Point:
 @cache
 def max_point(base: int) -> Point:
     return Point(base, (), base - 1)
-
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    """A finite word s over {0, ..., base-1}; stands for the cylinder of all
-    sequences extending s."""
-
-    base: int
-    word: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        word = tuple(self.word)
-        for d in word:
-            _check_digit(d, self.base)
-        object.__setattr__(self, "word", word)
-
-    def max_point(self) -> Point:
-        return Point(self.base, self.word, self.base - 1)
-
-    def min_point(self) -> Point:
-        return Point(self.base, self.word, 0)
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.word)) or "^"
 
 
 def interval_successor(x: Point) -> Point:

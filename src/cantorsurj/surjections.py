@@ -4,13 +4,14 @@ A surjection is represented by its system of cell preimages: the depth-d
 boundary tuple lists the maxima of the b^d preimage cells (except the global
 maximum).  Each representation, explicit filtering data or a lazy
 composition chain, gives two primitives: the word-keyed cell maxima of a
-batch of words, cell_maxima(words) (cell_max(word) is a batch of one, and
-boundary_entry(d, i) the depth-d word of rank i), and a whole level.  A
-filtering answers a batch with one shared descent; a chain answers it with
-the outer's batch and then one inner batch for the outer maxima its memo
-lacks, and its level is the outer's level pulled the same way, so nested
-chains stay batched.  Both share all derived operations: evaluation,
-preimages, distance, factorization.
+batch of words, cell_maxima(words), and a whole level.  A filtering answers
+a batch with one shared descent; a chain answers it with the outer's batch
+and then one inner batch for the outer maxima its memo lacks, and its level
+is the outer's level pulled the same way, so nested chains stay batched.
+Both share all derived operations: evaluation, distance, factorization.
+Evaluation, a batch of points at once (evaluate_all), and factor images
+read a map's cells through the one point walk (intervals.point_words),
+which asks for cell_maxima a depth at a time above the support.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
@@ -25,8 +26,8 @@ Two corollaries bound every cell search exactly:
      s + |c|: its cell there lies in a length-|c| cylinder holding x, which
      is [c], and x = max [c].  So h's max-set is every interior q-point, and
      evaluate(x, s + |c|) is exact.  Factorization finds the images of a
-     whole sorted tuple in one walk of h's cells (intervals.max_words),
-     which checks the same bound per entry.
+     whole sorted tuple in one walk of h's cells (intervals.point_words),
+     with that bound as each entry's depth limit.
 (ii) Every clopen interval [lo, hi] contains a full cell of h by depth
      s + m, m the longer endpoint stem: the cylinder [v], v the first m
      digits of lo, lies in [lo, hi], and the depth-(s+m) cell holding
@@ -42,13 +43,12 @@ from . import caps
 from .intervals import (
     MATERIALIZE_LIMIT,
     Filtering,
-    cell_chain,
-    entry_word,
-    max_words,
+    check_materialize,
+    point_words,
     validate_filtering,
     validate_level,
 )
-from .points import Dyadic, Point, canonical_point, json_int, max_point, min_point
+from .points import Dyadic, Point, canonical_point, json_int
 
 __all__ = [
     "Surjection",
@@ -127,29 +127,13 @@ class Surjection(ABC):
 
     # -- derived cell geometry -----------------------------------------
 
-    def cell_max(self, word: tuple[int, ...]) -> Point:
-        return self.cell_maxima((word,))[word]
-
-    def boundary_entry(self, depth: int, index: int) -> Point:
-        """Entry `index` of the depth-`depth` boundary tuple."""
-        return self.cell_max(entry_word(self.base, depth, index))
-
-    def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        words = [word + (p,) for p in range(self.base - 1)]
-        got = self.cell_maxima(words)
-        return tuple(got[w] for w in words)
-
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
         """All cell maxima down to `depth`, sorted, without the top point.
 
         By nesting this is also the max-set to that depth: level d's tuple
         contains every shallower tuple as a subsequence.
         """
-        if depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {depth}")
-        count = self.base**depth - 1
-        if count > MATERIALIZE_LIMIT:
-            raise ValueError(f"depth {depth} fingerprint has {count} entries; over limit")
+        check_materialize(self.base, depth, "fingerprint")
         return self._level(depth)
 
     def boundary_tuple(self, depth: int) -> BoundaryTuple:
@@ -158,42 +142,34 @@ class Surjection(ABC):
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, x: Point, digits: int) -> Evaluation:
-        """First `digits` digits of the image of x; exact point if x hits a
-        cell endpoint on the way down (ties go to the lower cell, so a cell
-        maximum maps to that cell's image word followed by max digits)."""
-        if x.base != self.base:
+        """First `digits` digits of the image of x; exact point if x is an
+        end of a cell down to that depth (ties go to the lower cell, so a
+        cell maximum maps to that cell's image word followed by max digits):
+        evaluate_all of one point."""
+        return self.evaluate_all((x,), digits)[0]
+
+    def evaluate_all(self, xs, digits: int) -> list[Evaluation]:
+        """evaluate for every point of xs, in one walk of the cells
+        (intervals.point_words) for the points in ascending order.  A hit
+        word never ends in the point's tail digit, so the image is built
+        canonical as it stands."""
+        b = self.base
+        if any(x.base != b for x in xs):
             raise ValueError("base mismatch")
         if digits < 0:
             raise ValueError(f"digits must be nonnegative, got {digits}")
         if digits > MATERIALIZE_LIMIT:
             raise ValueError(f"{digits} digits requested; over limit {MATERIALIZE_LIMIT}")
-        b = self.base
-        if x.is_max:
-            return Evaluation((b - 1,) * digits, max_point(b))
-        if x.is_min:
-            return Evaluation((0,) * digits, min_point(b))
-        # cell ends are compared as stems: hi has tail b-1, lo tail 0
-        stem, at_hi, at_lo = x.stem, x.tail == b - 1, x.tail == 0
-        word: tuple[int, ...] = ()
-        for _, (word, lo, hi) in zip(range(digits), cell_chain(self, x)):
-            if at_hi and stem == hi:
-                y = Point(b, word, b - 1)
-                return Evaluation(y.prefix(digits), y)
-            if at_lo and stem == lo:
-                y = Point(b, word, 0)
-                return Evaluation(y.prefix(digits), y)
-        return Evaluation(word, None)
-
-    def preimage_max(self, y: Point) -> Point:
-        """Maximum of the preimage of the lower set {x : x <= y}, for y an
-        eventually-max point.  Equals the preimage-cell maximum at y's stem."""
-        if y.base != self.base:
-            raise ValueError("base mismatch")
-        if y.tail != y.base - 1:
-            raise ValueError(f"preimage_max needs an eventually-max point, got {y}")
-        if y.is_max:
-            return y
-        return self.cell_max(y.stem)
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        found = point_words(self, [xs[k] for k in order], [digits] * len(xs))
+        out: list = [None] * len(xs)
+        for k, (word, hit) in zip(order, found):
+            if hit:
+                y = canonical_point(b, word, xs[k].tail)
+                out[k] = Evaluation(y.prefix(digits), y)
+            else:
+                out[k] = Evaluation(word, None)
+        return out
 
     @abstractmethod
     def to_json(self) -> dict: ...
@@ -212,9 +188,6 @@ class FilteringSurjection(Surjection):
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
         return self.filtering.cell_maxima(words)
 
-    def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        return self.filtering.child_maxima(word)
-
     def _level(self, depth: int) -> tuple[Point, ...]:
         return self.filtering.boundary_tuple(depth)
 
@@ -231,11 +204,12 @@ class ChainSurjection(Surjection):
     """outer o inner, evaluated lazily and exactly.
 
     The depth-d preimage cells of the composite are the inner-preimages of
-    the outer's cells, so each cell maximum is the inner preimage_max of
-    the outer's cell maximum y, the inner cell maximum at y's stem.  A batch
-    of words, and a whole level, takes the outer's maxima in one call and
-    pulls the distinct stems not yet in the memo through one inner
-    cell_maxima call (_pull), so shared inner cells are split once.
+    the outer's cells, so each cell maximum is the maximum of the inner
+    preimage of {x : x <= y}, y the outer's cell maximum: the inner cell
+    maximum at y's stem.  A batch of words, and a whole level, takes the
+    outer's maxima in one call and pulls the distinct stems not yet in the
+    memo through one inner cell_maxima call (_pull), so shared inner cells
+    are split once.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -268,7 +242,7 @@ class ChainSurjection(Surjection):
        nested chains add their supports too.
     """
 
-    __slots__ = ("base", "outer", "inner", "support", "_memo", "_splits")
+    __slots__ = ("base", "outer", "inner", "support", "_memo")
 
     def __init__(self, outer: Surjection, inner: Surjection):
         if outer.base != inner.base:
@@ -278,16 +252,15 @@ class ChainSurjection(Surjection):
         self.inner = inner
         self.support = outer.support + inner.support
         self._memo: dict[tuple[int, ...], Point] = {}
-        self._splits: dict[tuple[int, ...], tuple[Point, ...]] = {}
 
     def _pull(self, ys) -> dict[tuple[int, ...], Point]:
-        """The memo, holding the inner preimage_max of every outer cell
-        maximum y in ys by y's stem: the ones missing are pulled in one
-        inner cell_maxima call, the top point's stem () included."""
+        """The memo, holding the inner cell maximum at the stem of every
+        outer cell maximum y in ys: the ones missing are pulled in one inner
+        cell_maxima call, the top point's stem () included."""
         memo, top, stems = self._memo, self.base - 1, set()
         for y in ys:
             if y.tail != top:
-                raise ValueError(f"preimage_max needs an eventually-max point, got {y}")
+                raise ValueError(f"a chain pull needs an eventually-max point, got {y}")
             stems.add(y.stem)
         missing = stems - memo.keys()
         if missing:
@@ -298,12 +271,6 @@ class ChainSurjection(Surjection):
         ys = self.outer.cell_maxima(words)
         memo = self._pull(ys.values())
         return {w: memo[y.stem] for w, y in ys.items()}
-
-    def child_maxima(self, word: tuple[int, ...]) -> tuple[Point, ...]:
-        got = self._splits.get(word)
-        if got is None:
-            got = self._splits[word] = Surjection.child_maxima(self, word)
-        return got
 
     def _level(self, depth: int) -> tuple[Point, ...]:
         # the outer's whole level, pulled in bulk through the inner map
@@ -426,13 +393,13 @@ def _image_factor(h: Surjection, depth: int, entries: tuple[Point, ...]) -> Filt
     the ascending `entries`.  Each entry, an interior q-point, is a cell
     maximum of h by depth h.support + len(stem) (corollary (i)); its image
     is the word of the shallowest such cell followed by top digits, found
-    for all entries in one walk (max_words) and refused with evaluate's
+    for all entries in one walk (point_words) and refused with evaluate's
     error past that bound.  Increasing cell maxima have increasing images."""
-    words = max_words(h, entries)
-    if None in words:
+    s, b = h.support, h.base
+    found = point_words(h, entries, [s + len(x.stem) for x in entries])
+    if not all(hit for _, hit in found):
         raise ValueError(_UNSTABLE)
-    b = h.base
-    images = tuple(canonical_point(b, w, b - 1) for w in words)
+    images = tuple(canonical_point(b, w, b - 1) for w, _ in found)
     return tuple_to_surjection(depth, BoundaryTuple(h.base, depth, images))
 
 

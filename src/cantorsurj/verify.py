@@ -250,7 +250,7 @@ def _sampled_sup_exponent(table_f, table_g) -> int | None:
 
 
 def _sample_table(s, samples) -> tuple[tuple[int, ...], ...]:
-    return tuple(s.evaluate(x, SAMPLE_DIGITS).digits for x in samples)
+    return tuple(e.digits for e in s.evaluate_all(samples, SAMPLE_DIGITS))
 
 
 def _metric_case(f, g, table_f, table_g):

@@ -1,8 +1,9 @@
 import random
+from bisect import bisect_left
 
 from hypothesis import strategies as st
 
-from cantorsurj.points import Point, interval_successor
+from cantorsurj.points import Point, interval_successor, max_point, min_point
 from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.surjections import compose, from_filtering
 
@@ -38,6 +39,26 @@ def child_bounds(splits, lo, hi, digit):
         lo if digit == 0 else interval_successor(splits[digit - 1]),
         splits[digit] if digit < len(splits) else hi,
     )
+
+
+def cell_child_maxima(tree, word):
+    """The b-1 division points of the cell at `word`, read as the maxima of
+    its first b-1 children, at any depth."""
+    words = [word + (p,) for p in range(tree.base - 1)]
+    got = tree.cell_maxima(words)
+    return tuple(got[w] for w in words)
+
+
+def reference_cell_chain(child_maxima, base, x):
+    """The cells holding x, one level down at a time, as (word, lo, hi) with
+    Point ends, by bisecting the child maxima."""
+    word, lo, hi = (), min_point(base), max_point(base)
+    while True:
+        splits = child_maxima(word)
+        i = bisect_left(splits, x)
+        lo, hi = child_bounds(splits, lo, hi, i)
+        word += (i,)
+        yield word, lo, hi
 
 
 @st.composite

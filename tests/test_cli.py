@@ -377,6 +377,20 @@ def test_eval_digits_over_materialize_limit_exits_2(capsys, files):
     assert err == f"error: {digits} digits requested; over limit {MATERIALIZE_LIMIT}\n"
 
 
+@pytest.mark.parametrize("verb", ["boundaries", "factor"])
+@pytest.mark.parametrize("depth", ["22", "100000", "100000000"])
+def test_depth_past_materialize_limit_exits_2_at_once(files, verb, depth):
+    # a base-3 map: the depth is refused before 3^depth is computed or printed
+    surj = files("h.json", identity(3).to_json())
+    argv = [verb, surj] + ([surj] if verb == "factor" else []) + ["--depth", depth]
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    want = f"error: depth {depth} fingerprint has more than {MATERIALIZE_LIMIT} entries; over limit\n"
+    assert out.stderr == want
+
+
 TABLE_SPEC = {"b": 2, "k": 2, "colors": 4, "kind": "table", "default": 1}
 
 

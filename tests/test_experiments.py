@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import child_bounds, nested_maps, q
+from conftest import cell_child_maxima, child_bounds, filterings, nested_maps, q, reference_cell_chain
 import cantorsurj.experiments as experiments
 from cantorsurj.experiments import (
     ColoringSpec,
@@ -21,7 +21,7 @@ from cantorsurj.experiments import (
     realize_all_colors,
 )
 from cantorsurj.intervals import ClopenInterval, Filtering
-from cantorsurj.points import Node, Point, max_point, min_point
+from cantorsurj.points import Point, interval_successor, max_point, min_point, rank_word
 from cantorsurj.randgen import derive_rng, random_filtering
 from cantorsurj.surjections import (
     ChainSurjection,
@@ -71,17 +71,13 @@ def test_find_cell_within_identity():
     iv = ClopenInterval(Point(2, (0, 1, 1), 0), q(1, 0, 0))
     assert find_cell_within(e, iv, depth_bound=1) is None
     word = find_cell_within(e, iv, depth_bound=3)
-    assert word is not None and ClopenInterval.of_node(_node(word)).lo >= iv.lo
-
-
-def _node(word):
-    return Node(2, word)
+    assert word is not None and Point(2, word, 0) >= iv.lo
 
 
 def _cell(h, word):
     lo, hi = min_point(h.base), max_point(h.base)
     for i, digit in enumerate(word):
-        lo, hi = child_bounds(h.child_maxima(word[:i]), lo, hi, digit)
+        lo, hi = child_bounds(cell_child_maxima(h, word[:i]), lo, hi, digit)
     return ClopenInterval(lo, hi)
 
 
@@ -106,6 +102,59 @@ def test_find_cell_within_default_bound_never_misses(h, data):
     assert interval.lo <= cell.lo and cell.hi <= interval.hi
 
 
+def reference_find_cell_within(h, interval, depth_bound=None):
+    """The lockstep walk of the two ends' cell chains that the point walk
+    replaced, with Point cell ends."""
+    if depth_bound is None:
+        depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
+    b, lo, hi = h.base, interval.lo, interval.hi
+    if lo.is_min and hi.is_max:
+        return ()
+    child_maxima = lambda word: cell_child_maxima(h, word)
+    chain_lo, chain_hi = reference_cell_chain(child_maxima, b, lo), reference_cell_chain(child_maxima, b, hi)
+    rl = rh = 0
+    for d, (wl, alo, ahi), (wh, _, bhi) in zip(range(1, depth_bound + 1), chain_lo, chain_hi):
+        rl, rh = rl * b + wl[-1], rh * b + wh[-1]
+        if wl == wh:
+            if alo == lo and ahi == hi:
+                return wl
+            continue
+        if alo == lo:
+            return wl
+        if bhi == hi:
+            return wh
+        if rh - rl >= 2:
+            return rank_word(rl + 1, d, b)
+    return None
+
+
+@st.composite
+def cell_searches(draw):
+    """A filtering map of base 2-5 or a chain, and a clopen interval: cell
+    ends, cell ends' neighbours and random stems as its ends."""
+    if draw(st.booleans()):
+        h = draw(nested_maps())
+    else:
+        h = FilteringSurjection(draw(filterings(bases=(2, 3, 4, 5))))
+    b, top = h.base, h.base - 1
+    digit = st.integers(0, top)
+    words = draw(st.lists(st.lists(digit, min_size=1, max_size=h.support + 4).map(tuple), min_size=2, max_size=2))
+    maxima = list(h.cell_maxima(words).values())
+    los = [Point(b, tuple(draw(st.lists(digit, max_size=6))), 0), min_point(b)]
+    los += [interval_successor(y) for y in maxima if not y.is_max]
+    his = [Point(b, tuple(draw(st.lists(digit, max_size=6))), top)] + maxima + [max_point(b)]
+    lo, hi = draw(st.sampled_from(los)), draw(st.sampled_from(his))
+    assume(lo < hi)
+    return h, ClopenInterval(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_searches(), st.one_of(st.none(), st.integers(-1, 12)))
+def test_find_cell_within_matches_the_lockstep_reference(case, bound):
+    h, interval = case
+    assert find_cell_within(h, interval, bound) == reference_find_cell_within(h, interval, bound)
+
+
 def _structural_depth(h):
     """Support plus longest stored stem, summed over the filterings h is built from."""
     if isinstance(h, FilteringSurjection):
@@ -119,7 +168,7 @@ def reference_node_in_tree(y, word):
     """The derived-tree predicate as a cell search: some piece meets the
     cylinder in an interval holding a full cell, searched to the structural
     depth of the map plus the longer endpoint stem plus 12 levels of slack."""
-    cyl = ClopenInterval.of_node(Node(2, word))
+    cyl = ClopenInterval(Point(2, word, 0), Point(2, word, 1))
     for piece in y.pieces:
         j = cyl.intersect(piece)
         if j is None:

@@ -1,22 +1,28 @@
 import random
-from bisect import bisect_left
-from itertools import islice, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import child_bounds, filterings, nested_maps, q
+from conftest import (
+    cell_child_maxima,
+    child_bounds,
+    filterings,
+    nested_maps,
+    q,
+    reference_cell_chain,
+)
 from cantorsurj.intervals import (
+    MATERIALIZE_LIMIT,
     ClopenInterval,
     Filtering,
     _pick_stems,
-    cell_chain,
+    check_materialize,
     least_q_point_between,
-    max_words,
+    point_words,
     validate_filtering,
 )
 from cantorsurj.points import (
-    Node,
     Point,
     interval_successor,
     iter_points,
@@ -40,10 +46,23 @@ from cantorsurj.surjections import (
 )
 
 
+def cell(f, word):
+    """The cell of filtering f at `word`, from the one word walk."""
+    lo, hi = f._cell_ends((word,))[word]
+    return ClopenInterval(Point(f.base, lo, 0), Point(f.base, hi, f.base - 1))
+
+
+def maxima_at(tree, depth, indices):
+    """Entries `indices` of the depth-`depth` boundary tuple, read by word."""
+    words = [rank_word(i, depth, tree.base) for i in indices]
+    got = tree.cell_maxima(words)
+    return tuple(got[w] for w in words)
+
+
 def test_interval_basics():
     w = ClopenInterval.whole(2)
     assert w.lo <= min_point(2) <= w.hi and w.lo <= max_point(2) <= w.hi
-    c0 = ClopenInterval.of_node(Node(2, (0,)))
+    c0 = ClopenInterval(Point(2, (0,), 0), Point(2, (0,), 1))
     assert c0.lo == min_point(2) and c0.hi == q(0)
     with pytest.raises(ValueError):
         ClopenInterval(q(0), q(0, 0))  # reversed endpoints
@@ -137,7 +156,7 @@ def test_boundary_tuple_matches_cell_loop_and_entries(f):
     for d in range(f.support + 4):
         level = f.boundary_tuple(d)
         assert level == reference_boundary_tuple(f, d)
-        assert level == tuple(entries.boundary_entry(d, i) for i in range(f.base**d - 1))
+        assert level == maxima_at(entries, d, range(f.base**d - 1))
 
 
 def test_boundary_tuple_refuses_out_of_order_level():
@@ -233,7 +252,7 @@ def test_least_q_point_empty_cases_match_search(lower, hi):
 @pytest.mark.parametrize("b, d", [(2, 12), (3, 7)])
 def test_identity_fingerprint_is_cylinder_maxima(b, d):
     # the greedy rule from the whole space gives the standard cylinders
-    want = tuple(Node(b, w).max_point() for w in product(range(b), repeat=d))[:-1]
+    want = tuple(Point(b, w, b - 1) for w in product(range(b), repeat=d))[:-1]
     assert identity(b).fingerprint(d) == want
 
 
@@ -247,8 +266,7 @@ def test_boundary_tuple_independent_of_call_order(f, d):
     assert (deep_first.boundary_tuple(d), deep) == want
     # entry look-ups first: they leave the level memo cold
     warmed = Filtering(f.base, f.levels)
-    for i in range(0, f.base ** (d + 1) - 1, 3):
-        warmed.boundary_entry(d + 1, i)
+    maxima_at(warmed, d + 1, range(0, f.base ** (d + 1) - 1, 3))
     deep = warmed.boundary_tuple(d + 1)
     assert (warmed.boundary_tuple(d), deep) == want
 
@@ -266,7 +284,7 @@ def test_identity_boundaries():
     assert e.boundary_tuple(0) == ()
     assert e.boundary_tuple(1) == (q(0),)
     assert e.boundary_tuple(2) == (q(0, 0), q(0), q(1, 0))
-    assert e.cell((0, 1)) == ClopenInterval(Point(2, (0, 1), 0), q(0))
+    assert cell(e, (0, 1)) == ClopenInterval(Point(2, (0, 1), 0), q(0))
     assert e.support == 0
 
 
@@ -295,9 +313,9 @@ def test_children_tile_parent(f):
     b = f.base
     for d in range(3):
         for word in product(range(b), repeat=d):
-            cell = f.cell(word)
-            kids = [f.cell(word + (c,)) for c in range(b)]
-            assert kids[0].lo == cell.lo and kids[-1].hi == cell.hi
+            parent = cell(f, word)
+            kids = [cell(f, word + (c,)) for c in range(b)]
+            assert kids[0].lo == parent.lo and kids[-1].hi == parent.hi
             for left, right in zip(kids, kids[1:]):
                 assert interval_successor(left.hi) == right.lo
 
@@ -372,26 +390,42 @@ def test_descent_refuses_stored_entry_not_eventually_max():
     f = Filtering(2, ((Point(2, (0, 1), 0),),))
     h, x = FilteringSurjection(f), Point(2, (1,), 0)
     calls = [
-        lambda: f.cell_max((0, 0)),
-        lambda: f.cell_max((1, 1, 0)),
-        lambda: f.cell((0,)),
-        lambda: f.child_maxima((1,)),
-        lambda: f.boundary_entry(2, 0),
+        lambda: f.cell_maxima([(0, 0)]),
+        lambda: f.cell_maxima([(1, 1, 0)]),
+        lambda: f._cell_ends([(0,)]),
         lambda: f.boundary_tuple(2),
-        lambda: h.boundary_entry(3, 5),
-        lambda: h.preimage_max(Point(2, (1, 0), 1)),
-        lambda: next(cell_chain(f, x)),
+        lambda: h.cell_maxima([rank_word(5, 3, 2)]),
+        lambda: h.cell_maxima([(1, 0)]),
+        lambda: point_words(f, [x], [3]),
+        lambda: h.evaluate(x, 3),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="eventually max-digit"):
             call()
 
 
-@pytest.mark.parametrize("depth, index", [(0, 0), (-1, 0), (2, 3), (2, -1)])
-def test_boundary_entry_refuses_bad_position(depth, index):
-    for tree in (Filtering(2), identity(2), compose(identity(2), identity(2))):
-        with pytest.raises(ValueError):
-            tree.boundary_entry(depth, index)
+@pytest.mark.parametrize(
+    "depth", [MATERIALIZE_LIMIT.bit_length(), 100_000, 100_000_000, 10**100], ids=["bits", "1e5", "1e8", "1e100"]
+)
+def test_deep_levels_are_refused_before_the_power(depth):
+    # b^depth is never computed: a depth past the limit's bit length is over
+    # it for every base, and the message names the limit
+    for tree in (Filtering(3), identity(3), compose(identity(3), identity(3))):
+        level = tree.boundary_tuple if isinstance(tree, Filtering) else tree.fingerprint
+        with pytest.raises(ValueError, match=f"more than {MATERIALIZE_LIMIT} entries; over limit"):
+            level(depth)
+
+
+@pytest.mark.parametrize("base, depth", [(2, 21), (3, 13), (5, 9)])
+def test_materialize_limit_is_the_entry_count(base, depth):
+    # the last depth within the limit passes the check; one more is refused
+    assert base**depth - 1 <= MATERIALIZE_LIMIT < base ** (depth + 1) - 1
+    check_materialize(base, depth, "boundary tuple")
+    with pytest.raises(ValueError, match="over limit"):
+        Filtering(base).boundary_tuple(depth + 1)
+    for level in (Filtering(base).boundary_tuple, identity(base).fingerprint):
+        with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+            level(-1)
 
 
 # -- the stem-level descent against the memoized walk it replaced ----------
@@ -437,15 +471,17 @@ def reference_boundary_entry(walk, depth, index):
     return reference_child_maxima(walk, rank_word(r, depth - 1, b))[p]
 
 
-def reference_cell_chain(child_maxima, base, x):
-    """cell_chain with Point ends, by bisecting the child maxima."""
-    word, lo, hi = (), min_point(base), max_point(base)
-    while True:
-        splits = child_maxima(word)
-        i = bisect_left(splits, x)
-        lo, hi = child_bounds(splits, lo, hi, i)
-        word += (i,)
-        yield word, lo, hi
+def reference_point_words(child_maxima, base, xs, limits):
+    """point_words one point at a time, down the reference cell chain, with
+    Point ends: stop at the first cell x is an end of, or at the limit."""
+    out = []
+    for x, limit in zip(xs, limits):
+        word, lo, hi = (), min_point(base), max_point(base)
+        chain = reference_cell_chain(child_maxima, base, x)
+        while x not in (lo, hi) and len(word) < limit:
+            word, lo, hi = next(chain)
+        out.append((word, x in (lo, hi)))
+    return out
 
 
 def reference_evaluate(child_maxima, base, x, digits):
@@ -482,18 +518,20 @@ def test_descent_matches_memoized_walk(case):
     f, walk, words, points = case
     b, top = f.base, f.base - 1
     for word in words:
-        assert f.cell(word) == reference_cell(walk, word)
-        assert f.cell_max(word) == reference_cell(walk, word).hi
-        assert f.child_maxima(word) == reference_child_maxima(walk, word)
+        assert cell(f, word) == reference_cell(walk, word)
+        assert f.cell_maxima([word])[word] == reference_cell(walk, word).hi
+        assert cell_child_maxima(f, word) == reference_child_maxima(walk, word)
         depth = len(word)
         if depth and word != (top,) * depth:
             i = word_rank(word, b)
-            assert f.boundary_entry(depth, i) == reference_boundary_entry(walk, depth, i)
+            assert maxima_at(f, depth, [i]) == (reference_boundary_entry(walk, depth, i),)
     h, child_maxima = FilteringSurjection(f), lambda word: reference_child_maxima(walk, word)
+    depth = f.support + 6
     for x in points:
-        depth = f.support + 6
-        got = [(w, Point(b, lo, 0), Point(b, hi, top)) for w, lo, hi in islice(cell_chain(f, x), depth)]
-        assert got == list(islice(reference_cell_chain(child_maxima, b, x), depth))
+        limits = range(depth + 1)
+        assert point_words(f, [x] * len(limits), limits) == reference_point_words(
+            child_maxima, b, [x] * len(limits), limits
+        )
         assert h.evaluate(x, depth) == reference_evaluate(child_maxima, b, x, depth)
 
 
@@ -503,22 +541,24 @@ def test_chain_fingerprint_and_evaluate_match_entrywise(h, data):
     b = h.base
     fresh = surjection_from_json(h.to_json())  # no memo shared with h
     for d in range(1, 4 if b == 2 else 3):
-        assert h.fingerprint(d) == tuple(fresh.boundary_entry(d, i) for i in range(b**d - 1))
+        assert h.fingerprint(d) == maxima_at(fresh, d, range(b**d - 1))
     # stems run several digits past the support, so the chain's cells reach
     # the closed form below the first full cylinder, and both walks go a
     # few digits deeper than the stem
-    top, digit = b - 1, st.integers(0, b - 1)
+    digit = st.integers(0, b - 1)
+    child_maxima = lambda word: cell_child_maxima(fresh, word)
     for _ in range(3):
         stem = tuple(data.draw(st.lists(digit, min_size=h.support + 3, max_size=h.support + 8)))
         x, depth = Point(b, stem, data.draw(digit)), len(stem) + 4
-        got = [(w, Point(b, lo, 0), Point(b, hi, top)) for w, lo, hi in islice(cell_chain(h, x), depth)]
-        assert got == list(islice(reference_cell_chain(fresh.child_maxima, b, x), depth))
-        assert h.evaluate(x, depth) == reference_evaluate(fresh.child_maxima, b, x, depth)
+        limits = range(depth + 1)
+        got = point_words(h, [x] * len(limits), limits)
+        assert got == reference_point_words(child_maxima, b, [x] * len(limits), limits)
+        assert h.evaluate(x, depth) == reference_evaluate(child_maxima, b, x, depth)
 
 
 @given(st.integers(0, 2**200 - 2))
 def test_identity_entry_at_depth_200_is_a_cylinder_max(i):
-    assert identity(2).boundary_entry(200, i) == Point(2, rank_word(i, 200, 2), 1)
+    assert maxima_at(identity(2), 200, [i]) == (Point(2, rank_word(i, 200, 2), 1),)
 
 
 # -- points built without validation, and the closed-form cylinder walk ----
@@ -542,29 +582,37 @@ def test_greedy_points_are_canonical(f, h, data):
             got += f.boundary_tuple(d)
     batch = data.draw(st.lists(words, min_size=1, max_size=6))
     for word in batch:
-        got += f.child_maxima(word)
-        got.append(f.cell_max(word))
+        got += cell_child_maxima(f, word)
+        got.append(f.cell_maxima([word])[word])
     got += f.cell_maxima(batch).values()
     hb = h.base
     for d in range(1, 4 if hb == 2 else 3):
         got += h.fingerprint(d)
     batch = data.draw(st.lists(st.lists(st.integers(0, hb - 1), max_size=6).map(tuple), max_size=4))
     for word in batch:
-        got += h.child_maxima(word)
-        got.append(h.cell_max(word))
+        got += cell_child_maxima(h, word)
+        got.append(h.cell_maxima([word])[word])
     got += h.cell_maxima(batch).values()
     # factor images: the h-images of a composite's fingerprint
     g = compose(from_filtering(random_filtering(random.Random(s), hb, 2)), h)
     got += factor_through(g, h, 2).filtering.levels[-1]
+    # exact images of cell ends and of random points of every tail
+    digit = st.integers(0, hb - 1)
+    xs = [Point(hb, tuple(data.draw(st.lists(digit, max_size=6))), data.draw(digit)) for _ in range(6)]
+    xs += [p for y in h.cell_maxima(batch).values() if not y.is_max for p in (y, interval_successor(y))]
+    got += [e.exact for e in h.evaluate_all(xs, h.support + 8) if e.exact is not None]
     for p in got:
         assert_canonical(p)
 
 
 def test_cell_chain_below_a_full_cylinder_follows_x():
-    x = Point(2, tuple(random.Random(7).randrange(2) for _ in range(39)) + (0,), 1)
-    for word, lo, hi in islice(cell_chain(identity(2), x), 40):
-        v = x.prefix(len(word))
-        assert (word, lo, hi) == (v, Point(2, v, 0).stem, Point(2, v, 1).stem)
+    # the identity's cells are cylinders: the walk cut at depth d gives x's
+    # first d digits, and x = v 0 1^w or v 1 0^w is first an end of [v]
+    stem = tuple(random.Random(7).randrange(2) for _ in range(39))
+    for x in (Point(2, stem + (0,), 1), Point(2, stem + (1,), 0)):
+        limits = range(46)
+        got = point_words(identity(2), [x] * len(limits), limits)
+        assert got == [(x.prefix(min(d, 40)), d >= 40) for d in limits]
 
 
 @pytest.mark.parametrize("b", [2, 3])
@@ -574,17 +622,19 @@ def test_cell_chain_matches_reference_deep_below_the_support(b):
     walk, depth = ReferenceWalk(f), f.support + 24
     child_maxima = lambda word: reference_child_maxima(walk, word)
     xs = [Point(b, tuple(rng.randrange(b) for _ in range(30)), t) for t in range(b)]
-    xs += [reference_cell(walk, tuple(rng.randrange(b) for _ in range(depth - 2))).hi for _ in range(3)]
+    ends = [reference_cell(walk, tuple(rng.randrange(b) for _ in range(depth - 2))) for _ in range(3)]
+    xs += [p for c in ends for p in (c.lo, c.hi)]
     for x in xs:
-        got = [(w, Point(b, lo, 0), Point(b, hi, b - 1)) for w, lo, hi in islice(cell_chain(f, x), depth)]
-        assert got == list(islice(reference_cell_chain(child_maxima, b, x), depth))
+        limits = range(depth + 1)
+        got = point_words(f, [x] * len(limits), limits)
+        assert got == reference_point_words(child_maxima, b, [x] * len(limits), limits)
 
 
 # -- one descent for a batch: cell maxima by word, image words by point -----
 
 
 def reference_cell_max(h, word, walks):
-    """A chain's cell maximum is the inner preimage_max of the outer's, down
+    """A chain's cell maximum is the inner one at the outer's stem, down
     to the reference walks of its filtering factors (one walk each, kept in
     `walks`)."""
     if isinstance(h, ChainSurjection):
@@ -618,8 +668,8 @@ def test_cell_maxima_match_cell_max_and_reference(f, memo_first, data):
     fresh, walk = Filtering(b, f.levels), ReferenceWalk(f)
     assert set(got) == set(words)
     for w in words:
-        assert got[w] == fresh.cell_max(w) == reference_cell(walk, w).hi
-        assert fresh.cell(w) == reference_cell(walk, w)
+        assert got[w] == fresh.cell_maxima([w])[w] == reference_cell(walk, w).hi
+        assert cell(fresh, w) == reference_cell(walk, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -632,9 +682,9 @@ def test_chain_cell_maxima_match_cell_max_and_reference(h, pull_first, data):
     got, fresh, walks = h.cell_maxima(words), surjection_from_json(h.to_json()), {}
     assert set(got) == set(words)
     for w in words:
-        assert got[w] == fresh.cell_max(w) == reference_cell_max(h, w, walks)
+        assert got[w] == fresh.cell_maxima([w])[w] == reference_cell_max(h, w, walks)
     for w in words[:3]:
-        assert h.child_maxima(w) == tuple(reference_cell_max(h, w + (p,), walks) for p in range(b - 1))
+        assert cell_child_maxima(h, w) == tuple(reference_cell_max(h, w + (p,), walks) for p in range(b - 1))
 
 
 def evaluated_images(h, xs):
@@ -643,10 +693,10 @@ def evaluated_images(h, xs):
 
 
 def batch_images(h, xs):
-    words = max_words(h, xs)
-    if None in words:
+    found = point_words(h, xs, [h.support + len(x.stem) for x in xs])
+    if not all(hit for _, hit in found):
         raise ValueError("image not stabilized within the requested digit budget")
-    return [Point(h.base, w, h.base - 1) for w in words]
+    return [Point(h.base, w, h.base - 1) for w, _ in found]
 
 
 def image_entries(draw, h, deepest):
@@ -718,9 +768,56 @@ def test_factor_images_match_evaluate_on_a_fingerprint(h, data):
     assert factor_through(g, h, d).fingerprint(d) == g.outer.fingerprint(d)
 
 
+# -- one point walk for evaluate, cell searches and factor images ----------
+
+
+@st.composite
+def walk_cases(draw):
+    """A filtering map of base 2-5 or a chain, and ascending points with
+    limits 0-30: both ends of drawn cells, each with a limit at the cell's
+    depth, one below it or drawn; points of every tail; the extreme points."""
+    if draw(st.booleans()):
+        h = draw(nested_maps())
+    else:
+        h = FilteringSurjection(draw(filterings(bases=(2, 3, 4, 5))))
+    b, s = h.base, h.support
+    digit, limit = st.integers(0, b - 1), st.integers(0, 30)
+    pairs = []
+    for w in draw(st.lists(st.lists(digit, max_size=s + 6).map(tuple), max_size=5)):
+        r, d = word_rank(w, b), len(w)
+        got = h.cell_maxima([w] + ([rank_word(r - 1, d, b)] if r else []))
+        lo = interval_successor(got[rank_word(r - 1, d, b)]) if r else min_point(b)
+        for x in (lo, got[w]):
+            pairs.append((x, draw(st.sampled_from([d, max(d - 1, 0), draw(limit)]))))
+    for _ in range(draw(st.integers(0, 6))):
+        x = Point(b, tuple(draw(st.lists(digit, max_size=s + 10))), draw(digit))
+        pairs.append((x, draw(limit)))
+    pairs += [(min_point(b), draw(limit)), (max_point(b), draw(limit))]
+    pairs.sort(key=lambda pair: pair[0])
+    return h, [x for x, _ in pairs], [n for _, n in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases())
+def test_point_words_match_the_reference_chain(case):
+    h, xs, limits = case
+    fresh = surjection_from_json(h.to_json())  # no memo shared with h
+    want = reference_point_words(lambda w: cell_child_maxima(fresh, w), h.base, xs, limits)
+    assert point_words(h, xs, limits) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_cases(), st.integers(0, 30), st.randoms(use_true_random=False))
+def test_evaluate_all_is_evaluate_per_point_in_any_order(case, digits, rnd):
+    h, xs, _ = case
+    rnd.shuffle(xs)
+    fresh = surjection_from_json(h.to_json())
+    assert h.evaluate_all(xs, digits) == [fresh.evaluate(x, digits) for x in xs]
+
+
 def test_chain_pull_refuses_an_outer_maximum_not_eventually_max():
     # unvalidated outer data: a stored maximum with tail 0
     h = compose(FilteringSurjection(Filtering(2, ((Point(2, (0,), 0),),))), identity(2))
-    for pull in (lambda: h.fingerprint(1), lambda: h.cell_max((0,)), lambda: h.child_maxima(())):
+    for pull in (lambda: h.fingerprint(1), lambda: h.cell_maxima([(0,)]), lambda: h.evaluate(q(0), 2)):
         with pytest.raises(ValueError, match="needs an eventually-max point"):
             pull()
