@@ -5,7 +5,8 @@ format.  Structured inputs come from files ("-" reads stdin); small values
 ride on flags.  Exit status: 0 on success, 1 when an assertion or
 verification fails (a counterexample dump goes to stdout), 2 on malformed
 input (a location note goes to stderr).  RAMSEY_DEPTH_CAP overrides the
-default depth cap of 64 for every capped operation.
+default depth cap of 64 for every capped operation.  The branch coloring is
+exact: color-omega and witness-omega check a --cap and then ignore it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
+from .caps import depth_cap
 from .experiments import (
     ColoringSpec,
     QCopy,
@@ -162,10 +164,7 @@ def _cmd_type_of(args) -> int:
 def _cmd_search_type(args) -> int:
     t = _levels_arg(args.levels)
     h = _surjection(args.surjection)
-    try:
-        out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
     _emit(
         {
             "levels": list(t.levels),
@@ -181,10 +180,7 @@ def _cmd_search_type(args) -> int:
 def _cmd_eval(args) -> int:
     f = _surjection(args.surjection)
     x = _point_arg(args.point)
-    try:
-        ev = f.evaluate(x, args.digits)
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    ev = f.evaluate(x, args.digits)
     _emit(
         {
             "digits": list(ev.digits),
@@ -197,20 +193,14 @@ def _cmd_eval(args) -> int:
 def _cmd_compose(args) -> int:
     outer = _surjection(args.outer)
     inner = _surjection(args.inner)
-    try:
-        _emit(compose(outer, inner).to_json())
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    _emit(compose(outer, inner).to_json())
     return 0
 
 
 def _cmd_dist(args) -> int:
     f = _surjection(args.f)
     g = _surjection(args.g)
-    try:
-        print(str(distance(f, g, args.cap)))
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    print(str(distance(f, g, args.cap)))
     return 0
 
 
@@ -228,8 +218,6 @@ def _cmd_factor(args) -> int:
             }
         )
         return 1
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
     _emit(f.to_json())
     return 0
 
@@ -238,11 +226,7 @@ def _cmd_boundaries(args) -> int:
     f = _surjection(args.surjection)
     if args.depth < 1:
         raise BadInput("depth must be >= 1")
-    try:
-        entries = f.fingerprint(args.depth)
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
-    _emit(BoundaryTuple(f.base, args.depth, entries).to_json())
+    _emit(BoundaryTuple(f.base, args.depth, f.fingerprint(args.depth)).to_json())
     return 0
 
 
@@ -253,27 +237,19 @@ def _cmd_color_devlin(args) -> int:
 
 def _cmd_color_omega(args) -> int:
     y = _decode(args.copy, QCopy.from_json)
-    try:
-        print(omega_coloring(y, args.cap))
-    except RuntimeError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    depth_cap(args.cap)  # checked, then ignored: the branch coloring is exact
+    print(omega_coloring(y))
     return 0
 
 
 def _cmd_witness_omega(args) -> int:
     y = _decode(args.copy, QCopy.from_json)
-    if args.target < 0:
-        raise BadInput("target must be >= 0")
+    depth_cap(args.cap)  # checked, then ignored: the branch coloring is exact
     try:
-        out = build_witness(y, args.target, args.cap)
+        out = build_witness(y, args.target)
     except RuntimeError as exc:
         _emit({"error": str(exc), "target": args.target})
         return 1
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
     _emit(out.to_json())
     return 0
 
@@ -287,8 +263,6 @@ def _cmd_realize_all(args) -> int:
     except RuntimeError as exc:
         _emit({"error": str(exc)})
         return 1
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
     _emit(rep.to_json())
     return 0
 
@@ -301,8 +275,6 @@ def _cmd_oscillation(args) -> int:
         raise BadInput(f"--eps: {exc}") from exc
     try:
         rep = oscillation_search(spec, eps, args.budget)
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
     except RuntimeError as exc:
         _emit({"error": str(exc)})
         return 1
@@ -342,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def cap_flag(sp):
-        sp.add_argument("--cap", type=int, default=None, help="depth cap override")
+    def cap_flag(sp, note="depth cap override"):
+        sp.add_argument("--cap", type=int, default=None, help=note)
 
     sp = sub.add_parser("tangent", help="k-th odd tangent number")
     sp.add_argument("k", type=int)
@@ -398,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("color-omega", help="branch-comparison color of a copy")
     sp.add_argument("copy", help="JSON file")
-    cap_flag(sp)
+    cap_flag(sp, "checked, then ignored; the coloring is exact")
     sp.set_defaults(fn=_cmd_color_omega)
 
     sp = sub.add_parser("witness-omega", help="cut a copy down to a target color")
     sp.add_argument("copy", help="JSON file")
     sp.add_argument("--target", type=int, required=True)
-    cap_flag(sp)
+    cap_flag(sp, "checked, then ignored; the witness is exact")
     sp.set_defaults(fn=_cmd_witness_omega)
 
     sp = sub.add_parser("realize-all", help="realize every color over an inner surjection")
@@ -442,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BadInput as exc:
+    except ValueError as exc:  # BadInput, and every library refusal of its input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

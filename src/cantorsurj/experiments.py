@@ -10,8 +10,9 @@ Three strands share this module:
   pulling the witness tuple back through h;
 * order-copies and the branch coloring: a finitely described copy of the
   rationals (max-set cut to finitely many clopen pieces) has a derived
-  binary tree; comparing splitting depths of its extreme branches yields a
-  number that a one-interval surgery can steer to any target.
+  binary tree whose extreme branches split at every depth from the longest
+  stem among the piece ends on; comparing their splitting depths is a
+  count in closed form, which a one-interval surgery steers to any target.
 
 Every clopen piece of such a copy contains a full cell of its surjection
 (corollary (ii) of the greedy-cylinder lemma in surjections), so the derived
@@ -22,11 +23,12 @@ cell per piece as certificate, by the lemma's exact depth.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import caps
-from .intervals import ClopenInterval, point_words, validate_level
+from .intervals import MATERIALIZE_LIMIT, ClopenInterval, point_words, validate_level
 from .points import Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
@@ -299,56 +301,61 @@ def _merge_pieces(pieces: tuple[ClopenInterval, ...]) -> tuple[ClopenInterval, .
     return tuple(out)
 
 
-def _node_in_tree(y: QCopy, word: tuple[int, ...]) -> bool:
-    # the derived tree keeps a node when the copy is non-scattered inside
-    # its cylinder, that is when the cylinder meets a piece: the clopen
-    # overlap holds a full cell (corollary (ii) in surjections)
-    cyl = ClopenInterval(Point(2, word, 0), Point(2, word, 1))
-    return any(cyl.intersect(piece) is not None for piece in y.pieces)
+def _branch_splits(y: QCopy, prefer: int) -> tuple[tuple[int, ...], int]:
+    """Splitting depths on the derived tree's extreme branch that prefers
+    child `prefer` (1: the maximum branch, 0: the minimum): those below L,
+    the longest stem among the piece ends, and L; every depth from L on
+    splits.
 
+    A node is in the tree when its cylinder meets a piece (the overlap
+    holds a full cell, corollary (ii) in surjections).  The branch follows
+    the digits of the copy's extreme end E, the top of its last piece or
+    the bottom of its first: every prefix of E meets E's piece, and the
+    merged pieces all lie on one side of E.  So E[:j] splits exactly when
+    E's digit j is `prefer` and c = E[:j] + (1 - prefer,) meets a piece.
+    An end e != E first differs from E at a depth d(e), and lies beyond c
+    (away from E) if d(e) < j, in c if d(e) = j, and between c and E if
+    d(e) > j: a piece meets c exactly when d(far end) <= j <= d(near end).
 
-def _branch_splits(y: QCopy, prefer: int, cap: int):
-    """Splitting nodes along the extreme branch of the derived tree,
-    preferring child `prefer` (1 walks the maximum branch, 0 the minimum).
-
-    The branch follows the digits of the copy's extreme point: the top of
-    its last piece, or the bottom of its first.  Every prefix of that point
-    meets the piece holding it, and the pieces are sorted and merged, so the
-    child on the far side of the point misses them all.  A prefix is thus
-    a splitting node exactly when the point's next digit is `prefer` and
-    the other child meets a piece."""
+    Past their stems E's digits are all `prefer` and those of the far end
+    f of E's piece all 1 - prefer, so d(f) is at most the longer of the two
+    stems, and from there on c meets E's piece at every depth.  f is a
+    lower end on the maximum branch and an upper end on the minimum one,
+    and its stem may be the longer; L runs over every end, so it bounds
+    both branches."""
     end = y.pieces[-1].hi if prefer else y.pieces[0].lo
-    for j in range(cap + 1):
-        if end.digit(j) == prefer and _node_in_tree(y, end.prefix(j) + (1 - prefer,)):
-            yield end.prefix(j)
+    longest = max(len(e.stem) for p in y.pieces for e in (p.lo, p.hi))
+
+    def differs_at(e: Point) -> int:
+        # None for E itself only; L stands in, past every depth tested
+        d = end.first_difference(e)
+        return longest if d is None else d
+
+    far_near = [(p.lo, p.hi) if prefer else (p.hi, p.lo) for p in y.pieces]
+    spans = [(differs_at(far), differs_at(near)) for far, near in far_near]
+    digits = end.prefix(longest)
+    below = tuple(j for j in range(longest) if digits[j] == prefer and any(a <= j <= c for a, c in spans))
+    return below, longest
 
 
-def _branch_comparisons(y: QCopy, cap: int):
-    """For each minimum-branch splitting node t after the first, yield t,
-    the maximum-branch splitting nodes fetched so far (one spare at least as
-    long as t), and one less than the number of them shorter than t."""
-    s_gen = _branch_splits(y, 1, cap)
-    s_splits: list[tuple[int, ...]] = []
-    for n, t in enumerate(_branch_splits(y, 0, cap)):
-        if n == 0:
-            continue
-        while not s_splits or len(s_splits[-1]) < len(t):
-            nxt = next(s_gen, None)
-            if nxt is None:
-                raise RuntimeError("maximum-branch splitting nodes exhausted within cap")
-            s_splits.append(nxt)
-        yield t, s_splits, sum(1 for s in s_splits if len(s) < len(t)) - 1
+def _nth_split(splits: tuple[tuple[int, ...], int], n: int) -> int:
+    """Depth of the n-th splitting node (from 0) of a branch's _branch_splits."""
+    below, longest = splits
+    return below[n] if n < len(below) else longest + n - len(below)
 
 
-def omega_coloring(y: QCopy, cap: int | None = None) -> int:
+def _splits_below(splits: tuple[tuple[int, ...], int], depth: int) -> int:
+    """Number of a branch's splitting nodes shallower than `depth`."""
+    below, longest = splits
+    return bisect_left(below, depth) + max(0, depth - longest)
+
+
+def omega_coloring(y: QCopy) -> int:
     """Branch-comparison color of the copy: one less than the number of
     maximum-branch splitting nodes shorter than the second minimum-branch
     splitting node.  Nonnegative, since the branches share their first
     splitting node."""
-    cap = caps.depth_cap(cap)
-    for _, _, color in _branch_comparisons(y, cap):
-        return color
-    raise RuntimeError("fewer than two splitting nodes on the minimum branch within cap")
+    return _splits_below(_branch_splits(y, 1), _nth_split(_branch_splits(y, 0), 1)) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,22 +376,24 @@ class WitnessOutcome:
         }
 
 
-def build_witness(y: QCopy, r: int, cap: int | None = None) -> WitnessOutcome:
+def build_witness(y: QCopy, r: int) -> WitnessOutcome:
     """Cut one open interval out of the copy so the branch color becomes r.
 
-    Walk the minimum branch to the first splitting node deep enough that at
-    least r+1 maximum-branch splitting nodes are shorter; drop everything
-    strictly between that node's cylinder max and a matching maximum-branch
-    node's cylinder min.  The returned copy re-verifies to color r."""
+    Take the first minimum-branch splitting node t after the first one with
+    at least r+1 maximum-branch splitting nodes shorter, that is deeper
+    than the r-th of them; drop everything strictly between t's cylinder
+    max and the cylinder min of the maximum-branch splitting node r splits
+    shallower than the first one at least as long as t.  The returned copy
+    re-verifies to color r.  The cut node lies deeper than r, so a target
+    from MATERIALIZE_LIMIT on is refused before any work."""
     if r < 0:
         raise ValueError(f"target must be nonnegative, got {r}")
-    cap = caps.depth_cap(cap)
-    for t, s_splits, m in _branch_comparisons(y, cap):
-        if m >= r:
-            t0, s0 = t, s_splits[m - r + 1]
-            break
-    else:
-        raise RuntimeError(f"no minimum-branch splitting node deep enough for target {r} within cap")
+    if r >= MATERIALIZE_LIMIT:
+        raise ValueError(f"target {r} needs a witness node deeper than {r}; over limit {MATERIALIZE_LIMIT}")
+    t_splits, s_splits = _branch_splits(y, 0), _branch_splits(y, 1)
+    t = _nth_split(t_splits, max(1, _splits_below(t_splits, _nth_split(s_splits, r) + 1)))
+    s = _nth_split(s_splits, _splits_below(s_splits, t) - r)
+    t0, s0 = y.pieces[0].lo.prefix(t), y.pieces[-1].hi.prefix(s)
     keep_low = ClopenInterval(min_point(2), Point(2, t0, 1))
     keep_high = ClopenInterval(Point(2, s0, 0), max_point(2))
     pieces = []
@@ -394,7 +403,7 @@ def build_witness(y: QCopy, r: int, cap: int | None = None) -> WitnessOutcome:
             if cut is not None:
                 pieces.append(cut)
     z = QCopy(y.surjection, tuple(pieces))
-    color = omega_coloring(z, cap)
+    color = omega_coloring(z)
     if color != r:
         raise RuntimeError(f"witness verification failed: built color {color}, wanted {r}")
     return WitnessOutcome(z, r, t0, s0, color)

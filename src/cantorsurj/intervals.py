@@ -114,8 +114,14 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     entries interior eventually-max points of this base, strict increase.
 
     The single boundary-level check behind BoundaryTuple and
-    validate_filtering.
+    validate_filtering.  A depth past check_materialize's bound is refused
+    before the power is computed.
     """
+    if depth >= MATERIALIZE_LIMIT.bit_length():
+        return FilteringReport(
+            False, "length", (depth,),
+            f"depth {depth} has {len(entries)} entries, needs more than {MATERIALIZE_LIMIT}; over limit",
+        )
     want = base**depth - 1
     if len(entries) != want:
         return FilteringReport(

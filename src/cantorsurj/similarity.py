@@ -22,7 +22,7 @@ from itertools import islice
 from math import comb
 
 from . import caps
-from .points import Point, encode_binary, json_int
+from .points import Point, encode_binary
 
 __all__ = [
     "tangent_number",
@@ -105,16 +105,6 @@ class TreeType:
     @property
     def leaf_count(self) -> int:
         return (len(self.levels) + 1) // 2
-
-    def to_json(self) -> dict:
-        return {"l": self.leaf_count, "levels": list(self.levels)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TreeType":
-        t = cls(tuple(json_int(x, "level") for x in obj["levels"]))
-        if "l" in obj and json_int(obj["l"], "l") != t.leaf_count:
-            raise ValueError(f"leaf count {obj['l']} does not match {t.leaf_count} levels")
-        return t
 
 
 class _RankMemo(dict):

@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import diagonal_points, q
 from cantorsurj.cli import _emit, main
-from cantorsurj.experiments import QCopy
+from cantorsurj.experiments import QCopy, random_qcopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
+from cantorsurj.randgen import derive_rng
 from cantorsurj.similarity import similarity_type, type_rank
 from cantorsurj.surjections import compose, from_filtering, identity
 
@@ -222,12 +223,39 @@ def test_witness_omega(capsys, files):
     assert code == 0 and got["color"] == 2
 
 
-def test_witness_omega_cap_failure(capsys, files):
+def test_witness_omega_ignores_cap(capsys, files):
+    # a positive --cap is still accepted; the witness lies past it
     copy = files("y.json", QCopy.unrestricted(identity(2)).to_json())
     code, out, err = run(capsys, "witness-omega", copy, "--target", "40", "--cap", "6")
-    assert code == 1
-    dump = json.loads(out)
-    assert dump["target"] == 40 and "error" in dump
+    got = json.loads(out)
+    assert code == 0 and err == "" and got["color"] == 40
+    assert run(capsys, "color-omega", files("z.json", got["copy"]), "--cap", "6") == (0, "40\n", "")
+
+
+@pytest.mark.parametrize("copy", ["identity", "seed-42"])
+@pytest.mark.parametrize("target", ["70", "100000"])
+def test_witness_omega_deep_target_exits_0(files, copy, target):
+    y = QCopy.unrestricted(identity(2)) if copy == "identity" else random_qcopy(derive_rng(42, "x"))
+    path = files("y.json", y.to_json())
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "witness-omega", path, "--target", target],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0 and out.stderr == ""
+    assert json.loads(out.stdout)["color"] == int(target)
+
+
+def test_witness_omega_target_over_limit_exits_2_at_once(files):
+    path = files("y.json", QCopy.unrestricted(identity(2)).to_json())
+    target = str(MATERIALIZE_LIMIT)
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "witness-omega", path, "--target", target],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == (
+        f"error: target {target} needs a witness node deeper than {target}; over limit {MATERIALIZE_LIMIT}\n"
+    )
 
 
 def test_realize_all(capsys, files):

@@ -10,7 +10,8 @@ from cantorsurj.experiments import (
     QCopy,
     _branch_splits,
     _fingerprint_key,
-    _node_in_tree,
+    _nth_split,
+    _splits_below,
     build_witness,
     epsilon_parameters,
     find_cell_within,
@@ -20,7 +21,7 @@ from cantorsurj.experiments import (
     random_qcopy,
     realize_all_colors,
 )
-from cantorsurj.intervals import ClopenInterval, Filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, interval_successor, max_point, min_point, rank_word
 from cantorsurj.randgen import derive_rng, random_filtering
 from cantorsurj.surjections import (
@@ -164,6 +165,13 @@ def _structural_depth(h):
     return _structural_depth(h.outer) + _structural_depth(h.inner)
 
 
+def node_in_tree(y, word):
+    """The derived tree keeps a node when its cylinder meets a piece: the
+    clopen overlap holds a full cell (corollary (ii) in surjections)."""
+    cyl = ClopenInterval(Point(2, word, 0), Point(2, word, 1))
+    return any(cyl.intersect(piece) is not None for piece in y.pieces)
+
+
 def reference_node_in_tree(y, word):
     """The derived-tree predicate as a cell search: some piece meets the
     cylinder in an interval holding a full cell, searched to the structural
@@ -187,7 +195,7 @@ def test_node_in_tree_matches_cell_search(h, seed):
     for _ in range(7):
         words = [w + (c,) for w in words for c in (0, 1)]
         for w in words:
-            assert _node_in_tree(y, w) == reference_node_in_tree(y, w)
+            assert node_in_tree(y, w) == reference_node_in_tree(y, w)
 
 
 def reference_branch_splits(y, prefer, cap):
@@ -196,7 +204,7 @@ def reference_branch_splits(y, prefer, cap):
     word = ()
     for _ in range(cap + 1):
         pref, other = word + (prefer,), word + (1 - prefer,)
-        in_pref, in_other = _node_in_tree(y, pref), _node_in_tree(y, other)
+        in_pref, in_other = node_in_tree(y, pref), node_in_tree(y, other)
         if in_pref and in_other:
             yield word
         if in_pref:
@@ -208,16 +216,22 @@ def reference_branch_splits(y, prefer, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_branch_splits_follow_endpoint_digits(seed):
-    # random copies, and the copies build_witness cuts from them
-    y = random_qcopy(derive_rng(seed, "branch"))
-    copies = [y] + [build_witness(y, r).copy for r in (0, 2, 5)]
-    for c in copies:
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(0, 12))
+def test_branch_splits_follow_endpoint_digits(seed, target, r):
+    # the closed form, expanded to cap L + r + 2, is the probe-by-probe walk:
+    # on random copies, and on the copies build_witness cuts from them
+    y = random_qcopy(derive_rng(seed, "branch"), 4, 4)
+    for c in (y, build_witness(y, target).copy):
         for prefer in (0, 1):
-            for cap in (0, 1, 7, 30):
-                got = list(_branch_splits(c, prefer, cap))
-                assert got == list(reference_branch_splits(c, prefer, cap))
+            end = c.pieces[-1].hi if prefer else c.pieces[0].lo
+            splits = _branch_splits(c, prefer)
+            cap = splits[1] + r + 2
+            want = [len(w) for w in reference_branch_splits(c, prefer, cap)]
+            got = [_nth_split(splits, n) for n in range(len(want) + 1)]
+            assert got[:-1] == want and got[-1] > cap
+            assert [end.prefix(d) for d in want] == list(reference_branch_splits(c, prefer, cap))
+            for d in range(cap + 2):
+                assert _splits_below(splits, d) == sum(1 for x in want if x < d)
 
 
 def test_qcopy_normalization():
@@ -266,9 +280,26 @@ def test_witness_steering_random_copies():
             assert build_witness(y, r).color == r
 
 
-def test_witness_cap_exhaustion():
-    with pytest.raises(RuntimeError):
-        build_witness(QCopy.unrestricted(identity(2)), 40, cap=6)
+def test_witness_target_past_old_cap():
+    # no depth cap: the cut node lies far deeper than 6 levels
+    out = build_witness(QCopy.unrestricted(identity(2)), 40)
+    assert out.color == 40 and len(out.cut_node) > 40
+
+
+@pytest.mark.parametrize("y", [QCopy.unrestricted(identity(2)), random_qcopy(derive_rng(42, "x"))])
+def test_witness_deep_targets(y):
+    for r in (70, 1000):
+        z = build_witness(y, r)
+        assert z.color == r == omega_coloring(z.copy)
+
+
+def test_witness_target_over_limit_refused_before_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("branch walked")
+
+    monkeypatch.setattr(experiments, "_branch_splits", refuse)
+    with pytest.raises(ValueError, match=f"over limit {MATERIALIZE_LIMIT}"):
+        build_witness(QCopy.unrestricted(identity(2)), MATERIALIZE_LIMIT)
 
 
 def test_lower_bound_coloring():

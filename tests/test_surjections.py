@@ -1,10 +1,12 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import nested_maps, q, surjections
-from cantorsurj.intervals import Filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering
 from cantorsurj.points import Point, iter_points, max_point, min_point
 from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
@@ -83,6 +85,20 @@ def test_boundary_tuple_from_json_is_strict():
     for field, value in (("b", 2.0), ("depth", True)):
         with pytest.raises(ValueError, match="expected an integer"):
             BoundaryTuple.from_json({**bt.to_json(), field: value})
+
+
+@pytest.mark.parametrize("depth", [22, 100000, 10**8])
+def test_boundary_tuple_past_materialize_limit_refused_at_once(depth):
+    # the level's length is refused before b^depth is computed
+    code = (
+        "from cantorsurj.intervals import validate_level\n"
+        "from cantorsurj.surjections import BoundaryTuple\n"
+        f"print(validate_level(3, {depth}, ()).clause)\n"
+        f"BoundaryTuple.from_json({{'b': 3, 'depth': {depth}, 'entries': []}})\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    want = f"ValueError: depth {depth} has 0 entries, needs more than {MATERIALIZE_LIMIT}; over limit\n"
+    assert out.returncode == 1 and out.stdout == "length\n" and out.stderr.endswith(want)
 
 
 def test_fingerprints():
