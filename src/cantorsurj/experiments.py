@@ -332,9 +332,16 @@ def _branch_splits(y: QCopy, prefer: int) -> tuple[tuple[int, ...], int]:
         return longest if d is None else d
 
     far_near = [(p.lo, p.hi) if prefer else (p.hi, p.lo) for p in y.pieces]
-    spans = [(differs_at(far), differs_at(near)) for far, near in far_near]
+    # both ends of a piece's span grow as the piece nears E, so in order
+    # the spans merge by their last end
+    merged: list[list[int]] = []
+    for a, c in sorted((differs_at(far), differs_at(near)) for far, near in far_near):
+        if merged and a <= merged[-1][1] + 1:
+            merged[-1][1] = c
+        else:
+            merged.append([a, c])
     digits = end.prefix(longest)
-    below = tuple(j for j in range(longest) if digits[j] == prefer and any(a <= j <= c for a, c in spans))
+    below = tuple(j for a, c in merged for j in range(a, min(c + 1, longest)) if digits[j] == prefer)
     return below, longest
 
 

@@ -418,14 +418,17 @@ class Filtering:
         """Maximum of the depth-len(word) cell at each word's lex position,
         the top point for the last cell of a depth: read from a stored or
         memoized level where the word's depth has one, else from one shared
-        descent (_cell_ends)."""
-        b, out, deep = self.base, {}, []
+        descent (_cell_ends).  A run of words of one depth, as a batch of
+        one depth's cells is, reads its level once."""
+        b, out, deep, depth, level = self.base, {}, [], None, None
         for w in words:
-            d = len(w)
-            if d > self.support and d not in self._level_memo:
+            if len(w) != depth:
+                depth = len(w)
+                level = self.boundary_tuple(depth) if depth <= self.support or depth in self._level_memo else None
+            if level is None:
                 deep.append(w)
             else:
-                level, r = self.boundary_tuple(d), word_rank(w, b)
+                r = word_rank(w, b)
                 out[w] = level[r] if r < len(level) else max_point(b)
         for w, (_, hi) in self._cell_ends(deep).items():
             out[w] = canonical_point(b, hi, b - 1)

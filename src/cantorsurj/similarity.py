@@ -11,6 +11,10 @@ there are t_ell of them, the ell-th odd tangent number.
 Colors: canonical_coloring maps every increasing tuple to {0..t_ell-1}: a
 strongly diagonal tuple gets its type's lex rank among the down-up
 permutations, and 0 doubles as the catch-all for non-diagonal tuples.
+
+Scans: scan_types walks a max-set's tuples in lex order down a trie of
+the types' level patterns, a leaf at a time, passing whole every prefix
+that no type not yet met extends (_walk_diagonal).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
 
 from . import caps
@@ -198,11 +202,6 @@ def _lcp_len(a: tuple[int, ...], c: tuple[int, ...]) -> int:
     return i
 
 
-def _ranks(depths: list[int]) -> tuple[int, ...]:
-    """Rank of each node depth among all of them; the depths are distinct."""
-    return tuple(map(sorted(depths).index, depths))
-
-
 def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """In-order level ranks of a point-ordered stem tuple, or None when the
     tuple is not strongly diagonal.
@@ -222,71 +221,119 @@ def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
         lengths.append(len(c))
     if len(set(lengths)) != len(lengths):
         return None
-    return _ranks(lengths)
+    return tuple(map(sorted(lengths).index, lengths))
 
 
 def _meet_table(stems: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """meet[i][j], for i < j, is the depth of the common prefix of stems i
     and j, or -1 when one stem is a prefix of the other (no tuple holding
-    both as neighbours is diagonal)."""
-    table = []
-    for i, a in enumerate(stems):
-        row = [-1] * len(stems)
-        for j in range(i + 1, len(stems)):
-            c = stems[j]
-            m = _lcp_len(a, c)
-            if m != len(a) and m != len(c):
-                row[j] = m
-        table.append(row)
-    return table
+    both as neighbours is diagonal).
+
+    Row i is a running minimum of the gaps, the common prefix depths of
+    neighbouring stems.  The stems, of increasing points, end in 0, so the
+    point s 1^w tops the cylinder of s.  If the common prefix c of stems
+    i < j is shorter than both, the stems between them extend c strictly
+    (else their points would pass point j): every gap is at least |c|, and
+    |c| where digit |c| turns from 0 to 1.  Else stem j is a prefix of stem
+    i and of every stem between, so every gap is at least |stem j|."""
+    lens = [len(s) for s in stems]
+    gaps = [_lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+    return [
+        [-1] * (i + 1)
+        + [g if g < lj else -1 for g, lj in zip(accumulate(gaps[i:], min), lens[i + 1 :])]
+        for i in range(len(stems))
+    ]
 
 
-def _walk_diagonal(
-    stems: tuple[tuple[int, ...], ...], leaves: int, visit
-) -> tuple[int, bool]:
-    """Walk combinations(range(len(stems)), leaves) in order and call
-    visit(picked, depths) on each one _classify accepts, with its in-order
-    node depths; stop when visit returns True.  Returns the number of
-    combinations covered, up to and including the one visit stopped at,
-    and whether visit stopped the walk.
+class _Node:
+    """A pattern in the trie of every type over `leaves` leaves: the
+    in-order level ranks of a tuple's first leaves, its children met so
+    far, and how many children are live.  Every step key (a, c) extends to
+    a type, one per a <= q (the new meet is shallower than the last leaf,
+    of rank q) and c = a..2p-1, so a node starts with that many; a leaf
+    starts with 1 and is spent when met."""
 
-    The depths of a prefix are a prefix of the depths of every extension,
-    so a prefix with a comparable neighbouring pair or a repeated depth
-    fails in all of them: they are counted, not visited.
-    """
+    __slots__ = ("levels", "parent", "children", "live")
+
+    def __init__(self, levels: tuple[int, ...], leaves: int, parent: "_Node | None" = None) -> None:
+        self.levels, self.parent, self.children, q = levels, parent, {}, levels[-1]
+        self.live = 1 if len(levels) == 2 * leaves - 1 else (q + 1) * (len(levels) + 1) - q * (q + 1) // 2
+
+
+def _combination_index(picked: list[int], n: int) -> int:
+    """Lex index of a combination among combinations(range(n), k): the
+    ones before it first differ at some position i, holding a smaller
+    element there, C(n - start, k - i) - C(n - c, k - i) of them."""
+    k, index, start = len(picked), 0, 0
+    for i, c in enumerate(picked):
+        index += comb(n - start, k - i) - comb(n - c, k - i)
+        start = c + 1
+    return index
+
+
+def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node, found) -> list[int] | None:
+    """Walk combinations(range(len(stems)), leaves) in lex order along the
+    type trie at `root`, and call found(rank, picked) on the first tuple of
+    each type not met before; returns the combination at which found
+    returned True, else None.
+
+    A prefix's pattern is the order of its node depths, carried sorted;
+    the bisect positions of the next meet and leaf depth among them key
+    the step down the trie.  The depths of a prefix are a prefix of the
+    depths of every extension, so a prefix with a comparable neighbouring
+    pair (meet -1) or a repeated depth fails in all of them, and one whose
+    trie child is spent holds no type not met before: either way its
+    extensions are passed unclassified.  So the tuples found are the first
+    of their types, in the same order as a walk that classifies every
+    tuple, and as the passed ones are covered all the same, a stop covers
+    its lex index plus 1 combinations and a full walk C(n, leaves)."""
     n = len(stems)
     lens = [len(s) for s in stems]
     # the caller's budget on C(n, leaves) bounds this C(n, 2) table only
     # from two leaves on; a single leaf has no neighbours to meet
     meet = _meet_table(stems) if leaves > 1 else []
     picked = [0] * leaves
-    covered = 0
 
-    def extend(pos: int, start: int, depths: list[int]) -> bool:
-        nonlocal covered
-        rest = leaves - 1 - pos
-        row = meet[picked[pos - 1]] if pos else None
-        for j in range(start, n - rest):
-            if row is None:
-                here = [lens[j]]
-            else:
-                m = row[j]
-                if m < 0 or m in depths or lens[j] in depths:
-                    covered += comb(n - 1 - j, rest)
-                    continue
-                here = depths + [m, lens[j]]
+    def extend(pos: int, depths: list[int], node: _Node) -> bool:
+        # picked[:pos] has trie node `node` and its node depths sorted in depths
+        if pos == leaves:  # a type met for the first time: spend its leaf
+            stop = found(type_rank(node.levels), picked)
+            while node is not None:
+                node.live -= 1
+                node = None if node.live else node.parent
+            return stop
+        row, children = meet[picked[pos - 1]], node.children
+        for j in range(picked[pos - 1] + 1, n - leaves + 1 + pos):
+            m = row[j]
+            if m < 0:
+                continue
+            a = bisect_left(depths, m)  # below len(depths): m is shallower than the last leaf
+            if depths[a] == m:
+                continue
+            leaf = lens[j]
+            c = bisect_left(depths, leaf, a)
+            if c < len(depths) and depths[c] == leaf:
+                continue
+            child = children.get((a, c))
+            if child is None:
+                levels = tuple(x + (x >= a) + (x >= c) for x in node.levels) + (a, c + 1)
+                child = children[a, c] = _Node(levels, leaves, node)
+            elif not child.live:
+                continue
             picked[pos] = j
-            if rest:
-                if extend(pos + 1, j + 1, here):
-                    return True
-            else:
-                covered += 1
-                if visit(picked, here):
-                    return True
+            if extend(pos + 1, depths[:a] + [m] + depths[a:c] + [leaf] + depths[c:], child):
+                return True
+            if not node.live:
+                return False
         return False
 
-    stopped = extend(0, 0, [])
-    return covered, stopped
+    for j in range(n - leaves + 1):
+        if not root.live:
+            return None
+        picked[0] = j
+        if extend(1, [lens[j]], root):
+            return picked
+    return None
 
 
 def is_strongly_diagonal(points: tuple[Point, ...]) -> bool:
@@ -338,11 +385,12 @@ class ScanOutcome:
 
     witnesses holds the first tuple found per type index, in construction
     order: depths increase outermost, combinations of the sorted max-set
-    innermost.  combos counts the combinations the scan covered, each one
-    either classified or counted as an extension of a prefix that already
-    failed.  deepest_full is the largest depth whose combinations were all
-    covered; the scan refuses depths whose combination count passes the
-    budget, so missing colors beyond that are "unknown", not "absent".
+    innermost.  combos counts the combinations the scan covered: the ones
+    classified, and the ones passed as extensions of a prefix that already
+    failed or whose types the scan has all met (see _walk_diagonal).
+    deepest_full is the largest depth whose combinations were all covered;
+    the scan refuses depths whose combination count passes the budget, so
+    missing colors beyond that are "unknown", not "absent".
     """
 
     witnesses: dict[int, TypeWitness]
@@ -365,6 +413,7 @@ def scan_types(
     if targets is None and leaves > MAX_TYPE_LEAVES:
         raise ValueError(f"a scan for every type is capped at {MAX_TYPE_LEAVES} leaves, got {leaves}")
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)
+    root = _Node((0,), leaves)  # shared by every depth, so met types stay spent
     witnesses: dict[int, TypeWitness] = {}
     combos = 0
     deepest_full = 0
@@ -377,17 +426,16 @@ def scan_types(
         if comb(n, leaves) > budget:
             break
 
-        def visit(picked: list[int], depths: list[int]) -> bool:
-            r = _RANKS[_ranks(depths)]
-            if r in want and r not in witnesses:
-                witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
-                return want <= witnesses.keys()
-            return False
+        def found(r: int, picked: list[int]) -> bool:
+            if r not in want:
+                return False
+            witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
+            return want <= witnesses.keys()
 
-        covered, stopped = _walk_diagonal(_binary_stems(pts), leaves, visit)
-        combos += covered
-        if stopped:
-            return ScanOutcome(witnesses, combos, d, True)
+        stop = _walk_diagonal(_binary_stems(pts), leaves, root, found)
+        if stop is not None:
+            return ScanOutcome(witnesses, combos + _combination_index(stop, n) + 1, d, True)
+        combos += comb(n, leaves)
         deepest_full = d
     return ScanOutcome(witnesses, combos, deepest_full, want <= witnesses.keys())
 

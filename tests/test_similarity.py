@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -5,9 +6,9 @@ from math import comb
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import diagonal_points, q
+from conftest import diagonal_points, filterings, nested_maps, q
 from cantorsurj.caps import default_depth_cap
 from cantorsurj.points import Point
 from cantorsurj.randgen import random_surjection
@@ -26,10 +27,13 @@ from cantorsurj.similarity import (
     tangent_number,
     tangent_table,
     type_rank,
+    _Node,
     _binary_stems,
     _classify,
+    _lcp_len,
+    _meet_table,
 )
-from cantorsurj.surjections import identity
+from cantorsurj.surjections import from_filtering, identity
 
 
 def zigzag(n):
@@ -150,6 +154,26 @@ def test_type_rank_ends_at_seven_leaves():
     for bad in ((1, 2, 0), (4, 0, 3, 2, 1), (1, 0)):
         with pytest.raises(ValueError):
             type_rank(bad)
+
+
+def _ranks(depths):
+    return tuple(sorted(depths).index(x) for x in depths)
+
+
+def test_trie_nodes_count_the_steps_of_every_type():
+    # a pattern's live count at creation is the number of distinct next
+    # steps among the types extending it, each step keyed by the bisect
+    # positions of the next meet and leaf among the pattern's levels
+    for ell in range(1, 6):
+        steps = {}
+        for levels in reference_type_index(ell):
+            for p in range(1, ell):
+                prefix = levels[: 2 * p - 1]
+                key = (bisect_left(sorted(prefix), levels[2 * p - 1]), bisect_left(sorted(prefix), levels[2 * p]))
+                steps.setdefault(_ranks(prefix), set()).add(key)
+            assert _Node(levels, ell).live == 1
+        for pattern, keys in steps.items():
+            assert _Node(pattern, ell).live == len(keys), pattern
 
 
 def test_tree_type_accepts_exactly_the_meet_tree_parses():
@@ -309,7 +333,8 @@ def scan_inputs(draw):
     h = random_surjection(random.Random(draw(st.integers(0, 2**32 - 1))), b, 3, chain_prob=0.4)
     leaves = draw(st.integers(1, 4))
     t = tangent_number(leaves)
-    targets = draw(st.none() | st.frozensets(st.integers(0, t - 1), max_size=min(t, 4)))
+    # a rank outside 0..t-1 is never found, and keeps the scan going
+    targets = draw(st.none() | st.frozensets(st.integers(-1, t), max_size=min(t, 4)))
     # counted down, so draws (and shrinks) favour the deepest cap
     deepest = 5 if b == 2 else 3
     depth_cap = deepest - draw(st.integers(0, deepest - 1))
@@ -319,6 +344,12 @@ def scan_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(scan_inputs())
+# five leaves: nothing fits below depth 8 at base 2 or 3, and identity(6)
+# holds its first five-leaf types at depth 2
+@example((identity(2), 5, 5, 20_000, frozenset({-1, 0, 3000, 7935, 7936})))
+@example((identity(3), 5, 3, DEFAULT_SCAN_BUDGET, frozenset({0, 17, 7935, 9000})))
+@example((identity(6), 5, 2, DEFAULT_SCAN_BUDGET, frozenset({544, 550, 560})))
+@example((identity(6), 5, 2, DEFAULT_SCAN_BUDGET, frozenset({549, 576, 7936})))
 def test_scan_matches_reference(args):
     got, want = scan_types(*args), reference_scan_types(*args)
     assert got == want
@@ -338,3 +369,32 @@ def test_scan_base3():
     for label, w in out.witnesses.items():
         assert all(p.base == 3 for p in w.points)
         assert canonical_coloring(w.points, 2) == label
+
+
+def reference_meet_table(stems):
+    """The meet table pair by pair: the common prefix of every two stems."""
+    table = []
+    for i, a in enumerate(stems):
+        row = [-1] * len(stems)
+        for j in range(i + 1, len(stems)):
+            c = stems[j]
+            m = _lcp_len(a, c)
+            if m != len(a) and m != len(c):
+                row[j] = m
+        table.append(row)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    filterings(bases=(2, 3, 4, 5), max_support=3).map(from_filtering)
+    | nested_maps(bases=(2, 3, 4, 5))
+)
+def test_meet_table_matches_pairwise_reference(h):
+    # wider bases are binary-encoded first, so their stems run longer
+    for d in range(1, 8):
+        pts = h.fingerprint(d)
+        if len(pts) > 130:
+            break
+        stems = _binary_stems(pts)
+        assert _meet_table(stems) == reference_meet_table(stems)
