@@ -26,6 +26,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import caps
 from .intervals import MATERIALIZE_LIMIT, ClopenInterval, point_words, validate_level
@@ -572,6 +573,14 @@ class OscillationReport:
         }
 
 
+@lru_cache(maxsize=16)  # keys hold caller-chosen caps and budgets: keep a few
+def _identity_type_witnesses(b: int, ell: int, depth_cap: int, budget: int):
+    """The identity's first tuple per type, as sorted (type index, points)
+    pairs, or None when the sweep is incomplete; no coloring enters it."""
+    out = scan_types(identity(b), ell, depth_cap, budget)
+    return tuple((r, out.witnesses[r].points) for r in sorted(out.witnesses)) if out.complete else None
+
+
 def oscillation_search(
     spec: ColoringSpec,
     eps,
@@ -587,7 +596,8 @@ def oscillation_search(
     identity's fingerprint for "constant", and for "table" every key plus
     one fingerprint that is no key.  The first candidate of each label is
     its witness, certified by tuple_to_factor unless it is the identity's
-    own fingerprint."""
+    own fingerprint.  The type witnesses do not depend on the coloring, so
+    a process scans each identity cube once (_identity_type_witnesses)."""
     # the color budget t_ell is not needed here, and is huge for fine eps
     k = _resolution_depth(eps)
     if k != spec.depth:
@@ -597,10 +607,9 @@ def oscillation_search(
     h = identity(b)
     ident = h.fingerprint(k)
     if spec.kind == "relabeled_types":
-        outcome = scan_types(h, ell, depth_cap, budget)
-        if not outcome.complete:
+        candidates = _identity_type_witnesses(b, ell, depth_cap, budget)
+        if candidates is None:
             raise RuntimeError("type sweep incomplete within cap; cannot certify the bound")
-        candidates = [(r, outcome.witnesses[r].points) for r in sorted(outcome.witnesses)]
     elif spec.kind == "constant":
         candidates = [(canonical_coloring(ident, ell), ident)]
     else:

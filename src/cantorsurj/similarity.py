@@ -14,7 +14,8 @@ permutations, and 0 doubles as the catch-all for non-diagonal tuples.
 
 Scans: scan_types walks a max-set's tuples in lex order down a trie of
 the types' level patterns, a leaf at a time, passing whole every prefix
-that no type not yet met extends (_walk_diagonal).
+that no type not yet met extends (_walk_diagonal), and every run of
+candidates whose meet repeats a depth in one jump (_neighbour_gaps).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import islice
 from math import comb
 
 from . import caps
@@ -224,25 +225,23 @@ def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     return tuple(map(sorted(lengths).index, lengths))
 
 
-def _meet_table(stems: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """meet[i][j], for i < j, is the depth of the common prefix of stems i
-    and j, or -1 when one stem is a prefix of the other (no tuple holding
-    both as neighbours is diagonal).
+def _neighbour_gaps(stems: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """gaps[k], the common prefix depth of stems k and k+1, and nxt[k], the
+    first index after k with a smaller gap (len(gaps) when none).
 
-    Row i is a running minimum of the gaps, the common prefix depths of
-    neighbouring stems.  The stems, of increasing points, end in 0, so the
-    point s 1^w tops the cylinder of s.  If the common prefix c of stems
-    i < j is shorter than both, the stems between them extend c strictly
-    (else their points would pass point j): every gap is at least |c|, and
-    |c| where digit |c| turns from 0 to 1.  Else stem j is a prefix of stem
-    i and of every stem between, so every gap is at least |stem j|."""
-    lens = [len(s) for s in stems]
+    The meet of stems i < j is min(gaps[i..j-1]), so gaps[k] for j = k+1
+    up to nxt[k].  Stems of increasing points end in 0, so s 1^w tops the
+    cylinder of s.  If the common prefix c of stems i < j is shorter than
+    both, the stems between extend c strictly (else their points would pass
+    point j): every gap is at least |c|, and |c| where digit |c| goes 0 to
+    1.  Else stem j prefixes stem i and all between: no gap is below |stem j|."""
     gaps = [_lcp_len(a, c) for a, c in zip(stems, stems[1:])]
-    return [
-        [-1] * (i + 1)
-        + [g if g < lj else -1 for g, lj in zip(accumulate(gaps[i:], min), lens[i + 1 :])]
-        for i in range(len(stems))
-    ]
+    nxt, stack = [len(gaps)] * len(gaps), []
+    for k, g in enumerate(gaps):
+        while stack and gaps[stack[-1]] > g:
+            nxt[stack.pop()] = k
+        stack.append(k)
+    return gaps, nxt
 
 
 class _Node:
@@ -281,17 +280,18 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
     the bisect positions of the next meet and leaf depth among them key
     the step down the trie.  The depths of a prefix are a prefix of the
     depths of every extension, so a prefix with a comparable neighbouring
-    pair (meet -1) or a repeated depth fails in all of them, and one whose
+    pair (no meet) or a repeated depth fails in all of them, and one whose
     trie child is spent holds no type not met before: either way its
     extensions are passed unclassified.  So the tuples found are the first
     of their types, in the same order as a walk that classifies every
     tuple, and as the passed ones are covered all the same, a stop covers
-    its lex index plus 1 combinations and a full walk C(n, leaves)."""
-    n = len(stems)
-    lens = [len(s) for s in stems]
-    # the caller's budget on C(n, leaves) bounds this C(n, 2) table only
-    # from two leaves on; a single leaf has no neighbours to meet
-    meet = _meet_table(stems) if leaves > 1 else []
+    its lex index plus 1 combinations and a full walk C(n, leaves).
+
+    Candidate j's meet with the last pick i, min(gaps[i..j-1]), is bisected
+    only where it drops; a meet that repeats a depth repeats it for every j
+    up to nxt[j-1], so those candidates, all failing, take one jump."""
+    n, lens = len(stems), [len(s) for s in stems]
+    gaps, nxt = _neighbour_gaps(stems) if leaves > 1 else ((), ())  # one leaf meets none
     picked = [0] * leaves
 
     def extend(pos: int, depths: list[int], node: _Node) -> bool:
@@ -302,17 +302,19 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
                 node.live -= 1
                 node = None if node.live else node.parent
             return stop
-        row, children = meet[picked[pos - 1]], node.children
-        for j in range(picked[pos - 1] + 1, n - leaves + 1 + pos):
-            m = row[j]
-            if m < 0:
-                continue
-            a = bisect_left(depths, m)  # below len(depths): m is shallower than the last leaf
-            if depths[a] == m:
-                continue
+        children, top, j = node.children, n - leaves + pos, picked[pos - 1]
+        m = lens[j] + 1  # above gaps[j], so the first step drops it
+        while j < top:
+            j += 1
+            if gaps[j - 1] < m:  # the meet depth drops
+                m = gaps[j - 1]
+                a = bisect_left(depths, m)  # below len(depths): m is no deeper than the last leaf
+                if depths[a] == m:  # repeated up to nxt[j - 1]: the step lands past it
+                    j = nxt[j - 1]
+                    continue
             leaf = lens[j]
             c = bisect_left(depths, leaf, a)
-            if c < len(depths) and depths[c] == leaf:
+            if leaf <= m or c < len(depths) and depths[c] == leaf:
                 continue
             child = children.get((a, c))
             if child is None:

@@ -24,6 +24,7 @@ from cantorsurj.experiments import (
 from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, interval_successor, max_point, min_point, rank_word
 from cantorsurj.randgen import derive_rng, random_filtering
+from cantorsurj.similarity import scan_types
 from cantorsurj.surjections import (
     ChainSurjection,
     FilteringSurjection,
@@ -463,3 +464,42 @@ def test_oscillation_table_labels_are_default_and_key_labels(base, k, seed, n_ke
 def test_oscillation_depth_mismatch():
     with pytest.raises(ValueError):
         oscillation_search(ColoringSpec(2, 3, 16, "constant", constant=0), Fraction(3, 10))
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = experiments.scan_types
+    monkeypatch.setattr(experiments, "scan_types", lambda *args: calls.append(args) or scan(*args))
+    experiments._identity_type_witnesses.cache_clear()
+    return calls
+
+
+def test_oscillation_scans_the_identity_cube_once(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    for relabel in (tuple(range(16)), tuple(i % 5 for i in range(16))):
+        rep = oscillation_search(ColoringSpec(2, 2, 16, "relabeled_types", relabel=relabel), Fraction(3, 10))
+        assert rep.labels == tuple(sorted(set(relabel))) and rep.guaranteed
+    assert len(calls) == 1
+
+
+def test_oscillation_warm_witnesses_equal_cold(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
+    cold = oscillation_search(spec, Fraction(3, 10))
+    warm = oscillation_search(spec, Fraction(3, 10))
+    assert len(calls) == 1 and warm.to_json() == cold.to_json()
+    # one label per type, so the witnesses are the scan's, in type order
+    out = scan_types(identity(2), 3)
+    assert [(w.type_index, w.points) for w in warm.witnesses] == [
+        (r, out.witnesses[r].points) for r in sorted(out.witnesses)
+    ]
+
+
+def test_oscillation_cache_is_keyed_on_the_resolved_cap(monkeypatch):
+    experiments._identity_type_witnesses.cache_clear()
+    spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
+    assert oscillation_search(spec, Fraction(3, 10)).labels == tuple(range(16))
+    # three leaves need five distinct node depths, which depth 3 lacks
+    monkeypatch.setenv("RAMSEY_DEPTH_CAP", "3")
+    with pytest.raises(RuntimeError, match="type sweep incomplete"):
+        oscillation_search(spec, Fraction(3, 10))

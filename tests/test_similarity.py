@@ -1,9 +1,11 @@
 from bisect import bisect_left
 from functools import lru_cache
+import hashlib
 from itertools import combinations, permutations
 from math import comb
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +33,7 @@ from cantorsurj.similarity import (
     _binary_stems,
     _classify,
     _lcp_len,
-    _meet_table,
+    _neighbour_gaps,
 )
 from cantorsurj.surjections import from_filtering, identity
 
@@ -385,16 +387,81 @@ def reference_meet_table(stems):
     return table
 
 
+def meet_table_from_gaps(stems):
+    """reference_meet_table read off _neighbour_gaps alone: row i holds
+    gaps[k] for j = k+1 up to nxt[k], along the chain k = i, nxt[i], ...,
+    save where stem j is no longer than that (stem j prefixes stem i)."""
+    gaps, nxt = _neighbour_gaps(stems)
+    table = []
+    for i in range(len(stems)):
+        row, k = [-1] * len(stems), i
+        while k < len(gaps):
+            for j in range(k + 1, nxt[k] + 1):
+                row[j] = gaps[k] if gaps[k] < len(stems[j]) else -1
+            k = nxt[k]
+        table.append(row)
+    return table
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     filterings(bases=(2, 3, 4, 5), max_support=3).map(from_filtering)
     | nested_maps(bases=(2, 3, 4, 5))
 )
-def test_meet_table_matches_pairwise_reference(h):
+def test_meet_rows_from_gaps_match_pairwise_reference(h):
     # wider bases are binary-encoded first, so their stems run longer
     for d in range(1, 8):
         pts = h.fingerprint(d)
         if len(pts) > 130:
             break
         stems = _binary_stems(pts)
-        assert _meet_table(stems) == reference_meet_table(stems)
+        gaps, nxt = _neighbour_gaps(stems)
+        assert gaps == [_lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+        for k, g in enumerate(gaps):
+            assert nxt[k] == next((t for t in range(k + 1, len(gaps)) if gaps[t] < g), len(gaps))
+        assert meet_table_from_gaps(stems) == reference_meet_table(stems)
+
+
+def _outcome_bytes(out):
+    witnesses = [(r, w.depth, [(p.base, p.stem, p.tail) for p in w.points]) for r, w in out.witnesses.items()]
+    return repr((out.combos, out.deepest_full, out.complete, witnesses)).encode()
+
+
+def _pinned_scan_cases():
+    """identity(b) for b = 2..7 at 1..6 leaves, then 200 seeded random
+    filterings and chains in bases 2-4 with targets, caps and budgets."""
+    cases = [(identity(b), leaves) for b in range(2, 8) for leaves in range(1, 7)]
+    rng = random.Random("scan-pin")
+    for _ in range(200):
+        b = rng.choice((2, 3, 4))
+        h = random_surjection(rng, b, 3, chain_prob=0.4)
+        leaves = rng.randint(1, 4)
+        t = tangent_number(leaves)
+        targets = None if rng.random() < 0.3 else frozenset(rng.randint(-1, t) for _ in range(rng.randint(1, 4)))
+        cases.append((h, leaves, rng.randint(1, 20), rng.choice((10, 100, 1_000, 10_000, 50_000)), targets))
+    return cases
+
+
+# sha256 of every outcome above, witnesses in found order, recorded at the
+# last commit that scanned with a full meet table
+SCAN_OUTCOMES_SHA256 = "4791529b011b0ed6878532fa73b133963a91828923e2c244750d3863a15b7318"
+
+
+def test_scan_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for args in _pinned_scan_cases():
+        digest.update(_outcome_bytes(scan_types(*args)))
+    assert digest.hexdigest() == SCAN_OUTCOMES_SHA256
+
+
+def test_two_leaf_scan_builds_no_quadratic_table():
+    # type 2 does not exist at two leaves, so the scan runs to the budget:
+    # depth 6 holds 728 points, whose C(728, 2) meet table took over 4 MiB
+    tracemalloc.start()
+    try:
+        out = scan_types(identity(3), 2, targets=frozenset({2}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.combos, out.deepest_full, out.complete) == (297303, 6, False)
+    assert peak < 1 << 20
