@@ -29,18 +29,17 @@ from .experiments import (
 )
 from .points import Point
 from .similarity import (
+    DEFAULT_SCAN_BUDGET,
     MAX_TANGENT_INDEX,
     MAX_TYPE_LEAVES,
     TreeType,
     canonical_coloring,
     enumerate_types,
-    is_strongly_diagonal,
     search_tuple_of_type,
     similarity_type,
     tangent_number,
 )
 from .surjections import (
-    BoundaryTuple,
     FactorizationError,
     compose,
     distance,
@@ -153,9 +152,9 @@ def _colored_points(path: str) -> tuple[tuple[Point, ...], int]:
 
 def _cmd_type_of(args) -> int:
     pts, color = _colored_points(args.points)
-    if is_strongly_diagonal(pts):
+    try:
         levels = list(similarity_type(pts).levels)
-    else:
+    except ValueError:  # canonical_coloring refused every other bad input
         levels = None
     _emit({"l": len(pts), "diagonal": levels is not None, "color": color, "levels": levels})
     return 0
@@ -210,13 +209,7 @@ def _cmd_factor(args) -> int:
     try:
         f = factor_through(g, h, args.depth)
     except FactorizationError as exc:
-        _emit(
-            {
-                "error": str(exc),
-                "witness": None if exc.witness is None else exc.witness.to_json(),
-                "depth": exc.depth,
-            }
-        )
+        _emit({"error": str(exc), "witness": None, "depth": exc.depth})
         return 1
     _emit(f.to_json())
     return 0
@@ -226,7 +219,7 @@ def _cmd_boundaries(args) -> int:
     f = _surjection(args.surjection)
     if args.depth < 1:
         raise BadInput("depth must be >= 1")
-    _emit(BoundaryTuple(f.base, args.depth, f.fingerprint(args.depth)).to_json())
+    _emit(f.boundary_tuple(args.depth).to_json())
     return 0
 
 
@@ -333,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("surjection", help="JSON file")
     sp.add_argument("--levels", required=True, help="comma-separated level ranks")
     sp.add_argument("--depth-cap", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=400_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     sp.set_defaults(fn=_cmd_search_type)
 
     sp = sub.add_parser("eval", help="image digits of a point")
@@ -383,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("surjection", help="JSON file")
     sp.add_argument("--k", type=int, required=True, help="fingerprint depth")
     sp.add_argument("--depth-cap", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=400_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     sp.set_defaults(fn=_cmd_realize_all)
 
     sp = sub.add_parser("oscillation", help="shrink a coloring's range on a cube")
     sp.add_argument("coloring", help="JSON file: coloring spec")
     sp.add_argument("--eps", required=True, help="resolution, e.g. 0.3 or 3/10")
-    sp.add_argument("--budget", type=int, default=400_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     sp.add_argument("--seed", default=None, help="ignored; the search is exact and unseeded")
     sp.set_defaults(fn=_cmd_oscillation)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -183,8 +183,7 @@ def realize_all_colors(
         f = tuple_to_factor(h, BoundaryTuple(h.base, k, w.points))
         composite = compose(f, h)
         got = lower_bound_coloring(composite, k)
-        ball_rep = tuple_to_surjection(k, BoundaryTuple(h.base, k, composite.fingerprint(k)))
-        got_ball = lower_bound_coloring(ball_rep, k)
+        got_ball = lower_bound_coloring(tuple_to_surjection(composite.boundary_tuple(k)), k)
         if got != r or got_ball != r:
             raise RuntimeError(
                 f"realization of color {r} failed verification: composite {got}, ball {got_ball}"
@@ -465,8 +464,11 @@ class ColoringSpec:
     relabel: tuple[int, ...] = ()
     table: tuple[tuple[str, int], ...] = ()
     constant: int = 0
+    # the table as a dict, built once: a lookup per call keeps searches linear
+    _lookup: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_lookup", dict(self.table))
         if self.kind not in ("relabeled_types", "table", "constant"):
             raise ValueError(f"unknown coloring kind {self.kind!r}")
         if self.colors < 1:
@@ -505,7 +507,7 @@ class ColoringSpec:
             return self.constant
         if self.kind == "relabeled_types":
             return self.relabel[canonical_coloring(fp, self.ell)]
-        return dict(self.table).get(_fingerprint_key(fp), self.constant)
+        return self._lookup.get(_fingerprint_key(fp), self.constant)
 
     def to_json(self) -> dict:
         out = {"b": self.base, "k": self.depth, "colors": self.colors, "kind": self.kind}

@@ -496,8 +496,9 @@ def validate_filtering(f: Filtering) -> FilteringReport:
 
     Verified per level: validate_level (entry count, entries interior
     eventually-max points, strict increase), and that each level subsamples
-    to the one above.  The cell intervals themselves are derived data, so
-    these four checks pin the whole structure.
+    to the one above, level[b-1::b] being the level above (the slice
+    tuple_to_surjection cuts).  The cell intervals themselves are derived
+    data, so these four checks pin the whole structure.
     """
     b = f.base
     for j, level in enumerate(f.levels):
@@ -505,14 +506,9 @@ def validate_filtering(f: Filtering) -> FilteringReport:
         report = validate_level(b, depth, level)
         if not report.ok:
             return report
-        if j > 0:
-            above = f.levels[j - 1]
-            for i, y in enumerate(above):
-                if level[b * i + b - 1] != y:
-                    return FilteringReport(
-                        False,
-                        "nesting",
-                        (depth, b * i + b - 1),
-                        f"depth-{depth} tuple does not carry depth-{j} maximum {i}",
-                    )
+        # depth-j maximum i is entry b*i + b - 1; a bad i is sought only on failure
+        if j > 0 and level[b - 1 :: b] != f.levels[j - 1]:
+            i = next(i for i, y in enumerate(f.levels[j - 1]) if level[b * i + b - 1] != y)
+            msg = f"depth-{depth} tuple does not carry depth-{j} maximum {i}"
+            return FilteringReport(False, "nesting", (depth, b * i + b - 1), msg)
     return FilteringReport(True)

@@ -12,6 +12,8 @@ Both share all derived operations: evaluation, distance, factorization.
 Evaluation, a batch of points at once (evaluate_all), and factor images
 read a map's cells through the one point walk (intervals.point_words),
 which asks for cell_maxima a depth at a time above the support.
+Factorization is one walk, tuple_to_factor, which factor_through calls on
+the composite's boundary tuple.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
@@ -25,8 +27,8 @@ Two corollaries bound every cell search exactly:
 (i)  Every interior q-point x = c top^w is a cell maximum of h by depth
      s + |c|: its cell there lies in a length-|c| cylinder holding x, which
      is [c], and x = max [c].  So h's max-set is every interior q-point, and
-     evaluate(x, s + |c|) is exact.  Factorization finds the images of a
-     whole sorted tuple in one walk of h's cells (intervals.point_words),
+     evaluate(x, s + |c|) is exact.  tuple_to_factor finds the images of
+     a whole sorted tuple in one walk of h's cells (intervals.point_words),
      with that bound as each entry's depth limit.
 (ii) Every clopen interval [lo, hi] contains a full cell of h by depth
      s + m, m the longer endpoint stem: the cylinder [v], v the first m
@@ -371,75 +373,53 @@ def distance(f: Surjection, g: Surjection, cap: int | None = None, guard: int | 
 
 
 class FactorizationError(ValueError):
-    def __init__(self, message: str, witness: Point | None = None, depth: int | None = None):
+    def __init__(self, message: str, depth: int | None = None):
         super().__init__(message)
-        self.witness = witness
         self.depth = depth
 
 
-def _subsample_levels(
-    base: int, depth: int, entries: tuple[Point, ...]
-) -> tuple[tuple[Point, ...], ...]:
-    """Levels 1..depth forced by a depth-`depth` boundary tuple: by nesting,
-    depth-d entry i sits at position b^(depth-d) * (i+1) - 1."""
-    return tuple(
-        tuple(entries[base ** (depth - d) * (i + 1) - 1] for i in range(base**d - 1))
-        for d in range(1, depth + 1)
-    )
-
-
-def _image_factor(h: Surjection, depth: int, entries: tuple[Point, ...]) -> FilteringSurjection:
-    """The canonical surjection whose depth-`depth` tuple is the h-image of
-    the ascending `entries`.  Each entry, an interior q-point, is a cell
-    maximum of h by depth h.support + len(stem) (corollary (i)); its image
-    is the word of the shallowest such cell followed by top digits, found
-    for all entries in one walk (point_words) and refused with evaluate's
-    error past that bound.  Increasing cell maxima have increasing images."""
-    s, b = h.support, h.base
-    found = point_words(h, entries, [s + len(x.stem) for x in entries])
-    if not all(hit for _, hit in found):
-        raise ValueError(_UNSTABLE)
-    images = tuple(canonical_point(b, w, b - 1) for w, _ in found)
-    return tuple_to_surjection(depth, BoundaryTuple(h.base, depth, images))
-
-
 def factor_through(g: Surjection, h: Surjection, depth: int) -> FilteringSurjection:
-    """Find f with g = f o h, on fingerprints to `depth`.
-
-    f's boundaries are the exact h-images of g's boundaries.  Every interior
-    q-point is in h's max-set, so the one way to fail is the composed check:
-    FactorizationError when f o h does not reproduce g's fingerprint.
-    """
+    """Find f with g = f o h, on fingerprints to `depth`: the bases are
+    checked before any level is built, then tuple_to_factor solves for g's
+    depth-`depth` boundary tuple."""
     if g.base != h.base:
         raise ValueError("base mismatch")
-    deep = g.fingerprint(depth)
-    f = _image_factor(h, depth, deep)
-    if ChainSurjection(f, h).fingerprint(depth) != deep:
-        raise FactorizationError("factor verification failed: composed fingerprint differs", depth=depth)
-    return f
+    return tuple_to_factor(h, g.boundary_tuple(depth))
 
 
-def tuple_to_surjection(depth: int, t: BoundaryTuple) -> FilteringSurjection:
+def tuple_to_surjection(t: BoundaryTuple) -> FilteringSurjection:
     """The canonical surjection whose depth-k fingerprint is exactly t.
 
-    Shallower levels are the forced subsamples of t; deeper levels come from
-    the greedy extension.
+    By nesting, depth-d entry i is t's entry b^(k-d) * (i+1) - 1, so level
+    d is the slice entries[b^(k-d) - 1 :: b^(k-d)]; deeper levels are
+    greedy.  The slices are not validated again, as t was: each holds
+    b^d - 1 of t's increasing interior q-points, and they nest, since entry
+    b*i + b-1 of level d+1 is t's entry b^(k-d) * (i+1) - 1.
     """
-    if t.depth != depth:
-        raise ValueError(f"tuple has depth {t.depth}, expected {depth}")
-    return from_filtering(Filtering(t.base, _subsample_levels(t.base, depth, t.entries)))
+    b, k, entries = t.base, t.depth, t.entries
+    levels = tuple(entries[b ** (k - d) - 1 :: b ** (k - d)] for d in range(1, k + 1))
+    return FilteringSurjection(Filtering(b, levels))
 
 
 def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> FilteringSurjection:
-    """Find f with fingerprint(f o h, k) = t; by corollary (i) every valid
-    tuple is drawn from h's max-set.
+    """Find f with fingerprint(f o h, k) = t: the one factorization walk.
 
-    f is the canonical surjection on the h-images of t's entries; composing
-    back must reproduce t exactly and is verified before returning.
+    f is the canonical surjection on the h-images of t's entries.  Each
+    entry, an interior q-point, is a cell maximum of h by depth
+    h.support + len(stem) (corollary (i)); its image, the word of the
+    shallowest such cell followed by top digits, is found for all entries
+    in one walk (point_words) and refused with evaluate's error past that
+    bound.  Increasing cell maxima have increasing images.  Composing back
+    must reproduce t and is verified before returning; by corollary (i)
+    only a map that misstates its support fails there.
     """
     if h.base != t.base:
         raise ValueError("base mismatch")
-    f = _image_factor(h, t.depth, t.entries)
-    if ChainSurjection(f, h).fingerprint(t.depth) != t.entries:
-        raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=t.depth)
+    b, k = h.base, t.depth
+    found = point_words(h, t.entries, [h.support + len(x.stem) for x in t.entries])
+    if not all(hit for _, hit in found):
+        raise ValueError(_UNSTABLE)
+    f = tuple_to_surjection(BoundaryTuple(b, k, tuple(canonical_point(b, w, b - 1) for w, _ in found)))
+    if ChainSurjection(f, h).fingerprint(k) != t.entries:
+        raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=k)
     return f

@@ -291,7 +291,7 @@ def _factorization_predicate(case) -> dict | None:
     g = compose(f, h)
     ff = factor_through(g, h, 6)
     ok1 = ff.fingerprint(6) == f.fingerprint(6) and ff.fingerprint(3) == f.fingerprint(3)
-    t = BoundaryTuple(f.base, 6, g.fingerprint(6))
+    t = g.boundary_tuple(6)
     f2 = tuple_to_factor(h, t)
     ok2 = compose(f2, h).fingerprint(6) == t.entries
     if ok1 and ok2:

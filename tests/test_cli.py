@@ -18,7 +18,7 @@ from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.randgen import derive_rng
 from cantorsurj.similarity import similarity_type, type_rank
-from cantorsurj.surjections import compose, from_filtering, identity
+from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity
 
 
 @pytest.fixture
@@ -152,6 +152,17 @@ def test_compose_and_factor(capsys, files, tmp_path):
     code, out, _ = run(capsys, "factor", str(chain), inner, "--depth", "2")
     got = json.loads(out)
     assert code == 0 and got["depth"] == 2
+
+
+def test_factor_failure_dump(capsys, files):
+    # a failed composed check exits 1 with a fixed-shape dump; a valid
+    # surjection never reaches it, so the failure is injected
+    surj = files("id.json", identity(2).to_json())
+    error = FactorizationError("composed fingerprint does not reproduce the tuple", depth=2)
+    with patch("cantorsurj.cli.factor_through", side_effect=error):
+        code, out, err = run(capsys, "factor", surj, surj, "--depth", "2")
+    want = {"depth": 2, "error": "composed fingerprint does not reproduce the tuple", "witness": None}
+    assert (code, out, err) == (1, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_dist_tokens(capsys, files):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -459,6 +460,33 @@ def test_oscillation_table_labels_are_default_and_key_labels(base, k, seed, n_ke
     for w in rep.witnesses:
         f = tuple_to_factor(e, BoundaryTuple(base, k, w.points))
         assert spec.color_of(compose(f, e).fingerprint(k)) == w.label
+
+
+def test_oscillation_on_a_table_is_linear_in_its_keys():
+    # one lookup per candidate: 8x the keys costs far less than 8^2 = 64x
+    rng = derive_rng(0, "linear-table")
+
+    def table_spec(n):
+        table = {}
+        while len(table) < n:
+            fp = from_filtering(random_filtering(rng, 2, rng.randint(2, 6))).fingerprint(2)
+            table[_fingerprint_key(fp)] = rng.randrange(8)
+        return ColoringSpec(2, 2, 8, "table", table=tuple(sorted(table.items())), constant=7), table
+
+    def best_time(spec):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            rep = oscillation_search(spec, Fraction(1, 2))
+            times.append(time.perf_counter() - start)
+        return min(times), rep
+
+    (small, _), (large, table) = table_spec(500), table_spec(4000)
+    best_time(small)  # warm the identity's caches
+    t_small, _ = best_time(small)
+    t_large, rep = best_time(large)
+    assert set(rep.labels) == {7} | set(table.values())
+    assert t_large < 20 * t_small, (t_small, t_large)
 
 
 def test_oscillation_depth_mismatch():

@@ -16,6 +16,7 @@ from cantorsurj.intervals import (
     MATERIALIZE_LIMIT,
     ClopenInterval,
     Filtering,
+    FilteringReport,
     _pick_stems,
     check_materialize,
     least_q_point_between,
@@ -333,6 +334,26 @@ def test_validate_rejects_corrupted():
     assert not unnested.ok and unnested.clause == "nesting"
     short = validate_filtering(Filtering(2, ((q(0),), (q(0, 0), q(0)))))
     assert not short.ok and short.clause == "length"
+
+
+def test_validate_names_the_first_nesting_fault_past_entry_zero():
+    # base 3: depth-j maximum i is entry 3i + 2 one level down; the report
+    # names the first entry that drops it, behind correct ones
+    def q3(*stem):
+        return q(*stem, base=3)
+
+    top = (q3(0), q3(1))
+    mid = (q3(0, 0), q3(0, 1), q3(0), q3(1, 0), q3(1, 1), q3(1, 2, 0), q3(2, 0), q3(2, 1))
+    assert validate_filtering(Filtering(3, (top, mid))) == FilteringReport(
+        False, "nesting", (2, 5), "depth-2 tuple does not carry depth-1 maximum 1"
+    )
+    levels = Filtering(3, (top,)).extend(3).levels
+    deep = list(levels[2])
+    deep[3 * 4 + 2] = q3(1, 1, 2, 0)
+    deep[3 * 6 + 2] = q3(2, 0, 2, 0)
+    assert validate_filtering(Filtering(3, (top, levels[1], tuple(deep)))) == FilteringReport(
+        False, "nesting", (3, 14), "depth-3 tuple does not carry depth-2 maximum 4"
+    )
 
 
 def test_extend_materializes_greedy_levels():
@@ -760,7 +781,7 @@ def test_batch_images_refuse_past_the_bound_like_evaluate():
 @settings(max_examples=30, deadline=None)
 @given(nested_maps(), st.data())
 def test_factor_images_match_evaluate_on_a_fingerprint(h, data):
-    # _image_factor's entries: a composite's whole fingerprint
+    # tuple_to_factor's entries: a composite's whole fingerprint
     b, d = h.base, 3 if h.base == 2 else 2
     g = compose(from_filtering(random_filtering(random.Random(data.draw(st.integers(0, 99))), b, 2)), h)
     xs = list(g.fingerprint(d))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import nested_maps, q, surjections
-from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering, validate_filtering
 from cantorsurj.points import Point, iter_points, max_point, min_point
 from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
     BoundaryTuple,
     ChainSurjection,
     DistanceResult,
+    FactorizationError,
     FilteringSurjection,
     compose,
     distance,
@@ -240,9 +241,47 @@ def test_factor_deep_boundary_needs_no_cap():
 def test_tuple_to_surjection():
     e = identity(2)
     t = e.boundary_tuple(2)
-    assert tuple_to_surjection(2, t).fingerprint(2) == t.entries
-    with pytest.raises(ValueError):
-        tuple_to_surjection(3, t)
+    assert tuple_to_surjection(t).fingerprint(2) == t.entries
+
+
+def reference_subsample_levels(base, depth, entries):
+    """Levels 1..depth forced by a depth-`depth` boundary tuple, entry by
+    entry: by nesting, depth-d entry i sits at position
+    b^(depth-d) * (i+1) - 1."""
+    return tuple(
+        tuple(entries[base ** (depth - d) * (i + 1) - 1] for i in range(base**d - 1))
+        for d in range(1, depth + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_tuple_to_surjection_levels_are_the_subsamples(b, k, seed, chain):
+    # fingerprints of random filterings and chains: the slices are the
+    # forced levels, and they pass the filtering validator unchanged
+    rng = random.Random(seed)
+    h = from_filtering(random_filtering(rng, b, rng.randint(0, 3 if b == 2 else 2)))
+    if chain:
+        h = compose(from_filtering(random_filtering(rng, b, rng.randint(0, 2))), h)
+    t = h.boundary_tuple(k)
+    got = tuple_to_surjection(t)
+    assert got.filtering.levels == reference_subsample_levels(b, k, t.entries)
+    assert validate_filtering(got.filtering).ok
+    assert got.fingerprint(k) == t.entries
+
+
+def test_factor_refuses_a_map_that_misstates_its_support():
+    # the walk reads greedy cells from the stated support on, so a map whose
+    # stored levels lie below it gets wrong images; only the composed check
+    # sees that, in factor_through and tuple_to_factor alike
+    h = from_filtering(Filtering(2, ((q(0, 0),),)))
+    g = compose(identity(2), h)
+    t = g.boundary_tuple(2)
+    h.support = 0
+    for solve in (lambda: factor_through(g, h, 2), lambda: tuple_to_factor(h, t)):
+        with pytest.raises(FactorizationError, match="composed fingerprint does not reproduce the tuple") as err:
+            solve()
+        assert err.value.depth == 2
 
 
 def test_to_filtering():
