@@ -423,21 +423,17 @@ def _fingerprint_key(fp: tuple[Point, ...]) -> str:
     return "|".join("".join(map(str, p.stem)) for p in fp)
 
 
-def _key_points(base: int, key: str) -> tuple[Point, ...]:
-    return tuple(Point(base, tuple(int(c) for c in stem), base - 1) for stem in key.split("|"))
-
-
-def _check_table_key(base: int, depth: int, key: str) -> None:
-    """Refuse a key that no depth-`depth` fingerprint serializes to: it must
-    decode to b^k - 1 strictly increasing interior q-points whose key is
-    the key itself (a stem ending in a top digit would normalize away)."""
+def _check_table_key(base: int, depth: int, key: str) -> tuple[Point, ...]:
+    """The fingerprint `key` serializes; refuses it unless it decodes to
+    b^k - 1 strictly increasing interior q-points whose key is the key
+    itself (a stem ending in a top digit would normalize away)."""
     stems = key.split("|")
     # b >= 2, so b^k - 1 stems need k at most their count's bit length;
     # checked before b^k is built
     if depth > len(stems).bit_length() or len(stems) != base**depth - 1:
         raise ValueError(f"table key {key!r}: {len(stems)} stems, not {base}^{depth} - 1")
     try:
-        fp = _key_points(base, key)
+        fp = tuple(Point(base, tuple(int(c) for c in stem), base - 1) for stem in stems)
     except ValueError as exc:
         raise ValueError(f"table key {key!r}: {exc}") from exc
     report = validate_level(base, depth, fp)
@@ -445,6 +441,7 @@ def _check_table_key(base: int, depth: int, key: str) -> None:
         raise ValueError(f"table key {key!r}: {report.message}")
     if _fingerprint_key(fp) != key:
         raise ValueError(f"table key {key!r} is not canonical: reads as {_fingerprint_key(fp)!r}")
+    return fp
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,6 +463,8 @@ class ColoringSpec:
     constant: int = 0
     # the table as a dict, built once: a lookup per call keeps searches linear
     _lookup: dict[str, int] = field(init=False, repr=False, compare=False)
+    # each table key's fingerprint, in table order, as its check decoded it
+    _key_points: tuple[tuple[Point, ...], ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_lookup", dict(self.table))
@@ -486,8 +485,8 @@ class ColoringSpec:
                 raise ValueError(f"relabel table needs {want} entries, got {len(self.relabel)}")
             bad = [c for c in self.relabel if not 0 <= c < self.colors]
         elif self.kind == "table":
-            for key, _ in self.table:
-                _check_table_key(self.base, self.depth, key)
+            fps = tuple(_check_table_key(self.base, self.depth, key) for key, _ in self.table)
+            object.__setattr__(self, "_key_points", fps)
             bad = [c for _, c in self.table if not 0 <= c < self.colors]
             bad += [] if 0 <= self.constant < self.colors else [self.constant]
         else:
@@ -621,7 +620,7 @@ def oscillation_search(
         miss = ident
         while _fingerprint_key(miss) in keys:
             miss = (Point(b, miss[0].stem + (0,), b - 1),) + miss[1:]
-        candidates = [(None, _key_points(b, key)) for key, _ in spec.table] + [(None, miss)]
+        candidates = [(None, fp) for fp in spec._key_points] + [(None, miss)]
     labels: dict[int, OscillationWitness] = {}
     for type_index, fp in candidates:
         label = spec.color_of(fp)

@@ -14,24 +14,24 @@ Each pick is in closed form (least_q_point_between), and so are a cell's
 b-1 picks together, read as stems from the one first digit where lo and hi
 differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
-stem (Filtering.boundary_tuple), and kept in a filtering's one memo table.
-Cells read one at a time take a stateless walk on end stems instead, one
-walk per batch and two walks in all: Filtering._cell_ends, the word walk,
-descends for many words at once, splitting each cell they share once; and
-point_words, the point walk, finds for many ascending points at once the
-shallowest cell each is an end of, or its cell at a depth limit
-(evaluation, cell searches, factor images).  Below a full cylinder both
-walks are in closed form.  No cell is built as a ClopenInterval: the
-depth-d partition is its boundary tuple.  A pick stem c + (l,) has l < top,
-so it is canonical as it stands and its point skips validation
-(points.canonical_point); decoders and public constructors validate.
+stem and splitting a full cylinder in closed form (Filtering.boundary_tuple),
+and kept in a filtering's one memo table.  Cells read one at a time take a
+stateless walk on end stems instead, one walk per batch and two walks in
+all: Filtering._cell_ends, the word walk, descends for many words at once,
+splitting each cell they share once; and point_words, the point walk, finds
+for many ascending points at once the shallowest cell each is an end of, or
+its cell at a depth limit (evaluation, cell searches, factor images).  Below
+a full cylinder both walks are in closed form.  No cell is a ClopenInterval:
+the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
+l < top, so it is canonical as it stands and its point skips validation
+(points.canonical_point(s)); decoders and public constructors validate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .points import Point, canonical_point, json_int, max_point, min_point, word_rank
+from .points import Point, _strip, canonical_point, canonical_points, json_int, max_point, min_point, word_rank
 
 __all__ = [
     "ClopenInterval",
@@ -314,14 +314,6 @@ def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
     return stem[:-1] + (stem[-1] + 1,)
 
 
-def _strip(word: tuple[int, ...], digit: int) -> tuple[int, ...]:
-    """The stem of word digit^w: word without its trailing `digit`s."""
-    k = len(word)
-    while k and word[k - 1] == digit:
-        k -= 1
-    return word[:k]
-
-
 class Filtering:
     """Explicit boundary levels for depths 1..support, greedy rule beyond.
 
@@ -346,9 +338,9 @@ class Filtering:
     [c h] up to hi, less the full cylinders cut off before it.  A full
     cylinder [v] splits into [v 0], ..., [v top], so its descendant at
     word w is [v w] and the descent ends there in closed form, as the point
-    walk does.  cell_maxima and the greedy levels build their points
-    unvalidated (canonical_point): each stem is a pick c + (l,) with l < top,
-    or a cell's hi stem, stripped of top digits.
+    walk does, and the greedy level pass too.  cell_maxima and the greedy
+    levels build their points unvalidated (canonical_point(s)): each stem is
+    a pick c + (l,) with l < top, or a cell's hi stem, stripped of top digits.
     """
 
     __slots__ = ("base", "levels", "support", "_level_memo")
@@ -437,6 +429,9 @@ class Filtering:
     # -- boundary tuples -----------------------------------------------
 
     def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
+        """A stored level, or a greedy level in one pass over the cells
+        [lo 0^w, hi top^w] above.  A full cylinder [v] (v is the longer of lo
+        and hi, the other v stripped of 0s or top digits) splits at v l top^w."""
         check_materialize(self.base, depth, "boundary tuple")
         if depth == 0:
             return ()
@@ -444,15 +439,25 @@ class Filtering:
             return self.levels[depth - 1]
         got = self._level_memo.get(depth)
         if got is None:
-            # one pass: the next cell's minimum is carried as a stem
-            b, top, out, lo = self.base, self.base - 1, [], ()
-            for hi in self.boundary_tuple(depth - 1):
-                stem = _max_stem(hi, top)
-                out += [canonical_point(b, s, top) for s in _pick_stems(top, lo, stem)]
-                out.append(hi)
-                lo = _successor_stem(stem)
-            out += [canonical_point(b, s, top) for s in _pick_stems(top, lo, ())]
-            got = self._level_memo[depth] = tuple(out)
+            above = self.boundary_tuple(depth - 1)
+            b, top, stems, lo = self.base, self.base - 1, [], ()
+            ends = [(l,) for l in range(top)]
+            last = canonical_point(b, (), top)  # the last cell's maximum, a fresh object
+            for p in above + (last,):
+                hi = p.stem if p.tail == top else _max_stem(p, top)  # the latter raises
+                k, m = len(lo), len(hi)
+                v = lo if k > m and lo[:m] == hi and lo[m:] == (top,) * (k - m) else None
+                v = hi if k <= m and hi[:k] == lo and hi[k:] == (0,) * (m - k) else v
+                stems += _pick_stems(top, lo, hi) if v is None else map(v.__add__, ends)
+                if p is last:
+                    break
+                lo = hi[:-1] + (hi[-1] + 1,) if m else _successor_stem(hi)  # the latter raises
+            # cell i's picks go to entries b*i .. b*i + top - 1, its maximum to b*i + top
+            picks, level = canonical_points(b, stems, top), [None] * (len(above) + len(stems))
+            for l in range(top):
+                level[l::b] = picks[l::top]
+            level[top::b] = above
+            got = self._level_memo[depth] = tuple(level)
         return got
 
     def extend(self, depth: int) -> "Filtering":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 
 __all__ = [
     "LT",
@@ -45,6 +45,14 @@ def _check_digit(d: int, base: int) -> None:
         raise ValueError(f"digit {d!r} out of range for base {base}")
 
 
+def _strip(word: tuple[int, ...], digit: int) -> tuple[int, ...]:
+    """The stem of word digit^w: word without its trailing `digit`s."""
+    k = len(word)
+    while k and word[k - 1] == digit:
+        k -= 1
+    return word[:k]
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a JSON integer: an int, not a bool or a float."""
     if type(value) is not int:
@@ -58,6 +66,7 @@ class Point:
 
     The constructor canonicalizes: trailing stem digits equal to the tail
     are stripped, so two Points are equal iff they denote the same sequence.
+    Digits are checked in C-level passes; a fault is worded digit by digit.
     """
 
     base: int
@@ -71,13 +80,11 @@ class Point:
             _check_base(base)
             _check_digit(tail, base)
         stem = tuple(self.stem)
-        for d in stem:
-            if not (isinstance(d, int) and 0 <= d < base):
+        # one C-level pass for the type; the range is read off the distinct digits
+        if stem and not (all(map(isinstance, stem, repeat(int))) and min(ds := set(stem)) >= 0 and max(ds) < base):
+            for d in stem:
                 _check_digit(d, base)
-        n = len(stem)
-        while n and stem[n - 1] == tail:
-            n -= 1
-        object.__setattr__(self, "stem", stem[:n])
+        object.__setattr__(self, "stem", _strip(stem, tail))
 
     def digit(self, n: int) -> int:
         return self.stem[n] if n < len(self.stem) else self.tail
@@ -108,16 +115,12 @@ class Point:
     def compare(self, other: "Point") -> int:
         if self.base != other.base:
             raise ValueError("cannot compare points of different bases")
+        # padded with the tails one digit past the longer stem, tuple order is point order
         a, b = self.stem, other.stem
-        la, lb = len(a), len(b)
-        for i in range(max(la, lb)):
-            da = a[i] if i < la else self.tail
-            db = b[i] if i < lb else other.tail
-            if da != db:
-                return LT if da < db else GT
-        if self.tail != other.tail:
-            return LT if self.tail < other.tail else GT
-        return EQ
+        n = max(len(a), len(b)) + 1
+        a += (self.tail,) * (n - len(a))
+        b += (other.tail,) * (n - len(b))
+        return (a > b) - (a < b)
 
     def first_difference(self, other: "Point") -> int | None:
         """Index of the first differing digit, or None when equal."""
@@ -159,6 +162,10 @@ class Point:
             raise ValueError(f"malformed point object: {obj!r}") from exc
         if not isinstance(stem, list):
             raise ValueError(f"malformed point object: {obj!r}")
+        # one C-level pass a property (JSON int, range); the checks below word a fault
+        if type(base) is type(tail) is int and 0 <= tail < base and base >= 2 and set(map(type, stem)) <= {int}:
+            if not stem or (min(stem) >= 0 and max(stem) < base):
+                return canonical_point(base, _strip(tuple(stem), tail), tail)
         what = "malformed point object"
         return cls(json_int(base, what), tuple(json_int(d, what) for d in stem), json_int(tail, what))
 
@@ -187,6 +194,15 @@ def canonical_point(base: int, stem: tuple[int, ...], tail: int) -> Point:
     _set_stem(p, stem)
     _set_tail(p, tail)
     return p
+
+
+def canonical_points(base: int, stems: list[tuple[int, ...]], tail: int) -> list[Point]:
+    """[canonical_point(base, s, tail) for s in stems] in C-level passes,
+    no Python call per point (a setter returns None, so any() runs it out)."""
+    points = list(map(object.__new__, repeat(Point, len(stems))))
+    for setter, values in ((_set_base, repeat(base)), (_set_stem, stems), (_set_tail, repeat(tail))):
+        any(map(setter, points, values))
+    return points
 
 
 # Points are immutable, so the ends of the space are built once per base:

@@ -8,6 +8,39 @@ from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.surjections import compose, from_filtering
 
 
+# messages recorded from the digit-loop decoder: JSON types are checked
+# first, in the order b, stem digits, tail; then values, in the order base,
+# tail, stem digits; the first faulty digit is the one named
+MALFORMED_POINTS = [
+    ("bool-digit", '{"b":2,"stem":[0,true],"tail":1}', "malformed point object: expected an integer, got True"),
+    ("float-digit", '{"b":2,"stem":[0,1.0],"tail":1}', "malformed point object: expected an integer, got 1.0"),
+    ("string-digit", '{"b":2,"stem":["1"],"tail":1}', "malformed point object: expected an integer, got '1'"),
+    ("null-digit", '{"b":2,"stem":[null],"tail":1}', "malformed point object: expected an integer, got None"),
+    ("negative-digit", '{"b":3,"stem":[1,-1],"tail":2}', "digit -1 out of range for base 3"),
+    ("digit-equal-to-base", '{"b":2,"stem":[0,2],"tail":1}', "digit 2 out of range for base 2"),
+    ("digit-over-base", '{"b":3,"stem":[7,0],"tail":0}', "digit 7 out of range for base 3"),
+    ("base-one", '{"b":1,"stem":[0],"tail":0}', "base must be an integer >= 2, got 1"),
+    ("negative-base", '{"b":-3,"stem":[],"tail":0}', "base must be an integer >= 2, got -3"),
+    ("float-base", '{"b":2.0,"stem":[0],"tail":1}', "malformed point object: expected an integer, got 2.0"),
+    ("bool-base", '{"b":true,"stem":[0],"tail":0}', "malformed point object: expected an integer, got True"),
+    ("tail-equal-to-base", '{"b":2,"stem":[0],"tail":2}', "digit 2 out of range for base 2"),
+    ("negative-tail", '{"b":2,"stem":[0],"tail":-1}', "digit -1 out of range for base 2"),
+    ("float-tail", '{"b":2,"stem":[0],"tail":1.5}', "malformed point object: expected an integer, got 1.5"),
+    ("string-stem", '{"b":2,"stem":"0101","tail":1}', "malformed point object: {'b': 2, 'stem': '0101', 'tail': 1}"),
+    ("object-stem", '{"b":2,"stem":{"0":1},"tail":1}', "malformed point object: {'b': 2, 'stem': {'0': 1}, 'tail': 1}"),
+    ("null-stem", '{"b":2,"stem":null,"tail":1}', "malformed point object: {'b': 2, 'stem': None, 'tail': 1}"),
+    ("missing-tail", '{"b":2,"stem":[0]}', "malformed point object: {'b': 2, 'stem': [0]}"),
+    ("not-an-object", "[2,[0],1]", "malformed point object: [2, [0], 1]"),
+    ("bool-digit-and-bad-tail", '{"b":2,"stem":[true],"tail":5}', "malformed point object: expected an integer, got True"),
+    ("float-tail-and-bad-digit", '{"b":2,"stem":[3],"tail":0.5}', "malformed point object: expected an integer, got 0.5"),
+    ("bad-tail-and-bad-digit", '{"b":2,"stem":[3],"tail":4}', "digit 4 out of range for base 2"),
+    ("bad-base-and-bad-digit", '{"b":1,"stem":[3],"tail":0}', "base must be an integer >= 2, got 1"),
+    ("two-bad-digits", '{"b":2,"stem":[0,3,-1],"tail":1}', "digit 3 out of range for base 2"),
+    ("float-then-bool-digit", '{"b":2,"stem":[2.5,true],"tail":1}', "malformed point object: expected an integer, got 2.5"),
+    ("bad-digit-then-float-digit", '{"b":2,"stem":[5,0.5],"tail":1}', "malformed point object: expected an integer, got 0.5"),
+]
+
+
 def q(*stem, base=2):
     """Interior eventually-max point with the given stem."""
     return Point(base, tuple(stem), base - 1)

@@ -11,7 +11,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import diagonal_points, q
+from conftest import MALFORMED_POINTS, diagonal_points, q
 from cantorsurj.cli import _emit, main
 from cantorsurj.experiments import QCopy, random_qcopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
@@ -365,6 +365,13 @@ def test_non_integer_point_fields_exit_2(capsys, files, point):
     surj = files("id.json", identity(2).to_json())
     code, out, err = run(capsys, "eval", surj, "--point", point)
     assert code == 2 and out == "" and err.startswith("error: --point: malformed point")
+
+
+@pytest.mark.parametrize("point, message", [case[1:] for case in MALFORMED_POINTS], ids=[c[0] for c in MALFORMED_POINTS])
+def test_malformed_point_exit_2_line(capsys, files, point, message):
+    surj = files("id.json", identity(2).to_json())
+    code, out, err = run(capsys, "eval", surj, "--point", point)
+    assert (code, out, err) == (2, "", f"error: --point: {message}\n")
 
 
 def test_non_integer_filtering_base_exits_2(capsys, files):

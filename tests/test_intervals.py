@@ -12,12 +12,14 @@ from conftest import (
     q,
     reference_cell_chain,
 )
+from cantorsurj import intervals
 from cantorsurj.intervals import (
     MATERIALIZE_LIMIT,
     ClopenInterval,
     Filtering,
     FilteringReport,
     _pick_stems,
+    _strip,
     check_materialize,
     least_q_point_between,
     point_words,
@@ -158,6 +160,57 @@ def test_boundary_tuple_matches_cell_loop_and_entries(f):
         level = f.boundary_tuple(d)
         assert level == reference_boundary_tuple(f, d)
         assert level == maxima_at(entries, d, range(f.base**d - 1))
+
+
+def reference_greedy_level(base, above):
+    """The per-cell pass the one-loop level build replaced: every cell of
+    the level above, from the first (lo ()) to the last (hi ()), split by
+    _pick_stems, with the next cell's minimum the successor of its maximum."""
+    top, out, lo = base - 1, [], ()
+    for hi in above:
+        out += [Point(base, s, top) for s in _pick_stems(top, lo, hi.stem)]
+        out.append(hi)
+        lo = hi.stem[:-1] + (hi.stem[-1] + 1,)
+    out += [Point(base, s, top) for s in _pick_stems(top, lo, ())]
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+def test_greedy_levels_match_per_cell_pass(b, s, seed, data):
+    f = random_filtering(random.Random(seed), b, s)
+    # every greedy level to support + 4, kept to about 5,000 entries a level
+    deepest = max(s + 1, min(s + 4, next(d for d in range(13) if b ** (d + 1) > 5000)))
+    first = data.draw(st.integers(s + 1, deepest))  # levels may also be built from a deeper call
+    f.boundary_tuple(first)
+    for d in range(1, deepest + 1):
+        level = f.boundary_tuple(d)
+        if d > s:
+            assert level == reference_greedy_level(b, f.boundary_tuple(d - 1))
+        assert len(level) == b**d - 1
+
+
+def test_greedy_level_goldens():
+    # base 3, the cylinder partition: at depth 2 the cell [0 2] has the
+    # longer end stem lo = 0 2 (hi = 0 2 2^w has stem 0), [1 0] the longer
+    # hi = 1 0 (lo = 1 0^w has stem 1), and [1] has lo = hi = 1
+    f = Filtering(3, ((Point(3, (0,), 2), Point(3, (1,), 2)),))
+    level = f.boundary_tuple(2)
+    assert [p.stem for p in level] == [(0, 0), (0, 1), (0,), (1, 0), (1, 1), (1,), (2, 0), (2, 1)]
+    assert [p.stem for p in f.boundary_tuple(3)[6:12]] == [(0, 2, 0), (0, 2, 1), (0,), (1, 0, 0), (1, 0, 1), (1, 0)]
+    assert level == reference_greedy_level(3, f.boundary_tuple(1))
+
+
+@pytest.mark.parametrize("b, depth", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_full_cylinders_split_in_closed_form(monkeypatch, b, depth):
+    # every cell of the cylinder partition is a full cylinder [v], with v
+    # ending in a top digit (lo the longer end stem), in 0 (hi the longer)
+    # or in neither: no greedy level of it may reach _pick_stems
+    calls = []
+    monkeypatch.setattr(intervals, "_pick_stems", lambda *args: calls.append(args))
+    level = Filtering(b).boundary_tuple(depth)
+    assert calls == []
+    assert [p.stem for p in level] == [_strip(rank_word(r, depth, b), b - 1) for r in range(b**depth - 1)]
 
 
 def test_boundary_tuple_refuses_out_of_order_level():

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import points, q
+from conftest import MALFORMED_POINTS, points, q
 from cantorsurj.points import (
+    EQ,
+    GT,
+    LT,
     Dyadic,
     Point,
     encode_binary,
@@ -48,6 +53,51 @@ def test_bad_construction():
         Point(2, (2,), 1)
     with pytest.raises(ValueError):
         Point(2, (), 3)
+
+
+def reference_compare(x, y):
+    """Point.compare as a digit loop: the first differing digit, stems read
+    past their ends as the tails, then the tails."""
+    if x.base != y.base:
+        raise ValueError("cannot compare points of different bases")
+    a, b = x.stem, y.stem
+    for i in range(max(len(a), len(b))):
+        da = a[i] if i < len(a) else x.tail
+        db = b[i] if i < len(b) else y.tail
+        if da != db:
+            return LT if da < db else GT
+    if x.tail != y.tail:
+        return LT if x.tail < y.tail else GT
+    return EQ
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points of one base 2-5: independent, one a prefix of the other
+    with mixed tails, or equal as sequences but written with a padded stem."""
+    base = draw(st.integers(2, 5))
+    x = draw(points(base=base, max_stem=8))
+    kind = draw(st.sampled_from(["independent", "prefix", "equal"]))
+    if kind == "independent":
+        y = draw(points(base=base, max_stem=8))
+    elif kind == "prefix":
+        cut = draw(st.integers(0, len(x.stem)))
+        y = Point(base, x.stem[:cut], draw(st.integers(0, base - 1)))
+    else:
+        y = Point(base, x.stem + (x.tail,) * draw(st.integers(0, 3)), x.tail)
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@given(point_pairs())
+def test_compare_matches_digit_loop(pair):
+    x, y = pair
+    assert x.compare(y) == reference_compare(x, y)
+    assert y.compare(x) == -x.compare(y)
+
+
+def test_compare_refuses_mixed_bases():
+    with pytest.raises(ValueError, match="different bases"):
+        q(0).compare(Point(3, (0,), 2))
 
 
 @given(points(), points())
@@ -147,3 +197,44 @@ def test_json_roundtrip():
 def test_from_json_rejects_non_integer_fields(obj):
     with pytest.raises(ValueError):
         Point.from_json(obj)
+
+
+@given(st.integers(2, 5).flatmap(lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=12), st.integers(0, b - 1))))
+def test_from_json_builds_the_constructors_point(case):
+    # stems may end in tail digits: the decoder strips them as the constructor does
+    base, stem, tail = case
+    got = Point.from_json({"b": base, "stem": stem, "tail": tail})
+    assert got == Point(base, tuple(stem), tail) and type(got.stem) is tuple
+    assert not got.stem or got.stem[-1] != tail
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in MALFORMED_POINTS], ids=[c[0] for c in MALFORMED_POINTS])
+def test_from_json_fault_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        Point.from_json(json.loads(text))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, (0, 1.5), 1), "digit 1.5 out of range for base 2"),
+        ((2, (None,), 1), "digit None out of range for base 2"),
+        ((3, (0, -1), 2), "digit -1 out of range for base 3"),
+        ((2, [0, 1, 4], 1), "digit 4 out of range for base 2"),
+        ((2, (3,), 7), "digit 7 out of range for base 2"),
+        ((0, (), 3), "base must be an integer >= 2, got 0"),
+        (("2", (0,), 1), "base must be an integer >= 2, got '2'"),
+    ],
+    ids=["float-digit", "none-digit", "negative-digit", "list-stem", "bad-tail-and-digit", "bad-base-and-tail", "string-base"],
+)
+def test_constructor_fault_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        Point(*args)
+    assert str(info.value) == message
+
+
+def test_constructor_accepts_what_isinstance_int_accepts():
+    # bools are ints to the constructor (only the JSON decoder refuses them)
+    assert Point(2, (True, False), 1).stem == (True, False)
+    assert Point(2, [1, 0], 0).stem == (1,)
