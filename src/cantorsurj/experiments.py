@@ -608,22 +608,24 @@ def oscillation_search(
     h = identity(b)
     ident = h.fingerprint(k)
     if spec.kind == "relabeled_types":
-        candidates = _identity_type_witnesses(b, ell, depth_cap, budget)
-        if candidates is None:
+        witnesses = _identity_type_witnesses(b, ell, depth_cap, budget)
+        if witnesses is None:
             raise RuntimeError("type sweep incomplete within cap; cannot certify the bound")
+        candidates = [(type_index, fp, spec.color_of(fp)) for type_index, fp in witnesses]
     elif spec.kind == "constant":
-        candidates = [(canonical_coloring(ident, ell), ident)]
+        candidates = [(canonical_coloring(ident, ell), ident, spec.constant)]
     else:
         # lengthening the first stem by a zero keeps the tuple valid and new,
         # so this stops within len(table) steps
-        keys = {key for key, _ in spec.table}
+        lookup = spec._lookup
         miss = ident
-        while _fingerprint_key(miss) in keys:
+        while _fingerprint_key(miss) in lookup:
             miss = (Point(b, miss[0].stem + (0,), b - 1),) + miss[1:]
-        candidates = [(None, fp) for fp in spec._key_points] + [(None, miss)]
+        # a repeated key keeps its last label in the dict, as in color_of
+        candidates = [(None, fp, lookup[key]) for (key, _), fp in zip(spec.table, spec._key_points)]
+        candidates.append((None, miss, spec.constant))
     labels: dict[int, OscillationWitness] = {}
-    for type_index, fp in candidates:
-        label = spec.color_of(fp)
+    for type_index, fp, label in candidates:
         if label not in labels:
             if fp != ident:
                 tuple_to_factor(h, BoundaryTuple(b, k, fp))

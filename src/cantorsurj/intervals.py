@@ -15,12 +15,13 @@ b-1 picks together, read as stems from the one first digit where lo and hi
 differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
 stem and splitting a full cylinder in closed form (Filtering.boundary_tuple),
-and kept in a filtering's one memo table.  Cells read one at a time take a
+and kept in a filtering's level memo.  Cells read one at a time take a
 stateless walk on end stems instead, one walk per batch and two walks in
 all: Filtering._cell_ends, the word walk, descends for many words at once,
-splitting each cell they share once; and point_words, the point walk, finds
-for many ascending points at once the shallowest cell each is an end of, or
-its cell at a depth limit (evaluation, cell searches, factor images).  Below
+splitting each cell they share once, and its maxima are kept in the cell
+memo by word; and point_words, the point walk, finds for many ascending
+points at once the shallowest cell each is an end of, or its cell at a
+depth limit (evaluation, cell searches, factor images).  Below
 a full cylinder both walks are in closed form.  No cell is a ClopenInterval:
 the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
 l < top, so it is canonical as it stands and its point skips validation
@@ -224,6 +225,7 @@ def least_q_point_between(lower: Point, hi: Point) -> Point:
     first index where hi has a nonzero digit, the least is c h 0^(m-n) top^w.
     No such m exists exactly for a successor pair (hi the eventually-zero
     successor of lower), the one empty open interval with lower < hi.
+    Each stem ends below top, so the point is built unvalidated.
     """
     n = lower.first_difference(hi)
     if n is None or lower.digit(n) > hi.digit(n):
@@ -231,13 +233,13 @@ def least_q_point_between(lower: Point, hi: Point) -> Point:
     b, top = lower.base, lower.base - 1
     c, l, h = lower.prefix(n), lower.digit(n), hi.digit(n)
     if lower.tail != top or len(lower.stem) > n + 1:
-        return Point(b, c + (l,), top)
+        return canonical_point(b, c + (l,), top)
     if l + 1 < h:
-        return Point(b, c + (l + 1,), top)
+        return canonical_point(b, c + (l + 1,), top)
     if hi.tail == 0 and not any(hi.stem[n + 1 :]):
         raise ValueError(f"empty open interval ({lower}, {hi}): successor pair")
     m = next(i for i in range(n + 1, n + 2 + len(hi.stem)) if hi.digit(i))
-    return Point(b, c + (h,) + (0,) * (m - n), top)
+    return canonical_point(b, c + (h,) + (0,) * (m - n), top)
 
 
 def _pick_stems(
@@ -319,14 +321,15 @@ class Filtering:
 
     levels[j] holds the depth-(j+1) boundary tuple: the b^(j+1) - 1 cell
     maxima except the global maximum.  Instances are immutable in value;
-    one memo table (greedy levels by depth) only caches the deterministic
-    extension, so sharing across threads is safe and extension is
-    idempotent.
+    two memos only cache the deterministic extension, so sharing across
+    threads is safe and extension is idempotent: greedy levels by depth
+    (_level_memo, from boundary_tuple) and cell maxima by word (_cell_memo,
+    from the word walk alone, never from point_words).
 
     Cells below the support are reached by a stateless descent on end
     stems from the stored depth-s cells (_cell_ends), one for a whole batch
-    of words, unless cell_maxima finds a word's level in the table.  With n
-    the first index where the ends lo < hi differ,
+    of words, unless cell_maxima finds a word's level or maximum memoized.
+    With n the first index where the ends lo < hi differ,
     c = hi[:n] and l = lo[n] < h = hi[n], the greedy picks are c j top^w
     for l <= j < h and then, while picks remain, hi[:m] j top^w for j
     below hi[m] at the later indices m where hi has a nonzero digit
@@ -343,13 +346,14 @@ class Filtering:
     a pick c + (l,) with l < top, or a cell's hi stem, stripped of top digits.
     """
 
-    __slots__ = ("base", "levels", "support", "_level_memo")
+    __slots__ = ("base", "levels", "support", "_level_memo", "_cell_memo")
 
     def __init__(self, base: int, levels: tuple[tuple[Point, ...], ...] = ()):
         self.base = base
         self.levels = tuple(tuple(level) for level in levels)
         self.support = len(self.levels)
         self._level_memo: dict[int, tuple[Point, ...]] = {}
+        self._cell_memo: dict[tuple[int, ...], Point] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Filtering):
@@ -409,21 +413,27 @@ class Filtering:
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
         """Maximum of the depth-len(word) cell at each word's lex position,
         the top point for the last cell of a depth: read from a stored or
-        memoized level where the word's depth has one, else from one shared
-        descent (_cell_ends).  A run of words of one depth, as a batch of
-        one depth's cells is, reads its level once."""
-        b, out, deep, depth, level = self.base, {}, [], None, None
+        memoized level where the word's depth has one, else from the cell
+        memo, else from one shared descent (_cell_ends) that fills it.  A run
+        of words of one depth, as a batch of one depth's cells is, reads its
+        level once."""
+        b, memo, out, deep, depth, level = self.base, self._cell_memo, {}, [], None, None
         for w in words:
             if len(w) != depth:
                 depth = len(w)
                 level = self.boundary_tuple(depth) if depth <= self.support or depth in self._level_memo else None
-            if level is None:
-                deep.append(w)
-            else:
+            if level is not None:
                 r = word_rank(w, b)
                 out[w] = level[r] if r < len(level) else max_point(b)
-        for w, (_, hi) in self._cell_ends(deep).items():
-            out[w] = canonical_point(b, hi, b - 1)
+            elif w in memo:
+                out[w] = memo[w]
+            else:
+                deep.append(w)
+        if deep:
+            ends = self._cell_ends(deep)
+            found = dict(zip(ends, canonical_points(b, [hi for _, hi in ends.values()], b - 1)))
+            memo.update(found)
+            out.update(found)
         return out
 
     # -- boundary tuples -----------------------------------------------

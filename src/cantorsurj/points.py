@@ -221,14 +221,15 @@ def interval_successor(x: Point) -> Point:
     """The immediate lexicographic successor of an eventually-max point.
 
     No sequence lies strictly between x = w d (b-1)^w and w (d+1) 0^w, which
-    is what makes consecutive right-closed cells partition cleanly.
+    is what makes consecutive right-closed cells partition cleanly.  As
+    d < b-1 in canonical x, the successor is canonical as built.
     """
     if x.tail != x.base - 1:
         raise ValueError(f"successor is defined for eventually-max points, got {x}")
     if x.is_max:
         raise ValueError("the top point has no successor")
     stem = x.stem
-    return Point(x.base, stem[:-1] + (stem[-1] + 1,), 0)
+    return canonical_point(x.base, stem[:-1] + (stem[-1] + 1,), 0)
 
 
 def encode_binary(x: Point) -> Point:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .intervals import Filtering, least_q_point_between
-from .points import Point, interval_successor, max_point, min_point
+from .points import Point, _strip, canonical_point, interval_successor, max_point, min_point
 from .surjections import ChainSurjection, Surjection, from_filtering
 
 __all__ = [
@@ -35,7 +35,8 @@ def random_q_point_between(
 
     Rejection sampling on random stem suffixes under the shared prefix;
     falls back to the deterministic least choice, which always exists since
-    such points are dense in every nondegenerate interval.
+    such points are dense in every nondegenerate interval.  A candidate's
+    digits are lo's or drawn below b, so it is built unvalidated.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo} and {hi}")
@@ -45,7 +46,7 @@ def random_q_point_between(
     for _ in range(tries):
         c = rng.randint(lo.digit(d), hi.digit(d))
         extra = [rng.randrange(b) for _ in range(rng.randint(0, max_extra))]
-        q = Point(b, tuple(common + [c] + extra), b - 1)
+        q = canonical_point(b, _strip(tuple(common + [c] + extra), b - 1), b - 1)
         if q.is_q_point and lo < q < hi:
             return q
     return least_q_point_between(lo, hi)

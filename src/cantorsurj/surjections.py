@@ -5,9 +5,11 @@ boundary tuple lists the maxima of the b^d preimage cells (except the global
 maximum).  Each representation, explicit filtering data or a lazy
 composition chain, gives two primitives: the word-keyed cell maxima of a
 batch of words, cell_maxima(words), and a whole level.  A filtering answers
-a batch with one shared descent; a chain answers it with the outer's batch
-and then one inner batch for the outer maxima its memo lacks, and its level
-is the outer's level pulled the same way, so nested chains stay batched.
+a batch with one shared descent, whose maxima it memoizes by word; a chain
+answers it with the outer's batch and then one inner batch for the distinct
+stems of the outer maxima, and its level is the outer's level pulled the
+same way, so nested chains stay batched.  A chain keeps no memo, so chains
+over one inner map share its filterings' memos.
 Both share all derived operations: evaluation, distance, factorization.
 Evaluation, a batch of points at once (evaluate_all), and factor images
 read a map's cells through the one point walk (intervals.point_words),
@@ -209,9 +211,10 @@ class ChainSurjection(Surjection):
     the outer's cells, so each cell maximum is the maximum of the inner
     preimage of {x : x <= y}, y the outer's cell maximum: the inner cell
     maximum at y's stem.  A batch of words, and a whole level, takes the
-    outer's maxima in one call and pulls the distinct stems not yet in the
-    memo through one inner cell_maxima call (_pull), so shared inner cells
-    are split once.
+    outer's maxima in one call and pulls their distinct stems through one
+    inner cell_maxima call (_pull), so shared inner cells are split once.
+    The chain keeps no memo: a repeated pull, by it or by another chain over
+    the same inner map, is a lookup in the inner filterings' cell memos.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -244,7 +247,7 @@ class ChainSurjection(Surjection):
        nested chains add their supports too.
     """
 
-    __slots__ = ("base", "outer", "inner", "support", "_memo")
+    __slots__ = ("base", "outer", "inner", "support")
 
     def __init__(self, outer: Surjection, inner: Surjection):
         if outer.base != inner.base:
@@ -253,32 +256,28 @@ class ChainSurjection(Surjection):
         self.outer = outer
         self.inner = inner
         self.support = outer.support + inner.support
-        self._memo: dict[tuple[int, ...], Point] = {}
 
     def _pull(self, ys) -> dict[tuple[int, ...], Point]:
-        """The memo, holding the inner cell maximum at the stem of every
-        outer cell maximum y in ys: the ones missing are pulled in one inner
-        cell_maxima call, the top point's stem () included."""
-        memo, top, stems = self._memo, self.base - 1, set()
+        """The inner cell maximum at the stem of every outer cell maximum y
+        in ys, pulled in one inner cell_maxima call for the distinct stems,
+        the top point's stem () included."""
+        top, stems = self.base - 1, set()
         for y in ys:
             if y.tail != top:
                 raise ValueError(f"a chain pull needs an eventually-max point, got {y}")
             stems.add(y.stem)
-        missing = stems - memo.keys()
-        if missing:
-            memo.update(self.inner.cell_maxima(missing))
-        return memo
+        return self.inner.cell_maxima(stems)
 
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
         ys = self.outer.cell_maxima(words)
-        memo = self._pull(ys.values())
-        return {w: memo[y.stem] for w, y in ys.items()}
+        pulled = self._pull(ys.values())
+        return {w: pulled[y.stem] for w, y in ys.items()}
 
     def _level(self, depth: int) -> tuple[Point, ...]:
         # the outer's whole level, pulled in bulk through the inner map
         ys = self.outer.fingerprint(depth)
-        memo = self._pull(ys)
-        return tuple(memo[y.stem] for y in ys)
+        pulled = self._pull(ys)
+        return tuple(pulled[y.stem] for y in ys)
 
     def to_json(self) -> dict:
         return {

@@ -436,6 +436,24 @@ def test_oscillation_table_key_off_the_identity_is_reached():
     assert _fingerprint_key(rep.witnesses[1].points) == "0000000|0010000|1100000"
 
 
+def test_oscillation_table_with_a_repeated_key_matches_color_of():
+    # a repeated key keeps its last label, as color_of reads it
+    ident = _fingerprint_key(identity(2).fingerprint(2))
+    other = "0000000|0010000|1100000"
+    spec = ColoringSpec(2, 2, 4, "table", table=((ident, 3), (other, 2), (ident, 0)), constant=1)
+    rep = oscillation_search(spec, Fraction(3, 10))
+    # reference: every key candidate labelled by color_of, then one miss;
+    # the first candidate of each label is its witness
+    first: dict[int, tuple | None] = {}
+    for fp in spec._key_points:
+        first.setdefault(spec.color_of(fp), fp)
+    first.setdefault(spec.constant, None)
+    assert rep.labels == tuple(sorted(first)) == (0, 1, 2)
+    for w in rep.witnesses:
+        assert spec.color_of(w.points) == w.label
+        assert w.points == first[w.label] if first[w.label] else _fingerprint_key(w.points) not in spec._lookup
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([2, 3]),

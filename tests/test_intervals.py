@@ -752,13 +752,53 @@ def test_chain_cell_maxima_match_cell_max_and_reference(h, pull_first, data):
     b = h.base
     words = batch_words(data.draw, b, h.support, h.support + 4)
     if pull_first:
-        h.fingerprint(2)  # some outer maxima are in the chains' memos
+        h.fingerprint(2)  # some maxima are in the filterings' cell memos
     got, fresh, walks = h.cell_maxima(words), surjection_from_json(h.to_json()), {}
     assert set(got) == set(words)
     for w in words:
         assert got[w] == fresh.cell_maxima([w])[w] == reference_cell_max(h, w, walks)
     for w in words[:3]:
         assert cell_child_maxima(h, w) == tuple(reference_cell_max(h, w + (p,), walks) for p in range(b - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(filterings(bases=(2, 3, 4, 5)), st.data())
+def test_cell_memo_answers_equal_a_fresh_filtering(f, data):
+    # interleaved batches of mixed depths that repeat words, with and
+    # without level builds between them; the all-zero words share rank 0
+    # at every depth, so a memo keyed by rank alone answers them wrongly
+    b, s = f.base, f.support
+    pool = batch_words(data.draw, b, s, s + 5) + [(0,) * (s + 1), (0,) * (s + 3), (b - 1,) * (s + 2)]
+    fresh = Filtering(b, f.levels)
+    for _ in range(data.draw(st.integers(2, 5))):
+        if data.draw(st.booleans()):
+            depth = data.draw(st.integers(s + 1, s + 3))
+            if b**depth <= 4096:
+                FilteringSurjection(f).fingerprint(depth)  # fills the level memo
+        words = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        got = f.cell_maxima(words)
+        assert got == {w: Filtering(b, f.levels).cell_maxima([w])[w] for w in words}
+        assert got == fresh.cell_maxima(words)
+    # the memo holds only words its descent answered, each by its maximum
+    assert all(len(w) > s for w in f._cell_memo)
+    assert all(y == fresh.cell_maxima([w])[w] for w, y in f._cell_memo.items())
+
+
+def test_a_second_chain_over_a_map_pulls_from_its_cell_memo(monkeypatch):
+    rng = random.Random(11)
+    outer = from_filtering(random_filtering(rng, 2, 2))
+    h = from_filtering(random_filtering(rng, 2, 1))
+    descents = []
+    walk = Filtering._cell_ends
+    monkeypatch.setattr(Filtering, "_cell_ends", lambda self, words: descents.append(self) or walk(self, words))
+    first = compose(outer, h).fingerprint(5)
+    assert h.filtering in descents and h.filtering._cell_memo
+    descents.clear()
+    # a fresh outer rebuilds its own levels, while every pulled stem is in h's memo
+    second = ChainSurjection(surjection_from_json(outer.to_json()), h)
+    assert not hasattr(second, "_memo") and "_memo" not in ChainSurjection.__slots__
+    assert second.fingerprint(5) == first
+    assert descents == []
 
 
 def evaluated_images(h, xs):

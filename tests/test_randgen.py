@@ -1,9 +1,9 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cantorsurj.intervals import validate_filtering
-from cantorsurj.points import max_point, min_point
+from cantorsurj.intervals import least_q_point_between, validate_filtering
+from cantorsurj.points import Point, interval_successor, max_point, min_point
 from cantorsurj.randgen import (
     derive_rng,
     increasing_q_points,
@@ -31,6 +31,28 @@ def test_random_q_point_bounds(seed, base):
     lo, hi = min_point(base), max_point(base)
     y = random_q_point_between(rng, lo, hi)
     assert y.is_q_point and lo < y < hi
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_generated_points_equal_validated_ones(data):
+    # the generators build points unvalidated; each must be the canonical
+    # Point the validating constructor makes of the same digits
+    b = data.draw(st.integers(2, 5))
+    digits = st.lists(st.integers(0, b - 1), max_size=6).map(tuple)
+    lo = Point(b, data.draw(digits), data.draw(st.integers(0, b - 1)))
+    hi = Point(b, lo.stem[: data.draw(st.integers(0, len(lo.stem)))] + data.draw(digits), b - 1)
+    assume(lo < hi)
+    try:
+        least = least_q_point_between(lo, hi)
+    except ValueError:
+        assume(False)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    ys = [least, random_q_point_between(rng, lo, hi, tries=1), random_q_point_between(rng, lo, hi)]
+    ys += [interval_successor(y) for y in ys]
+    for y in ys:
+        assert y == Point(b, y.stem, y.tail)
+    assert all(lo < y < hi and y.is_q_point for y in ys[:3])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 8))

@@ -273,15 +273,21 @@ def test_tuple_to_surjection_levels_are_the_subsamples(b, k, seed, chain):
 def test_factor_refuses_a_map_that_misstates_its_support():
     # the walk reads greedy cells from the stated support on, so a map whose
     # stored levels lie below it gets wrong images; only the composed check
-    # sees that, in factor_through and tuple_to_factor alike
-    h = from_filtering(Filtering(2, ((q(0, 0),),)))
-    g = compose(identity(2), h)
-    t = g.boundary_tuple(2)
-    h.support = 0
-    for solve in (lambda: factor_through(g, h, 2), lambda: tuple_to_factor(h, t)):
-        with pytest.raises(FactorizationError, match="composed fingerprint does not reproduce the tuple") as err:
-            solve()
-        assert err.value.depth == 2
+    # sees that, in factor_through and tuple_to_factor alike, whether h's
+    # cell memo is empty or another chain over h has filled it
+    levels = ((q(0, 0),),)
+    t = compose(identity(2), from_filtering(Filtering(2, levels))).boundary_tuple(2)
+    for warm in (False, True):
+        h = from_filtering(Filtering(2, levels))
+        if warm:
+            compose(identity(2), h).fingerprint(4)
+            assert h.filtering._cell_memo
+        h.support = 0
+        g = compose(identity(2), h)
+        for solve in (lambda: tuple_to_factor(h, t), lambda: factor_through(g, h, 2)):
+            with pytest.raises(FactorizationError, match="composed fingerprint does not reproduce the tuple") as err:
+                solve()
+            assert err.value.depth == 2
 
 
 def test_to_filtering():
