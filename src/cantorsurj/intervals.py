@@ -431,9 +431,9 @@ class Filtering:
                 deep.append(w)
         if deep:
             ends = self._cell_ends(deep)
-            found = dict(zip(ends, canonical_points(b, [hi for _, hi in ends.values()], b - 1)))
-            memo.update(found)
-            out.update(found)
+            maxima = canonical_points(b, [hi for _, hi in ends.values()], b - 1)
+            memo.update(zip(ends, maxima))
+            out.update(zip(ends, maxima))
         return out
 
     # -- boundary tuples -----------------------------------------------
