@@ -431,9 +431,10 @@ class Filtering:
                 deep.append(w)
         if deep:
             ends = self._cell_ends(deep)
-            maxima = canonical_points(b, [hi for _, hi in ends.values()], b - 1)
-            memo.update(zip(ends, maxima))
-            out.update(zip(ends, maxima))
+            found = dict(zip(ends, canonical_points(b, [hi for _, hi in ends.values()], b - 1)))
+            del ends  # the end stems go before two dicts take the found words
+            memo.update(found)
+            out.update(found)
         return out
 
     # -- boundary tuples -----------------------------------------------
