@@ -70,6 +70,8 @@ def _read_json(path: str):
         raise BadInput(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise BadInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise BadInput(f"{path}: JSON nested too deeply") from exc
 
 
 def _decode(path: str, decoder):
@@ -276,7 +278,7 @@ def _cmd_oscillation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
+    from .verify import CHECK_NAMES, run_suite
 
     only = None
     if args.only is not None:
@@ -286,7 +288,7 @@ def _cmd_verify(args) -> int:
             raise BadInput(f"--only: {exc}") from exc
         if not only:
             raise BadInput("--only: no checks selected")
-        unknown = only - set(range(1, 10))
+        unknown = only - CHECK_NAMES.keys()
         if unknown:
             raise BadInput(f"--only: no such checks {sorted(unknown)}")
     rep = run_suite(args.seed, only)
@@ -409,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ValueError as exc:  # BadInput, and every library refusal of its input
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a chain nested deeper than the interpreter's stack
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # a downstream pager closed early; silence the shutdown flush too

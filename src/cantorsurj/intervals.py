@@ -15,14 +15,15 @@ b-1 picks together, read as stems from the one first digit where lo and hi
 differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
 stem and splitting a full cylinder in closed form (Filtering.boundary_tuple),
-and kept in a filtering's level memo.  Cells read one at a time take a
-stateless walk on end stems instead, one walk per batch and two walks in
-all: Filtering._cell_ends, the word walk, descends for many words at once,
-splitting each cell they share once, and its maxima are kept in the cell
-memo by word; and point_words, the point walk, finds for many ascending
-points at once the shallowest cell each is an end of, or its cell at a
-depth limit (evaluation, cell searches, factor images).  Below
-a full cylinder both walks are in closed form.  No cell is a ClopenInterval:
+and kept in a filtering's one list of known levels, beside the stored ones.
+Cells read one at a time take a stateless walk on end stems instead, one
+walk per batch and two walks in all: Filtering._cell_ends, the word walk,
+descends for many words at once from the deepest known level, splitting
+each cell they share once, and its maxima are kept in the cell memo by
+word; and point_words, the point walk, finds for many ascending points at
+once the shallowest cell each is an end of, or its cell at a depth limit
+(evaluation, cell searches, factor images).  Below a full cylinder both
+walks are in closed form.  No cell is a ClopenInterval:
 the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
 l < top, so it is canonical as it stands and its point skips validation
 (points.canonical_point(s)); decoders and public constructors validate.
@@ -321,14 +322,15 @@ class Filtering:
 
     levels[j] holds the depth-(j+1) boundary tuple: the b^(j+1) - 1 cell
     maxima except the global maximum.  Instances are immutable in value;
-    two memos only cache the deterministic extension, so sharing across
-    threads is safe and extension is idempotent: greedy levels by depth
-    (_level_memo, from boundary_tuple) and cell maxima by word (_cell_memo,
-    from the word walk alone, never from point_words).
+    two caches only hold the deterministic extension, so sharing across
+    threads is safe and extension is idempotent: every level known so far
+    in one list indexed by depth (_known: () at depth 0, the stored levels,
+    then the greedy levels boundary_tuple builds), and cell maxima by word
+    (_cell_memo, from the word walk alone, never from point_words).
 
-    Cells below the support are reached by a stateless descent on end
-    stems from the stored depth-s cells (_cell_ends), one for a whole batch
-    of words, unless cell_maxima finds a word's level or maximum memoized.
+    Cells below the known levels are reached by a stateless descent on end
+    stems from the deepest known cells (_cell_ends), one for a whole batch
+    of words, unless cell_maxima finds a word's maximum memoized.
     With n the first index where the ends lo < hi differ,
     c = hi[:n] and l = lo[n] < h = hi[n], the greedy picks are c j top^w
     for l <= j < h and then, while picks remain, hi[:m] j top^w for j
@@ -346,13 +348,13 @@ class Filtering:
     a pick c + (l,) with l < top, or a cell's hi stem, stripped of top digits.
     """
 
-    __slots__ = ("base", "levels", "support", "_level_memo", "_cell_memo")
+    __slots__ = ("base", "levels", "support", "_known", "_cell_memo")
 
     def __init__(self, base: int, levels: tuple[tuple[Point, ...], ...] = ()):
         self.base = base
         self.levels = tuple(tuple(level) for level in levels)
         self.support = len(self.levels)
-        self._level_memo: dict[int, tuple[Point, ...]] = {}
+        self._known: list[tuple[Point, ...]] = [(), *self.levels]
         self._cell_memo: dict[tuple[int, ...], Point] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -370,23 +372,21 @@ class Filtering:
 
     def _cell_ends(self, words) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
         """Stems of the ends of the cell at each word, lo (tail 0) and hi
-        (tail top), in one descent: words are grouped by their stored
-        prefix, then by their next digit, so a cell that several words pass
-        through is split once, and a group ends in closed form at its first
-        full cylinder [v], whose descendant at word w is [v w]."""
-        s, top = self.support, self.base - 1
+        (tail top), in one descent: words are grouped by their prefix at the
+        deepest known level, then by their next digit, so a cell that
+        several words pass through is split once, and a group ends in closed
+        form at its first full cylinder [v], whose descendant at word w is
+        [v w]."""
+        known, s, top = self._known, len(self._known) - 1, self.base - 1
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for w in words:
             groups.setdefault(w[:s], []).append(w)
         stack = []
-        for stored, group in groups.items():
-            lo: tuple[int, ...] = ()
-            hi: tuple[int, ...] = ()
-            if stored:
-                level, r = self.levels[len(stored) - 1], word_rank(stored, self.base)
-                lo = _successor_stem(_max_stem(level[r - 1], top)) if r else ()
-                hi = _max_stem(level[r], top) if r < len(level) else ()
-            stack.append((lo, hi, 0, len(stored), group))
+        for start, group in groups.items():
+            level, r = known[len(start)], word_rank(start, self.base)
+            lo = _successor_stem(_max_stem(level[r - 1], top)) if r else ()
+            hi = _max_stem(level[r], top) if r < len(level) else ()
+            stack.append((lo, hi, 0, len(start), group))
         out = {}
         while stack:
             lo, hi, n, j, group = stack.pop()  # lo and hi agree on n digits
@@ -412,18 +412,14 @@ class Filtering:
 
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
         """Maximum of the depth-len(word) cell at each word's lex position,
-        the top point for the last cell of a depth: read from a stored or
-        memoized level where the word's depth has one, else from the cell
-        memo, else from one shared descent (_cell_ends) that fills it.  A run
-        of words of one depth, as a batch of one depth's cells is, reads its
-        level once."""
-        b, memo, out, deep, depth, level = self.base, self._cell_memo, {}, [], None, None
+        the top point for the last cell of a depth: read from the known
+        level of the word's depth where there is one, else from the cell
+        memo, else from one shared descent (_cell_ends) that fills it."""
+        b, known, memo, out, deep = self.base, self._known, self._cell_memo, {}, []
+        n = len(known)
         for w in words:
-            if len(w) != depth:
-                depth = len(w)
-                level = self.boundary_tuple(depth) if depth <= self.support or depth in self._level_memo else None
-            if level is not None:
-                r = word_rank(w, b)
+            if len(w) < n:
+                level, r = known[len(w)], word_rank(w, b)
                 out[w] = level[r] if r < len(level) else max_point(b)
             elif w in memo:
                 out[w] = memo[w]
@@ -440,18 +436,17 @@ class Filtering:
     # -- boundary tuples -----------------------------------------------
 
     def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
-        """A stored level, or a greedy level in one pass over the cells
-        [lo 0^w, hi top^w] above.  A full cylinder [v] (v is the longer of lo
-        and hi, the other v stripped of 0s or top digits) splits at v l top^w."""
+        """The known level at `depth`, after building every greedy level
+        down to it, each in one pass over the cells [lo 0^w, hi top^w] of
+        the level above.  A full cylinder [v] (v is the longer of lo and hi,
+        the other v stripped of 0s or top digits) splits at v l top^w.  A
+        level is stored at its depth's index, so a repeated build stores an
+        equal level in place."""
         check_materialize(self.base, depth, "boundary tuple")
-        if depth == 0:
-            return ()
-        if depth <= self.support:
-            return self.levels[depth - 1]
-        got = self._level_memo.get(depth)
-        if got is None:
-            above = self.boundary_tuple(depth - 1)
-            b, top, stems, lo = self.base, self.base - 1, [], ()
+        known = self._known
+        while len(known) <= depth:
+            b, top, d = self.base, self.base - 1, len(known)
+            above, stems, lo = known[d - 1], [], ()
             ends = [(l,) for l in range(top)]
             last = canonical_point(b, (), top)  # the last cell's maximum, a fresh object
             for p in above + (last,):
@@ -468,15 +463,15 @@ class Filtering:
             for l in range(top):
                 level[l::b] = picks[l::top]
             level[top::b] = above
-            got = self._level_memo[depth] = tuple(level)
-        return got
+            known[d : d + 1] = (tuple(level),)
+        return known[depth]
 
     def extend(self, depth: int) -> "Filtering":
         """A filtering equal to this one with support at least `depth`."""
         if depth <= self.support:
             return self
-        new = tuple(self.boundary_tuple(d) for d in range(self.support + 1, depth + 1))
-        return Filtering(self.base, self.levels + new)
+        self.boundary_tuple(depth)
+        return Filtering(self.base, self._known[1 : depth + 1])
 
     # -- serialization ---------------------------------------------------
 

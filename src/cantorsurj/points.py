@@ -96,10 +96,6 @@ class Point:
         return self.stem + (self.tail,) * (n - len(self.stem))
 
     @property
-    def is_min(self) -> bool:
-        return not self.stem and self.tail == 0
-
-    @property
     def is_max(self) -> bool:
         return not self.stem and self.tail == self.base - 1
 

@@ -88,11 +88,6 @@ class Evaluation:
     digits: tuple[int, ...]
     exact: Point | None
 
-    def as_point(self) -> Point:
-        if self.exact is None:
-            raise ValueError(_UNSTABLE)
-        return self.exact
-
 
 @dataclass(frozen=True, slots=True)
 class BoundaryTuple:

@@ -318,6 +318,58 @@ def test_malformed_input_exits_2(capsys, files, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["boundaries", "F", "--depth", "1"], ["dist", "F", "F"], ["factor", "F", "F", "--depth", "1"], ["type-of", "F"]],
+    ids=["boundaries", "dist", "factor", "type-of"],
+)
+@pytest.mark.parametrize(
+    "text", ["[" * 2000 + "]" * 2000, '{"kind": "chain", "outer": ' * 2000 + "{}" + "}" * 2000], ids=["array", "chain"]
+)
+def test_json_nested_too_deeply_exits_2(capsys, tmp_path, argv, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    got = run(capsys, *[str(deep) if a == "F" else a for a in argv])
+    assert got == (2, "", f"error: {deep}: JSON nested too deeply\n")
+
+
+def nested_chain(n, leaf):
+    h = leaf
+    for _ in range(n - 1):
+        h = {"b": 2, "kind": "chain", "outer": h, "inner": leaf}
+    return h
+
+
+SUPPORT_ONE = {"b": 2, "depth": 1, "boundaries": [[q(0).to_json()]]}
+
+
+@pytest.mark.parametrize(
+    "leaf, argv",
+    [
+        (identity(2).to_json(), ["boundaries", "F", "--depth", "2"]),
+        (SUPPORT_ONE, ["dist", "F", "F"]),
+        (SUPPORT_ONE, ["boundaries", "F", "--depth", "1"]),
+        (SUPPORT_ONE, ["factor", "F", "F", "--depth", "1"]),
+    ],
+    ids=["boundaries-identity", "dist", "boundaries", "factor"],
+)
+def test_chain_nested_past_the_stack_exits_2(files, leaf, argv):
+    # the file decodes, but evaluating 600 nested maps overflows the stack
+    deep = files("deep.json", nested_chain(600, leaf))
+    argv = [deep if a == "F" else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "cantorsurj", *argv], capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: input nested too deeply to evaluate\n")
+
+
+def test_chain_nested_within_the_stack_still_answers(capsys, files):
+    deep = files("deep.json", nested_chain(400, identity(2).to_json()))
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "boundaries", deep, "--depth", "2"], capture_output=True, text=True, timeout=120
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == run(capsys, "boundaries", files("id.json", identity(2).to_json()), "--depth", "2")[1]
+
+
 def test_bad_levels_exits_2(capsys, files):
     surj = files("id.json", identity(2).to_json())
     code, _, err = run(capsys, "search-type", surj, "--levels", "0,1,2")

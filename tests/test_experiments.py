@@ -111,7 +111,7 @@ def reference_find_cell_within(h, interval, depth_bound=None):
     if depth_bound is None:
         depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
     b, lo, hi = h.base, interval.lo, interval.hi
-    if lo.is_min and hi.is_max:
+    if lo == min_point(b) and hi.is_max:
         return ()
     child_maxima = lambda word: cell_child_maxima(h, word)
     chain_lo, chain_hi = reference_cell_chain(child_maxima, b, lo), reference_cell_chain(child_maxima, b, hi)

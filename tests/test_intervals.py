@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -318,7 +320,7 @@ def test_boundary_tuple_independent_of_call_order(f, d):
     deep_first = Filtering(f.base, f.levels)
     deep = deep_first.boundary_tuple(d + 1)
     assert (deep_first.boundary_tuple(d), deep) == want
-    # entry look-ups first: they leave the level memo cold
+    # entry look-ups first: they build no level
     warmed = Filtering(f.base, f.levels)
     maxima_at(warmed, d + 1, range(0, f.base ** (d + 1) - 1, 3))
     deep = warmed.boundary_tuple(d + 1)
@@ -561,7 +563,7 @@ def reference_point_words(child_maxima, base, xs, limits):
 def reference_evaluate(child_maxima, base, x, digits):
     """Surjection.evaluate comparing x with Point cell ends."""
     top = base - 1
-    if x.is_max or x.is_min:
+    if x.is_max or x == min_point(base):
         return Evaluation((x.tail,) * digits, x)
     word = ()
     for _, (word, lo, hi) in zip(range(digits), reference_cell_chain(child_maxima, base, x)):
@@ -732,18 +734,92 @@ def batch_words(draw, b, s, deepest):
 
 @settings(max_examples=80, deadline=None)
 @given(filterings(bases=(2, 3, 4, 5)), st.booleans(), st.data())
-def test_cell_maxima_match_cell_max_and_reference(f, memo_first, data):
+def test_cell_maxima_match_cell_max_and_reference(f, build_first, data):
     b, s = f.base, f.support
     words = batch_words(data.draw, b, s, s + 6)
-    if memo_first and b ** (s + 2) <= 4096:
-        f.boundary_tuple(s + 2)  # words of that depth are read from the memo
-        assert s + 2 in f._level_memo
+    depth = data.draw(st.integers(s + 1, s + 4))
+    if build_first and b**depth <= 4096:
+        f.boundary_tuple(depth)  # words to that depth are read from known levels, deeper ones descend from it
+        assert len(f._known) > depth
     got = f.cell_maxima(words)
     fresh, walk = Filtering(b, f.levels), ReferenceWalk(f)
     assert set(got) == set(words)
     for w in words:
         assert got[w] == fresh.cell_maxima([w])[w] == reference_cell(walk, w).hi
         assert cell(fresh, w) == reference_cell(walk, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(filterings(bases=(2, 3, 4)), st.data())
+def test_cell_maxima_at_known_depths_build_no_level(f, data):
+    # a batch of mixed depths at or below the support is read off the
+    # stored levels: no level is built, asked for or descended to
+    b, s = f.base, f.support
+    words = data.draw(st.lists(st.lists(st.integers(0, b - 1), max_size=s).map(tuple), min_size=1, max_size=20))
+    calls, build = [], Filtering.boundary_tuple
+    Filtering.boundary_tuple = lambda self, depth: calls.append(depth) or build(self, depth)
+    try:
+        got = f.cell_maxima(words)
+    finally:
+        Filtering.boundary_tuple = build
+    stored = ((),) + f.levels
+    assert calls == [] and f._cell_memo == {}
+    for w in words:
+        level, r = stored[len(w)], word_rank(w, b)
+        assert got[w] == (level[r] if r < len(level) else max_point(b))
+
+
+def test_a_descent_starts_at_the_deepest_known_level(monkeypatch):
+    # once a greedy level is built, the words one level deeper descend
+    # from its cells: each cell of that level is split once, and no other
+    split, cells = intervals._greedy_split, []
+    monkeypatch.setattr(intervals, "_greedy_split", lambda top, lo, hi, n: cells.append((lo, hi)) or split(top, lo, hi, n))
+    rng = random.Random(3)
+    for b, s, depth in [(2, 0, 3), (2, 2, 4), (3, 1, 3), (3, 2, 3), (4, 1, 2)]:
+        f = random_filtering(rng, b, s)
+        level, below = f.boundary_tuple(depth), Filtering(b, f.levels).boundary_tuple(depth + 1)
+        cells.clear()
+        got = f.cell_maxima([rank_word(r, depth + 1, b) for r in range(b ** (depth + 1))])
+        his = [y.stem for y in level] + [()]
+        los = [()] + [stem[:-1] + (stem[-1] + 1,) for stem in his[:-1]]
+        assert sorted(cells) == sorted(zip(los, his))
+        assert [got[rank_word(r, depth + 1, b)] for r in range(len(below))] == list(below)
+
+
+def test_a_level_built_twice_is_stored_once_at_its_depth(monkeypatch):
+    # a second build of the same levels while the first is under way, as
+    # from another thread, stores equal levels in place: one per depth
+    f = random_filtering(random.Random(7), 2, 2)
+    want = [Filtering(2, f.levels).boundary_tuple(d) for d in range(6)]
+    points, raced = intervals.canonical_points, []
+
+    def racing(b, stems, tail):
+        if not raced:
+            raced.append(None)
+            raced[0] = f.boundary_tuple(5)
+        return points(b, stems, tail)
+
+    monkeypatch.setattr(intervals, "canonical_points", racing)
+    assert f.boundary_tuple(5) == want[5] and raced == [want[5]]
+    assert f._known == want
+    assert f.cell_maxima([(0,) * 5, (1,) * 6]) == Filtering(2, f.levels).cell_maxima([(0,) * 5, (1,) * 6])
+
+
+def test_threads_building_levels_of_one_filtering_agree():
+    f = random_filtering(random.Random(9), 3, 1)
+    want = [Filtering(3, f.levels).boundary_tuple(d) for d in range(7)]
+    threads = [threading.Thread(target=f.boundary_tuple, args=(d,)) for d in (6, 4, 5, 6, 3, 6, 2, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert f._known == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -803,7 +879,13 @@ def test_a_second_chain_over_a_map_pulls_from_its_cell_memo(monkeypatch):
 
 def evaluated_images(h, xs):
     """The per-entry path: evaluate each x to corollary (i)'s bound."""
-    return [h.evaluate(x, h.support + len(x.stem)).as_point() for x in xs]
+    out = []
+    for x in xs:
+        y = h.evaluate(x, h.support + len(x.stem)).exact
+        if y is None:
+            raise ValueError("image not stabilized within the requested digit budget")
+        out.append(y)
+    return out
 
 
 def batch_images(h, xs):
