@@ -237,29 +237,31 @@ def _cmd_color_omega(args) -> int:
     return 0
 
 
+def _emit_report(compute, **context) -> int:
+    """Print compute()'s report with exit 0, or its RuntimeError as a JSON
+    dump with exit 1; a RecursionError goes on to main's exit 2."""
+    try:
+        rep = compute()
+    except RecursionError:
+        raise
+    except RuntimeError as exc:
+        _emit({"error": str(exc), **context})
+        return 1
+    _emit(rep.to_json())
+    return 0
+
+
 def _cmd_witness_omega(args) -> int:
     y = _decode(args.copy, QCopy.from_json)
     depth_cap(args.cap)  # checked, then ignored: the branch coloring is exact
-    try:
-        out = build_witness(y, args.target)
-    except RuntimeError as exc:
-        _emit({"error": str(exc), "target": args.target})
-        return 1
-    _emit(out.to_json())
-    return 0
+    return _emit_report(lambda: build_witness(y, args.target), target=args.target)
 
 
 def _cmd_realize_all(args) -> int:
     h = _surjection(args.surjection)
     if args.k < 1:
         raise BadInput("k must be >= 1")
-    try:
-        rep = realize_all_colors(h, args.k, args.depth_cap, args.budget)
-    except RuntimeError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    _emit(rep.to_json())
-    return 0
+    return _emit_report(lambda: realize_all_colors(h, args.k, args.depth_cap, args.budget))
 
 
 def _cmd_oscillation(args) -> int:
@@ -268,13 +270,7 @@ def _cmd_oscillation(args) -> int:
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"--eps: {exc}") from exc
-    try:
-        rep = oscillation_search(spec, eps, args.budget)
-    except RuntimeError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    _emit(rep.to_json())
-    return 0
+    return _emit_report(lambda: oscillation_search(spec, eps, args.budget))
 
 
 def _cmd_verify(args) -> int:

@@ -181,9 +181,9 @@ def realize_all_colors(
             rows.append(ColorRealization(r, None, None, False))
             continue
         f = tuple_to_factor(h, BoundaryTuple(h.base, k, w.points))
-        composite = compose(f, h)
-        got = lower_bound_coloring(composite, k)
-        got_ball = lower_bound_coloring(tuple_to_surjection(composite.boundary_tuple(k)), k)
+        fp = compose(f, h).fingerprint(k)
+        got = canonical_coloring(fp, ell)
+        got_ball = lower_bound_coloring(tuple_to_surjection(BoundaryTuple(h.base, k, fp)), k)
         if got != r or got_ball != r:
             raise RuntimeError(
                 f"realization of color {r} failed verification: composite {got}, ball {got_ball}"

@@ -15,7 +15,13 @@ permutations, and 0 doubles as the catch-all for non-diagonal tuples.
 Scans: scan_types walks a max-set's tuples in lex order down a trie of
 the types' level patterns, a leaf at a time, passing whole every prefix
 that no type not yet met extends (_walk_diagonal), and every run of
-candidates whose meet repeats a depth in one jump (_neighbour_gaps).
+candidates whose meet repeats a depth in one jump (_neighbour_gaps).  A
+prefix's node depths are the bits of one int, so the bisect position of a
+depth among them is the count of set bits below it.  At the last pick the
+first candidate of each stem length in a run of one meet stands for the
+run: the rest reach the same trie leaf, spent once met.  A walk state
+(last pick, depth mask, trie node) walked through once is passed when met
+again: live counts only fall, so it reaches no type not met before.
 """
 
 from __future__ import annotations
@@ -247,16 +253,24 @@ def _neighbour_gaps(stems: tuple[tuple[int, ...], ...]) -> tuple[list[int], list
 class _Node:
     """A pattern in the trie of every type over `leaves` leaves: the
     in-order level ranks of a tuple's first leaves, its children met so
-    far, and how many children are live.  Every step key (a, c) extends to
-    a type, one per a <= q (the new meet is shallower than the last leaf,
-    of rank q) and c = a..2p-1, so a node starts with that many; a leaf
-    starts with 1 and is spent when met."""
+    far, and how many children are live.  A step is keyed by the levels
+    (a, c) of the new meet and leaf in the child; every key extends to a
+    type, one per a <= q (the new meet is shallower than the last leaf, of
+    rank q) and c = a+1..2p (the leaf is deeper than its meet), so a node
+    starts with that many; a leaf starts with 1 and is spent when met."""
 
     __slots__ = ("levels", "parent", "children", "live")
 
     def __init__(self, levels: tuple[int, ...], leaves: int, parent: "_Node | None" = None) -> None:
         self.levels, self.parent, self.children, q = levels, parent, {}, levels[-1]
         self.live = 1 if len(levels) == 2 * leaves - 1 else (q + 1) * (len(levels) + 1) - q * (q + 1) // 2
+
+    def grow(self, a: int, c: int, leaves: int) -> "_Node":
+        """The child whose new meet and leaf take levels a and c."""
+        # c - 1 is the leaf's rank among this pattern's depths
+        levels = tuple(x + (x >= a) + (x >= c - 1) for x in self.levels) + (a, c)
+        child = self.children[a, c] = _Node(levels, leaves, self)
+        return child
 
 
 def _combination_index(picked: list[int], n: int) -> int:
@@ -276,64 +290,77 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
     each type not met before; returns the combination at which found
     returned True, else None.
 
-    A prefix's pattern is the order of its node depths, carried sorted;
-    the bisect positions of the next meet and leaf depth among them key
-    the step down the trie.  The depths of a prefix are a prefix of the
-    depths of every extension, so a prefix with a comparable neighbouring
-    pair (no meet) or a repeated depth fails in all of them, and one whose
-    trie child is spent holds no type not met before: either way its
-    extensions are passed unclassified.  So the tuples found are the first
-    of their types, in the same order as a walk that classifies every
-    tuple, and as the passed ones are covered all the same, a stop covers
-    its lex index plus 1 combinations and a full walk C(n, leaves).
+    A prefix's node depths are carried as a bit mask, depth v at bit v, so
+    the rank of v among them (its bisect position) is the count of bits
+    below v, and the levels of the next meet and leaf, which key the step
+    down the trie, are their ranks in the extended mask.  The depths of a
+    prefix are a prefix of the depths of every extension, so a prefix with
+    a comparable neighbouring pair (no meet) or a repeated depth fails in
+    all of them, and one whose trie child is spent holds no type not met
+    before: either way its extensions are passed unclassified.  So the
+    tuples found are the first of their types, in the same order as a walk
+    that classifies every tuple, and as the passed ones are covered all the
+    same, a stop covers its lex index plus 1 combinations and a full walk
+    C(n, leaves).
 
-    Candidate j's meet with the last pick i, min(gaps[i..j-1]), is bisected
-    only where it drops; a meet that repeats a depth repeats it for every j
-    up to nxt[j-1], so those candidates, all failing, take one jump."""
+    Candidate j's meet with the last pick i, min(gaps[i..j-1]), is gaps[k]
+    for j in the run k+1..nxt[k], along the chain k = i, nxt[i], ...; a
+    meet that repeats a depth fails its whole run at once.  At the last
+    pick the step's child is a leaf, keyed by the meet and the leaf length
+    alone, and spent once met, so only the first candidate of each length
+    in a run (firsts[k]) can meet a new type.  A walk state (last pick,
+    depth mask, trie node) fixes every extension the walk can take from
+    it, and live counts only fall, so a state reached again after it was
+    walked through holds no type not met before, and is passed."""
     n, lens = len(stems), [len(s) for s in stems]
     gaps, nxt = _neighbour_gaps(stems) if leaves > 1 else ((), ())  # one leaf meets none
-    picked = [0] * leaves
+    firsts: list[list[int] | None] = [None] * len(gaps)  # built as the runs are met
+    picked, last, done = [0] * leaves, leaves - 1, set()
 
-    def extend(pos: int, depths: list[int], node: _Node) -> bool:
-        # picked[:pos] has trie node `node` and its node depths sorted in depths
+    def extend(pos: int, mask: int, node: _Node) -> bool:
+        # picked[:pos] has trie node `node` and its node depths in mask
         if pos == leaves:  # a type met for the first time: spend its leaf
             stop = found(type_rank(node.levels), picked)
             while node is not None:
                 node.live -= 1
                 node = None if node.live else node.parent
             return stop
-        children, top, j = node.children, n - leaves + pos, picked[pos - 1]
-        m = lens[j] + 1  # above gaps[j], so the first step drops it
-        while j < top:
-            j += 1
-            if gaps[j - 1] < m:  # the meet depth drops
-                m = gaps[j - 1]
-                a = bisect_left(depths, m)  # below len(depths): m is no deeper than the last leaf
-                if depths[a] == m:  # repeated up to nxt[j - 1]: the step lands past it
-                    j = nxt[j - 1]
-                    continue
-            leaf = lens[j]
-            c = bisect_left(depths, leaf, a)
-            if leaf <= m or c < len(depths) and depths[c] == leaf:
-                continue
-            child = children.get((a, c))
-            if child is None:
-                levels = tuple(x + (x >= a) + (x >= c) for x in node.levels) + (a, c + 1)
-                child = children[a, c] = _Node(levels, leaves, node)
-            elif not child.live:
-                continue
-            picked[pos] = j
-            if extend(pos + 1, depths[:a] + [m] + depths[a:c] + [leaf] + depths[c:], child):
-                return True
-            if not node.live:
-                return False
+        k, top, children = picked[pos - 1], n - leaves + pos, node.children
+        while k < top:  # candidates k+1..nxt[k] meet the last pick at gaps[k]
+            m = gaps[k]
+            if not mask >> m & 1:  # else the whole run repeats a depth
+                meet_mask = mask | 1 << m
+                a = (meet_mask & ((1 << m) - 1)).bit_count()
+                e = nxt[k]
+                if pos < last:
+                    run = range(k + 1, (e if e < top else top) + 1)
+                else:  # a leaf step: the first candidate of each length stands for the run
+                    run = firsts[k]
+                    if run is None:  # smaller candidates overwrite a length's entry
+                        run = firsts[k] = sorted(dict(zip(lens[e:k:-1], range(e, k, -1))).values())
+                for j in run:
+                    leaf = lens[j]
+                    if leaf <= m or mask >> leaf & 1:
+                        continue
+                    depths = meet_mask | 1 << leaf
+                    c = (depths & ((1 << leaf) - 1)).bit_count()
+                    child = children.get((a, c)) or node.grow(a, c, leaves)
+                    if not child.live or (j, depths, child) in done:
+                        continue
+                    picked[pos] = j
+                    if extend(pos + 1, depths, child):
+                        return True
+                    done.add((j, depths, child))
+                    if not node.live:
+                        return False
+            k = nxt[k]
         return False
 
     for j in range(n - leaves + 1):
         if not root.live:
             return None
         picked[0] = j
-        if extend(1, [lens[j]], root):
+        if extend(1, 1 << lens[j], root):
             return picked
     return None
 

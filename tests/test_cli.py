@@ -350,8 +350,9 @@ SUPPORT_ONE = {"b": 2, "depth": 1, "boundaries": [[q(0).to_json()]]}
         (SUPPORT_ONE, ["dist", "F", "F"]),
         (SUPPORT_ONE, ["boundaries", "F", "--depth", "1"]),
         (SUPPORT_ONE, ["factor", "F", "F", "--depth", "1"]),
+        (identity(2).to_json(), ["realize-all", "F", "--k", "1"]),
     ],
-    ids=["boundaries-identity", "dist", "boundaries", "factor"],
+    ids=["boundaries-identity", "dist", "boundaries", "factor", "realize-all"],
 )
 def test_chain_nested_past_the_stack_exits_2(files, leaf, argv):
     # the file decodes, but evaluating 600 nested maps overflows the stack

@@ -1,4 +1,3 @@
-from bisect import bisect_left
 from functools import lru_cache
 import hashlib
 from itertools import combinations, permutations
@@ -6,14 +5,16 @@ from math import comb
 
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_points, filterings, nested_maps, q
+from cantorsurj import similarity
 from cantorsurj.caps import default_depth_cap
 from cantorsurj.points import Point
-from cantorsurj.randgen import random_surjection
+from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.similarity import (
     DEFAULT_SCAN_BUDGET,
     MAX_TYPE_LEAVES,
@@ -35,7 +36,7 @@ from cantorsurj.similarity import (
     _lcp_len,
     _neighbour_gaps,
 )
-from cantorsurj.surjections import from_filtering, identity
+from cantorsurj.surjections import compose, from_filtering, identity
 
 
 def zigzag(n):
@@ -164,15 +165,14 @@ def _ranks(depths):
 
 def test_trie_nodes_count_the_steps_of_every_type():
     # a pattern's live count at creation is the number of distinct next
-    # steps among the types extending it, each step keyed by the bisect
-    # positions of the next meet and leaf among the pattern's levels
+    # steps among the types extending it, each step keyed by the levels of
+    # the next meet and leaf in the pattern one leaf longer
     for ell in range(1, 6):
         steps = {}
         for levels in reference_type_index(ell):
             for p in range(1, ell):
                 prefix = levels[: 2 * p - 1]
-                key = (bisect_left(sorted(prefix), levels[2 * p - 1]), bisect_left(sorted(prefix), levels[2 * p]))
-                steps.setdefault(_ranks(prefix), set()).add(key)
+                steps.setdefault(_ranks(prefix), set()).add(_ranks(levels[: 2 * p + 1])[-2:])
             assert _Node(levels, ell).live == 1
         for pattern, keys in steps.items():
             assert _Node(pattern, ell).live == len(keys), pattern
@@ -344,6 +344,45 @@ def scan_inputs(draw):
     return h, leaves, depth_cap, budget, targets
 
 
+class _Children(dict):
+    """A pattern's children, which may not be read once the pattern is spent."""
+
+    def __init__(self, owner):
+        super().__init__()
+        self.owner = owner
+
+    def get(self, key, default=None):
+        assert self.owner.live, f"spent pattern {self.owner.levels} asked for a child"
+        return super().get(key, default)
+
+
+class _WatchedNode(_Node):
+    __slots__ = ()
+
+    def __init__(self, levels, leaves, parent=None):
+        super().__init__(levels, leaves, parent)
+        self.children = _Children(self)
+
+
+def _long_stem_filtering():
+    return from_filtering(random_filtering(random.Random(185), 7, 2))
+
+
+def _long_stem_chain():
+    # three support-1 base-7 filterings composed; the depth-2 max-set holds 48 points
+    rng = random.Random(282)
+    h = from_filtering(random_filtering(rng, 7, 1))
+    for _ in range(2):
+        h = compose(from_filtering(random_filtering(rng, 7, 1)), h)
+    return h
+
+
+def test_long_stem_examples_pass_64_binary_digits():
+    # so the scan's depth masks in those examples are multi-word ints
+    for h, longest in ((_long_stem_filtering(), 76), (_long_stem_chain(), 68)):
+        assert max(map(len, _binary_stems(h.fingerprint(2)))) == longest
+
+
 @settings(max_examples=150, deadline=None)
 @given(scan_inputs())
 # five leaves: nothing fits below depth 8 at base 2 or 3, and identity(6)
@@ -352,8 +391,19 @@ def scan_inputs(draw):
 @example((identity(3), 5, 3, DEFAULT_SCAN_BUDGET, frozenset({0, 17, 7935, 9000})))
 @example((identity(6), 5, 2, DEFAULT_SCAN_BUDGET, frozenset({544, 550, 560})))
 @example((identity(6), 5, 2, DEFAULT_SCAN_BUDGET, frozenset({549, 576, 7936})))
+# three leaves over every identity(2) level to depth 6
+@example((identity(2), 3, 6, DEFAULT_SCAN_BUDGET, None))
+# stems past 64 binary digits at depth 2
+@example((_long_stem_filtering(), 3, 2, DEFAULT_SCAN_BUDGET, None))
+@example((_long_stem_filtering(), 4, 2, DEFAULT_SCAN_BUDGET, frozenset({-1, 100, 271})))
+@example((_long_stem_chain(), 3, 2, DEFAULT_SCAN_BUDGET, frozenset({-1, 5, 15})))
+# two leaves over 728 points at depth 6; rank 2 does not exist, so the scan
+# runs on after both types are met
+@example((identity(3), 2, 6, DEFAULT_SCAN_BUDGET, frozenset({2})))
 def test_scan_matches_reference(args):
-    got, want = scan_types(*args), reference_scan_types(*args)
+    with patch.object(similarity, "_Node", _WatchedNode):
+        got = scan_types(*args)
+    want = reference_scan_types(*args)
     assert got == want
     assert list(got.witnesses) == list(want.witnesses)
 
