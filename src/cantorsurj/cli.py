@@ -4,9 +4,10 @@ One executable, subcommand per task, JSON as the only structured wire
 format.  Structured inputs come from files ("-" reads stdin); small values
 ride on flags.  Exit status: 0 on success, 1 when an assertion or
 verification fails (a counterexample dump goes to stdout), 2 on malformed
-input (a location note goes to stderr).  RAMSEY_DEPTH_CAP overrides the
-default depth cap of 64 for every capped operation.  The branch coloring is
-exact: color-omega and witness-omega check a --cap and then ignore it.
+input (a location note goes to stderr).  Capped operations default to a
+depth cap of 64; dist --cap, search-type --depth-cap and realize-all
+--depth-cap set it per call.  The branch coloring is exact: color-omega and
+witness-omega check a --cap and then ignore it.
 """
 
 from __future__ import annotations

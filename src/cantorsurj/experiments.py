@@ -43,7 +43,6 @@ from .similarity import (
 from .surjections import (
     BoundaryTuple,
     Surjection,
-    compose,
     from_filtering,
     identity,
     surjection_from_json,
@@ -180,10 +179,11 @@ def realize_all_colors(
         if w is None:
             rows.append(ColorRealization(r, None, None, False))
             continue
-        f = tuple_to_factor(h, BoundaryTuple(h.base, k, w.points))
-        fp = compose(f, h).fingerprint(k)
-        got = canonical_coloring(fp, ell)
-        got_ball = lower_bound_coloring(tuple_to_surjection(BoundaryTuple(h.base, k, fp)), k)
+        # tuple_to_factor raises unless the composite's fingerprint is w.points
+        tup = BoundaryTuple(h.base, k, w.points)
+        tuple_to_factor(h, tup)
+        got = canonical_coloring(w.points, ell)
+        got_ball = lower_bound_coloring(tuple_to_surjection(tup), k)
         if got != r or got_ball != r:
             raise RuntimeError(
                 f"realization of color {r} failed verification: composite {got}, ball {got_ball}"
@@ -574,11 +574,12 @@ class OscillationReport:
         }
 
 
-@lru_cache(maxsize=16)  # keys hold caller-chosen caps and budgets: keep a few
-def _identity_type_witnesses(b: int, ell: int, depth_cap: int, budget: int):
+@lru_cache(maxsize=16)  # keys hold caller-chosen budgets: keep a few
+def _identity_type_witnesses(b: int, ell: int, budget: int):
     """The identity's first tuple per type, as sorted (type index, points)
-    pairs, or None when the sweep is incomplete; no coloring enters it."""
-    out = scan_types(identity(b), ell, depth_cap, budget)
+    pairs, or None when the sweep is incomplete; no coloring enters it.
+    The default depth cap never binds: the budget stops the sweep first."""
+    out = scan_types(identity(b), ell, None, budget)
     return tuple((r, out.witnesses[r].points) for r in sorted(out.witnesses)) if out.complete else None
 
 
@@ -586,7 +587,6 @@ def oscillation_search(
     spec: ColoringSpec,
     eps,
     budget: int = DEFAULT_SCAN_BUDGET,
-    depth_cap: int | None = None,
 ) -> OscillationReport:
     """The exact label set B of the coloring on the identity cube of
     composites f o identity, with one certified witness per label.
@@ -603,14 +603,13 @@ def oscillation_search(
     k = _resolution_depth(eps)
     if k != spec.depth:
         raise ValueError(f"coloring reads depth {spec.depth} but resolution {eps} needs depth {k}")
-    depth_cap = caps.depth_cap(depth_cap)
     b, ell = spec.base, spec.ell
     h = identity(b)
     ident = h.fingerprint(k)
     if spec.kind == "relabeled_types":
-        witnesses = _identity_type_witnesses(b, ell, depth_cap, budget)
+        witnesses = _identity_type_witnesses(b, ell, budget)
         if witnesses is None:
-            raise RuntimeError("type sweep incomplete within cap; cannot certify the bound")
+            raise RuntimeError("type sweep incomplete within budget; cannot certify the bound")
         candidates = [(type_index, fp, spec.color_of(fp)) for type_index, fp in witnesses]
     elif spec.kind == "constant":
         candidates = [(canonical_coloring(ident, ell), ident, spec.constant)]

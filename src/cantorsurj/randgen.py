@@ -29,13 +29,14 @@ def derive_rng(seed: int | str, label: str) -> random.Random:
 
 
 def random_q_point_between(
-    rng: random.Random, lo: Point, hi: Point, max_extra: int = 10, tries: int = 48
+    rng: random.Random, lo: Point, hi: Point, tries: int = 48
 ) -> Point:
     """A random eventually-max point strictly between lo and hi.
 
-    Rejection sampling on random stem suffixes under the shared prefix;
-    falls back to the deterministic least choice, which always exists since
-    such points are dense in every nondegenerate interval.  A candidate's
+    Rejection sampling on random stem suffixes of up to 10 digits under the
+    shared prefix; falls back to the deterministic least choice, which
+    always exists since such points are dense in every nondegenerate
+    interval.  A candidate's
     digits are lo's or drawn below b, so it is built unvalidated.
     """
     if not lo < hi:
@@ -45,7 +46,7 @@ def random_q_point_between(
     common = list(lo.prefix(d))
     for _ in range(tries):
         c = rng.randint(lo.digit(d), hi.digit(d))
-        extra = [rng.randrange(b) for _ in range(rng.randint(0, max_extra))]
+        extra = [rng.randrange(b) for _ in range(rng.randint(0, 10))]
         q = canonical_point(b, _strip(tuple(common + [c] + extra), b - 1), b - 1)
         if q.is_q_point and lo < q < hi:
             return q

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -274,6 +275,21 @@ def test_realize_all(capsys, files):
     code, out, _ = run(capsys, "realize-all", surj, "--k", "1")
     got = json.loads(out)
     assert code == 0 and got["complete"] and got["t"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--seed", "42", "--only", "9"], ["realize-all", "F", "--k", "2"]], ids=["verify", "realize-all"]
+)
+def test_answers_do_not_read_the_environment(files, argv):
+    argv = [files("id.json", identity(2).to_json()) if a == "F" else a for a in argv]
+    outs = []
+    for extra in ({}, {"RAMSEY_DEPTH_CAP": "3"}):
+        env = {k: v for k, v in os.environ.items() if k != "RAMSEY_DEPTH_CAP"} | extra
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorsurj", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        outs.append((out.returncode, out.stdout))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
 def test_oscillation(capsys, files):

@@ -541,11 +541,25 @@ def test_oscillation_warm_witnesses_equal_cold(monkeypatch):
     ]
 
 
-def test_oscillation_cache_is_keyed_on_the_resolved_cap(monkeypatch):
+def test_oscillation_cache_is_keyed_on_the_budget():
     experiments._identity_type_witnesses.cache_clear()
     spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
-    assert oscillation_search(spec, Fraction(3, 10)).labels == tuple(range(16))
-    # three leaves need five distinct node depths, which depth 3 lacks
-    monkeypatch.setenv("RAMSEY_DEPTH_CAP", "3")
+    # three leaves need five distinct node depths, so depth 4 at the
+    # earliest, where C(15, 3) = 455 combinations pass a budget of 100
     with pytest.raises(RuntimeError, match="type sweep incomplete"):
-        oscillation_search(spec, Fraction(3, 10))
+        oscillation_search(spec, Fraction(3, 10), budget=100)
+    assert oscillation_search(spec, Fraction(3, 10)).labels == tuple(range(16))
+
+
+def test_realize_all_colors_refuses_a_witness_of_another_color(monkeypatch):
+    scan = experiments.scan_types
+
+    def swapped(*args):
+        out = scan(*args)
+        w = out.witnesses
+        w[0], w[1] = w[1], w[0]
+        return out
+
+    monkeypatch.setattr(experiments, "scan_types", swapped)
+    with pytest.raises(RuntimeError, match="realization of color 0 failed verification: composite 1, ball 1"):
+        realize_all_colors(identity(2), 2, 20)

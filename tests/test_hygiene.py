@@ -1,5 +1,6 @@
 """Source hygiene: every name a cantorsurj module imports is used there or
-re-exported through its __all__."""
+re-exported through its __all__, and no module reads the environment, so
+each answer is a function of its arguments alone."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,30 @@ def test_the_check_sees_a_stale_import():
     source = "from .a import b, c\nimport d.e\n__all__ = ['c']\n"
     assert unused_imports(source) == [("b", 1), ("d", 2)]
     assert unused_imports(source + "b(d)\n") == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads(source):
+    """Lines naming os.environ, os.getenv, os.putenv or their kin, whether
+    as attributes of a module or imported by name."""
+    tree = ast.parse(source)
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            hits.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in ENVIRONMENT_NAMES for a in node.names):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_environment_read():
+    source = "import os\nx = os.environ.get('A')\nfrom os import getenv\nos.putenv('B', '1')\ny = os.sep\n"
+    assert environment_reads(source) == [2, 3, 4]
+    assert environment_reads("import os\ny = os.path.join(os.sep, 'a')\n") == []

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_points, filterings, nested_maps, q
 from cantorsurj import similarity
-from cantorsurj.caps import default_depth_cap
+from cantorsurj.caps import DEFAULT_DEPTH_CAP
 from cantorsurj.points import Point
 from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.similarity import (
@@ -296,11 +296,9 @@ def test_scan_four_leaves_on_identity_finds_none():
     assert out.witnesses == {}
 
 
-def reference_scan_types(h, leaves, depth_cap=None, budget=DEFAULT_SCAN_BUDGET, targets=None):
+def reference_scan_types(h, leaves, depth_cap=DEFAULT_DEPTH_CAP, budget=DEFAULT_SCAN_BUDGET, targets=None):
     """scan_types as one loop over combinations: classify every tuple of
     every depth's max-set, in construction order."""
-    if depth_cap is None:
-        depth_cap = default_depth_cap()
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)
     index = reference_type_index(leaves)
     witnesses = {}
