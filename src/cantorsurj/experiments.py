@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import caps
-from .intervals import MATERIALIZE_LIMIT, ClopenInterval, point_words, validate_level
+from .intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Surjection, point_words, validate_level
 from .points import Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
@@ -40,15 +40,7 @@ from .similarity import (
     scan_types,
     tangent_number,
 )
-from .surjections import (
-    BoundaryTuple,
-    Surjection,
-    from_filtering,
-    identity,
-    surjection_from_json,
-    tuple_to_factor,
-    tuple_to_surjection,
-)
+from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factor, tuple_to_surjection
 
 __all__ = [
     "EpsilonParameters",
@@ -198,26 +190,21 @@ def realize_all_colors(
 # -- finitely described copies of the rationals ----------------------------
 
 
-def find_cell_within(
-    h: Surjection, interval: ClopenInterval, depth_bound: int | None = None
-) -> tuple[int, ...] | None:
-    """Word of some cell of h contained in the interval, or None if none
-    shows by depth_bound.
+def find_cell_within(h: Surjection, interval: ClopenInterval) -> tuple[int, ...] | None:
+    """Word of some cell of h contained in the interval, found by depth
+    h.support plus the longer endpoint stem (corollary (ii) in
+    surjections); None only if h misstates its support.
 
     Reads the cells holding the two ends in lockstep, depth by depth; a
     containment appears exactly when the interval's ends go flush with cell
     ends or a whole cell opens up strictly between them.  One point walk
     gives each end's word to the bound, or to the shallowest cell it is an
     end of, from which on it stays flush: a cell's minimum (maximum) is its
-    first (last) child's, so the word goes on in 0s (top digits).  The
-    default bound, h's support plus the longer endpoint stem, always finds
-    one (corollary (ii) in surjections).
+    first (last) child's, so the word goes on in 0s (top digits).
     """
     if h.base != interval.base:
         raise ValueError("base mismatch")
-    if depth_bound is None:
-        depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
-    depth_bound = max(depth_bound, 0)
+    depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
     b = h.base
     (wl, lo_hit), (wh, hi_hit) = point_words(h, (interval.lo, interval.hi), (depth_bound,) * 2)
     # the depths from which each end is flush with its cell's end
@@ -638,13 +625,12 @@ def oscillation_search(
 # -- seeded copies for the suites ------------------------------------------
 
 
-def random_qcopy(
-    rng: random.Random, max_support: int = 3, max_pieces: int = 3
-) -> QCopy:
-    """A random finitely described copy: random filtering, one to
-    max_pieces disjoint clopen pieces with a genuine gap between any two."""
-    h = from_filtering(random_filtering(rng, 2, rng.randint(0, max_support)))
-    n = rng.randint(1, max_pieces)
+def random_qcopy(rng: random.Random) -> QCopy:
+    """A random finitely described copy: random filtering of support at most
+    3, one to three disjoint clopen pieces with a genuine gap between any
+    two."""
+    h = from_filtering(random_filtering(rng, 2, rng.randint(0, 3)))
+    n = rng.randint(1, 3)
     cuts = increasing_q_points(rng, min_point(2), max_point(2), 2 * n)
     pieces = []
     for i in range(n):

@@ -1,10 +1,15 @@
-"""Clopen lex-intervals of b^w and filterings.
+"""Clopen lex-intervals of b^w, the Surjection interface, and filterings.
 
-A filtering is a b-branching system of nested interval partitions: the depth-d
-partition has b^d right-closed cells and each cell splits into b consecutive
-children one level down.  We store finitely many levels explicitly (the
-"support") and extend deeper on demand by a fixed greedy rule, so every
-Filtering value denotes one fully determined infinite object.
+A Surjection (a continuous nondecreasing surjection of b^w) is given by its
+system of cell preimages, and gives two primitives: cell_maxima(words) and
+a whole level (_level); fingerprints, boundary tuples and evaluation are
+derived from them here, the rest in surjections.  A filtering is one such
+representation: a b-branching system of nested interval partitions, whose
+depth-d partition has b^d right-closed cells and each cell splits into b
+consecutive children one level down.  We store finitely many levels
+explicitly (the "support") and extend deeper on demand by a fixed greedy
+rule, so every Filtering value denotes one fully determined infinite
+object, the surjection whose preimage cells these are.
 
 The greedy rule, per cell [lo, hi]: the next division point is the q-point
 (eventually-max point) strictly between the previous pick and hi that has the
@@ -14,7 +19,7 @@ Each pick is in closed form (least_q_point_between), and so are a cell's
 b-1 picks together, read as stems from the one first digit where lo and hi
 differ (_pick_stems, the one greedy-split implementation).  A greedy level
 is built in one pass over the level above, carrying each cell minimum as a
-stem and splitting a full cylinder in closed form (Filtering.boundary_tuple),
+stem and splitting a full cylinder in closed form (Filtering._level),
 and kept in a filtering's one list of known levels, beside the stored ones.
 Cells read one at a time take a stateless walk on end stems instead, one
 walk per batch and two walks in all: Filtering._cell_ends, the word walk,
@@ -31,20 +36,24 @@ l < top, so it is canonical as it stands and its point skips validation
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .points import Point, _strip, canonical_point, canonical_points, json_int, max_point, min_point, word_rank
 
 __all__ = [
     "ClopenInterval",
+    "Surjection",
     "Filtering",
     "FilteringReport",
+    "BoundaryTuple",
+    "Evaluation",
     "validate_filtering",
     "least_q_point_between",
     "MATERIALIZE_LIMIT",
 ]
 
-# boundary_tuple(d) materializes b^d - 1 points; refuse silly depths
+# fingerprint(d) materializes b^d - 1 points; refuse silly depths
 MATERIALIZE_LIMIT = 1 << 21
 
 
@@ -143,13 +152,112 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     return FilteringReport(True)
 
 
+@dataclass(frozen=True, slots=True)
+class Evaluation:
+    """A digit prefix of an image point, with the exact point when known.
+
+    exact is set as soon as the argument hits a cell endpoint: from there on
+    the remaining digits are forced (all max after a maximum hit, all zero
+    after a minimum hit).
+    """
+
+    digits: tuple[int, ...]
+    exact: Point | None
+
+
+@dataclass(frozen=True, slots=True)
+class BoundaryTuple:
+    """Depth-k fingerprint: the strictly increasing cell maxima, minus the top."""
+
+    base: int
+    depth: int
+    entries: tuple[Point, ...]
+
+    def __post_init__(self) -> None:
+        report = validate_level(self.base, self.depth, self.entries)
+        if not report.ok:
+            raise ValueError(report.message)
+
+    def to_json(self) -> dict:
+        return {"b": self.base, "depth": self.depth, "entries": [p.to_json() for p in self.entries]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "BoundaryTuple":
+        entries = tuple(Point.from_json(p) for p in obj["entries"])
+        return cls(json_int(obj["b"], "b"), json_int(obj["depth"], "depth"), entries)
+
+
+class Surjection(ABC):
+    __slots__ = ()
+    base: int
+    support: int  # every cell at this depth or deeper splits greedily
+
+    @abstractmethod
+    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
+        """Maximum of the preimage cell at each word, of any length: the
+        depth-len(word) boundary entry at word's rank, or the top point."""
+
+    @abstractmethod
+    def _level(self, depth: int) -> tuple[Point, ...]:
+        """The whole depth-`depth` boundary tuple; fingerprint checks depth."""
+
+    # -- derived cell geometry -----------------------------------------
+
+    def fingerprint(self, depth: int) -> tuple[Point, ...]:
+        """All cell maxima down to `depth`, sorted, without the top point.
+
+        By nesting this is also the max-set to that depth: level d's tuple
+        contains every shallower tuple as a subsequence.
+        """
+        check_materialize(self.base, depth, "fingerprint")
+        return self._level(depth)
+
+    def boundary_tuple(self, depth: int) -> BoundaryTuple:
+        return BoundaryTuple(self.base, depth, self.fingerprint(depth))
+
+    # -- evaluation ------------------------------------------------------
+
+    def evaluate(self, x: Point, digits: int) -> Evaluation:
+        """First `digits` digits of the image of x; exact point if x is an
+        end of a cell down to that depth (ties go to the lower cell, so a
+        cell maximum maps to that cell's image word followed by max digits):
+        evaluate_all of one point."""
+        return self.evaluate_all((x,), digits)[0]
+
+    def evaluate_all(self, xs, digits: int) -> list[Evaluation]:
+        """evaluate for every point of xs, in one walk of the cells
+        (point_words) for the points in ascending order.  A hit word never
+        ends in the point's tail digit, so the image is built canonical as
+        it stands."""
+        b = self.base
+        if any(x.base != b for x in xs):
+            raise ValueError("base mismatch")
+        if digits < 0:
+            raise ValueError(f"digits must be nonnegative, got {digits}")
+        if digits > MATERIALIZE_LIMIT:
+            raise ValueError(f"{digits} digits requested; over limit {MATERIALIZE_LIMIT}")
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        found = point_words(self, [xs[k] for k in order], [digits] * len(xs))
+        out: list = [None] * len(xs)
+        for k, (word, hit) in zip(order, found):
+            if hit:
+                y = canonical_point(b, word, xs[k].tail)
+                out[k] = Evaluation(y.prefix(digits), y)
+            else:
+                out[k] = Evaluation(word, None)
+        return out
+
+    @abstractmethod
+    def to_json(self) -> dict: ...
+
+
 def point_words(tree, xs, limits) -> list[tuple[tuple[int, ...], bool]]:
     """For ascending points xs, per point: the word of the shallowest cell
     of `tree` that has xs[k] as an end (its maximum for tail b-1, its
     minimum for tail 0) and True, or else its depth-limits[k] word and False.
 
-    `tree` is a Filtering or a Surjection: anything with `base`, `support`
-    and `cell_maxima(words)`.  One walk for the whole batch, a depth at a
+    `tree` is a Surjection: anything with `base`, `support` and
+    `cell_maxima(words)`.  One walk for the whole batch, a depth at a
     time, so a cell holding several points is split once.  Above the
     support a cell's division points are its children's maxima, read for
     the whole depth in one cell_maxima call; from it on they are its greedy
@@ -317,7 +425,7 @@ def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
     return stem[:-1] + (stem[-1] + 1,)
 
 
-class Filtering:
+class Filtering(Surjection):
     """Explicit boundary levels for depths 1..support, greedy rule beyond.
 
     levels[j] holds the depth-(j+1) boundary tuple: the b^(j+1) - 1 cell
@@ -325,7 +433,7 @@ class Filtering:
     two caches only hold the deterministic extension, so sharing across
     threads is safe and extension is idempotent: every level known so far
     in one list indexed by depth (_known: () at depth 0, the stored levels,
-    then the greedy levels boundary_tuple builds), and cell maxima by word
+    then the greedy levels _level builds), and cell maxima by word
     (_cell_memo, from the word walk alone, never from point_words).
 
     Cells below the known levels are reached by a stateless descent on end
@@ -358,6 +466,8 @@ class Filtering:
         self._cell_memo: dict[tuple[int, ...], Point] = {}
 
     def __eq__(self, other: object) -> bool:
+        """Equal stored data: base and levels.  Two filterings of different
+        support can be the same map; distance compares maps."""
         if not isinstance(other, Filtering):
             return NotImplemented
         return self.base == other.base and self.levels == other.levels
@@ -435,14 +545,13 @@ class Filtering:
 
     # -- boundary tuples -----------------------------------------------
 
-    def boundary_tuple(self, depth: int) -> tuple[Point, ...]:
+    def _level(self, depth: int) -> tuple[Point, ...]:
         """The known level at `depth`, after building every greedy level
         down to it, each in one pass over the cells [lo 0^w, hi top^w] of
         the level above.  A full cylinder [v] (v is the longer of lo and hi,
         the other v stripped of 0s or top digits) splits at v l top^w.  A
         level is stored at its depth's index, so a repeated build stores an
         equal level in place."""
-        check_materialize(self.base, depth, "boundary tuple")
         known = self._known
         while len(known) <= depth:
             b, top, d = self.base, self.base - 1, len(known)
@@ -470,7 +579,7 @@ class Filtering:
         """A filtering equal to this one with support at least `depth`."""
         if depth <= self.support:
             return self
-        self.boundary_tuple(depth)
+        self.fingerprint(depth)
         return Filtering(self.base, self._known[1 : depth + 1])
 
     # -- serialization ---------------------------------------------------
@@ -478,6 +587,7 @@ class Filtering:
     def to_json(self) -> dict:
         return {
             "b": self.base,
+            "kind": "filtering",
             "depth": self.support,
             "boundaries": [[p.to_json() for p in level] for level in self.levels],
         }

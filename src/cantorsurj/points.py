@@ -260,25 +260,15 @@ class Dyadic:
     is_zero: bool
     exp: int = 0
 
-    @classmethod
-    def zero(cls) -> "Dyadic":
-        return cls(True, 0)
-
-    @classmethod
-    def two_to(cls, exp: int) -> "Dyadic":
-        return cls(False, exp)
-
     def __str__(self) -> str:
         return "0" if self.is_zero else f"2^{self.exp}"
 
 
-def iter_points(base: int, max_stem: int, tails: tuple[int, ...] | None = None):
-    """All canonical points with stem length <= max_stem and tail in `tails`,
+def iter_points(base: int, max_stem: int):
+    """All canonical points with stem length <= max_stem and tail 0 or b-1,
     in (tail-block, stem length, lex) order.  Deterministic."""
     _check_base(base)
-    if tails is None:
-        tails = (0, base - 1)
-    for tail in tails:
+    for tail in (0, base - 1):
         yield Point(base, (), tail)
         for length in range(1, max_stem + 1):
             for head in product(range(base), repeat=length - 1):

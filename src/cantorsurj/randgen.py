@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 
-from .intervals import Filtering, least_q_point_between
+from .intervals import Filtering, Surjection, least_q_point_between
 from .points import Point, _strip, canonical_point, interval_successor, max_point, min_point
-from .surjections import ChainSurjection, Surjection, from_filtering
+from .surjections import ChainSurjection, from_filtering
 
 __all__ = [
     "derive_rng",

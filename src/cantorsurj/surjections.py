@@ -1,16 +1,18 @@
 """The monoid of continuous nondecreasing surjections of b^w.
 
-A surjection is represented by its system of cell preimages: the depth-d
-boundary tuple lists the maxima of the b^d preimage cells (except the global
-maximum).  Each representation, explicit filtering data or a lazy
-composition chain, gives two primitives: the word-keyed cell maxima of a
-batch of words, cell_maxima(words), and a whole level.  A filtering answers
-a batch with one shared descent, whose maxima it memoizes by word; a chain
-answers it with the outer's batch and then one inner batch for the distinct
-stems of the outer maxima, and its level is the outer's level pulled the
-same way, so nested chains stay batched.  A chain keeps no memo, so chains
-over one inner map share its filterings' memos.
-Both share all derived operations: evaluation, distance, factorization.
+A surjection (intervals.Surjection) is represented by its system of cell
+preimages: the depth-d boundary tuple lists the maxima of the b^d preimage
+cells (except the global maximum).  There are two representations, explicit
+boundary data (intervals.Filtering) and a lazy composition chain
+(ChainSurjection, here), and each gives two primitives: the word-keyed cell
+maxima of a batch of words, cell_maxima(words), and a whole level.  A
+filtering answers a batch with one shared descent, whose maxima it memoizes
+by word; a chain answers it with the outer's batch and then one inner batch
+for the distinct stems of the outer maxima, and its level is the outer's
+level pulled the same way, so nested chains stay batched.  A chain keeps no
+memo, so chains over one inner map share its filterings' memos.
+Both share all derived operations: evaluation and fingerprints (in
+intervals), distance and factorization (here).
 Evaluation, a batch of points at once (evaluate_all), and factor images
 read a map's cells through the one point walk (intervals.point_words),
 which asks for cell_maxima a depth at a time above the support.
@@ -40,26 +42,14 @@ Two corollaries bound every cell search exactly:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from . import caps
-from .intervals import (
-    MATERIALIZE_LIMIT,
-    Filtering,
-    check_materialize,
-    point_words,
-    validate_filtering,
-    validate_level,
-)
-from .points import Dyadic, Point, canonical_point, json_int
+from .intervals import BoundaryTuple, Filtering, Surjection, point_words, validate_filtering
+from .points import Dyadic, Point, canonical_point
 
 __all__ = [
-    "Surjection",
-    "FilteringSurjection",
     "ChainSurjection",
-    "BoundaryTuple",
-    "Evaluation",
     "DistanceResult",
     "FactorizationError",
     "identity",
@@ -74,129 +64,6 @@ __all__ = [
 ]
 
 _UNSTABLE = "image not stabilized within the requested digit budget"
-
-
-@dataclass(frozen=True, slots=True)
-class Evaluation:
-    """A digit prefix of an image point, with the exact point when known.
-
-    exact is set as soon as the argument hits a cell endpoint: from there on
-    the remaining digits are forced (all max after a maximum hit, all zero
-    after a minimum hit).
-    """
-
-    digits: tuple[int, ...]
-    exact: Point | None
-
-
-@dataclass(frozen=True, slots=True)
-class BoundaryTuple:
-    """Depth-k fingerprint: the strictly increasing cell maxima, minus the top."""
-
-    base: int
-    depth: int
-    entries: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        report = validate_level(self.base, self.depth, self.entries)
-        if not report.ok:
-            raise ValueError(report.message)
-
-    def to_json(self) -> dict:
-        return {"b": self.base, "depth": self.depth, "entries": [p.to_json() for p in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundaryTuple":
-        entries = tuple(Point.from_json(p) for p in obj["entries"])
-        return cls(json_int(obj["b"], "b"), json_int(obj["depth"], "depth"), entries)
-
-
-class Surjection(ABC):
-    base: int
-    support: int  # every cell at this depth or deeper splits greedily
-
-    @abstractmethod
-    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
-        """Maximum of the preimage cell at each word, of any length: the
-        depth-len(word) boundary entry at word's rank, or the top point."""
-
-    @abstractmethod
-    def _level(self, depth: int) -> tuple[Point, ...]:
-        """The whole depth-`depth` boundary tuple; fingerprint checks depth."""
-
-    # -- derived cell geometry -----------------------------------------
-
-    def fingerprint(self, depth: int) -> tuple[Point, ...]:
-        """All cell maxima down to `depth`, sorted, without the top point.
-
-        By nesting this is also the max-set to that depth: level d's tuple
-        contains every shallower tuple as a subsequence.
-        """
-        check_materialize(self.base, depth, "fingerprint")
-        return self._level(depth)
-
-    def boundary_tuple(self, depth: int) -> BoundaryTuple:
-        return BoundaryTuple(self.base, depth, self.fingerprint(depth))
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, x: Point, digits: int) -> Evaluation:
-        """First `digits` digits of the image of x; exact point if x is an
-        end of a cell down to that depth (ties go to the lower cell, so a
-        cell maximum maps to that cell's image word followed by max digits):
-        evaluate_all of one point."""
-        return self.evaluate_all((x,), digits)[0]
-
-    def evaluate_all(self, xs, digits: int) -> list[Evaluation]:
-        """evaluate for every point of xs, in one walk of the cells
-        (intervals.point_words) for the points in ascending order.  A hit
-        word never ends in the point's tail digit, so the image is built
-        canonical as it stands."""
-        b = self.base
-        if any(x.base != b for x in xs):
-            raise ValueError("base mismatch")
-        if digits < 0:
-            raise ValueError(f"digits must be nonnegative, got {digits}")
-        if digits > MATERIALIZE_LIMIT:
-            raise ValueError(f"{digits} digits requested; over limit {MATERIALIZE_LIMIT}")
-        order = sorted(range(len(xs)), key=xs.__getitem__)
-        found = point_words(self, [xs[k] for k in order], [digits] * len(xs))
-        out: list = [None] * len(xs)
-        for k, (word, hit) in zip(order, found):
-            if hit:
-                y = canonical_point(b, word, xs[k].tail)
-                out[k] = Evaluation(y.prefix(digits), y)
-            else:
-                out[k] = Evaluation(word, None)
-        return out
-
-    @abstractmethod
-    def to_json(self) -> dict: ...
-
-
-class FilteringSurjection(Surjection):
-    """A surjection given by explicit boundary data plus the greedy extension."""
-
-    __slots__ = ("base", "filtering", "support")
-
-    def __init__(self, filtering: Filtering):
-        self.base = filtering.base
-        self.filtering = filtering
-        self.support = filtering.support
-
-    def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
-        return self.filtering.cell_maxima(words)
-
-    def _level(self, depth: int) -> tuple[Point, ...]:
-        return self.filtering.boundary_tuple(depth)
-
-    def to_json(self) -> dict:
-        out = self.filtering.to_json()
-        out["kind"] = "filtering"
-        return out
-
-    def __repr__(self) -> str:
-        return f"FilteringSurjection(b={self.base}, support={self.support})"
 
 
 class ChainSurjection(Surjection):
@@ -291,33 +158,34 @@ def surjection_from_json(obj: dict) -> Surjection:
         raise ValueError(f"expected a surjection object, got {type(obj).__name__}")
     kind = obj.get("kind", "filtering")
     if kind == "filtering":
-        return FilteringSurjection(Filtering.from_json(obj))
+        return Filtering.from_json(obj)
     if kind == "chain":
         return ChainSurjection(surjection_from_json(obj["outer"]), surjection_from_json(obj["inner"]))
     raise ValueError(f"unknown surjection kind {kind!r}")
 
 
-def identity(base: int) -> FilteringSurjection:
+def identity(base: int) -> Filtering:
     """The no-data filtering: the greedy rule alone reproduces the standard
     cylinder partition at every depth, which is the identity map."""
-    return FilteringSurjection(Filtering(base, ()))
+    return Filtering(base, ())
 
 
-def from_filtering(f: Filtering) -> FilteringSurjection:
+def from_filtering(f: Filtering) -> Filtering:
+    """f itself, once its stored levels are checked (validate_filtering)."""
     report = validate_filtering(f)
     if not report.ok:
         raise ValueError(f"invalid filtering: {report.message}")
-    return FilteringSurjection(f)
+    return f
 
 
 def to_filtering(f: Surjection, depth: int) -> Filtering:
     return Filtering(f.base, tuple(f.fingerprint(d) for d in range(1, depth + 1)))
 
 
-def truncate(f: Surjection, depth: int) -> FilteringSurjection:
+def truncate(f: Surjection, depth: int) -> Filtering:
     """Materialize depth levels and re-extend canonically.  The result is
     within 2^-depth of f, and equal to f when depth >= f.support."""
-    return FilteringSurjection(to_filtering(f, depth))
+    return to_filtering(f, depth)
 
 
 def compose(outer: Surjection, inner: Surjection) -> ChainSurjection:
@@ -338,9 +206,7 @@ class DistanceResult:
     agree_depth: int
 
     def dyadic(self) -> Dyadic:
-        if self.kind == "exact":
-            return Dyadic.two_to(-self.agree_depth)
-        return Dyadic.zero()
+        return Dyadic(False, -self.agree_depth) if self.kind == "exact" else Dyadic(True)
 
     def __str__(self) -> str:
         if self.kind == "exact":
@@ -372,7 +238,7 @@ class FactorizationError(ValueError):
         self.depth = depth
 
 
-def factor_through(g: Surjection, h: Surjection, depth: int) -> FilteringSurjection:
+def factor_through(g: Surjection, h: Surjection, depth: int) -> Filtering:
     """Find f with g = f o h, on fingerprints to `depth`: the bases are
     checked before any level is built, then tuple_to_factor solves for g's
     depth-`depth` boundary tuple."""
@@ -381,7 +247,7 @@ def factor_through(g: Surjection, h: Surjection, depth: int) -> FilteringSurject
     return tuple_to_factor(h, g.boundary_tuple(depth))
 
 
-def tuple_to_surjection(t: BoundaryTuple) -> FilteringSurjection:
+def tuple_to_surjection(t: BoundaryTuple) -> Filtering:
     """The canonical surjection whose depth-k fingerprint is exactly t.
 
     By nesting, depth-d entry i is t's entry b^(k-d) * (i+1) - 1, so level
@@ -392,10 +258,10 @@ def tuple_to_surjection(t: BoundaryTuple) -> FilteringSurjection:
     """
     b, k, entries = t.base, t.depth, t.entries
     levels = tuple(entries[b ** (k - d) - 1 :: b ** (k - d)] for d in range(1, k + 1))
-    return FilteringSurjection(Filtering(b, levels))
+    return Filtering(b, levels)
 
 
-def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> FilteringSurjection:
+def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> Filtering:
     """Find f with fingerprint(f o h, k) = t: the one factorization walk.
 
     f is the canonical surjection on the h-images of t's entries.  Each

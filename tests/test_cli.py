@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -180,6 +181,51 @@ def test_dist_is_exact_for_chains(capsys, files):
     a = files("a.json", compose(identity(2), skew).to_json())
     b = files("b.json", compose(skew, identity(2)).to_json())
     assert run(capsys, "dist", a, b) == (0, "0 (to cap 64)\n", "")
+
+
+def _q_json(*stem):
+    return {"b": 2, "stem": list(stem), "tail": 1}
+
+
+# one support-2 filtering, one support-1 inner map, and their chain, as literal JSON
+PIN_FILTERING = {"b": 2, "depth": 2, "boundaries": [[_q_json(0, 0)], [_q_json(0, 0, 0), _q_json(0, 0), _q_json(1, 0)]]}
+PIN_INNER = {"b": 2, "depth": 1, "boundaries": [[_q_json(1, 0)]]}
+PIN_CHAIN = {"b": 2, "kind": "chain", "outer": PIN_FILTERING, "inner": PIN_INNER}
+PIN_POINT = '{"b":2,"stem":[0,1,0],"tail":1}'
+
+# sha256 of each verb's stdout on the pinned maps, recorded before filterings
+# became surjections themselves
+CLI_STDOUT_SHA256 = {
+    "compose": "74199a2e3a41ec53ea9f1658b34c549bcf5282ac84fd768b71b3ed683a71ee0b",
+    "factor": "7d39494a7a87d4166dfd9a6ccea0780d0c7373a80c5708d73069987bebc3ec76",
+    "boundaries-filtering": "82642bc4cafaf193ecfb1f78652deae50dba6ef3107cd8b9600724933787f123",
+    "boundaries-chain": "b2df7e3f3172c4357959f79101c4c0d9cb1b84b62857c767cc3a50ed9f971b1a",
+    "eval-filtering": "5a63add73e686f870a8e021ee6efbbbbd94c43050d5cf2447e8cb92c2b50b6f5",
+    "eval-chain": "c7b1ed13dbb6344d2c25333d0fcd8c3ac9a2dc865fe407efd1a5275643b4cc86",
+    "dist": "fae3a0c581e3f2dadf3b776b077a3fba8ddcfc85c76ca755b5249bc3ef7b658c",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        pytest.param(name, argv, id=name)
+        for name, argv in [
+            ("compose", ["compose", "F", "H"]),
+            ("factor", ["factor", "C", "H", "--depth", "2"]),
+            ("boundaries-filtering", ["boundaries", "F", "--depth", "3"]),
+            ("boundaries-chain", ["boundaries", "C", "--depth", "3"]),
+            ("eval-filtering", ["eval", "F", "--point", PIN_POINT, "--digits", "8"]),
+            ("eval-chain", ["eval", "C", "--point", PIN_POINT, "--digits", "8"]),
+            ("dist", ["dist", "F", "C"]),
+        ]
+    ],
+)
+def test_cli_stdout_is_pinned(capsys, files, name, argv):
+    paths = {"F": files("f.json", PIN_FILTERING), "H": files("h.json", PIN_INNER), "C": files("c.json", PIN_CHAIN)}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[name]
 
 
 CAPPED_VERBS = [

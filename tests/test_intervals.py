@@ -17,7 +17,9 @@ from conftest import (
 from cantorsurj import intervals
 from cantorsurj.intervals import (
     MATERIALIZE_LIMIT,
+    BoundaryTuple,
     ClopenInterval,
+    Evaluation,
     Filtering,
     FilteringReport,
     _pick_stems,
@@ -38,10 +40,7 @@ from cantorsurj.points import (
 )
 from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
-    BoundaryTuple,
     ChainSurjection,
-    Evaluation,
-    FilteringSurjection,
     compose,
     factor_through,
     from_filtering,
@@ -143,7 +142,7 @@ def reference_boundary_tuple(f, depth):
     """The per-cell level builder the one-pass walk replaced: one
     ClopenInterval per cell of the level above, split by the reference loop."""
     if depth <= f.support:
-        return f.boundary_tuple(depth)
+        return f.fingerprint(depth)
     prev, out, lo = reference_boundary_tuple(f, depth - 1), [], min_point(f.base)
     for r in range(f.base ** (depth - 1)):
         hi = prev[r] if r < len(prev) else max_point(f.base)
@@ -159,7 +158,7 @@ def reference_boundary_tuple(f, depth):
 def test_boundary_tuple_matches_cell_loop_and_entries(f):
     entries = Filtering(f.base, f.levels)  # warmed only through entry look-ups
     for d in range(f.support + 4):
-        level = f.boundary_tuple(d)
+        level = f.fingerprint(d)
         assert level == reference_boundary_tuple(f, d)
         assert level == maxima_at(entries, d, range(f.base**d - 1))
 
@@ -184,11 +183,11 @@ def test_greedy_levels_match_per_cell_pass(b, s, seed, data):
     # every greedy level to support + 4, kept to about 5,000 entries a level
     deepest = max(s + 1, min(s + 4, next(d for d in range(13) if b ** (d + 1) > 5000)))
     first = data.draw(st.integers(s + 1, deepest))  # levels may also be built from a deeper call
-    f.boundary_tuple(first)
+    f.fingerprint(first)
     for d in range(1, deepest + 1):
-        level = f.boundary_tuple(d)
+        level = f.fingerprint(d)
         if d > s:
-            assert level == reference_greedy_level(b, f.boundary_tuple(d - 1))
+            assert level == reference_greedy_level(b, f.fingerprint(d - 1))
         assert len(level) == b**d - 1
 
 
@@ -197,10 +196,10 @@ def test_greedy_level_goldens():
     # longer end stem lo = 0 2 (hi = 0 2 2^w has stem 0), [1 0] the longer
     # hi = 1 0 (lo = 1 0^w has stem 1), and [1] has lo = hi = 1
     f = Filtering(3, ((Point(3, (0,), 2), Point(3, (1,), 2)),))
-    level = f.boundary_tuple(2)
+    level = f.fingerprint(2)
     assert [p.stem for p in level] == [(0, 0), (0, 1), (0,), (1, 0), (1, 1), (1,), (2, 0), (2, 1)]
-    assert [p.stem for p in f.boundary_tuple(3)[6:12]] == [(0, 2, 0), (0, 2, 1), (0,), (1, 0, 0), (1, 0, 1), (1, 0)]
-    assert level == reference_greedy_level(3, f.boundary_tuple(1))
+    assert [p.stem for p in f.fingerprint(3)[6:12]] == [(0, 2, 0), (0, 2, 1), (0,), (1, 0, 0), (1, 0, 1), (1, 0)]
+    assert level == reference_greedy_level(3, f.fingerprint(1))
 
 
 @pytest.mark.parametrize("b, depth", [(2, 7), (3, 5), (4, 4), (5, 3)])
@@ -210,7 +209,7 @@ def test_full_cylinders_split_in_closed_form(monkeypatch, b, depth):
     # or in neither: no greedy level of it may reach _pick_stems
     calls = []
     monkeypatch.setattr(intervals, "_pick_stems", lambda *args: calls.append(args))
-    level = Filtering(b).boundary_tuple(depth)
+    level = Filtering(b).fingerprint(depth)
     assert calls == []
     assert [p.stem for p in level] == [_strip(rank_word(r, depth, b), b - 1) for r in range(b**depth - 1)]
 
@@ -220,7 +219,7 @@ def test_boundary_tuple_refuses_out_of_order_level():
     f = Filtering(2, ((q(0),), (q(0), q(0, 0), q(1, 0))))
     for _ in range(2):  # a refused level is not memoized either
         with pytest.raises(ValueError, match="empty interval"):
-            f.boundary_tuple(f.support + 1)
+            f.fingerprint(f.support + 1)
 
 
 def test_least_q_point_between_goldens():
@@ -229,18 +228,21 @@ def test_least_q_point_between_goldens():
     assert least_q_point_between(q(0), max_point(2)) == q(1, 0)
 
 
+SHORT_Q_POINTS = [x for x in iter_points(2, 12) if x.is_q_point]
+
+
 @given(st.data())
 def test_least_q_point_minimality(data):
     # hi must be a limit from below: eventually-max points and the top only
     lo = data.draw(st.sampled_from([x for x in iter_points(2, 6)]))
-    hi = data.draw(st.sampled_from([x for x in iter_points(2, 6, tails=(1,))]))
+    hi = data.draw(st.sampled_from([x for x in iter_points(2, 6) if x.tail == 1]))
     if not lo < hi:
         return
     y = least_q_point_between(lo, hi)
     assert y.is_q_point and lo < y < hi
     # brute check of the (stem length, lex) minimality over short stems
-    for cand in iter_points(2, 12, tails=(1,)):
-        if cand.is_q_point and lo < cand < hi:
+    for cand in SHORT_Q_POINTS:
+        if lo < cand < hi:
             assert (len(y.stem), y) <= (len(cand.stem), cand)
 
 
@@ -316,15 +318,15 @@ def test_identity_fingerprint_is_cylinder_maxima(b, d):
 @given(filterings(max_support=3), st.integers(1, 5))
 def test_boundary_tuple_independent_of_call_order(f, d):
     shallow_first = Filtering(f.base, f.levels)
-    want = (shallow_first.boundary_tuple(d), shallow_first.boundary_tuple(d + 1))
+    want = (shallow_first.fingerprint(d), shallow_first.fingerprint(d + 1))
     deep_first = Filtering(f.base, f.levels)
-    deep = deep_first.boundary_tuple(d + 1)
-    assert (deep_first.boundary_tuple(d), deep) == want
+    deep = deep_first.fingerprint(d + 1)
+    assert (deep_first.fingerprint(d), deep) == want
     # entry look-ups first: they build no level
     warmed = Filtering(f.base, f.levels)
     maxima_at(warmed, d + 1, range(0, f.base ** (d + 1) - 1, 3))
-    deep = warmed.boundary_tuple(d + 1)
-    assert (warmed.boundary_tuple(d), deep) == want
+    deep = warmed.fingerprint(d + 1)
+    assert (warmed.fingerprint(d), deep) == want
 
 
 def test_least_q_point_empty_gap():
@@ -337,9 +339,9 @@ def test_least_q_point_empty_gap():
 
 def test_identity_boundaries():
     e = Filtering(2, ())
-    assert e.boundary_tuple(0) == ()
-    assert e.boundary_tuple(1) == (q(0),)
-    assert e.boundary_tuple(2) == (q(0, 0), q(0), q(1, 0))
+    assert e.fingerprint(0) == ()
+    assert e.fingerprint(1) == (q(0),)
+    assert e.fingerprint(2) == (q(0, 0), q(0), q(1, 0))
     assert cell(e, (0, 1)) == ClopenInterval(Point(2, (0, 1), 0), q(0))
     assert e.support == 0
 
@@ -349,8 +351,8 @@ def test_boundary_nesting(f):
     # each level's maxima appear verbatim one level down, at stride b
     b = f.base
     for d in range(1, 5):
-        above = f.boundary_tuple(d - 1)
-        below = f.boundary_tuple(d)
+        above = f.fingerprint(d - 1)
+        below = f.fingerprint(d)
         for i, y in enumerate(above):
             assert below[b * i + b - 1] == y
 
@@ -358,8 +360,8 @@ def test_boundary_nesting(f):
 @given(filterings(max_support=3), st.integers(0, 2), st.integers(3, 5))
 def test_boundary_subsample(f, j, k):
     b = f.base
-    coarse = f.boundary_tuple(j)
-    fine = f.boundary_tuple(k)
+    coarse = f.fingerprint(j)
+    fine = f.fingerprint(k)
     for i in range(len(coarse)):
         assert coarse[i] == fine[b ** (k - j) * (i + 1) - 1]
 
@@ -415,7 +417,7 @@ def test_extend_materializes_greedy_levels():
     f = Filtering(2, ((q(0, 0),),))
     g = f.extend(3)
     assert g.support == 3 and g.levels[0] == f.levels[0]
-    assert g.boundary_tuple(5) == f.boundary_tuple(5)
+    assert g.fingerprint(5) == f.fingerprint(5)
     assert f.extend(2).extend(4) == f.extend(4) and f.extend(1) is f
 
 
@@ -464,16 +466,16 @@ def test_boundary_level_faults_rejected_everywhere(base, entries, clause):
 def test_descent_refuses_stored_entry_not_eventually_max():
     # unvalidated: the one depth-1 entry has tail 0 (the "q-point" fault above)
     f = Filtering(2, ((Point(2, (0, 1), 0),),))
-    h, x = FilteringSurjection(f), Point(2, (1,), 0)
+    x = Point(2, (1,), 0)
     calls = [
         lambda: f.cell_maxima([(0, 0)]),
         lambda: f.cell_maxima([(1, 1, 0)]),
         lambda: f._cell_ends([(0,)]),
-        lambda: f.boundary_tuple(2),
-        lambda: h.cell_maxima([rank_word(5, 3, 2)]),
-        lambda: h.cell_maxima([(1, 0)]),
+        lambda: f.fingerprint(2),
+        lambda: f.cell_maxima([rank_word(5, 3, 2)]),
+        lambda: f.cell_maxima([(1, 0)]),
         lambda: point_words(f, [x], [3]),
-        lambda: h.evaluate(x, 3),
+        lambda: f.evaluate(x, 3),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="eventually max-digit"):
@@ -486,10 +488,9 @@ def test_descent_refuses_stored_entry_not_eventually_max():
 def test_deep_levels_are_refused_before_the_power(depth):
     # b^depth is never computed: a depth past the limit's bit length is over
     # it for every base, and the message names the limit
-    for tree in (Filtering(3), identity(3), compose(identity(3), identity(3))):
-        level = tree.boundary_tuple if isinstance(tree, Filtering) else tree.fingerprint
+    for tree in (identity(3), compose(identity(3), identity(3))):
         with pytest.raises(ValueError, match=f"more than {MATERIALIZE_LIMIT} entries; over limit"):
-            level(depth)
+            tree.fingerprint(depth)
 
 
 @pytest.mark.parametrize("base, depth", [(2, 21), (3, 13), (5, 9)])
@@ -498,10 +499,9 @@ def test_materialize_limit_is_the_entry_count(base, depth):
     assert base**depth - 1 <= MATERIALIZE_LIMIT < base ** (depth + 1) - 1
     check_materialize(base, depth, "boundary tuple")
     with pytest.raises(ValueError, match="over limit"):
-        Filtering(base).boundary_tuple(depth + 1)
-    for level in (Filtering(base).boundary_tuple, identity(base).fingerprint):
-        with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
-            level(-1)
+        Filtering(base).fingerprint(depth + 1)
+    with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+        identity(base).fingerprint(-1)
 
 
 # -- the stem-level descent against the memoized walk it replaced ----------
@@ -601,7 +601,7 @@ def test_descent_matches_memoized_walk(case):
         if depth and word != (top,) * depth:
             i = word_rank(word, b)
             assert maxima_at(f, depth, [i]) == (reference_boundary_entry(walk, depth, i),)
-    h, child_maxima = FilteringSurjection(f), lambda word: reference_child_maxima(walk, word)
+    h, child_maxima = f, lambda word: reference_child_maxima(walk, word)
     depth = f.support + 6
     for x in points:
         limits = range(depth + 1)
@@ -655,7 +655,7 @@ def test_greedy_points_are_canonical(f, h, data):
     got = []
     for d in range(1, s + 4):
         if b**d <= 4096:
-            got += f.boundary_tuple(d)
+            got += f.fingerprint(d)
     batch = data.draw(st.lists(words, min_size=1, max_size=6))
     for word in batch:
         got += cell_child_maxima(f, word)
@@ -671,7 +671,7 @@ def test_greedy_points_are_canonical(f, h, data):
     got += h.cell_maxima(batch).values()
     # factor images: the h-images of a composite's fingerprint
     g = compose(from_filtering(random_filtering(random.Random(s), hb, 2)), h)
-    got += factor_through(g, h, 2).filtering.levels[-1]
+    got += factor_through(g, h, 2).levels[-1]
     # exact images of cell ends and of random points of every tail
     digit = st.integers(0, hb - 1)
     xs = [Point(hb, tuple(data.draw(st.lists(digit, max_size=6))), data.draw(digit)) for _ in range(6)]
@@ -716,7 +716,7 @@ def reference_cell_max(h, word, walks):
     if isinstance(h, ChainSurjection):
         y = reference_cell_max(h.outer, word, walks)
         return y if y.is_max else reference_cell_max(h.inner, y.stem, walks)
-    walk = walks.setdefault(id(h), ReferenceWalk(h.filtering))
+    walk = walks.setdefault(id(h), ReferenceWalk(h))
     return reference_cell(walk, word).hi
 
 
@@ -739,7 +739,7 @@ def test_cell_maxima_match_cell_max_and_reference(f, build_first, data):
     words = batch_words(data.draw, b, s, s + 6)
     depth = data.draw(st.integers(s + 1, s + 4))
     if build_first and b**depth <= 4096:
-        f.boundary_tuple(depth)  # words to that depth are read from known levels, deeper ones descend from it
+        f.fingerprint(depth)  # words to that depth are read from known levels, deeper ones descend from it
         assert len(f._known) > depth
     got = f.cell_maxima(words)
     fresh, walk = Filtering(b, f.levels), ReferenceWalk(f)
@@ -756,12 +756,12 @@ def test_cell_maxima_at_known_depths_build_no_level(f, data):
     # stored levels: no level is built, asked for or descended to
     b, s = f.base, f.support
     words = data.draw(st.lists(st.lists(st.integers(0, b - 1), max_size=s).map(tuple), min_size=1, max_size=20))
-    calls, build = [], Filtering.boundary_tuple
-    Filtering.boundary_tuple = lambda self, depth: calls.append(depth) or build(self, depth)
+    calls, build = [], Filtering._level
+    Filtering._level = lambda self, depth: calls.append(depth) or build(self, depth)
     try:
         got = f.cell_maxima(words)
     finally:
-        Filtering.boundary_tuple = build
+        Filtering._level = build
     stored = ((),) + f.levels
     assert calls == [] and f._cell_memo == {}
     for w in words:
@@ -777,7 +777,7 @@ def test_a_descent_starts_at_the_deepest_known_level(monkeypatch):
     rng = random.Random(3)
     for b, s, depth in [(2, 0, 3), (2, 2, 4), (3, 1, 3), (3, 2, 3), (4, 1, 2)]:
         f = random_filtering(rng, b, s)
-        level, below = f.boundary_tuple(depth), Filtering(b, f.levels).boundary_tuple(depth + 1)
+        level, below = f.fingerprint(depth), Filtering(b, f.levels).fingerprint(depth + 1)
         cells.clear()
         got = f.cell_maxima([rank_word(r, depth + 1, b) for r in range(b ** (depth + 1))])
         his = [y.stem for y in level] + [()]
@@ -790,25 +790,25 @@ def test_a_level_built_twice_is_stored_once_at_its_depth(monkeypatch):
     # a second build of the same levels while the first is under way, as
     # from another thread, stores equal levels in place: one per depth
     f = random_filtering(random.Random(7), 2, 2)
-    want = [Filtering(2, f.levels).boundary_tuple(d) for d in range(6)]
+    want = [Filtering(2, f.levels).fingerprint(d) for d in range(6)]
     points, raced = intervals.canonical_points, []
 
     def racing(b, stems, tail):
         if not raced:
             raced.append(None)
-            raced[0] = f.boundary_tuple(5)
+            raced[0] = f.fingerprint(5)
         return points(b, stems, tail)
 
     monkeypatch.setattr(intervals, "canonical_points", racing)
-    assert f.boundary_tuple(5) == want[5] and raced == [want[5]]
+    assert f.fingerprint(5) == want[5] and raced == [want[5]]
     assert f._known == want
     assert f.cell_maxima([(0,) * 5, (1,) * 6]) == Filtering(2, f.levels).cell_maxima([(0,) * 5, (1,) * 6])
 
 
 def test_threads_building_levels_of_one_filtering_agree():
     f = random_filtering(random.Random(9), 3, 1)
-    want = [Filtering(3, f.levels).boundary_tuple(d) for d in range(7)]
-    threads = [threading.Thread(target=f.boundary_tuple, args=(d,)) for d in (6, 4, 5, 6, 3, 6, 2, 5)]
+    want = [Filtering(3, f.levels).fingerprint(d) for d in range(7)]
+    threads = [threading.Thread(target=f.fingerprint, args=(d,)) for d in (6, 4, 5, 6, 3, 6, 2, 5)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -850,7 +850,7 @@ def test_cell_memo_answers_equal_a_fresh_filtering(f, data):
         if data.draw(st.booleans()):
             depth = data.draw(st.integers(s + 1, s + 3))
             if b**depth <= 4096:
-                FilteringSurjection(f).fingerprint(depth)  # fills the level memo
+                f.fingerprint(depth)  # fills the level memo
         words = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
         got = f.cell_maxima(words)
         assert got == {w: Filtering(b, f.levels).cell_maxima([w])[w] for w in words}
@@ -868,7 +868,7 @@ def test_a_second_chain_over_a_map_pulls_from_its_cell_memo(monkeypatch):
     walk = Filtering._cell_ends
     monkeypatch.setattr(Filtering, "_cell_ends", lambda self, words: descents.append(self) or walk(self, words))
     first = compose(outer, h).fingerprint(5)
-    assert h.filtering in descents and h.filtering._cell_memo
+    assert h in descents and h._cell_memo
     descents.clear()
     # a fresh outer rebuilds its own levels, while every pulled stem is in h's memo
     second = ChainSurjection(surjection_from_json(outer.to_json()), h)
@@ -916,7 +916,7 @@ def outcome(fn, h, xs):
 @settings(max_examples=80, deadline=None)
 @given(filterings(bases=(2, 3, 4, 5)), nested_maps(), st.data())
 def test_batch_images_match_evaluate(f, chain, data):
-    for h in (FilteringSurjection(f), chain):
+    for h in (f, chain):
         xs = image_entries(data.draw, h, h.support + 5)
         assert batch_images(h, xs) == evaluated_images(h, xs)
 
@@ -924,20 +924,17 @@ def test_batch_images_match_evaluate(f, chain, data):
 @settings(max_examples=80, deadline=None)
 @given(filterings(bases=(2, 3, 4, 5)), st.data())
 def test_batch_images_with_support_set_short(f, data):
-    # both paths read the slot alone.  With the filtering's slot short, its
-    # last stored level is ignored; with the surjection's, cells are split
-    # greedily one level early and the bound is one short.  Either way the
-    # cells stay nested, so the bound holds, except for a slot of -1
-    # (support 0 set short), where no entry is a cell maximum within it
+    # both paths read the support slot alone: with it set short, the last
+    # stored level is ignored, cells are split greedily one level early and
+    # the bound is one short.  The cells stay nested, so the bound holds,
+    # except for a slot of -1 (support 0 set short), where no entry is a
+    # cell maximum within it
     short = Filtering(f.base, f.levels)
-    short.support = max(f.support - 1, 0)
-    wrapped = FilteringSurjection(f)
-    wrapped.support -= 1
-    xs = image_entries(data.draw, FilteringSurjection(f), f.support + 4)
-    for h in (FilteringSurjection(short), wrapped):
-        got = outcome(batch_images, h, xs)
-        assert got == outcome(evaluated_images, h, xs)
-        assert isinstance(got, str) == (h.support < 0 and bool(xs))
+    short.support -= 1
+    xs = image_entries(data.draw, f, f.support + 4)
+    got = outcome(batch_images, short, xs)
+    assert got == outcome(evaluated_images, short, xs)
+    assert isinstance(got, str) == (short.support < 0 and bool(xs))
 
 
 def test_batch_images_refuse_past_the_bound_like_evaluate():
@@ -975,7 +972,7 @@ def walk_cases(draw):
     if draw(st.booleans()):
         h = draw(nested_maps())
     else:
-        h = FilteringSurjection(draw(filterings(bases=(2, 3, 4, 5))))
+        h = draw(filterings(bases=(2, 3, 4, 5)))
     b, s = h.base, h.support
     digit, limit = st.integers(0, b - 1), st.integers(0, 30)
     pairs = []
@@ -1013,7 +1010,7 @@ def test_evaluate_all_is_evaluate_per_point_in_any_order(case, digits, rnd):
 
 def test_chain_pull_refuses_an_outer_maximum_not_eventually_max():
     # unvalidated outer data: a stored maximum with tail 0
-    h = compose(FilteringSurjection(Filtering(2, ((Point(2, (0,), 0),),))), identity(2))
+    h = compose(Filtering(2, ((Point(2, (0,), 0),),)), identity(2))
     for pull in (lambda: h.fingerprint(1), lambda: h.cell_maxima([(0,)]), lambda: h.evaluate(q(0), 2)):
         with pytest.raises(ValueError, match="needs an eventually-max point"):
             pull()

@@ -163,8 +163,8 @@ def test_word_rank_roundtrip(base, depth, data):
 
 
 def test_dyadic_str():
-    assert str(Dyadic.zero()) == "0"
-    assert str(Dyadic.two_to(-3)) == "2^-3"
+    assert str(Dyadic(True)) == "0"
+    assert str(Dyadic(False, -3)) == "2^-3"
 
 
 def test_iter_points_is_canonical_and_complete():

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from cantorsurj.intervals import least_q_point_between, validate_filtering
+from cantorsurj.intervals import Filtering, least_q_point_between, validate_filtering
 from cantorsurj.points import Point, interval_successor, max_point, min_point
 from cantorsurj.randgen import (
     derive_rng,
@@ -11,7 +11,7 @@ from cantorsurj.randgen import (
     random_q_point_between,
     random_surjection,
 )
-from cantorsurj.surjections import ChainSurjection, FilteringSurjection
+from cantorsurj.surjections import ChainSurjection
 
 
 def test_derive_rng_streams():
@@ -77,7 +77,7 @@ def test_random_surjection_kinds():
     always_chain = random_surjection(random.Random(0), 2, 3, chain_prob=1.0)
     assert isinstance(always_chain, ChainSurjection)
     never_chain = random_surjection(random.Random(0), 2, 3, chain_prob=0.0)
-    assert isinstance(never_chain, FilteringSurjection)
+    assert isinstance(never_chain, Filtering)
 
 
 def test_generation_is_reproducible():

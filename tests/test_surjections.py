@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import nested_maps, q, surjections
-from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering, validate_filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering, Surjection, validate_filtering
 from cantorsurj.points import Point, iter_points, max_point, min_point
 from cantorsurj.randgen import random_filtering
 from cantorsurj.surjections import (
@@ -14,7 +14,6 @@ from cantorsurj.surjections import (
     ChainSurjection,
     DistanceResult,
     FactorizationError,
-    FilteringSurjection,
     compose,
     distance,
     factor_through,
@@ -232,7 +231,7 @@ def test_factor_deep_boundary_needs_no_cap():
     # bound corollary (i) gives; no depth cap is read
     deep = from_filtering(Filtering(2, ((q(0, 0, 0, 0, 0, 0, 0, 0, 0, 0),),)))
     got = factor_through(deep, identity(2), 1)
-    assert got.filtering == deep.filtering
+    assert got == deep
     assert compose(got, identity(2)).fingerprint(4) == deep.fingerprint(4)
 
 
@@ -263,8 +262,8 @@ def test_tuple_to_surjection_levels_are_the_subsamples(b, k, seed, chain):
         h = compose(from_filtering(random_filtering(rng, b, rng.randint(0, 2))), h)
     t = h.boundary_tuple(k)
     got = tuple_to_surjection(t)
-    assert got.filtering.levels == reference_subsample_levels(b, k, t.entries)
-    assert validate_filtering(got.filtering).ok
+    assert got.levels == reference_subsample_levels(b, k, t.entries)
+    assert validate_filtering(got).ok
     assert got.fingerprint(k) == t.entries
 
 
@@ -279,7 +278,7 @@ def test_factor_refuses_a_map_that_misstates_its_support():
         h = from_filtering(Filtering(2, levels))
         if warm:
             compose(identity(2), h).fingerprint(4)
-            assert h.filtering._cell_memo
+            assert h._cell_memo
         h.support = 0
         g = compose(identity(2), h)
         for solve in (lambda: tuple_to_factor(h, t), lambda: factor_through(g, h, 2)):
@@ -311,5 +310,18 @@ def test_json_rejects_unknown_kind():
 
 def test_identity_is_filtering_surjection():
     e = identity(3)
-    assert isinstance(e, FilteringSurjection)
+    assert isinstance(e, Filtering)
     assert e.fingerprint(1) == (Point(3, (0,), 2), Point(3, (1,), 2))
+
+
+def test_a_filtering_is_its_own_surjection():
+    # no wrapper: the constructors hand back the filtering itself
+    f = Filtering(2, ((q(0, 0),),))
+    assert from_filtering(f) is f
+    assert type(identity(2)) is Filtering and issubclass(Filtering, Surjection)
+    chain = compose(SKEW, SKEW)
+    assert isinstance(truncate(chain, 2), Surjection)
+    for got in (truncate(chain, 2), to_filtering(chain, 2), tuple_to_surjection(chain.boundary_tuple(2)),
+                tuple_to_factor(SKEW, chain.boundary_tuple(2)), surjection_from_json(SKEW.to_json())):
+        assert type(got) is Filtering
+    assert not hasattr(f, "__dict__") and not hasattr(chain, "__dict__")
