@@ -7,7 +7,8 @@ Three strands share this module:
   surjection is colored by the similarity type of its depth-k fingerprint;
 * realization: for a fixed inner surjection h, every color is reachable by
   some outer factor f, found by scanning h's max-set for each type and
-  pulling the witness tuple back through h;
+  pulling the witness tuple back through h, the one certified witness path
+  (oscillation_search reads the identity's realization);
 * order-copies and the branch coloring: a finitely described copy of the
   rationals (max-set cut to finitely many clopen pieces) has a derived
   binary tree whose extreme branches split at every depth from the longest
@@ -40,7 +41,7 @@ from .similarity import (
     scan_types,
     tangent_number,
 )
-from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factor, tuple_to_surjection
+from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factor
 
 __all__ = [
     "EpsilonParameters",
@@ -152,12 +153,11 @@ def realize_all_colors(
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ExperimentReport:
     """Find, for every color r, an outer factor f with the composite f o h
-    colored r, and verify each hit twice: the composed fingerprint really
-    gets color r, and so does the canonical surjection rebuilt from that
-    fingerprint alone (the whole metric ball shares the color).
-
-    Colors whose type never shows up within the cap are reported missing,
-    not raised."""
+    colored r: tuple_to_factor certifies that the composite's fingerprint is
+    the scan's witness w, and w must get color r.  That covers the metric
+    ball too: tuple_to_surjection(t) stores t.entries as its level k (the
+    slice at d = k is entries[0::1]), so its color is w's.  Colors whose
+    type never shows up within the cap are reported missing, not raised."""
     # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
     if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
         raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
@@ -172,14 +172,10 @@ def realize_all_colors(
             rows.append(ColorRealization(r, None, None, False))
             continue
         # tuple_to_factor raises unless the composite's fingerprint is w.points
-        tup = BoundaryTuple(h.base, k, w.points)
-        tuple_to_factor(h, tup)
+        tuple_to_factor(h, BoundaryTuple(h.base, k, w.points))
         got = canonical_coloring(w.points, ell)
-        got_ball = lower_bound_coloring(tuple_to_surjection(tup), k)
-        if got != r or got_ball != r:
-            raise RuntimeError(
-                f"realization of color {r} failed verification: composite {got}, ball {got_ball}"
-            )
+        if got != r:
+            raise RuntimeError(f"realization of color {r} failed verification: composite {got}")
         rows.append(ColorRealization(r, w.points, w.depth, True))
     return ExperimentReport(
         h.base, k, ell, t, tuple(rows), outcome.combos, outcome.deepest_full,
@@ -562,12 +558,11 @@ class OscillationReport:
 
 
 @lru_cache(maxsize=16)  # keys hold caller-chosen budgets: keep a few
-def _identity_type_witnesses(b: int, ell: int, budget: int):
-    """The identity's first tuple per type, as sorted (type index, points)
-    pairs, or None when the sweep is incomplete; no coloring enters it.
+def _identity_realization(b: int, k: int, budget: int) -> ExperimentReport:
+    """realize_all_colors over the identity: its rows are the scan's first
+    tuple per type, in type order, each certified; no coloring enters it.
     The default depth cap never binds: the budget stops the sweep first."""
-    out = scan_types(identity(b), ell, None, budget)
-    return tuple((r, out.witnesses[r].points) for r in sorted(out.witnesses)) if out.complete else None
+    return realize_all_colors(identity(b), k, None, budget)
 
 
 def oscillation_search(
@@ -580,12 +575,13 @@ def oscillation_search(
 
     Every valid depth-k fingerprint is reached by some composite (corollary
     (i) in surjections), so B is the set of labels over a short candidate
-    list: one scan witness per similarity type for "relabeled_types", the
-    identity's fingerprint for "constant", and for "table" every key plus
-    one fingerprint that is no key.  The first candidate of each label is
-    its witness, certified by tuple_to_factor unless it is the identity's
-    own fingerprint.  The type witnesses do not depend on the coloring, so
-    a process scans each identity cube once (_identity_type_witnesses)."""
+    list: the identity realization's row per type for "relabeled_types",
+    the identity's fingerprint for "constant", and for "table" every key
+    plus one fingerprint that is no key.  The first candidate of each label
+    is its witness; only a table's go through tuple_to_factor, since the
+    rows are certified and the identity's fingerprint needs no certificate.
+    The rows do not depend on the coloring, so a process realizes each
+    identity cube once (_identity_realization)."""
     # the color budget t_ell is not needed here, and is huge for fine eps
     k = _resolution_depth(eps)
     if k != spec.depth:
@@ -594,10 +590,11 @@ def oscillation_search(
     h = identity(b)
     ident = h.fingerprint(k)
     if spec.kind == "relabeled_types":
-        witnesses = _identity_type_witnesses(b, ell, budget)
-        if witnesses is None:
+        rep = _identity_realization(b, k, budget)
+        if not rep.complete:
             raise RuntimeError("type sweep incomplete within budget; cannot certify the bound")
-        candidates = [(type_index, fp, spec.color_of(fp)) for type_index, fp in witnesses]
+        # each row's witness has its row's color, so its label is spec.color_of(witness)
+        candidates = [(row.color, row.witness, spec.relabel[row.color]) for row in rep.realizations]
     elif spec.kind == "constant":
         candidates = [(canonical_coloring(ident, ell), ident, spec.constant)]
     else:
@@ -613,7 +610,7 @@ def oscillation_search(
     labels: dict[int, OscillationWitness] = {}
     for type_index, fp, label in candidates:
         if label not in labels:
-            if fp != ident:
+            if spec.kind == "table" and fp != ident:
                 tuple_to_factor(h, BoundaryTuple(b, k, fp))
             labels[label] = OscillationWitness(label, type_index, fp)
     return OscillationReport(

@@ -28,23 +28,21 @@ def derive_rng(seed: int | str, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-def random_q_point_between(
-    rng: random.Random, lo: Point, hi: Point, tries: int = 48
-) -> Point:
+def random_q_point_between(rng: random.Random, lo: Point, hi: Point) -> Point:
     """A random eventually-max point strictly between lo and hi.
 
-    Rejection sampling on random stem suffixes of up to 10 digits under the
-    shared prefix; falls back to the deterministic least choice, which
-    always exists since such points are dense in every nondegenerate
-    interval.  A candidate's
-    digits are lo's or drawn below b, so it is built unvalidated.
+    Rejection sampling, 48 draws, on random stem suffixes of up to 10
+    digits under the shared prefix; falls back to the deterministic least
+    choice, which always exists since such points are dense in every
+    nondegenerate interval.  A candidate's digits are lo's or drawn below
+    b, so it is built unvalidated.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo} and {hi}")
     b = lo.base
     d = lo.first_difference(hi)
     common = list(lo.prefix(d))
-    for _ in range(tries):
+    for _ in range(48):
         c = rng.randint(lo.digit(d), hi.digit(d))
         extra = [rng.randrange(b) for _ in range(rng.randint(0, 10))]
         q = canonical_point(b, _strip(tuple(common + [c] + extra), b - 1), b - 1)

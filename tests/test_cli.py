@@ -192,9 +192,16 @@ PIN_FILTERING = {"b": 2, "depth": 2, "boundaries": [[_q_json(0, 0)], [_q_json(0,
 PIN_INNER = {"b": 2, "depth": 1, "boundaries": [[_q_json(1, 0)]]}
 PIN_CHAIN = {"b": 2, "kind": "chain", "outer": PIN_FILTERING, "inner": PIN_INNER}
 PIN_POINT = '{"b":2,"stem":[0,1,0],"tail":1}'
+PIN_IDENTITY = {"b": 2, "depth": 0, "boundaries": []}
+# depth-2 colorings: 16 types onto 3 labels, a constant, and two table keys
+# (the identity's fingerprint and PIN_FILTERING's) over a default
+PIN_RELABELED = {"b": 2, "k": 2, "colors": 3, "kind": "relabeled_types", "relabel": [i % 3 for i in range(16)]}
+PIN_CONSTANT = {"b": 2, "k": 2, "colors": 2, "kind": "constant", "value": 1}
+PIN_TABLE = {"b": 2, "k": 2, "colors": 3, "kind": "table", "table": {"00|0|10": 1, "000|00|10": 2}, "default": 0}
 
 # sha256 of each verb's stdout on the pinned maps, recorded before filterings
-# became surjections themselves
+# became surjections themselves; the realize-all and oscillation pins were
+# recorded before oscillation read its type witnesses from realize_all_colors
 CLI_STDOUT_SHA256 = {
     "compose": "74199a2e3a41ec53ea9f1658b34c549bcf5282ac84fd768b71b3ed683a71ee0b",
     "factor": "7d39494a7a87d4166dfd9a6ccea0780d0c7373a80c5708d73069987bebc3ec76",
@@ -203,6 +210,11 @@ CLI_STDOUT_SHA256 = {
     "eval-filtering": "5a63add73e686f870a8e021ee6efbbbbd94c43050d5cf2447e8cb92c2b50b6f5",
     "eval-chain": "c7b1ed13dbb6344d2c25333d0fcd8c3ac9a2dc865fe407efd1a5275643b4cc86",
     "dist": "fae3a0c581e3f2dadf3b776b077a3fba8ddcfc85c76ca755b5249bc3ef7b658c",
+    "realize-all-identity": "881ab66c752a283b5c155074c315ed354dce8fff8929cc5094f2b2c8d10d7062",
+    "realize-all-filtering": "e0104695d66f8cd76a0604497eb73a26c02973d4fba8a18efe22273929962531",
+    "oscillation-relabeled": "2999bb0c8766aef23c0f7f5119f0b2274e0322f2f769e6d39e18ead3b4fb53ca",
+    "oscillation-constant": "ee95998cefed07ab1dc80a4e8948bd7203a53a99f42d1424cc42086b2b102a1e",
+    "oscillation-table": "3a021411bb41c73512f82cd3ad9b1f905b1600ba9b4b15e5bd38899212ce0b25",
 }
 
 
@@ -218,12 +230,18 @@ CLI_STDOUT_SHA256 = {
             ("eval-filtering", ["eval", "F", "--point", PIN_POINT, "--digits", "8"]),
             ("eval-chain", ["eval", "C", "--point", PIN_POINT, "--digits", "8"]),
             ("dist", ["dist", "F", "C"]),
+            ("realize-all-identity", ["realize-all", "I", "--k", "2"]),
+            ("realize-all-filtering", ["realize-all", "F", "--k", "2"]),
+            ("oscillation-relabeled", ["oscillation", "R", "--eps", "0.3"]),
+            ("oscillation-constant", ["oscillation", "K", "--eps", "0.3"]),
+            ("oscillation-table", ["oscillation", "T", "--eps", "0.3"]),
         ]
     ],
 )
 def test_cli_stdout_is_pinned(capsys, files, name, argv):
-    paths = {"F": files("f.json", PIN_FILTERING), "H": files("h.json", PIN_INNER), "C": files("c.json", PIN_CHAIN)}
-    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    pinned = {"F": PIN_FILTERING, "H": PIN_INNER, "C": PIN_CHAIN, "I": PIN_IDENTITY,
+              "R": PIN_RELABELED, "K": PIN_CONSTANT, "T": PIN_TABLE}
+    code, out, err = run(capsys, *[files(f"{a}.json", pinned[a]) if a in pinned else a for a in argv])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[name]
 

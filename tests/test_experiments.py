@@ -25,7 +25,7 @@ from cantorsurj.experiments import (
 from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
 from cantorsurj.points import Point, interval_successor, max_point, min_point, rank_word
 from cantorsurj.randgen import derive_rng, increasing_q_points, random_filtering
-from cantorsurj.similarity import scan_types
+from cantorsurj.similarity import canonical_coloring, scan_types, tangent_number
 from cantorsurj.surjections import ChainSurjection, compose, from_filtering, identity, tuple_to_factor
 
 
@@ -520,7 +520,7 @@ def _count_scans(monkeypatch):
     calls = []
     scan = experiments.scan_types
     monkeypatch.setattr(experiments, "scan_types", lambda *args: calls.append(args) or scan(*args))
-    experiments._identity_type_witnesses.cache_clear()
+    experiments._identity_realization.cache_clear()
     return calls
 
 
@@ -545,8 +545,33 @@ def test_oscillation_warm_witnesses_equal_cold(monkeypatch):
     ]
 
 
+def test_oscillation_warm_relabeled_call_certifies_and_classifies_nothing(monkeypatch):
+    oscillation_search(ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))), Fraction(3, 10))
+    spec = ColoringSpec(2, 2, 4, "relabeled_types", relabel=tuple(i % 4 for i in range(16)))
+    calls = []
+    for name in ("tuple_to_factor", "canonical_coloring"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    rep = oscillation_search(spec, Fraction(3, 10))
+    assert rep.labels == (0, 1, 2, 3) and calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (4, 1)]), st.integers(1, 6), st.data())
+def test_oscillation_relabeled_witnesses_carry_their_labels_and_types(bk, colors, data):
+    b, k = bk
+    ell, t = b**k - 1, tangent_number(b**k - 1)
+    relabel = tuple(data.draw(st.lists(st.integers(0, colors - 1), min_size=t, max_size=t)))
+    spec = ColoringSpec(b, k, colors, "relabeled_types", relabel=relabel)
+    rep = oscillation_search(spec, Fraction(1, 2 ** (k - 1)))
+    assert rep.labels == tuple(sorted(set(relabel)))
+    for w in rep.witnesses:
+        assert spec.color_of(w.points) == w.label
+        assert canonical_coloring(w.points, ell) == w.type_index
+
+
 def test_oscillation_cache_is_keyed_on_the_budget():
-    experiments._identity_type_witnesses.cache_clear()
+    experiments._identity_realization.cache_clear()
     spec = ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16)))
     # three leaves need five distinct node depths, so depth 4 at the
     # earliest, where C(15, 3) = 455 combinations pass a budget of 100
@@ -565,5 +590,5 @@ def test_realize_all_colors_refuses_a_witness_of_another_color(monkeypatch):
         return out
 
     monkeypatch.setattr(experiments, "scan_types", swapped)
-    with pytest.raises(RuntimeError, match="realization of color 0 failed verification: composite 1, ball 1"):
+    with pytest.raises(RuntimeError, match="realization of color 0 failed verification: composite 1$"):
         realize_all_colors(identity(2), 2, 20)

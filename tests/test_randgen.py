@@ -48,11 +48,20 @@ def test_generated_points_equal_validated_ones(data):
     except ValueError:
         assume(False)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    ys = [least, random_q_point_between(rng, lo, hi, tries=1), random_q_point_between(rng, lo, hi)]
+    ys = [least, random_q_point_between(rng, lo, hi), random_q_point_between(rng, lo, hi)]
     ys += [interval_successor(y) for y in ys]
     for y in ys:
         assert y == Point(b, y.stem, y.tail)
     assert all(lo < y < hi and y.is_q_point for y in ys[:3])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_random_q_point_between_falls_back_to_the_least_choice(seed):
+    # every point strictly inside starts 1 0^13, past any draw of up to 10 digits
+    lo, hi = Point(2, (0,), 1), Point(2, (1,) + (0,) * 12, 1)
+    least = least_q_point_between(lo, hi)
+    assert least == Point(2, (1,) + (0,) * 13, 1)
+    assert random_q_point_between(random.Random(seed), lo, hi) == least
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
