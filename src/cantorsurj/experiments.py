@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import caps
-from .intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Surjection, point_words, validate_level
+from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Surjection, point_words, trusted_tuple, validate_level
 from .points import Point, interval_successor, json_int, max_point, min_point, rank_word
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
@@ -171,8 +171,10 @@ def realize_all_colors(
         if w is None:
             rows.append(ColorRealization(r, None, None, False))
             continue
-        # tuple_to_factor raises unless the composite's fingerprint is w.points
-        tuple_to_factor(h, BoundaryTuple(h.base, k, w.points))
+        # tuple_to_factor raises unless the composite's fingerprint is w.points;
+        # a scan witness is an increasing sub-tuple of h.fingerprint(w.depth),
+        # b^k - 1 interior q-points, so it is valid as it stands
+        tuple_to_factor(h, trusted_tuple(h.base, k, w.points))
         got = canonical_coloring(w.points, ell)
         if got != r:
             raise RuntimeError(f"realization of color {r} failed verification: composite {got}")
@@ -611,7 +613,9 @@ def oscillation_search(
     for type_index, fp, label in candidates:
         if label not in labels:
             if spec.kind == "table" and fp != ident:
-                tuple_to_factor(h, BoundaryTuple(b, k, fp))
+                # a key's points passed _check_table_key; the miss is the
+                # identity's fingerprint with a first stem lengthened by zeros
+                tuple_to_factor(h, trusted_tuple(b, k, fp))
             labels[label] = OscillationWitness(label, type_index, fp)
     return OscillationReport(
         "exact", b, k, ell, tuple(sorted(labels)),

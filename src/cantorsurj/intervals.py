@@ -32,14 +32,26 @@ walks are in closed form.  No cell is a ClopenInterval:
 the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
 l < top, so it is canonical as it stands and its point skips validation
 (points.canonical_point(s)); decoders and public constructors validate.
+So does BoundaryTuple (validate_level, C-level passes over point_keys);
+trusted_tuple skips that only where a lemma gives validity, named at each
+call: a valid map's own fingerprint (Surjection.boundary_tuple), the
+images of a valid tuple (surjections.tuple_to_factor: increasing cell
+maxima have increasing images), a scan witness, an increasing sub-tuple of
+a fingerprint (experiments.realize_all_colors, verify check 9), and table
+keys experiments._check_table_key validated.  Every from_json and the CLI
+decode through the validating constructors.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import pairwise, starmap
+from operator import attrgetter, lt
 
-from .points import Point, _strip, canonical_point, canonical_points, json_int, max_point, min_point, word_rank
+from .points import (
+    Point, _strip, canonical_point, canonical_points, json_int, max_point, min_point, point_keys, word_rank,
+)
 
 __all__ = [
     "ClopenInterval",
@@ -120,13 +132,19 @@ class FilteringReport:
     message: str = ""
 
 
+_VALID = FilteringReport(True)
+_base_tail, _stem = attrgetter("base", "tail"), attrgetter("stem")
+
+
 def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> FilteringReport:
     """Check one depth-`depth` boundary tuple on its own: entry count,
     entries interior eventually-max points of this base, strict increase.
 
     The single boundary-level check behind BoundaryTuple and
     validate_filtering.  A depth past check_materialize's bound is refused
-    before the power is computed.
+    before the power is computed.  Each check is one C-level pass, the
+    order on point_keys; only a short or failing level is walked entry by
+    entry, which also words the first fault.
     """
     if depth >= MATERIALIZE_LIMIT.bit_length():
         return FilteringReport(
@@ -138,6 +156,14 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
         return FilteringReport(
             False, "length", (depth,), f"depth {depth} has {len(entries)} entries, needs {want}"
         )
+    # one C-level pass per check (base and tail, stem, order), which pays
+    # from four entries on; the loop checks shorter levels and words a fault
+    if len(entries) > 3 and (
+        set(map(_base_tail, entries)) <= {(base, base - 1)}
+        and all(map(_stem, entries))
+        and all(starmap(lt, pairwise(point_keys(entries))))
+    ):
+        return _VALID
     for i, y in enumerate(entries):
         if y.base != base:
             return FilteringReport(False, "entry", (depth, i), f"entry {i} base {y.base} != {base}")
@@ -149,7 +175,7 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
             return FilteringReport(
                 False, "increasing", (depth, i), f"entries {i - 1},{i} out of order at depth {depth}"
             )
-    return FilteringReport(True)
+    return _VALID
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +193,13 @@ class Evaluation:
 
 @dataclass(frozen=True, slots=True)
 class BoundaryTuple:
-    """Depth-k fingerprint: the strictly increasing cell maxima, minus the top."""
+    """Depth-k fingerprint: the strictly increasing cell maxima, minus the top.
+
+    The constructor and from_json validate (validate_level); trusted_tuple
+    skips that for a map's own fingerprint (boundary_tuple), the images in
+    tuple_to_factor, scan witnesses (increasing sub-tuples of a
+    fingerprint) and validated table keys, as the module docstring argues.
+    """
 
     base: int
     depth: int
@@ -185,6 +217,22 @@ class BoundaryTuple:
     def from_json(cls, obj: dict) -> "BoundaryTuple":
         entries = tuple(Point.from_json(p) for p in obj["entries"])
         return cls(json_int(obj["b"], "b"), json_int(obj["depth"], "depth"), entries)
+
+
+_set_b, _set_depth, _set_entries = (
+    BoundaryTuple.base.__set__, BoundaryTuple.depth.__set__, BoundaryTuple.entries.__set__
+)
+
+
+def trusted_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> BoundaryTuple:
+    """BoundaryTuple(base, depth, entries) without validation, where a
+    lemma gives b^depth - 1 strictly increasing interior q-points of the
+    base.  Not exported: decoders validate."""
+    t = object.__new__(BoundaryTuple)
+    _set_b(t, base)
+    _set_depth(t, depth)
+    _set_entries(t, entries)
+    return t
 
 
 class Surjection(ABC):
@@ -213,7 +261,9 @@ class Surjection(ABC):
         return self._level(depth)
 
     def boundary_tuple(self, depth: int) -> BoundaryTuple:
-        return BoundaryTuple(self.base, depth, self.fingerprint(depth))
+        # a valid map's own fingerprint: its cell maxima, strictly increasing
+        # interior q-points, b^depth - 1 of them
+        return trusted_tuple(self.base, depth, self.fingerprint(depth))
 
     # -- evaluation ------------------------------------------------------
 
@@ -226,9 +276,10 @@ class Surjection(ABC):
 
     def evaluate_all(self, xs, digits: int) -> list[Evaluation]:
         """evaluate for every point of xs, in one walk of the cells
-        (point_words) for the points in ascending order.  A hit word never
-        ends in the point's tail digit, so the image is built canonical as
-        it stands."""
+        (point_words) for the points in ascending order, sorted on their
+        point_keys; the caller's order is kept.  A hit word never ends in
+        the point's tail digit, so the image is built canonical as it
+        stands."""
         b = self.base
         if any(x.base != b for x in xs):
             raise ValueError("base mismatch")
@@ -236,7 +287,7 @@ class Surjection(ABC):
             raise ValueError(f"digits must be nonnegative, got {digits}")
         if digits > MATERIALIZE_LIMIT:
             raise ValueError(f"{digits} digits requested; over limit {MATERIALIZE_LIMIT}")
-        order = sorted(range(len(xs)), key=xs.__getitem__)
+        order = sorted(range(len(xs)), key=list(point_keys(xs)).__getitem__)
         found = point_words(self, [xs[k] for k in order], [digits] * len(xs))
         out: list = [None] * len(xs)
         for k, (word, hit) in zip(order, found):

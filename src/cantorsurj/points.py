@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product, repeat
+from itertools import compress, count, product, repeat
+from operator import ne
 
 __all__ = [
     "LT",
@@ -28,6 +29,7 @@ __all__ = [
     "interval_successor",
     "encode_binary",
     "iter_points",
+    "point_keys",
     "word_rank",
     "rank_word",
 ]
@@ -119,19 +121,16 @@ class Point:
         return (a > b) - (a < b)
 
     def first_difference(self, other: "Point") -> int | None:
-        """Index of the first differing digit, or None when equal."""
+        """Index of the first differing digit, or None when equal: the first
+        index where the stems padded with their tails one digit past the
+        longer stem differ, found in C-level passes."""
         if self.base != other.base:
             raise ValueError("cannot compare points of different bases")
         a, b = self.stem, other.stem
-        la, lb = len(a), len(b)
-        for i in range(max(la, lb)):
-            da = a[i] if i < la else self.tail
-            db = b[i] if i < lb else other.tail
-            if da != db:
-                return i
-        if self.tail != other.tail:
-            return max(la, lb)
-        return None
+        n = max(len(a), len(b)) + 1
+        a += (self.tail,) * (n - len(a))
+        b += (other.tail,) * (n - len(b))
+        return next(compress(count(), map(ne, a, b)), None)
 
     def __lt__(self, other: "Point") -> bool:
         return self.compare(other) == LT
@@ -199,6 +198,14 @@ def canonical_points(base: int, stems: list[tuple[int, ...]], tail: int) -> list
     for setter, values in ((_set_base, repeat(base)), (_set_stem, stems), (_set_tail, repeat(tail))):
         any(map(setter, points, values))
     return points
+
+
+def point_keys(points):
+    """One key per point of a sequence of one base, in order and made
+    lazily: its stem padded with its tail one digit past the longest stem,
+    the padding compare uses, so tuple order on the keys is point order."""
+    n = max([len(p.stem) for p in points], default=0) + 1
+    return (p.stem + (p.tail,) * (n - len(p.stem)) for p in points)
 
 
 # Points are immutable, so the ends of the space are built once per base:

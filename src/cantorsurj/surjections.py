@@ -45,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import caps
-from .intervals import BoundaryTuple, Filtering, Surjection, point_words, validate_filtering
-from .points import Dyadic, Point, canonical_point
+from .intervals import BoundaryTuple, Filtering, Surjection, point_words, trusted_tuple, validate_filtering
+from .points import Dyadic, Point, canonical_points
 
 __all__ = [
     "ChainSurjection",
@@ -269,9 +269,12 @@ def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> Filtering:
     h.support + len(stem) (corollary (i)); its image, the word of the
     shallowest such cell followed by top digits, is found for all entries
     in one walk (point_words) and refused with evaluate's error past that
-    bound.  Increasing cell maxima have increasing images.  Composing back
-    must reproduce t and is verified before returning; by corollary (i)
-    only a map that misstates its support fails there.
+    bound.  Increasing cell maxima have increasing images, so the image
+    tuple is built unvalidated (intervals.trusted_tuple): its entries are
+    the b^k - 1 hit words followed by top digits, strictly increasing
+    interior q-points.  Composing back must reproduce t and is verified
+    before returning, which certifies the images too; by corollary (i) only
+    a map that misstates its support fails there.
     """
     if h.base != t.base:
         raise ValueError("base mismatch")
@@ -279,7 +282,9 @@ def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> Filtering:
     found = point_words(h, t.entries, [h.support + len(x.stem) for x in t.entries])
     if not all(hit for _, hit in found):
         raise ValueError(_UNSTABLE)
-    f = tuple_to_surjection(BoundaryTuple(b, k, tuple(canonical_point(b, w, b - 1) for w, _ in found)))
+    # distinct cell maxima x < x' of h are maxima of distinct cells at one
+    # depth, so their words, and images, increase: no validation needed
+    f = tuple_to_surjection(trusted_tuple(b, k, tuple(canonical_points(b, [w for w, _ in found], b - 1))))
     if ChainSurjection(f, h).fingerprint(k) != t.entries:
         raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=k)
     return f

@@ -24,12 +24,11 @@ from .experiments import (
     random_qcopy,
     realize_all_colors,
 )
-from .intervals import Filtering
+from .intervals import Filtering, trusted_tuple
 from .points import iter_points
 from .randgen import derive_rng, random_filtering, random_surjection
 from .similarity import enumerate_types, tangent_number
 from .surjections import (
-    BoundaryTuple,
     compose,
     distance,
     factor_through,
@@ -366,7 +365,10 @@ def _oscillation_predicate(case) -> dict | None:
         ok = ok and set(rep.labels) == set(spec.relabel)
     e = identity(2)
     for w in rep.witnesses:
-        f = tuple_to_factor(e, BoundaryTuple(2, 2, w.points))
+        # a witness is a scan witness (an increasing sub-tuple of a
+        # fingerprint), the identity's fingerprint, or a table candidate
+        # (a validated key, or the miss built valid from the identity's)
+        f = tuple_to_factor(e, trusted_tuple(2, 2, w.points))
         fp = compose(f, e).fingerprint(2)
         ok = ok and spec.color_of(fp) == w.label
     return None if ok else {"criterion": 9, "spec": spec.to_json(), "labels": list(rep.labels)}

@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import MALFORMED_POINTS, diagonal_points, q
+from cantorsurj import experiments, intervals, surjections, verify
 from cantorsurj.cli import _emit, main
 from cantorsurj.experiments import QCopy, random_qcopy
-from cantorsurj.intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering
+from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.randgen import derive_rng
 from cantorsurj.similarity import similarity_type, type_rank
-from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity
+from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity, surjection_from_json
 
 
 @pytest.fixture
@@ -522,6 +524,53 @@ def test_non_list_boundaries_exit_2(capsys, files, boundaries):
     code, out, err = run(capsys, "boundaries", surj, "--depth", "1")
     assert code == 2 and out == ""
     assert err == f"error: {surj}: filtering boundaries: expected a list of lists of points\n"
+
+
+@pytest.mark.parametrize(
+    "base, entries, message",
+    [
+        (2, (q(0, 0), q(0)), "depth 1 has 2 entries, needs 1"),
+        (2, (Point(3, (0,), 2),), "entry 0 base 3 != 2"),
+        (2, (Point(2, (0, 1), 0),), "entry 01(0)w not an interior eventually-max point"),
+        (3, (Point(3, (1,), 2), Point(3, (0,), 2)), "entries 0,1 out of order at depth 1"),
+    ],
+    ids=["count", "base", "q-point", "increase"],
+)
+def test_json_input_cannot_reach_the_trusted_tuple(capsys, files, base, entries, message):
+    # every decoder validates a faulty level, and none hands it to the
+    # unvalidated constructor on the way
+    calls, real = [], intervals.trusted_tuple
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    level = [p.to_json() for p in entries]
+    filt = {"b": base, "kind": "filtering", "depth": 1, "boundaries": [level]}
+    chain = {"b": base, "kind": "chain", "outer": identity(base).to_json(), "inner": filt}
+    decoders = [
+        (BoundaryTuple.from_json, {"b": base, "depth": 1, "entries": level}),
+        (Filtering.from_json, filt),
+        (surjection_from_json, chain),
+    ]
+    good = files("id.json", identity(base).to_json())
+    verbs = [
+        ("boundaries", files("f.json", filt), "--depth", "1"),
+        ("boundaries", files("chain.json", chain), "--depth", "2"),
+        ("factor", files("g.json", chain), good, "--depth", "1"),
+        ("eval", files("h.json", filt), "--point", json.dumps(min_point(base).to_json())),
+    ]
+    modules = (intervals, surjections, experiments, verify)
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(patch.object(module, "trusted_tuple", spy))
+        for decode, obj in decoders:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                decode(obj)
+        for argv in verbs:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and message in err
+    assert calls == []
 
 
 def test_realize_all_k_over_leaf_bound_exits_2(capsys, files):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a cantorsurj module imports is used there or
-re-exported through its __all__, and no module reads the environment, so
-each answer is a function of its arguments alone."""
+re-exported through its __all__, no module reads the environment, so
+each answer is a function of its arguments alone, and the unvalidated
+BoundaryTuple constructor is used only at the sites a lemma covers."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,63 @@ def test_the_check_sees_an_environment_read():
     source = "import os\nx = os.environ.get('A')\nfrom os import getenv\nos.putenv('B', '1')\ny = os.sep\n"
     assert environment_reads(source) == [2, 3, 4]
     assert environment_reads("import os\ny = os.path.join(os.sep, 'a')\n") == []
+
+
+# the calls of the unvalidated BoundaryTuple constructor, each where a lemma
+# gives validity (named in a comment at the call)
+TRUSTED_SITES = {
+    ("intervals.py", "Surjection.boundary_tuple"),
+    ("surjections.py", "tuple_to_factor"),
+    ("experiments.py", "realize_all_colors"),
+    ("experiments.py", "oscillation_search"),
+    ("verify.py", "_oscillation_predicate"),
+}
+
+
+def trusted_uses(name, source):
+    """(module, qualified function) of every reference to trusted_tuple
+    outside its own definition and the imports: calls, and aliases too."""
+    hits = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "trusted_tuple") or (
+                isinstance(child, ast.Attribute) and child.attr == "trusted_tuple"
+            ):
+                hits.add((name, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return hits
+
+
+def forbidden(site):
+    """A decoder, the CLI, or the validating constructor itself."""
+    module, scope = site
+    return module == "cli.py" or scope.split(".")[-1] == "from_json" or scope == "BoundaryTuple.__post_init__"
+
+
+def test_trusted_tuple_is_used_only_at_lemma_sites():
+    uses = set().union(*(trusted_uses(p.name, p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
+    assert not any(map(forbidden, uses))
+    assert uses == TRUSTED_SITES
+
+
+def test_the_check_sees_a_trusted_decoder():
+    source = (
+        "from .intervals import trusted_tuple\n"
+        "class BoundaryTuple:\n"
+        "    @classmethod\n"
+        "    def from_json(cls, obj):\n"
+        "        return trusted_tuple(obj['b'], obj['depth'], obj['entries'])\n"
+        "def decode(obj):\n"
+        "    make = intervals.trusted_tuple\n"
+        "    return make(*obj)\n"
+    )
+    uses = trusted_uses("intervals.py", source)
+    assert uses == {("intervals.py", "BoundaryTuple.from_json"), ("intervals.py", "decode")}
+    assert forbidden(("intervals.py", "BoundaryTuple.from_json")) and forbidden(("cli.py", "_cmd_factor"))
+    assert not forbidden(("intervals.py", "decode"))

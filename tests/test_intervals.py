@@ -446,21 +446,84 @@ def test_filtering_json_roundtrip():
     assert Filtering.from_json(f.to_json()) == f
 
 
+# messages recorded from the per-entry validator, before its C-level passes
 @pytest.mark.parametrize(
-    "base, entries, clause",
+    "base, entries, clause, message",
     [
-        (2, (q(0, 0), q(0)), "length"),
-        (2, (Point(3, (0,), 2),), "entry"),  # wrong base
-        (2, (Point(2, (0, 1), 0),), "entry"),  # not eventually max
-        (3, (Point(3, (1,), 2), Point(3, (0,), 2)), "increasing"),
+        (2, (q(0, 0), q(0)), "length", "depth 1 has 2 entries, needs 1"),
+        (2, (Point(3, (0,), 2),), "entry", "entry 0 base 3 != 2"),  # wrong base
+        (2, (Point(2, (0, 1), 0),), "entry", "entry 01(0)w not an interior eventually-max point"),
+        (3, (Point(3, (1,), 2), Point(3, (0,), 2)), "increasing", "entries 0,1 out of order at depth 1"),
     ],
     ids=["count", "base", "q-point", "increase"],
 )
-def test_boundary_level_faults_rejected_everywhere(base, entries, clause):
+def test_boundary_level_faults_rejected_everywhere(base, entries, clause, message):
     report = validate_filtering(Filtering(base, (entries,)))
-    assert not report.ok and report.clause == clause
-    with pytest.raises(ValueError):
+    assert not report.ok and report.clause == clause and report.message == message
+    with pytest.raises(ValueError) as exc:
         BoundaryTuple(base, 1, entries)
+    assert str(exc.value) == message
+
+
+def reference_validate_level(base, depth, entries):
+    """validate_level's per-entry loop alone: for each entry in turn its
+    base, then its being an interior q-point, then order with the one
+    before; the first fault is reported."""
+    want = base**depth - 1
+    if len(entries) != want:
+        return FilteringReport(False, "length", (depth,), f"depth {depth} has {len(entries)} entries, needs {want}")
+    for i, y in enumerate(entries):
+        if y.base != base:
+            return FilteringReport(False, "entry", (depth, i), f"entry {i} base {y.base} != {base}")
+        if not y.is_q_point:
+            return FilteringReport(False, "entry", (depth, i), f"entry {y} not an interior eventually-max point")
+        if i > 0 and not entries[i - 1] < y:
+            msg = f"entries {i - 1},{i} out of order at depth {depth}"
+            return FilteringReport(False, "increasing", (depth, i), msg)
+    return FilteringReport(True)
+
+
+@st.composite
+def faulty_levels(draw):
+    """A valid boundary level of base 2-4 and depth 1-3, or one with up to
+    three faults.  Some break the order or the count: an entry replaced by
+    any point, two entries swapped, one dropped.  Others keep the order, so
+    only their own check sees them: the last entry made the top point, an
+    entry made its eventually-0 successor, the next one made equal to it,
+    an entry's digits read in another base.  Levels of four entries on take
+    validate_level's C-level passes."""
+    base, depth = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    level = list(random_filtering(random.Random(seed), base, depth).fingerprint(depth))
+    faults = ["replace", "swap", "drop", "top", "successor", "repeat", "base"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(level) - 1))
+        fault = draw(st.sampled_from(faults))
+        x = level[i]
+        if fault == "replace":
+            b = draw(st.sampled_from([base, base, base + 1]))
+            level[i] = Point(b, tuple(draw(st.lists(st.integers(0, b - 1), max_size=4))), draw(st.integers(0, b - 1)))
+        elif fault == "swap":
+            j = draw(st.integers(0, len(level) - 1))
+            level[i], level[j] = level[j], level[i]
+        elif fault == "drop" and len(level) > 1:
+            del level[i]
+        elif fault == "top":
+            level[-1] = max_point(base)
+        elif fault == "successor" and x.base == base and x.is_q_point:
+            level[i] = interval_successor(x)
+        elif fault == "repeat" and i + 1 < len(level):
+            level[i + 1] = x
+        elif fault == "base":
+            level[i] = Point(base + 1, x.stem, x.tail)
+    return base, depth, tuple(level)
+
+
+@settings(max_examples=400)
+@given(faulty_levels())
+def test_validate_level_matches_the_entry_loop(case):
+    base, depth, level = case
+    assert intervals.validate_level(base, depth, level) == reference_validate_level(base, depth, level)
 
 
 def test_descent_refuses_stored_entry_not_eventually_max():

@@ -15,6 +15,7 @@ from cantorsurj.points import (
     iter_points,
     max_point,
     min_point,
+    point_keys,
     rank_word,
     word_rank,
 )
@@ -104,6 +105,63 @@ def test_compare_refuses_mixed_bases():
 def test_order_matches_digit_prefix(x, y):
     assert (x < y) == (x.prefix(40) < y.prefix(40))
     assert (x == y) == (x.prefix(40) == y.prefix(40))
+
+
+def reference_first_difference(x, y):
+    """Point.first_difference as a digit loop: the first index where the
+    digits differ, stems read past their ends as the tails, then the tails."""
+    if x.base != y.base:
+        raise ValueError("cannot compare points of different bases")
+    a, b = x.stem, y.stem
+    for i in range(max(len(a), len(b))):
+        da = a[i] if i < len(a) else x.tail
+        db = b[i] if i < len(b) else y.tail
+        if da != db:
+            return i
+    if x.tail != y.tail:
+        return max(len(a), len(b))
+    return None
+
+
+@given(point_pairs())
+def test_first_difference_matches_digit_loop(pair):
+    x, y = pair
+    assert x.first_difference(y) == reference_first_difference(x, y)
+    assert y.first_difference(x) == x.first_difference(y)
+
+
+def test_first_difference_refuses_mixed_bases():
+    with pytest.raises(ValueError, match="different bases"):
+        q(0).first_difference(Point(3, (0,), 2))
+
+
+@st.composite
+def point_batches(draw):
+    """Points of one base 2-5 with stems up to 12 digits and any tail, some
+    repeated as equal sequences written with a padded stem."""
+    base = draw(st.integers(2, 5))
+    xs = draw(st.lists(points(base=base, max_stem=12), max_size=12))
+    pads = draw(st.lists(st.integers(0, 3), max_size=len(xs)))
+    return xs + [Point(base, x.stem + (x.tail,) * k, x.tail) for x, k in zip(xs, pads)]
+
+
+@given(point_batches())
+def test_point_keys_order_is_point_order(xs):
+    keys = list(point_keys(xs))
+    assert len(keys) == len(xs)
+    for x, kx in zip(xs, keys):
+        for y, ky in zip(xs, keys):
+            assert (kx > ky) - (kx < ky) == x.compare(y)
+    assert sorted(range(len(xs)), key=keys.__getitem__) == sorted(range(len(xs)), key=xs.__getitem__)
+
+
+def test_point_keys_pad_one_digit_past_the_longest_stem():
+    assert list(point_keys([Point(3, (1,), 2), Point(3, (0, 1, 1), 0), min_point(3)])) == [
+        (1, 2, 2, 2),
+        (0, 1, 1, 0),
+        (0, 0, 0, 0),
+    ]
+    assert list(point_keys([])) == []
 
 
 @given(points(base=3, max_stem=6), points(base=3, max_stem=6))
