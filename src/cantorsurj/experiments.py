@@ -580,17 +580,19 @@ def oscillation_search(
     list: the identity realization's row per type for "relabeled_types",
     the identity's fingerprint for "constant", and for "table" every key
     plus one fingerprint that is no key.  The first candidate of each label
-    is its witness; only a table's go through tuple_to_factor, since the
-    rows are certified and the identity's fingerprint needs no certificate.
-    The rows do not depend on the coloring, so a process realizes each
-    identity cube once (_identity_realization)."""
+    is its witness, and every candidate is a valid depth-k tuple: a
+    certified row, the identity's fingerprint, a key _check_table_key
+    validated, or the miss, built valid.  On the identity cube a valid
+    tuple is the fingerprint of its own composite (corollary (i)), so a
+    witness is certified by its validity alone.  The rows do not depend on
+    the coloring, so a process realizes each identity cube once
+    (_identity_realization)."""
     # the color budget t_ell is not needed here, and is huge for fine eps
     k = _resolution_depth(eps)
     if k != spec.depth:
         raise ValueError(f"coloring reads depth {spec.depth} but resolution {eps} needs depth {k}")
     b, ell = spec.base, spec.ell
-    h = identity(b)
-    ident = h.fingerprint(k)
+    ident = identity(b).fingerprint(k)
     if spec.kind == "relabeled_types":
         rep = _identity_realization(b, k, budget)
         if not rep.complete:
@@ -612,10 +614,6 @@ def oscillation_search(
     labels: dict[int, OscillationWitness] = {}
     for type_index, fp, label in candidates:
         if label not in labels:
-            if spec.kind == "table" and fp != ident:
-                # a key's points passed _check_table_key; the miss is the
-                # identity's fingerprint with a first stem lengthened by zeros
-                tuple_to_factor(h, trusted_tuple(b, k, fp))
             labels[label] = OscillationWitness(label, type_index, fp)
     return OscillationReport(
         "exact", b, k, ell, tuple(sorted(labels)),

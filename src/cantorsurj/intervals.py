@@ -34,12 +34,12 @@ l < top, so it is canonical as it stands and its point skips validation
 (points.canonical_point(s)); decoders and public constructors validate.
 So does BoundaryTuple (validate_level, C-level passes over point_keys);
 trusted_tuple skips that only where a lemma gives validity, named at each
-call: a valid map's own fingerprint (Surjection.boundary_tuple), the
-images of a valid tuple (surjections.tuple_to_factor: increasing cell
-maxima have increasing images), a scan witness, an increasing sub-tuple of
-a fingerprint (experiments.realize_all_colors, verify check 9), and table
-keys experiments._check_table_key validated.  Every from_json and the CLI
-decode through the validating constructors.
+of its three calls: a valid map's own fingerprint
+(Surjection.boundary_tuple), the images of a valid tuple
+(surjections.tuple_to_factor: increasing cell maxima have increasing
+images), and a scan witness, an increasing sub-tuple of a fingerprint
+(experiments.realize_all_colors).  Every from_json and the CLI decode
+through the validating constructors.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ class BoundaryTuple:
 
     The constructor and from_json validate (validate_level); trusted_tuple
     skips that for a map's own fingerprint (boundary_tuple), the images in
-    tuple_to_factor, scan witnesses (increasing sub-tuples of a
-    fingerprint) and validated table keys, as the module docstring argues.
+    tuple_to_factor and scan witnesses in realize_all_colors (increasing
+    sub-tuples of a fingerprint), as the module docstring argues.
     """
 
     base: int
@@ -227,7 +227,8 @@ _set_b, _set_depth, _set_entries = (
 def trusted_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> BoundaryTuple:
     """BoundaryTuple(base, depth, entries) without validation, where a
     lemma gives b^depth - 1 strictly increasing interior q-points of the
-    base.  Not exported: decoders validate."""
+    base: Surjection.boundary_tuple, surjections.tuple_to_factor and
+    experiments.realize_all_colors.  Not exported: decoders validate."""
     t = object.__new__(BoundaryTuple)
     _set_b(t, base)
     _set_depth(t, depth)
@@ -625,13 +626,6 @@ class Filtering(Surjection):
             level[top::b] = above
             known[d : d + 1] = (tuple(level),)
         return known[depth]
-
-    def extend(self, depth: int) -> "Filtering":
-        """A filtering equal to this one with support at least `depth`."""
-        if depth <= self.support:
-            return self
-        self.fingerprint(depth)
-        return Filtering(self.base, self._known[1 : depth + 1])
 
     # -- serialization ---------------------------------------------------
 

@@ -80,16 +80,17 @@ def _boustrophedon_rows():
 
 def tangent_table(n: int) -> tuple[int, ...]:
     """First n odd tangent numbers (1, 2, 16, 272, 7936, ...): the last
-    entries of the odd boustrophedon rows."""
+    entries of the odd boustrophedon rows.  n past MAX_TANGENT_INDEX is
+    refused before any row is built."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_TANGENT_INDEX:
+        raise ValueError(f"tangent number {n} asked for; tangent numbers stop at {MAX_TANGENT_INDEX}")
     return tuple(row[-1] for row in islice(_boustrophedon_rows(), 1, 2 * n, 2))
 
 
 def tangent_number(k: int) -> int:
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return tangent_table(k)[-1]
+    return tangent_table(k)[-1]  # refuses k out of 1..MAX_TANGENT_INDEX
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .experiments import (
     ColoringSpec,
@@ -24,7 +24,7 @@ from .experiments import (
     random_qcopy,
     realize_all_colors,
 )
-from .intervals import Filtering, trusted_tuple
+from .intervals import Filtering, validate_level
 from .points import iter_points
 from .randgen import derive_rng, random_filtering, random_surjection
 from .similarity import enumerate_types, tangent_number
@@ -36,7 +36,6 @@ from .surjections import (
     identity,
     surjection_from_json,
     to_filtering,
-    tuple_to_factor,
 )
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "replay", "CHECK_NAMES"]
@@ -183,11 +182,19 @@ def _check_type_counts(rng) -> tuple[bool, str, list[dict]]:
 
 
 def _roundtrip_predicate(case) -> dict | None:
+    """The stored levels come back through to_filtering, and the first
+    greedy level, made by the level pass, is what a fresh filtering's word
+    walk gives: the maxima of the depth-(s+1) cells, bar the top point."""
     filt, depths = case  # the dump names the first failing depth
-    f = from_filtering(filt)
+    f, b, s = from_filtering(filt), filt.base, filt.support
     for d in depths:
-        want = Filtering(filt.base, filt.levels[:d]) if d < filt.support else filt.extend(d)
-        if to_filtering(f, d) != want:
+        got = to_filtering(f, d)
+        ok = got.levels[:s] == filt.levels[:d]
+        if ok and d == s + 1:
+            words = list(product(range(b), repeat=d))
+            walk = Filtering(b, filt.levels).cell_maxima(words)
+            ok = got.levels[s] == tuple(walk[w] for w in words[:-1])
+        if not ok:
             return {"criterion": 3, "filtering": filt.to_json(), "depth": d}
     return None
 
@@ -286,16 +293,15 @@ def _check_metric(rng) -> tuple[bool, str, list[dict]]:
 
 
 def _factorization_predicate(case) -> dict | None:
+    """Factoring f o h through h gives back f, at depth 6 (and so, by
+    nesting, at every shallower depth)."""
     f, h = case
-    g = compose(f, h)
-    ff = factor_through(g, h, 6)
-    ok1 = ff.fingerprint(6) == f.fingerprint(6) and ff.fingerprint(3) == f.fingerprint(3)
-    t = g.boundary_tuple(6)
-    f2 = tuple_to_factor(h, t)
-    ok2 = compose(f2, h).fingerprint(6) == t.entries
-    if ok1 and ok2:
-        return None
-    return {"criterion": 6, "f": f.to_json(), "h": h.to_json(), "factor_ok": ok1, "tuple_ok": ok2}
+    dump = {"criterion": 6, "f": f.to_json(), "h": h.to_json()}
+    try:
+        ff = factor_through(compose(f, h), h, 6)
+    except ValueError as exc:
+        return {**dump, "error": str(exc)}
+    return None if ff.fingerprint(6) == f.fingerprint(6) else {**dump, "factor_ok": False}
 
 
 def _check_factorization(rng) -> tuple[bool, str, list[dict]]:
@@ -363,14 +369,10 @@ def _oscillation_predicate(case) -> dict | None:
     ok = rep.regime == "exact" and rep.guaranteed and len(rep.labels) <= 16
     if spec.kind == "relabeled_types":
         ok = ok and set(rep.labels) == set(spec.relabel)
-    e = identity(2)
     for w in rep.witnesses:
-        # a witness is a scan witness (an increasing sub-tuple of a
-        # fingerprint), the identity's fingerprint, or a table candidate
-        # (a validated key, or the miss built valid from the identity's)
-        f = tuple_to_factor(e, trusted_tuple(2, 2, w.points))
-        fp = compose(f, e).fingerprint(2)
-        ok = ok and spec.color_of(fp) == w.label
+        # on the identity cube a valid tuple is the fingerprint of its own
+        # composite (corollary (i)), so validity and the color certify it
+        ok = ok and validate_level(rep.base, rep.k, w.points).ok and spec.color_of(w.points) == w.label
     return None if ok else {"criterion": 9, "spec": spec.to_json(), "labels": list(rep.labels)}
 
 

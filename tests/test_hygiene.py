@@ -1,7 +1,8 @@
 """Source hygiene: every name a cantorsurj module imports is used there or
 re-exported through its __all__, no module reads the environment, so
 each answer is a function of its arguments alone, and the unvalidated
-BoundaryTuple constructor is used only at the sites a lemma covers."""
+BoundaryTuple constructor is used only at the sites a lemma covers, and
+never by the verification suite, which checks what it is handed."""
 
 import ast
 from pathlib import Path
@@ -82,8 +83,6 @@ TRUSTED_SITES = {
     ("intervals.py", "Surjection.boundary_tuple"),
     ("surjections.py", "tuple_to_factor"),
     ("experiments.py", "realize_all_colors"),
-    ("experiments.py", "oscillation_search"),
-    ("verify.py", "_oscillation_predicate"),
 }
 
 
@@ -134,3 +133,34 @@ def test_the_check_sees_a_trusted_decoder():
     assert uses == {("intervals.py", "BoundaryTuple.from_json"), ("intervals.py", "decode")}
     assert forbidden(("intervals.py", "BoundaryTuple.from_json")) and forbidden(("cli.py", "_cmd_factor"))
     assert not forbidden(("intervals.py", "decode"))
+
+
+UNVALIDATED = {"trusted_tuple", "canonical_point", "canonical_points"}
+
+
+def unvalidated_names(source):
+    """Lines naming a constructor that skips validation, whether called,
+    aliased, reached as an attribute or imported."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name in UNVALIDATED for a in node.names):
+            hits.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id in UNVALIDATED) or (
+            isinstance(node, ast.Attribute) and node.attr in UNVALIDATED
+        ):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_the_suite_names_no_unvalidated_constructor():
+    assert unvalidated_names((SRC / "verify.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_trusted_witness_in_the_suite():
+    source = (SRC / "verify.py").read_text(encoding="utf-8").replace(
+        "validate_level(rep.base, rep.k, w.points).ok",
+        "trusted_tuple(rep.base, rep.k, w.points).entries",
+    )
+    assert "def _oscillation_predicate" in source and "trusted_tuple(rep.base" in source
+    assert len(unvalidated_names(source)) == 1
+    assert unvalidated_names("from .points import canonical_points as cps\ny = points.canonical_point\n") == [1, 2]

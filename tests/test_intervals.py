@@ -46,6 +46,7 @@ from cantorsurj.surjections import (
     from_filtering,
     identity,
     surjection_from_json,
+    to_filtering,
     tuple_to_factor,
 )
 
@@ -404,7 +405,7 @@ def test_validate_names_the_first_nesting_fault_past_entry_zero():
     assert validate_filtering(Filtering(3, (top, mid))) == FilteringReport(
         False, "nesting", (2, 5), "depth-2 tuple does not carry depth-1 maximum 1"
     )
-    levels = Filtering(3, (top,)).extend(3).levels
+    levels = to_filtering(Filtering(3, (top,)), 3).levels
     deep = list(levels[2])
     deep[3 * 4 + 2] = q3(1, 1, 2, 0)
     deep[3 * 6 + 2] = q3(2, 0, 2, 0)
@@ -413,12 +414,13 @@ def test_validate_names_the_first_nesting_fault_past_entry_zero():
     )
 
 
-def test_extend_materializes_greedy_levels():
+def test_to_filtering_materializes_greedy_levels():
     f = Filtering(2, ((q(0, 0),),))
-    g = f.extend(3)
+    g = to_filtering(f, 3)
     assert g.support == 3 and g.levels[0] == f.levels[0]
     assert g.fingerprint(5) == f.fingerprint(5)
-    assert f.extend(2).extend(4) == f.extend(4) and f.extend(1) is f
+    assert to_filtering(to_filtering(f, 2), 4) == to_filtering(f, 4)
+    assert to_filtering(f, 1) == f
 
 
 @pytest.mark.parametrize(

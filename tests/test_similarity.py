@@ -56,6 +56,16 @@ def test_tangent_numbers():
         tangent_number(0)
 
 
+def test_tangent_index_is_bounded_before_any_row(monkeypatch):
+    def unreachable():
+        raise AssertionError("a boustrophedon row was built")
+
+    monkeypatch.setattr(similarity, "_boustrophedon_rows", unreachable)
+    for call in (tangent_table, tangent_number):
+        with pytest.raises(ValueError, match=r"tangent numbers stop at 830"):
+            call(similarity.MAX_TANGENT_INDEX + 1)
+
+
 def test_type_counts():
     for ell in range(1, 5):
         assert len(enumerate_types(ell)) == tangent_number(ell)

@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import q
+from cantorsurj import experiments, verify
 from cantorsurj.experiments import ColoringSpec, QCopy
 from cantorsurj.intervals import ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point
-from cantorsurj.surjections import compose, from_filtering, identity
+from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity
 from cantorsurj.verify import (
     CHECKS,
     TANGENT_FIRST_FIVE,
@@ -87,8 +89,7 @@ def _passing_dump(criterion: int) -> dict:
         return {"criterion": 5, "f": e.to_json(), "g": chain.to_json(),
                 "distance": "2^0", "sampled_exponent": None}
     if criterion == 6:
-        return {"criterion": 6, "f": SKEW.to_json(), "h": chain.to_json(),
-                "factor_ok": False, "tuple_ok": False}
+        return {"criterion": 6, "f": SKEW.to_json(), "h": chain.to_json(), "factor_ok": False}
     if criterion == 7:
         return {"criterion": 7, "h": SKEW.to_json(), "missing": [0]}
     if criterion == 8:
@@ -115,3 +116,60 @@ def test_replay_failing_dump():
 def test_replay_rejects_unknown():
     with pytest.raises(ValueError):
         replay({"criterion": 99})
+
+
+# -- planted faults: each changed check fails, and its dump replays to False
+
+
+def _first_dump(check: int) -> dict:
+    (result,) = run_suite("42", {check}).results
+    assert not result.passed and result.failures, result.detail
+    dump = json.loads(result.failures[0])
+    assert not replay(dump)
+    return dump
+
+
+def test_check3_catches_a_non_greedy_first_level(monkeypatch):
+    # the first greedy level, with its entry 0 moved from x = c top^w to
+    # c 0 top^w: still valid (below x, no entry before it) and nested
+    # (deeper levels are built on it), but no longer the greedy pick
+    level = Filtering._level
+
+    def non_greedy(self, depth):
+        d = self.support + 1
+        if len(self._known) == d and depth >= d:
+            built = level(self, d)
+            x = built[0]
+            self._known[d] = (Point(self.base, x.stem + (0,), x.tail), *built[1:])
+        return level(self, depth)
+
+    monkeypatch.setattr(Filtering, "_level", non_greedy)
+    dump = _first_dump(3)
+    assert dump["depth"] == Filtering.from_json(dump["filtering"]).support + 1
+
+
+def test_check6_catches_a_wrong_factor(monkeypatch):
+    monkeypatch.setattr(verify, "factor_through", lambda g, h, depth: identity(g.base))
+    assert _first_dump(6)["factor_ok"] is False
+
+
+def test_check6_records_a_refused_factorization(monkeypatch):
+    def refuse(g, h, depth):
+        raise FactorizationError("planted refusal", depth=depth)
+
+    monkeypatch.setattr(verify, "factor_through", refuse)
+    assert _first_dump(6)["error"] == "planted refusal"
+
+
+def test_check9_catches_an_unordered_witness(monkeypatch):
+    rows = experiments._identity_realization
+
+    def swapped(b, k, budget):
+        rep = rows(b, k, budget)
+        row = rep.realizations[0]
+        w = row.witness
+        bad = replace(row, witness=(w[1], w[0], *w[2:]))
+        return replace(rep, realizations=(bad, *rep.realizations[1:]))
+
+    monkeypatch.setattr(experiments, "_identity_realization", swapped)
+    assert _first_dump(9)["spec"]["kind"] == "relabeled_types"
