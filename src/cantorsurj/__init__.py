@@ -1,119 +1,10 @@
-"""Exact computation with continuous nondecreasing surjections of b^w."""
+"""Exact computation with continuous nondecreasing surjections of b^w.
 
-from .experiments import (
-    ColoringSpec,
-    EpsilonParameters,
-    ExperimentReport,
-    OscillationReport,
-    QCopy,
-    WitnessOutcome,
-    build_witness,
-    epsilon_parameters,
-    find_cell_within,
-    lower_bound_coloring,
-    omega_coloring,
-    oscillation_search,
-    random_qcopy,
-    realize_all_colors,
-)
-from .intervals import (
-    BoundaryTuple,
-    ClopenInterval,
-    Evaluation,
-    Filtering,
-    FilteringReport,
-    Surjection,
-    validate_filtering,
-)
-from .points import Dyadic, Point, max_point, min_point
-from .randgen import (
-    derive_rng,
-    increasing_q_points,
-    random_filtering,
-    random_q_point_between,
-    random_surjection,
-)
-from .similarity import (
-    TreeType,
-    canonical_coloring,
-    enumerate_types,
-    is_strongly_diagonal,
-    scan_types,
-    search_tuple_of_type,
-    similarity_type,
-    tangent_number,
-    tangent_table,
-)
-from .surjections import (
-    ChainSurjection,
-    DistanceResult,
-    FactorizationError,
-    compose,
-    distance,
-    factor_through,
-    from_filtering,
-    identity,
-    surjection_from_json,
-    to_filtering,
-    truncate,
-    tuple_to_factor,
-    tuple_to_surjection,
-)
-from .verify import replay, run_suite
+Each name is imported from its defining module, for instance
+`from cantorsurj.surjections import compose`; the package root only loads
+the library modules.
+"""
 
-__all__ = [
-    "Point",
-    "Dyadic",
-    "min_point",
-    "max_point",
-    "ClopenInterval",
-    "Filtering",
-    "FilteringReport",
-    "validate_filtering",
-    "Surjection",
-    "ChainSurjection",
-    "BoundaryTuple",
-    "Evaluation",
-    "DistanceResult",
-    "FactorizationError",
-    "identity",
-    "from_filtering",
-    "to_filtering",
-    "truncate",
-    "compose",
-    "distance",
-    "factor_through",
-    "tuple_to_surjection",
-    "tuple_to_factor",
-    "surjection_from_json",
-    "TreeType",
-    "tangent_number",
-    "tangent_table",
-    "enumerate_types",
-    "is_strongly_diagonal",
-    "similarity_type",
-    "canonical_coloring",
-    "scan_types",
-    "search_tuple_of_type",
-    "EpsilonParameters",
-    "epsilon_parameters",
-    "lower_bound_coloring",
-    "realize_all_colors",
-    "ExperimentReport",
-    "QCopy",
-    "find_cell_within",
-    "omega_coloring",
-    "build_witness",
-    "WitnessOutcome",
-    "ColoringSpec",
-    "OscillationReport",
-    "oscillation_search",
-    "random_qcopy",
-    "derive_rng",
-    "random_q_point_between",
-    "increasing_q_points",
-    "random_filtering",
-    "random_surjection",
-    "run_suite",
-    "replay",
-]
+from . import caps, experiments, intervals, points, randgen, similarity, surjections, verify
+
+__all__ = ["caps", "experiments", "intervals", "points", "randgen", "similarity", "surjections", "verify"]

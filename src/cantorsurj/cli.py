@@ -4,10 +4,11 @@ One executable, subcommand per task, JSON as the only structured wire
 format.  Structured inputs come from files ("-" reads stdin); small values
 ride on flags.  Exit status: 0 on success, 1 when an assertion or
 verification fails (a counterexample dump goes to stdout), 2 on malformed
-input (a location note goes to stderr).  Capped operations default to a
-depth cap of 64; dist --cap, search-type --depth-cap and realize-all
---depth-cap set it per call.  The branch coloring is exact: color-omega and
-witness-omega check a --cap and then ignore it.
+input, on input nested past the stack and when memory runs out (a one-line
+note goes to stderr).  Capped operations default to a depth cap of 64;
+dist --cap, search-type --depth-cap and realize-all --depth-cap set it per
+call.  The branch coloring is exact: color-omega and witness-omega check a
+--cap and then ignore it.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def _cmd_dist(args) -> int:
 def _cmd_factor(args) -> int:
     g = _surjection(args.composite)
     h = _surjection(args.inner)
+    if args.depth < 1:
+        raise BadInput("depth must be >= 1")
     try:
         f = factor_through(g, h, args.depth)
     except FactorizationError as exc:
@@ -411,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:  # a chain nested deeper than the interpreter's stack
         print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # a downstream pager closed early; silence the shutdown flush too

@@ -21,8 +21,8 @@ the composite's boundary tuple.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
-Composition is kept as a chain and never flattened implicitly; truncate(f, d)
-is lossy below f.support and exact from it on.
+Composition is kept as a chain and never flattened implicitly;
+to_filtering(f, d) is lossy below f.support and exact from it on.
 
 The greedy-cylinder lemma (proved in step 1 of ChainSurjection): if h has
 support s, every depth-(s+k) cell of h lies in one cylinder of length k.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from . import caps
 from .intervals import BoundaryTuple, Filtering, Surjection, point_words, trusted_tuple, validate_filtering
-from .points import Dyadic, Point, canonical_points
+from .points import Dyadic, Point, canonical_points, json_int
 
 __all__ = [
     "ChainSurjection",
@@ -160,7 +160,11 @@ def surjection_from_json(obj: dict) -> Surjection:
     if kind == "filtering":
         return Filtering.from_json(obj)
     if kind == "chain":
-        return ChainSurjection(surjection_from_json(obj["outer"]), surjection_from_json(obj["inner"]))
+        base = json_int(obj["b"], "chain b")
+        chain = ChainSurjection(surjection_from_json(obj["outer"]), surjection_from_json(obj["inner"]))
+        if chain.base != base:
+            raise ValueError(f"chain b {base} but its maps have base {chain.base}")
+        return chain
     raise ValueError(f"unknown surjection kind {kind!r}")
 
 
@@ -179,12 +183,13 @@ def from_filtering(f: Filtering) -> Filtering:
 
 
 def to_filtering(f: Surjection, depth: int) -> Filtering:
+    """Materialize depth levels and re-extend canonically.  The result is
+    within 2^-depth of f, and equal to f when depth >= f.support."""
     return Filtering(f.base, tuple(f.fingerprint(d) for d in range(1, depth + 1)))
 
 
 def truncate(f: Surjection, depth: int) -> Filtering:
-    """Materialize depth levels and re-extend canonically.  The result is
-    within 2^-depth of f, and equal to f when depth >= f.support."""
+    """to_filtering, kept for perfbench/workloads.py until ROADMAP item 6."""
     return to_filtering(f, depth)
 
 

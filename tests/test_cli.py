@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -493,6 +494,24 @@ def test_missing_key_is_named(capsys, files):
 
 
 @pytest.mark.parametrize(
+    "b, message",
+    [
+        (2.7, "chain b: expected an integer, got 2.7"),
+        ("x", "chain b: expected an integer, got 'x'"),
+        (3, "chain b 3 but its maps have base 2"),
+        (None, "missing key 'b'"),
+    ],
+    ids=["float", "string", "other-base", "missing"],
+)
+def test_chain_base_is_decoded_strictly(capsys, files, b, message):
+    chain = {"kind": "chain", "outer": identity(2).to_json(), "inner": identity(2).to_json()}
+    if b is not None:
+        chain["b"] = b
+    c, h = files("c.json", chain), files("h.json", identity(2).to_json())
+    assert run(capsys, "compose", c, h) == (2, "", f"error: {c}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "point",
     ['{"b":2,"stem":"0101","tail":1}', '{"b":2.7,"stem":[0],"tail":1}', '{"b":2,"stem":[0],"tail":true}'],
 )
@@ -605,6 +624,30 @@ def test_eval_digits_over_materialize_limit_exits_2(capsys, files):
     code, out, err = run(capsys, "eval", surj, "--point", json.dumps(q(0).to_json()), "--digits", digits)
     assert code == 2 and out == ""
     assert err == f"error: {digits} digits requested; over limit {MATERIALIZE_LIMIT}\n"
+
+
+@pytest.mark.parametrize("verb", ["boundaries", "factor"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_exits_2(capsys, files, verb, depth):
+    surj = files("h.json", identity(2).to_json())
+    argv = [verb, surj] + ([surj] if verb == "factor" else []) + ["--depth", depth]
+    assert run(capsys, *argv) == (2, "", "error: depth must be >= 1\n")
+
+
+def test_out_of_memory_exits_2(files):
+    # a depth-21 level of 2^21 - 1 Points does not fit in 200 MiB of address
+    # space; the limit is set in the child only
+    limit = 200 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    surj = files("id.json", identity(2).to_json())
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "boundaries", surj, "--depth", "21"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("verb", ["boundaries", "factor"])

@@ -1,10 +1,15 @@
 """Every exported name resolves and is defined where it is exported, so a
-deleted function cannot linger as a stale export."""
+deleted function cannot linger as a stale export; the package root exports
+its library modules and no other name."""
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +37,30 @@ def test_module_exports_are_defined_there(name):
     assert set(exported) <= _top_level_definitions(module)
 
 
-def test_package_exports_resolve_to_their_defining_module():
-    for attr in cantorsurj.__all__:
-        obj = getattr(cantorsurj, attr)
-        home = importlib.import_module(obj.__module__)
-        assert home.__name__.startswith("cantorsurj.") and getattr(home, attr) is obj
+def test_package_root_lists_exactly_the_library_modules():
+    assert sorted(cantorsurj.__all__) == [name for name in MODULES if name != "cli"]
+    assert all(getattr(cantorsurj, name).__name__ == f"cantorsurj.{name}" for name in cantorsurj.__all__)
+
+
+def _span_layers() -> tuple[str, ...]:
+    """perfbench's SPAN_LAYERS, read from its source."""
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(tracing.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no SPAN_LAYERS")
+
+
+def test_importing_the_root_loads_every_traced_layer():
+    # the benchmark's tracer does `import cantorsurj` and then reads these
+    # modules from sys.modules; the root binds modules and nothing else
+    probe = (
+        "import json, sys, types, cantorsurj\n"
+        "names = [k for k, v in vars(cantorsurj).items() if not k.startswith('_')]\n"
+        "print(json.dumps([sorted(sys.modules), "
+        "sorted(k for k in names if not isinstance(getattr(cantorsurj, k), types.ModuleType))]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True)
+    loaded, not_modules = json.loads(out.stdout)
+    assert not_modules == []
+    assert {f"cantorsurj.{name}" for name in ("points", *_span_layers())} <= set(loaded)

@@ -2,14 +2,17 @@
 re-exported through its __all__, no module reads the environment, so
 each answer is a function of its arguments alone, and the unvalidated
 BoundaryTuple constructor is used only at the sites a lemma covers, and
-never by the verification suite, which checks what it is handed."""
+never by the verification suite, which checks what it is handed.  Callers
+outside the package take each name from its defining module, never from
+the package root, which holds modules only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorsurj"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "cantorsurj"
 
 
 def imported_names(tree):
@@ -164,3 +167,44 @@ def test_the_check_sees_a_trusted_witness_in_the_suite():
     assert "def _oscillation_predicate" in source and "trusted_tuple(rep.base" in source
     assert len(unvalidated_names(source)) == 1
     assert unvalidated_names("from .points import canonical_points as cps\ny = points.canonical_point\n") == [1, 2]
+
+
+MODULE_NAMES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+CALLERS = sorted(p for d in ("tests", "scripts", "perfbench") for p in (REPO / d).glob("*.py"))
+
+
+def root_name_uses(source):
+    """Lines taking a name other than a module from the package root, by
+    `from cantorsurj import X` or as the attribute `cantorsurj.X`."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "cantorsurj":
+            if any(a.name not in MODULE_NAMES for a in node.names):
+                hits.add(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cantorsurj"
+            and not node.attr.startswith("__")
+            and node.attr not in MODULE_NAMES
+        ):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_callers_import_names_from_their_defining_module(path):
+    assert root_name_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_name_taken_from_the_root():
+    source = (
+        "from cantorsurj import experiments, verify\n"
+        "from cantorsurj import Point\n"
+        "import cantorsurj\n"
+        "import cantorsurj.surjections as sj\n"
+        "x = cantorsurj.compose(sj.identity(2), cantorsurj.surjections.identity(2))\n"
+        "y = cantorsurj.__all__\n"
+        "from cantorsurj.points import Point\n"
+    )
+    assert root_name_uses(source) == [2, 5]
