@@ -1,8 +1,9 @@
 """Realize every depth-2 color over a random inner surjection.
 
-For each of the 16 colors the driver reports the witness tuple found in the
-inner map's max-set and the depth it was found at, then cross-checks the
-composite the same way the library does.
+For each of the 16 colors the driver prints the row of realize_all_colors'
+report: the witness tuple found in the inner map's max-set and the depth it
+was found at.  The library certifies each witness before it reports it:
+tuple_to_factor checks that the composite's fingerprint is the witness.
 """
 
 import argparse

@@ -35,11 +35,11 @@ from .similarity import (
     MAX_TANGENT_INDEX,
     MAX_TYPE_LEAVES,
     TreeType,
-    canonical_coloring,
+    diagonal_levels,
     enumerate_types,
     search_tuple_of_type,
-    similarity_type,
     tangent_number,
+    type_rank,
 )
 from .surjections import (
     FactorizationError,
@@ -144,23 +144,21 @@ def _cmd_types(args) -> int:
     return 0
 
 
-def _colored_points(path: str) -> tuple[tuple[Point, ...], int]:
+def _colored_points(path: str) -> tuple[int, tuple[int, ...] | None, int]:
+    """Length, type levels (None unless strongly diagonal) and color, from one classification."""
     pts = _points(path)
     if len(pts) > MAX_TANGENT_INDEX:
         raise BadInput(f"{path}: {len(pts)} points; types are ranked up to {MAX_TANGENT_INDEX} leaves")
     try:
-        return pts, canonical_coloring(pts, len(pts))
+        levels = diagonal_levels(pts)
     except ValueError as exc:
         raise BadInput(f"{path}: {exc}") from exc
+    return len(pts), levels, 0 if levels is None else type_rank(levels)
 
 
 def _cmd_type_of(args) -> int:
-    pts, color = _colored_points(args.points)
-    try:
-        levels = list(similarity_type(pts).levels)
-    except ValueError:  # canonical_coloring refused every other bad input
-        levels = None
-    _emit({"l": len(pts), "diagonal": levels is not None, "color": color, "levels": levels})
+    l, levels, color = _colored_points(args.points)
+    _emit({"l": l, "diagonal": levels is not None, "color": color, "levels": levels})
     return 0
 
 
@@ -230,7 +228,7 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_color_devlin(args) -> int:
-    print(_colored_points(args.points)[1])
+    print(_colored_points(args.points)[2])
     return 0
 
 

@@ -587,6 +587,8 @@ def oscillation_search(
     witness is certified by its validity alone.  The rows do not depend on
     the coloring, so a process realizes each identity cube once
     (_identity_realization)."""
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     # the color budget t_ell is not needed here, and is huge for fine eps
     k = _resolution_depth(eps)
     if k != spec.depth:

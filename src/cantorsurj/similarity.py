@@ -40,7 +40,7 @@ __all__ = [
     "tangent_table",
     "TreeType",
     "type_rank",
-    "is_strongly_diagonal",
+    "diagonal_levels",
     "similarity_type",
     "enumerate_types",
     "canonical_coloring",
@@ -366,26 +366,23 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
     return None
 
 
-def is_strongly_diagonal(points: tuple[Point, ...]) -> bool:
-    """Stems pairwise prefix-incomparable, neighbouring meets pairwise
-    distinct, and all 2*ell-1 closure nodes at pairwise distinct depths.
-
-    Distinct depths make the meets distinct, and _classify's neighbour test
-    covers all pairs, so this is exactly "_classify finds a type"."""
-    if len(set(points)) != len(points):
-        return False
-    return _classify(_binary_stems(tuple(sorted(points)))) is not None
+def diagonal_levels(points: tuple[Point, ...]) -> tuple[int, ...] | None:
+    """The type levels of an increasing tuple when it is strongly diagonal,
+    else None; raises on a tuple that is not increasing interior q-points.
+    Distinct node depths make the meets distinct, so _classify decides it."""
+    for i in range(1, len(points)):
+        if not points[i - 1] < points[i]:
+            raise ValueError("points must be strictly increasing")
+    return _classify(_binary_stems(points))
 
 
 def similarity_type(points: tuple[Point, ...]) -> TreeType:
-    """The type of a strongly diagonal tuple; raises on anything else."""
-    pts = tuple(sorted(points))
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
-    ranks = _classify(_binary_stems(pts))
-    if ranks is None:
+    """The type of a strongly diagonal tuple, in any order; raises on
+    anything else, a repeated point included."""
+    levels = diagonal_levels(tuple(sorted(points)))
+    if levels is None:
         raise ValueError("tuple is not strongly diagonal")
-    return TreeType(ranks)
+    return TreeType(levels)
 
 
 def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
@@ -394,13 +391,8 @@ def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
     (type_rank, its index in enumerate_types), anything else color 0."""
     if len(points) != leaves:
         raise ValueError(f"expected {leaves} points, got {len(points)}")
-    for i in range(1, leaves):
-        if not points[i - 1] < points[i]:
-            raise ValueError("points must be strictly increasing")
-    ranks = _classify(_binary_stems(points))
-    if ranks is None:
-        return 0
-    return _RANKS[ranks]
+    levels = diagonal_levels(points)
+    return 0 if levels is None else _RANKS[levels]
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,6 +432,8 @@ def scan_types(
     (default: all of them, up to MAX_TYPE_LEAVES leaves) has a witness or
     the cap/budget stops play."""
     depth_cap = caps.depth_cap(depth_cap)
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     if targets is None and leaves > MAX_TYPE_LEAVES:
         raise ValueError(f"a scan for every type is capped at {MAX_TYPE_LEAVES} leaves, got {leaves}")
     want = set(range(tangent_number(leaves))) if targets is None else set(targets)

@@ -12,6 +12,7 @@ shifts another's data.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -131,17 +132,25 @@ def count_updown(n: int) -> int:
 
 # -- the nine checks --------------------------------------------------------
 #
-# A check draws its cases from the seeded stream and runs one predicate per
-# case: predicate(case) returns a failure dump or None.  replay rebuilds the
-# case from a dump and runs the same predicate.  Where the detail line needs
-# a quantity the predicate also reads (a distance, a search report), the case
-# carries it, made by one helper that suite and replay share.
+# A check is one row of CHECKS, read by both run_suite and replay.  The
+# suite runs the row's predicate on each case drawn from the check's seeded
+# stream, replay on the case rebuilt from a dump; predicate(case) returns a
+# failure dump or None.  A case carries what its predicate and the detail
+# line both read (a distance, a search report), made by one helper that the
+# cases and the rebuild share.  Checks 3, 4 and 6 draw their cases lazily,
+# so their detail lines read only the failures.
 
 EPS = Fraction(3, 10)  # resolution of the oscillation searches in check 9
 
 
-def _failures(cases, predicate) -> list[dict]:
-    return [bad for bad in map(predicate, cases) if bad is not None]
+@dataclass(frozen=True, slots=True)
+class Check:
+    index: int
+    name: str
+    cases: Callable  # rng -> the cases, drawn in order from the check's stream
+    predicate: Callable  # case -> a failure dump, or None when the case passes
+    rebuild: Callable  # dump -> the case it was written from
+    detail: Callable  # (cases, failure dumps) -> the report line
 
 
 def _tangent_values() -> tuple[tuple[int, ...], ...]:
@@ -159,12 +168,6 @@ def _tangent_predicate(values) -> dict | None:
     return {"criterion": 1, "zigzag": table, "taylor": taylor, "brute": brute}
 
 
-def _check_tangent(rng) -> tuple[bool, str, list[dict]]:
-    values = _tangent_values()
-    bad = _failures([values], _tangent_predicate)
-    return not bad, "zigzag(1..5)={}; taylor={}; brute={}".format(*values), bad
-
-
 def _type_count_values() -> tuple[tuple[int, ...], tuple[int, ...]]:
     counts = tuple(len(enumerate_types(l)) for l in range(1, 5))
     return counts, tuple(tangent_number(l) for l in range(1, 5))
@@ -175,10 +178,11 @@ def _type_count_predicate(values) -> dict | None:
     return None if counts == want else {"criterion": 2, "counts": counts, "want": want}
 
 
-def _check_type_counts(rng) -> tuple[bool, str, list[dict]]:
-    values = _type_count_values()
-    bad = _failures([values], _type_count_predicate)
-    return not bad, "|types(l)| for l=1..4 = {}, want {}".format(*values), bad
+def _roundtrip_cases(rng):
+    return (
+        (random_filtering(rng, rng.choice((2, 3)), rng.randint(0, 4)), range(1, 7))
+        for _ in range(1000)
+    )
 
 
 def _roundtrip_predicate(case) -> dict | None:
@@ -199,14 +203,9 @@ def _roundtrip_predicate(case) -> dict | None:
     return None
 
 
-def _check_roundtrip(rng) -> tuple[bool, str, list[dict]]:
-    cases = (
-        (random_filtering(rng, rng.choice((2, 3)), rng.randint(0, 4)), range(1, 7))
-        for _ in range(1000)
-    )
-    bad = _failures(cases, _roundtrip_predicate)
-    detail = f"1000 filterings (b in 2,3, support <= 4) x depths 1..6: {len(bad)} failures"
-    return not bad, detail, bad
+def _monoid_cases(rng):
+    e = identity(2)  # shared, so its greedy extension is computed once
+    return ((*(random_surjection(rng, 2, 3, 0.2) for _ in range(3)), e) for _ in range(200))
 
 
 def _monoid_predicate(case) -> dict | None:
@@ -227,14 +226,6 @@ def _monoid_predicate(case) -> dict | None:
         "left_id": left == base_fp,
         "right_id": right == base_fp,
     }
-
-
-def _check_monoid(rng) -> tuple[bool, str, list[dict]]:
-    e = identity(2)  # shared, so its greedy extension is computed once
-    cases = ((*(random_surjection(rng, 2, 3, 0.2) for _ in range(3)), e) for _ in range(200))
-    bad = _failures(cases, _monoid_predicate)
-    detail = f"200 triples, depth-8 fingerprints, associativity + identity laws: {len(bad)} failures"
-    return not bad, detail, bad
 
 
 SAMPLE_STEM_LIMIT = 10
@@ -263,6 +254,14 @@ def _metric_case(f, g, table_f, table_g):
     return f, g, table_f, table_g, distance(f, g)
 
 
+def _metric_cases(rng):
+    samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
+    pool = [random_surjection(rng, 2, 4, 0.3) for _ in range(40)]
+    tables = [_sample_table(s, samples) for s in pool]  # once per map, not per pair
+    pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(500)]
+    return [_metric_case(pool[i], pool[j], tables[i], tables[j]) for i, j in pairs]
+
+
 def _metric_predicate(case) -> dict | None:
     f, g, table_f, table_g, d = case
     m = _sampled_sup_exponent(table_f, table_g)
@@ -277,19 +276,27 @@ def _metric_predicate(case) -> dict | None:
     }
 
 
-def _check_metric(rng) -> tuple[bool, str, list[dict]]:
+def _metric_rebuild(dump: dict):
+    f, g = _surjections(dump, "f", "g")
     samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
-    pool = [random_surjection(rng, 2, 4, 0.3) for _ in range(40)]
-    tables = [_sample_table(s, samples) for s in pool]  # once per map, not per pair
-    pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(500)]
-    cases = [_metric_case(pool[i], pool[j], tables[i], tables[j]) for i, j in pairs]
-    bad = _failures(cases, _metric_predicate)
+    return _metric_case(f, g, _sample_table(f, samples), _sample_table(g, samples))
+
+
+def _metric_detail(cases, bad) -> str:
+    samples = len(cases[0][2])  # a table holds one image per sample point
     zeros = sum(case[-1].kind == "zero" for case in cases)
-    detail = (
-        f"500 pairs vs sup-oracle over {len(samples)} points (stems <= {SAMPLE_STEM_LIMIT}): "
+    return (
+        f"500 pairs vs sup-oracle over {samples} points (stems <= {SAMPLE_STEM_LIMIT}): "
         f"{len(bad)} mismatches, {zeros} zero-distance pairs"
     )
-    return not bad, detail, bad
+
+
+def _factorization_cases(rng):
+    bases = (3 if i % 7 == 0 else 2 for i in range(200))
+    return (
+        tuple(random_surjection(rng, b, 3, 0.25 if b == 2 else 0.0) for _ in range(2))
+        for b in bases
+    )
 
 
 def _factorization_predicate(case) -> dict | None:
@@ -304,19 +311,15 @@ def _factorization_predicate(case) -> dict | None:
     return None if ff.fingerprint(6) == f.fingerprint(6) else {**dump, "factor_ok": False}
 
 
-def _check_factorization(rng) -> tuple[bool, str, list[dict]]:
-    bases = (3 if i % 7 == 0 else 2 for i in range(200))
-    cases = (
-        tuple(random_surjection(rng, b, 3, 0.25 if b == 2 else 0.0) for _ in range(2))
-        for b in bases
-    )
-    bad = _failures(cases, _factorization_predicate)
-    detail = f"200 pairs, factor + tuple roundtrips at depth 6: {len(bad)} failures"
-    return not bad, detail, bad
-
-
 def _realization_case(h):
     return h, realize_all_colors(h, 2, 20)
+
+
+def _realization_cases(rng):
+    inners = [identity(2)] + [
+        from_filtering(random_filtering(rng, 2, rng.randint(0, 3))) for _ in range(20)
+    ]
+    return [_realization_case(h) for h in inners]
 
 
 def _realization_predicate(case) -> dict | None:
@@ -327,18 +330,17 @@ def _realization_predicate(case) -> dict | None:
     return {"criterion": 7, "h": h.to_json(), "missing": missing}
 
 
-def _check_realization(rng) -> tuple[bool, str, list[dict]]:
-    inners = [identity(2)] + [
-        from_filtering(random_filtering(rng, 2, rng.randint(0, 3))) for _ in range(20)
-    ]
-    cases = [_realization_case(h) for h in inners]
-    bad = _failures(cases, _realization_predicate)
-    detail = (
+def _realization_detail(cases, bad) -> str:
+    return (
         f"21 inner surjections, 16 colors each, cap 20: {len(bad)} incomplete"
         f" (combos={sum(rep.combos for _, rep in cases)},"
         f" deepest={max(rep.deepest_full for _, rep in cases)})"
     )
-    return not bad, detail, bad
+
+
+def _omega_cases(rng):
+    copies = [QCopy.unrestricted(identity(2))] + [random_qcopy(rng) for _ in range(50)]
+    return [(y, r) for y in copies for r in range(9)]
 
 
 def _omega_predicate(case) -> dict | None:
@@ -352,16 +354,29 @@ def _omega_predicate(case) -> dict | None:
     return None
 
 
-def _check_omega(rng) -> tuple[bool, str, list[dict]]:
-    copies = [QCopy.unrestricted(identity(2))] + [random_qcopy(rng) for _ in range(50)]
-    bad = _failures(((y, r) for y in copies for r in range(9)), _omega_predicate)
-    done = 9 * len(copies) - len(bad)
-    detail = f"{len(copies)} copies x targets 0..8: {done} witnesses verified, {len(bad)} failures"
-    return not bad, detail, bad
+def _omega_detail(cases, bad) -> str:
+    done = len(cases) - len(bad)
+    return f"{len(cases) // 9} copies x targets 0..8: {done} witnesses verified, {len(bad)} failures"
 
 
 def _oscillation_case(spec):
     return spec, oscillation_search(spec, EPS)
+
+
+def _oscillation_cases(rng):
+    specs = [
+        ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))),
+        ColoringSpec(2, 2, 64, "constant", constant=63),
+    ]
+    for _ in range(30):
+        k_colors = rng.randint(1, 64)
+        specs.append(
+            ColoringSpec(
+                2, 2, k_colors, "relabeled_types",
+                relabel=tuple(rng.randrange(k_colors) for _ in range(16)),
+            )
+        )
+    return [_oscillation_case(spec) for spec in specs]
 
 
 def _oscillation_predicate(case) -> dict | None:
@@ -376,95 +391,71 @@ def _oscillation_predicate(case) -> dict | None:
     return None if ok else {"criterion": 9, "spec": spec.to_json(), "labels": list(rep.labels)}
 
 
-def _check_oscillation(rng) -> tuple[bool, str, list[dict]]:
-    specs = [
-        ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))),
-        ColoringSpec(2, 2, 64, "constant", constant=63),
-    ]
-    for _ in range(30):
-        k_colors = rng.randint(1, 64)
-        specs.append(
-            ColoringSpec(
-                2, 2, k_colors, "relabeled_types",
-                relabel=tuple(rng.randrange(k_colors) for _ in range(16)),
-            )
-        )
-    cases = [_oscillation_case(spec) for spec in specs]
-    bad = _failures(cases, _oscillation_predicate)
-    detail = (
-        f"{len(specs)} colorings (K <= 64) through the type map: all |B| <= 16, "
+def _oscillation_detail(cases, bad) -> str:
+    return (
+        f"{len(cases)} colorings (K <= 64) through the type map: all |B| <= 16, "
         f"{sum(len(rep.witnesses) for _, rep in cases)} near-cube witnesses re-verified, "
         f"{len(bad)} failures"
     )
-    return not bad, detail, bad
-
-
-CHECKS = (
-    (1, "tangent-oracles", _check_tangent),
-    (2, "type-counts", _check_type_counts),
-    (3, "bijection-roundtrip", _check_roundtrip),
-    (4, "monoid-laws", _check_monoid),
-    (5, "metric-criterion", _check_metric),
-    (6, "factorization", _check_factorization),
-    (7, "color-realization", _check_realization),
-    (8, "omega-witnesses", _check_omega),
-    (9, "oscillation-exact", _check_oscillation),
-)
-
-CHECK_NAMES = {idx: name for idx, name, _ in CHECKS}
-
-
-def run_suite(seed: int | str, only: set[int] | None = None) -> SuiteReport:
-    results = []
-    for idx, name, fn in CHECKS:
-        if only is not None and idx not in only:
-            continue
-        rng = derive_rng(seed, f"c{idx}")
-        try:
-            ok, detail, bad = fn(rng)
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail, bad = False, f"crashed: {type(exc).__name__}: {exc}", []
-        results.append(
-            CheckResult(idx, name, ok, detail, tuple(_dump(d) for d in bad[:MAX_DUMPS]))
-        )
-    return SuiteReport(str(seed), tuple(results))
-
-
-# -- counterexample replay ---------------------------------------------------
 
 
 def _surjections(dump: dict, *keys: str) -> list:
     return [surjection_from_json(dump[k]) for k in keys]
 
 
-def _metric_replay_case(dump: dict):
-    f, g = _surjections(dump, "f", "g")
-    samples = tuple(iter_points(2, SAMPLE_STEM_LIMIT))
-    return _metric_case(f, g, _sample_table(f, samples), _sample_table(g, samples))
+CHECKS = (
+    Check(1, "tangent-oracles", lambda rng: [_tangent_values()], _tangent_predicate,
+          lambda dump: _tangent_values(),
+          lambda cases, bad: "zigzag(1..5)={}; taylor={}; brute={}".format(*cases[0])),
+    Check(2, "type-counts", lambda rng: [_type_count_values()], _type_count_predicate,
+          lambda dump: _type_count_values(),
+          lambda cases, bad: "|types(l)| for l=1..4 = {}, want {}".format(*cases[0])),
+    Check(3, "bijection-roundtrip", _roundtrip_cases, _roundtrip_predicate,
+          lambda dump: (Filtering.from_json(dump["filtering"]), (dump["depth"],)),
+          lambda cases, bad: f"1000 filterings (b in 2,3, support <= 4) x depths 1..6: {len(bad)} failures"),
+    Check(4, "monoid-laws", _monoid_cases, _monoid_predicate,
+          lambda dump: (*_surjections(dump, "f", "g", "h"), identity(2)),
+          lambda cases, bad: "200 triples, depth-8 fingerprints, associativity + identity laws: "
+                             f"{len(bad)} failures"),
+    Check(5, "metric-criterion", _metric_cases, _metric_predicate, _metric_rebuild, _metric_detail),
+    Check(6, "factorization", _factorization_cases, _factorization_predicate,
+          lambda dump: _surjections(dump, "f", "h"),
+          lambda cases, bad: f"200 pairs, factor + tuple roundtrips at depth 6: {len(bad)} failures"),
+    Check(7, "color-realization", _realization_cases, _realization_predicate,
+          lambda dump: _realization_case(*_surjections(dump, "h")), _realization_detail),
+    Check(8, "omega-witnesses", _omega_cases, _omega_predicate,
+          lambda dump: (QCopy.from_json(dump["copy"]), dump["target"]), _omega_detail),
+    Check(9, "oscillation-exact", _oscillation_cases, _oscillation_predicate,
+          lambda dump: _oscillation_case(ColoringSpec.from_json(dump["spec"])), _oscillation_detail),
+)
+
+CHECK_NAMES = {check.index: check.name for check in CHECKS}
 
 
-# criterion -> (rebuild the case from its dump, the predicate the suite ran)
-_REPLAY = {
-    1: (lambda dump: _tangent_values(), _tangent_predicate),
-    2: (lambda dump: _type_count_values(), _type_count_predicate),
-    3: (
-        lambda dump: (Filtering.from_json(dump["filtering"]), (dump["depth"],)),
-        _roundtrip_predicate,
-    ),
-    4: (lambda dump: (*_surjections(dump, "f", "g", "h"), identity(2)), _monoid_predicate),
-    5: (_metric_replay_case, _metric_predicate),
-    6: (lambda dump: _surjections(dump, "f", "h"), _factorization_predicate),
-    7: (lambda dump: _realization_case(*_surjections(dump, "h")), _realization_predicate),
-    8: (lambda dump: (QCopy.from_json(dump["copy"]), dump["target"]), _omega_predicate),
-    9: (lambda dump: _oscillation_case(ColoringSpec.from_json(dump["spec"])), _oscillation_predicate),
-}
+def run_suite(seed: int | str, only: set[int] | None = None) -> SuiteReport:
+    results = []
+    for check in CHECKS:
+        if only is not None and check.index not in only:
+            continue
+        rng = derive_rng(seed, f"c{check.index}")
+        try:
+            cases = check.cases(rng)
+            bad = [dump for dump in map(check.predicate, cases) if dump is not None]
+            ok, detail = not bad, check.detail(cases, bad)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail, bad = False, f"crashed: {type(exc).__name__}: {exc}", []
+        results.append(
+            CheckResult(check.index, check.name, ok, detail, tuple(_dump(d) for d in bad[:MAX_DUMPS]))
+        )
+    return SuiteReport(str(seed), tuple(results))
 
 
 def replay(dump: dict) -> bool:
-    """Re-run the one assertion behind a counterexample dump.  Returns True
+    """Re-run the one assertion behind a counterexample dump: rebuild its
+    case and run the predicate of the check the dump names.  Returns True
     when the assertion passes now, so any genuine dump replays to False."""
     c = dump["criterion"]
-    if c not in _REPLAY:
-        raise ValueError(f"unknown criterion index {c!r}")
-    rebuild, predicate = _REPLAY[c]
-    return predicate(rebuild(dump)) is None
+    for check in CHECKS:
+        if check.index == c:
+            return check.predicate(check.rebuild(dump)) is None
+    raise ValueError(f"unknown criterion index {c!r}")

@@ -124,7 +124,7 @@ def test_points_over_rank_bound_exit_2(capsys, files, monkeypatch, verb):
     def refuse(*args):
         raise AssertionError("coloring started")
 
-    monkeypatch.setattr(cli, "canonical_coloring", refuse)
+    monkeypatch.setattr(cli, "diagonal_levels", refuse)
     monkeypatch.setattr(similarity._RankMemo, "__missing__", refuse)
     path = files("pts.json", [p.to_json() for p in identity(2).fingerprint(10)[:831]])
     code, out, err = run(capsys, verb, path)
@@ -279,6 +279,33 @@ def test_dist_cap_below_one_exits_2(capsys, files, verb, flag, cap):
     }[verb]
     code, out, err = run(capsys, verb, *argv, flag, cap)
     assert code == 2 and out == "" and err == f"error: cap must be positive, got {cap}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "verb, spec",
+    [
+        pytest.param("realize-all", None, id="realize-all"),
+        pytest.param("search-type", None, id="search-type"),
+        pytest.param("oscillation", PIN_RELABELED, id="oscillation-relabeled"),
+        pytest.param("oscillation", PIN_CONSTANT, id="oscillation-constant"),
+    ],
+)
+def test_scan_budget_below_one_exits_2(capsys, files, monkeypatch, verb, spec, budget):
+    import cantorsurj.similarity as similarity
+
+    def refuse(*args):
+        raise AssertionError("a type scan started")
+
+    monkeypatch.setattr(similarity, "_walk_diagonal", refuse)
+    a = files("id.json", identity(2).to_json())
+    argv = {
+        "realize-all": [a, "--k", "1"],
+        "search-type": [a, "--levels", "1,0,2"],
+        "oscillation": [files("spec.json", spec), "--eps", "0.3"],
+    }[verb]
+    code, out, err = run(capsys, verb, *argv, "--budget", budget)
+    assert code == 2 and out == "" and err == f"error: budget must be positive, got {budget}\n"
 
 
 def test_boundaries(capsys, files):

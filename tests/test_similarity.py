@@ -23,7 +23,6 @@ from cantorsurj.similarity import (
     TreeType,
     canonical_coloring,
     enumerate_types,
-    is_strongly_diagonal,
     scan_types,
     search_tuple_of_type,
     similarity_type,
@@ -206,11 +205,22 @@ def test_coloring_of_a_seven_leaf_diagonal_tuple():
     assert canonical_coloring(pts, 7) == type_rank(levels) == reference_rank(levels) == 19_975_536
 
 
+def _has_type(points) -> bool:
+    """Whether similarity_type classifies the tuple; it refuses a repeated
+    point as not increasing and any other tuple as not strongly diagonal."""
+    try:
+        similarity_type(points)
+    except ValueError as exc:
+        assert str(exc) in ("tuple is not strongly diagonal", "points must be strictly increasing")
+        return False
+    return True
+
+
 def test_strongly_diagonal():
-    assert is_strongly_diagonal((q(0, 0, 0), q(0, 0, 1, 0)))
-    assert not is_strongly_diagonal((q(0, 0), q(0)))  # comparable stems
-    assert not is_strongly_diagonal((q(0, 0), q(0), q(1, 0)))
-    assert not is_strongly_diagonal((q(0, 0), q(1, 0)))  # equal leaf levels
+    assert _has_type((q(0, 0, 0), q(0, 0, 1, 0)))
+    assert not _has_type((q(0, 0), q(0)))  # comparable stems
+    assert not _has_type((q(0, 0), q(0), q(1, 0)))
+    assert not _has_type((q(0, 0), q(1, 0)))  # equal leaf levels
 
 
 def _diagonal_by_definition(points):
@@ -234,7 +244,7 @@ def _diagonal_by_definition(points):
 @given(st.lists(st.lists(st.integers(0, 1), max_size=7), min_size=1, max_size=5))
 def test_strongly_diagonal_matches_definition(stems):
     points = tuple(Point(2, tuple(s) + (0,), 1) for s in stems)
-    assert is_strongly_diagonal(points) == _diagonal_by_definition(points)
+    assert _has_type(points) == _diagonal_by_definition(points)
 
 
 def test_similarity_type_goldens():
@@ -277,7 +287,7 @@ def test_scan_identity_depth2():
     assert out.deepest_full == 6
     assert sorted(out.witnesses) == list(range(16))
     for label, w in out.witnesses.items():
-        assert is_strongly_diagonal(w.points)
+        assert type_rank(similarity_type(w.points).levels) == label
         assert canonical_coloring(w.points, 3) == label
         assert all(p.stem and len(p.stem) <= w.depth for p in w.points)
 

@@ -10,6 +10,7 @@ from cantorsurj.intervals import ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point
 from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity
 from cantorsurj.verify import (
+    CHECK_NAMES,
     CHECKS,
     TANGENT_FIRST_FIVE,
     CheckResult,
@@ -25,10 +26,26 @@ def test_oracles_agree():
     assert tuple(count_updown(2 * k - 1) for k in range(1, 5)) == (1, 2, 16, 272)
 
 
-def test_checks_registry():
-    assert [idx for idx, _, _ in CHECKS] == list(range(1, 10))
-    names = [name for _, name, _ in CHECKS]
-    assert names[0] == "tangent-oracles" and names[-1] == "oscillation-exact"
+def test_check_rows():
+    assert [row.index for row in CHECKS] == list(range(1, 10))
+    assert [row.name for row in CHECKS] == [
+        "tangent-oracles", "type-counts", "bijection-roundtrip", "monoid-laws", "metric-criterion",
+        "factorization", "color-realization", "omega-witnesses", "oscillation-exact",
+    ]
+    assert CHECK_NAMES == {row.index: row.name for row in CHECKS}
+
+
+def test_suite_and_replay_read_one_row(monkeypatch):
+    # a predicate swapped in one row fails in the suite and in replay alike
+    def always_fails(case):
+        return {"criterion": 2, "planted": True}
+
+    rows = tuple(replace(row, predicate=always_fails) if row.index == 2 else row for row in CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    (result,) = run_suite(42, {2}).results
+    assert not result.passed
+    assert result.failures == ('{"criterion":2,"planted":true}',)
+    assert not replay(json.loads(result.failures[0]))
 
 
 def test_run_subset():
