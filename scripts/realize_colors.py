@@ -2,8 +2,9 @@
 
 For each of the 16 colors the driver prints the row of realize_all_colors'
 report: the witness tuple found in the inner map's max-set and the depth it
-was found at.  The library certifies each witness before it reports it:
-tuple_to_factor checks that the composite's fingerprint is the witness.
+was found at.  The library certifies every witness before it reports it:
+one tuple_to_factors batch checks that each composite's fingerprint is its
+witness.
 """
 
 import argparse

@@ -41,7 +41,7 @@ from .similarity import (
     scan_types,
     tangent_number,
 )
-from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factor
+from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factors
 
 __all__ = [
     "EpsilonParameters",
@@ -153,11 +153,12 @@ def realize_all_colors(
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ExperimentReport:
     """Find, for every color r, an outer factor f with the composite f o h
-    colored r: tuple_to_factor certifies that the composite's fingerprint is
-    the scan's witness w, and w must get color r.  That covers the metric
-    ball too: tuple_to_surjection(t) stores t.entries as its level k (the
-    slice at d = k is entries[0::1]), so its color is w's.  Colors whose
-    type never shows up within the cap are reported missing, not raised."""
+    colored r: one tuple_to_factors batch certifies, for every scan witness
+    w, that its composite's fingerprint is w, and w must get color r.  That
+    covers the metric ball too: tuple_to_surjection(t) stores t.entries as
+    its level k (the slice at d = k is entries[0::1]), so its color is w's.
+    Colors whose type never shows up within the cap are reported missing,
+    not raised."""
     # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
     if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
         raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
@@ -165,16 +166,15 @@ def realize_all_colors(
     ell = h.base**k - 1
     t = tangent_number(ell)
     outcome = scan_types(h, ell, depth_cap, budget)
+    witnesses = [outcome.witnesses.get(r) for r in range(t)]
+    # raises unless each composite's fingerprint is its w.points; a witness,
+    # b^k - 1 increasing points of h.fingerprint(w.depth), is valid as it is
+    tuple_to_factors(h, [trusted_tuple(h.base, k, w.points) for w in witnesses if w is not None])
     rows = []
-    for r in range(t):
-        w = outcome.witnesses.get(r)
+    for r, w in enumerate(witnesses):
         if w is None:
             rows.append(ColorRealization(r, None, None, False))
             continue
-        # tuple_to_factor raises unless the composite's fingerprint is w.points;
-        # a scan witness is an increasing sub-tuple of h.fingerprint(w.depth),
-        # b^k - 1 interior q-points, so it is valid as it stands
-        tuple_to_factor(h, trusted_tuple(h.base, k, w.points))
         got = canonical_coloring(w.points, ell)
         if got != r:
             raise RuntimeError(f"realization of color {r} failed verification: composite {got}")

@@ -35,8 +35,8 @@ l < top, so it is canonical as it stands and its point skips validation
 So does BoundaryTuple (validate_level, C-level passes over point_keys);
 trusted_tuple skips that only where a lemma gives validity, named at each
 of its three calls: a valid map's own fingerprint
-(Surjection.boundary_tuple), the images of a valid tuple
-(surjections.tuple_to_factor: increasing cell maxima have increasing
+(Surjection.boundary_tuple), the images of a batch of valid tuples
+(surjections.tuple_to_factors: increasing cell maxima have increasing
 images), and a scan witness, an increasing sub-tuple of a fingerprint
 (experiments.realize_all_colors).  Every from_json and the CLI decode
 through the validating constructors.
@@ -197,8 +197,8 @@ class BoundaryTuple:
 
     The constructor and from_json validate (validate_level); trusted_tuple
     skips that for a map's own fingerprint (boundary_tuple), the images in
-    tuple_to_factor and scan witnesses in realize_all_colors (increasing
-    sub-tuples of a fingerprint), as the module docstring argues.
+    tuple_to_factors' batch and scan witnesses in realize_all_colors
+    (increasing sub-tuples of a fingerprint), as the module docstring argues.
     """
 
     base: int
@@ -227,7 +227,7 @@ _set_b, _set_depth, _set_entries = (
 def trusted_tuple(base: int, depth: int, entries: tuple[Point, ...]) -> BoundaryTuple:
     """BoundaryTuple(base, depth, entries) without validation, where a
     lemma gives b^depth - 1 strictly increasing interior q-points of the
-    base: Surjection.boundary_tuple, surjections.tuple_to_factor and
+    base: Surjection.boundary_tuple, surjections.tuple_to_factors and
     experiments.realize_all_colors.  Not exported: decoders validate."""
     t = object.__new__(BoundaryTuple)
     _set_b(t, base)

@@ -16,8 +16,8 @@ intervals), distance and factorization (here).
 Evaluation, a batch of points at once (evaluate_all), and factor images
 read a map's cells through the one point walk (intervals.point_words),
 which asks for cell_maxima a depth at a time above the support.
-Factorization is one walk, tuple_to_factor, which factor_through calls on
-the composite's boundary tuple.
+Factorization is one walk and one pull for a batch of boundary tuples,
+tuple_to_factors; factor_through calls it on the composite's tuple alone.
 
 Every surjection has a support, the depth from which the greedy rule alone
 makes its levels, so distance is exact for every representation.
@@ -31,9 +31,9 @@ Two corollaries bound every cell search exactly:
 (i)  Every interior q-point x = c top^w is a cell maximum of h by depth
      s + |c|: its cell there lies in a length-|c| cylinder holding x, which
      is [c], and x = max [c].  So h's max-set is every interior q-point, and
-     evaluate(x, s + |c|) is exact.  tuple_to_factor finds the images of
-     a whole sorted tuple in one walk of h's cells (intervals.point_words),
-     with that bound as each entry's depth limit.
+     evaluate(x, s + |c|) is exact.  tuple_to_factors finds the images of
+     every entry of a batch of tuples in one walk of h's cells
+     (intervals.point_words), with that bound as each entry's depth limit.
 (ii) Every clopen interval [lo, hi] contains a full cell of h by depth
      s + m, m the longer endpoint stem: the cylinder [v], v the first m
      digits of lo, lies in [lo, hi], and the depth-(s+m) cell holding
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from . import caps
 from .intervals import BoundaryTuple, Filtering, Surjection, point_words, trusted_tuple, validate_filtering
-from .points import Dyadic, Point, canonical_points, json_int
+from .points import Dyadic, Point, canonical_points, json_int, point_keys
 
 __all__ = [
     "ChainSurjection",
@@ -61,9 +61,21 @@ __all__ = [
     "factor_through",
     "tuple_to_surjection",
     "tuple_to_factor",
+    "tuple_to_factors",
 ]
 
 _UNSTABLE = "image not stabilized within the requested digit budget"
+
+
+def _pull(inner: Surjection, ys) -> dict[tuple[int, ...], Point]:
+    """The inner cell maximum at the stem of every outer cell maximum y in
+    ys, in one cell_maxima call for the distinct stems (the top's is ())."""
+    top, stems = inner.base - 1, set()
+    for y in ys:
+        if y.tail != top:
+            raise ValueError(f"a chain pull needs an eventually-max point, got {y}")
+        stems.add(y.stem)
+    return inner.cell_maxima(stems)
 
 
 class ChainSurjection(Surjection):
@@ -119,26 +131,15 @@ class ChainSurjection(Surjection):
         self.inner = inner
         self.support = outer.support + inner.support
 
-    def _pull(self, ys) -> dict[tuple[int, ...], Point]:
-        """The inner cell maximum at the stem of every outer cell maximum y
-        in ys, pulled in one inner cell_maxima call for the distinct stems,
-        the top point's stem () included."""
-        top, stems = self.base - 1, set()
-        for y in ys:
-            if y.tail != top:
-                raise ValueError(f"a chain pull needs an eventually-max point, got {y}")
-            stems.add(y.stem)
-        return self.inner.cell_maxima(stems)
-
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
         ys = self.outer.cell_maxima(words)
-        pulled = self._pull(ys.values())
+        pulled = _pull(self.inner, ys.values())
         return {w: pulled[y.stem] for w, y in ys.items()}
 
     def _level(self, depth: int) -> tuple[Point, ...]:
         # the outer's whole level, pulled in bulk through the inner map
         ys = self.outer.fingerprint(depth)
-        pulled = self._pull(ys)
+        pulled = _pull(self.inner, ys)
         return tuple(pulled[y.stem] for y in ys)
 
     def to_json(self) -> dict:
@@ -267,29 +268,43 @@ def tuple_to_surjection(t: BoundaryTuple) -> Filtering:
 
 
 def tuple_to_factor(h: Surjection, t: BoundaryTuple) -> Filtering:
-    """Find f with fingerprint(f o h, k) = t: the one factorization walk.
+    """Find f with fingerprint(f o h, k) = t: tuple_to_factors of t alone."""
+    return tuple_to_factors(h, (t,))[0]
 
-    f is the canonical surjection on the h-images of t's entries.  Each
-    entry, an interior q-point, is a cell maximum of h by depth
-    h.support + len(stem) (corollary (i)); its image, the word of the
-    shallowest such cell followed by top digits, is found for all entries
-    in one walk (point_words) and refused with evaluate's error past that
-    bound.  Increasing cell maxima have increasing images, so the image
-    tuple is built unvalidated (intervals.trusted_tuple): its entries are
-    the b^k - 1 hit words followed by top digits, strictly increasing
-    interior q-points.  Composing back must reproduce t and is verified
-    before returning, which certifies the images too; by corollary (i) only
-    a map that misstates its support fails there.
-    """
-    if h.base != t.base:
+
+def tuple_to_factors(h: Surjection, ts) -> list[Filtering]:
+    """For each boundary tuple t in the sequence ts, f with
+    fingerprint(f o h, t.depth) = t, the canonical surjection on the
+    h-images of t's entries: the one factorization walk.  An entry, an
+    interior q-point, is a cell maximum of h by depth h.support + len(stem)
+    (corollary (i)); one walk (point_words) over the union of the entries,
+    keyed by stem and sorted on point_keys, finds each image, the word of
+    the shallowest such cell followed by top digits, or refuses with
+    evaluate's error past that bound.  One pull of every image tuple
+    through h (_pull) checks that each f o h reproduces its t, which
+    certifies the images too; the first t that fails raises.  By corollary
+    (i) only a map that misstates its support fails there."""
+    b = h.base
+    if any(t.base != b for t in ts):
         raise ValueError("base mismatch")
-    b, k = h.base, t.depth
-    found = point_words(h, t.entries, [h.support + len(x.stem) for x in t.entries])
+    if not ts:
+        return []
+    xs = ts[0].entries  # one tuple is its own union: ascending, distinct
+    if len(ts) > 1:
+        union = {x.stem: x for t in ts for x in t.entries}.values()
+        xs = [x for _, x in sorted(zip(point_keys(union), union))]
+    found = point_words(h, xs, [h.support + len(x.stem) for x in xs])
     if not all(hit for _, hit in found):
         raise ValueError(_UNSTABLE)
+    images = [[w for w, _ in found]]
+    if len(ts) > 1:
+        image = dict(zip([x.stem for x in xs], images[0]))
+        images = [[image[x.stem] for x in t.entries] for t in ts]
     # distinct cell maxima x < x' of h are maxima of distinct cells at one
     # depth, so their words, and images, increase: no validation needed
-    f = tuple_to_surjection(trusted_tuple(b, k, tuple(canonical_points(b, [w for w, _ in found], b - 1))))
-    if ChainSurjection(f, h).fingerprint(k) != t.entries:
-        raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=k)
-    return f
+    levels = [tuple(canonical_points(b, ws, b - 1)) for ws in images]
+    pulled = _pull(h, (y for ys in levels for y in ys))
+    for t, ys in zip(ts, levels):
+        if tuple(pulled[y.stem] for y in ys) != t.entries:
+            raise FactorizationError("composed fingerprint does not reproduce the tuple", depth=t.depth)
+    return [tuple_to_surjection(trusted_tuple(b, t.depth, ys)) for t, ys in zip(ts, levels)]

@@ -215,6 +215,9 @@ CLI_STDOUT_SHA256 = {
     "dist": "fae3a0c581e3f2dadf3b776b077a3fba8ddcfc85c76ca755b5249bc3ef7b658c",
     "realize-all-identity": "881ab66c752a283b5c155074c315ed354dce8fff8929cc5094f2b2c8d10d7062",
     "realize-all-filtering": "e0104695d66f8cd76a0604497eb73a26c02973d4fba8a18efe22273929962531",
+    # no witness within the cap, so an empty certificate batch; one color at k=1
+    "realize-all-capped": "c920676f3b38ffe36eae91133553bc38c9d7148b5efc61c0cc4868733d9c4d74",
+    "realize-all-one-color": "a7f002124d8fc9580bae4c8667a1e8afef5c53acb17af87b234b1e298696228e",
     "oscillation-relabeled": "2999bb0c8766aef23c0f7f5119f0b2274e0322f2f769e6d39e18ead3b4fb53ca",
     "oscillation-constant": "ee95998cefed07ab1dc80a4e8948bd7203a53a99f42d1424cc42086b2b102a1e",
     "oscillation-table": "3a021411bb41c73512f82cd3ad9b1f905b1600ba9b4b15e5bd38899212ce0b25",
@@ -235,6 +238,8 @@ CLI_STDOUT_SHA256 = {
             ("dist", ["dist", "F", "C"]),
             ("realize-all-identity", ["realize-all", "I", "--k", "2"]),
             ("realize-all-filtering", ["realize-all", "F", "--k", "2"]),
+            ("realize-all-capped", ["realize-all", "I", "--k", "2", "--depth-cap", "1"]),
+            ("realize-all-one-color", ["realize-all", "I", "--k", "1"]),
             ("oscillation-relabeled", ["oscillation", "R", "--eps", "0.3"]),
             ("oscillation-constant", ["oscillation", "K", "--eps", "0.3"]),
             ("oscillation-table", ["oscillation", "T", "--eps", "0.3"]),

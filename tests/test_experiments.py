@@ -549,7 +549,7 @@ def test_oscillation_warm_relabeled_call_certifies_and_classifies_nothing(monkey
     oscillation_search(ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))), Fraction(3, 10))
     spec = ColoringSpec(2, 2, 4, "relabeled_types", relabel=tuple(i % 4 for i in range(16)))
     calls = []
-    for name in ("tuple_to_factor", "canonical_coloring"):
+    for name in ("tuple_to_factors", "canonical_coloring"):
         real = getattr(experiments, name)
         monkeypatch.setattr(experiments, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     rep = oscillation_search(spec, Fraction(3, 10))

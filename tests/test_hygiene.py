@@ -84,7 +84,7 @@ def test_the_check_sees_an_environment_read():
 # gives validity (named in a comment at the call)
 TRUSTED_SITES = {
     ("intervals.py", "Surjection.boundary_tuple"),
-    ("surjections.py", "tuple_to_factor"),
+    ("surjections.py", "tuple_to_factors"),
     ("experiments.py", "realize_all_colors"),
 }
 

@@ -23,6 +23,7 @@ from cantorsurj.surjections import (
     to_filtering,
     truncate,
     tuple_to_factor,
+    tuple_to_factors,
     tuple_to_surjection,
 )
 
@@ -285,6 +286,81 @@ def test_factor_refuses_a_map_that_misstates_its_support():
             with pytest.raises(FactorizationError, match="composed fingerprint does not reproduce the tuple") as err:
                 solve()
             assert err.value.depth == 2
+    # batched, a failing tuple between good ones raises as it does alone,
+    # the first in input order; depth 2's stored level has its left half
+    # off the greedy rule, so only tuples in the right half come out good
+    h = from_filtering(Filtering(2, ((q(0),), (q(0, 0, 0), q(0), q(1, 0)))))
+    h.support = 1
+    good = [BoundaryTuple(2, 1, (q(1, 0),)), BoundaryTuple(2, 2, (q(0), q(1, 0), q(1, 1, 0)))]
+    bad = [BoundaryTuple(2, 1, (q(0, 0),)), BoundaryTuple(2, 2, (q(0, 0), q(0), q(1, 0)))]
+    assert [f.levels for f in tuple_to_factors(h, good)] == [tuple_to_factor(h, t).levels for t in good]
+    for first, second in (bad, bad[::-1]):
+        with pytest.raises(FactorizationError) as alone:
+            tuple_to_factor(h, first)
+        with pytest.raises(FactorizationError) as batched:
+            tuple_to_factors(h, [good[0], first, good[1], second])
+        assert (str(batched.value), batched.value.depth) == (str(alone.value), alone.value.depth) == (
+            "composed fingerprint does not reproduce the tuple", first.depth)
+
+
+def test_an_empty_factor_batch_walks_nothing(monkeypatch):
+    import cantorsurj.surjections as surjections
+
+    def refuse(*args):
+        raise AssertionError("an empty batch walked")
+
+    monkeypatch.setattr(surjections, "point_words", refuse)
+    assert tuple_to_factors(SKEW, []) == []
+
+
+@st.composite
+def factor_batches(draw):
+    """An inner map h, a filtering, a chain or identity o f in bases 2-4,
+    and a batch of random increasing sub-tuples of its fingerprints at
+    mixed depths.  h may state a support one below its own: then a tuple
+    of cell maxima above the stated support still factors, and one with
+    deeper entries may fail the composed check, so good and failing tuples
+    meet in one batch."""
+    b = draw(st.sampled_from([2, 3, 4]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    deepest = 3 if b == 2 else 2
+    h = from_filtering(random_filtering(rng, b, rng.randint(0, deepest)))
+    kind = draw(st.sampled_from(["filtering", "chain", "identity o f"]))
+    if kind != "filtering":
+        h = compose(identity(b) if kind == "identity o f" else from_filtering(random_filtering(rng, b, 2)), h)
+    ts = []
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.integers(1, 2))
+        pool = h.fingerprint(draw(st.integers(k, k + (2 if b == 2 else 1))))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=b**k - 1, max_size=b**k - 1, unique=True))
+        ts.append(BoundaryTuple(b, k, tuple(pool[i] for i in sorted(picks))))
+    h.support -= draw(st.integers(0, min(1, h.support)))
+    return h, ts
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_batches())
+def test_factor_batch_is_the_tuples_one_by_one(batch):
+    # the batch answers what one call per tuple answers: the same factors,
+    # or, where some call fails, the walk's refusal before any composed
+    # check and otherwise the first failing tuple's, in input order
+    h, ts = batch
+    alone = []
+    for t in ts:
+        try:
+            alone.append(tuple_to_factor(h, t))
+        except ValueError as err:
+            alone.append(err)
+    errors = [got for got in alone if isinstance(got, ValueError)]
+    errors.sort(key=lambda err: isinstance(err, FactorizationError))
+    if not errors:
+        assert [f.levels for f in tuple_to_factors(h, ts)] == [f.levels for f in alone]
+        return
+    with pytest.raises(ValueError) as batched:
+        tuple_to_factors(h, ts)
+    want = errors[0]
+    assert (type(batched.value), str(batched.value)) == (type(want), str(want))
+    assert getattr(batched.value, "depth", None) == getattr(want, "depth", None)
 
 
 def test_to_filtering():
