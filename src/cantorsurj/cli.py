@@ -266,12 +266,23 @@ def _cmd_realize_all(args) -> int:
     return _emit_report(lambda: realize_all_colors(h, args.k, args.depth_cap, args.budget))
 
 
-def _cmd_oscillation(args) -> int:
-    spec = _decode(args.coloring, ColoringSpec.from_json)
+def _eps(text: str) -> Fraction:
+    """--eps as an exact Fraction.  Fraction builds 10^|e| for a decimal
+    exponent e however large, and a message cannot print an integer past
+    Python's default 4300 digits; the numerator and denominator have at
+    most |e| + len(text) digits, so that sum is bounded before parsing."""
+    magnitude = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
+    if magnitude.isdecimal() and (len(magnitude) > 4 or int(magnitude) + len(text) > 4300):
+        raise BadInput("--eps: decimal exponent too large: |exponent| + length must be at most 4300")
     try:
-        eps = Fraction(args.eps)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"--eps: {exc}") from exc
+
+
+def _cmd_oscillation(args) -> int:
+    spec = _decode(args.coloring, ColoringSpec.from_json)
+    eps = _eps(args.eps)
     return _emit_report(lambda: oscillation_search(spec, eps, args.budget))
 
 

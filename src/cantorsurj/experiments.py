@@ -2,9 +2,6 @@
 
 Three strands share this module:
 
-* resolution parameters and the fingerprint coloring: a resolution eps
-  fixes a depth k, tuple width ell = b^k - 1, and color budget t_ell; every
-  surjection is colored by the similarity type of its depth-k fingerprint;
 * realization: for a fixed inner surjection h, every color is reachable by
   some outer factor f, found by scanning h's max-set for each type and
   pulling the witness tuple back through h, the one certified witness path
@@ -13,12 +10,15 @@ Three strands share this module:
   rationals (max-set cut to finitely many clopen pieces) has a derived
   binary tree whose extreme branches split at every depth from the longest
   stem among the piece ends on; comparing their splitting depths is a
-  count in closed form, which a one-interval surgery steers to any target.
+  count in closed form, which a one-interval surgery steers to any target;
+* colorings with arbitrary labels: a resolution eps fixes a depth k, and
+  the oscillation search finds a coloring's exact label set over the
+  depth-k fingerprints of the identity cube.
 
 Every clopen piece of such a copy contains a full cell of its surjection
 (corollary (ii) of the greedy-cylinder lemma in surjections), so the derived
-tree is interval arithmetic on the pieces; find_cell_within still names a
-cell per piece as certificate, by the lemma's exact depth.
+tree is interval arithmetic on the pieces: a copy is its pieces, and no
+cell is searched for.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import caps
-from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Surjection, point_words, trusted_tuple, validate_level
-from .points import Point, interval_successor, json_int, max_point, min_point, rank_word
+from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Surjection, trusted_tuple, validate_level
+from .points import Point, interval_successor, json_int, max_point, min_point
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
-    MAX_TANGENT_INDEX,
     MAX_TYPE_LEAVES,
     canonical_coloring,
     scan_types,
@@ -44,14 +43,10 @@ from .similarity import (
 from .surjections import from_filtering, identity, surjection_from_json, tuple_to_factors
 
 __all__ = [
-    "EpsilonParameters",
-    "epsilon_parameters",
-    "lower_bound_coloring",
     "ColorRealization",
     "ExperimentReport",
     "realize_all_colors",
     "QCopy",
-    "find_cell_within",
     "omega_coloring",
     "WitnessOutcome",
     "build_witness",
@@ -61,44 +56,6 @@ __all__ = [
     "oscillation_search",
     "random_qcopy",
 ]
-
-
-# -- resolution parameters and the fingerprint coloring -------------------
-
-
-@dataclass(frozen=True, slots=True)
-class EpsilonParameters:
-    k: int  # fingerprint depth resolving the metric to below eps
-    ell: int  # tuple width b^k - 1
-    t: int  # color budget: tangent_number(ell)
-
-
-def _resolution_depth(eps) -> int:
-    """The least depth k with 2^{-k} < eps, i.e. floor(log2(1/eps)) + 1,
-    exactly: for eps = p/q, the integer 2^k exceeds q/p iff it exceeds q // p."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"resolution must lie in (0, 1], got {eps}")
-    return (eps.denominator // eps.numerator).bit_length()
-
-
-def epsilon_parameters(base: int, eps) -> EpsilonParameters:
-    """Depth, width, and color budget at resolution eps, exactly.  The
-    budget's tangent number is refused past MAX_TANGENT_INDEX before its
-    sweep starts."""
-    if base < 2:
-        raise ValueError(f"need base >= 2, got {base}")
-    k = _resolution_depth(eps)
-    ell = base**k - 1
-    if ell > MAX_TANGENT_INDEX:
-        raise ValueError(f"tuple width {ell} at eps {eps}; tangent numbers stop at {MAX_TANGENT_INDEX}")
-    return EpsilonParameters(k, ell, tangent_number(ell))
-
-
-def lower_bound_coloring(f: Surjection, k: int) -> int:
-    """Similarity-type color of f's depth-k fingerprint: surjections with
-    equal fingerprints (distance below 2^{-(k-1)}) always agree."""
-    return canonical_coloring(f.fingerprint(k), f.base**k - 1)
 
 
 # -- realization of every color over a fixed inner surjection -------------
@@ -188,45 +145,6 @@ def realize_all_colors(
 # -- finitely described copies of the rationals ----------------------------
 
 
-def find_cell_within(h: Surjection, interval: ClopenInterval) -> tuple[int, ...] | None:
-    """Word of some cell of h contained in the interval, found by depth
-    h.support plus the longer endpoint stem (corollary (ii) in
-    surjections); None only if h misstates its support.
-
-    Reads the cells holding the two ends in lockstep, depth by depth; a
-    containment appears exactly when the interval's ends go flush with cell
-    ends or a whole cell opens up strictly between them.  One point walk
-    gives each end's word to the bound, or to the shallowest cell it is an
-    end of, from which on it stays flush: a cell's minimum (maximum) is its
-    first (last) child's, so the word goes on in 0s (top digits).
-    """
-    if h.base != interval.base:
-        raise ValueError("base mismatch")
-    depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
-    b = h.base
-    (wl, lo_hit), (wh, hi_hit) = point_words(h, (interval.lo, interval.hi), (depth_bound,) * 2)
-    # the depths from which each end is flush with its cell's end
-    flush_lo, flush_hi = (len(wl) if lo_hit else depth_bound + 1), (len(wh) if hi_hit else depth_bound + 1)
-    wl += (0,) * (depth_bound - len(wl))
-    wh += (b - 1,) * (depth_bound - len(wh))
-    rl = rh = 0  # ranks of the two ends' cells within their depth
-    for d in range(depth_bound + 1):
-        if d:
-            rl = rl * b + wl[d - 1]
-            rh = rh * b + wh[d - 1]
-        if rl == rh:
-            if d >= flush_lo and d >= flush_hi:
-                return wl[:d]
-            continue
-        if d >= flush_lo:
-            return wl[:d]
-        if d >= flush_hi:
-            return wh[:d]
-        if rh - rl >= 2:
-            return rank_word(rl + 1, d, b)
-    return None
-
-
 class QCopy:
     """A copy of the rationals cut from a max-set: the base-2 surjection's
     cell maxima restricted to finitely many clopen pieces.
@@ -234,8 +152,8 @@ class QCopy:
     Pieces are normalized (sorted, overlapping or abutting ones merged).
     Every clopen piece contains a full cell of the surjection (corollary
     (ii) in surjections), which keeps the point set dense in itself
-    everywhere it lives; find_cell_within names one per piece as the
-    certificate."""
+    everywhere it lives, so a copy is its pieces: the map and the pieces
+    need only share base 2."""
 
     __slots__ = ("surjection", "pieces")
 
@@ -245,12 +163,11 @@ class QCopy:
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("restriction list must be nonempty")
-        merged = _merge_pieces(pieces)
-        for p in merged:
-            if find_cell_within(surjection, p) is None:
-                raise ValueError(f"restriction {p} contains no full cell within the search bound")
+        for p in pieces:
+            if p.base != 2:
+                raise ValueError(f"restriction {p} is base {p.base}; copies are base-2 only")
         self.surjection = surjection
-        self.pieces = merged
+        self.pieces = _merge_pieces(pieces)
 
     @classmethod
     def unrestricted(cls, surjection: Surjection) -> "QCopy":
@@ -402,6 +319,15 @@ def build_witness(y: QCopy, r: int) -> WitnessOutcome:
 
 
 # -- colorings with arbitrary labels and the oscillation search ------------
+
+
+def _resolution_depth(eps) -> int:
+    """The least depth k with 2^{-k} < eps, i.e. floor(log2(1/eps)) + 1,
+    exactly: for eps = p/q, the integer 2^k exceeds q/p iff it exceeds q // p."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"resolution must lie in (0, 1], got {eps}")
+    return (eps.denominator // eps.numerator).bit_length()
 
 
 def _fingerprint_key(fp: tuple[Point, ...]) -> str:

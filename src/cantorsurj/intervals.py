@@ -27,7 +27,7 @@ descends for many words at once from the deepest known level, splitting
 each cell they share once, and its maxima are kept in the cell memo by
 word; and point_words, the point walk, finds for many ascending points at
 once the shallowest cell each is an end of, or its cell at a depth limit
-(evaluation, cell searches, factor images).  Below a full cylinder both
+(evaluation and factor images).  Below a full cylinder both
 walks are in closed form.  No cell is a ClopenInterval:
 the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
 l < top, so it is canonical as it stands and its point skips validation

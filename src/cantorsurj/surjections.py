@@ -26,7 +26,8 @@ to_filtering(f, d) is lossy below f.support and exact from it on.
 
 The greedy-cylinder lemma (proved in step 1 of ChainSurjection): if h has
 support s, every depth-(s+k) cell of h lies in one cylinder of length k.
-Two corollaries bound every cell search exactly:
+Two corollaries follow: (i) bounds the factorization walk exactly, and
+(ii) justifies the derived tree of a restricted copy (experiments):
 
 (i)  Every interior q-point x = c top^w is a cell maximum of h by depth
      s + |c|: its cell there lies in a length-|c| cylinder holding x, which
@@ -37,7 +38,8 @@ Two corollaries bound every cell search exactly:
 (ii) Every clopen interval [lo, hi] contains a full cell of h by depth
      s + m, m the longer endpoint stem: the cylinder [v], v the first m
      digits of lo, lies in [lo, hi], and the depth-(s+m) cell holding
-     max [v] lies in [v].
+     max [v] lies in [v].  So a copy's derived tree keeps a node exactly
+     when its cylinder meets a piece, and no cell is searched for.
 """
 
 from __future__ import annotations

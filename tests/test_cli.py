@@ -334,6 +334,16 @@ def test_witness_omega(capsys, files):
     assert code == 0 and got["color"] == 2
 
 
+@pytest.mark.parametrize("argv", [["color-omega"], ["witness-omega", "--target", "2"]])
+@pytest.mark.parametrize("extra", [[], [ClopenInterval.whole(2).to_json()]])
+def test_omega_copy_with_a_base_3_piece_exits_2(capsys, files, argv, extra):
+    y = dict(QCopy.unrestricted(identity(2)).to_json(), restrictions=[*extra, ClopenInterval.whole(3).to_json()])
+    copy = files("y.json", y)
+    code, out, err = run(capsys, argv[0], copy, *argv[1:])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {copy}: restriction ") and "is base 3; copies are base-2 only" in err
+
+
 def test_witness_omega_ignores_cap(capsys, files):
     # a positive --cap is still accepted; the witness lies past it
     copy = files("y.json", QCopy.unrestricted(identity(2)).to_json())
@@ -724,6 +734,18 @@ def test_oscillation_fine_eps_depth_mismatch_exits_2_before_work(capsys, files):
     assert code == 2 and out == "" and err.endswith("needs depth 67\n")
 
 
+@pytest.mark.parametrize("eps", ["1e-10000000", "1e10000000"])
+def test_oscillation_eps_with_huge_exponent_exits_2_at_once(files, eps):
+    # Fraction would build 10^(10^7) and no message could print it
+    spec = files("spec.json", {"b": 2, "k": 2, "colors": 7, "kind": "constant", "value": 5})
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "oscillation", spec, "--eps", eps],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: --eps: ") and out.stderr.count("\n") == 1
+
+
 # -- exit contract under random input ----------------------------------------
 
 _SURJECTIONS = [
@@ -826,7 +848,9 @@ def cli_calls(draw):
         if verb == "witness-omega":
             flags.append(f"--target={draw(st.integers(-2, 9))}")
         return verb, [draw(payloads(_COPIES))], flags
-    eps = draw(st.sampled_from(["0.3", "3/10", "0.6", "1", "0.1", "1e-20", "0", "2", "1/0", "x"]))
+    eps = draw(st.sampled_from([
+        "0.3", "3/10", "0.6", "1", "0.1", "1e-20", "0", "2", "1/0", "x", "1e-10000000", "1e10000000",
+    ]))
     budget = draw(st.sampled_from([2_000, 30_000]))
     return verb, [draw(payloads(_SPECS))], [f"--eps={eps}", "--seed=0", f"--budget={budget}"]
 

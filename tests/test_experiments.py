@@ -1,11 +1,13 @@
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import cell_child_maxima, child_bounds, filterings, nested_maps, q, reference_cell_chain
+from conftest import cell_child_maxima, child_bounds, nested_maps, q, reference_cell_chain
 import cantorsurj.experiments as experiments
+import cantorsurj.intervals as intervals
 from cantorsurj.experiments import (
     ColoringSpec,
     QCopy,
@@ -14,9 +16,6 @@ from cantorsurj.experiments import (
     _nth_split,
     _splits_below,
     build_witness,
-    epsilon_parameters,
-    find_cell_within,
-    lower_bound_coloring,
     omega_coloring,
     oscillation_search,
     random_qcopy,
@@ -29,42 +28,13 @@ from cantorsurj.similarity import canonical_coloring, scan_types, tangent_number
 from cantorsurj.surjections import ChainSurjection, compose, from_filtering, identity, tuple_to_factor
 
 
-def test_epsilon_parameters():
-    p = epsilon_parameters(2, Fraction(3, 10))
-    assert (p.k, p.ell, p.t) == (2, 3, 16)
-    assert epsilon_parameters(2, "0.3") == p  # strings go through Fraction
-    assert (lambda r: (r.k, r.ell, r.t))(epsilon_parameters(2, 0.6)) == (1, 1, 1)
-    coarse = epsilon_parameters(2, 1)
-    assert (coarse.k, coarse.ell, coarse.t) == (1, 1, 1)
-    wide = epsilon_parameters(3, Fraction(1, 2))
-    assert (wide.k, wide.ell) == (2, 8) and wide.t == 1903757312
-    for bad in (0, -1, Fraction(11, 10)):
-        with pytest.raises(ValueError):
-            epsilon_parameters(2, bad)
-
-
-def test_epsilon_parameters_refuse_past_the_tangent_bound(monkeypatch):
-    # the width b^k - 1 is checked against MAX_TANGENT_INDEX (830) before
-    # any tangent number is computed
-    def unreachable(n):
-        raise AssertionError(f"tangent_number({n}) reached")
-
-    monkeypatch.setattr(experiments, "tangent_number", unreachable)
-    for base, eps in ((2, Fraction(1, 1024)), (2, Fraction(1, 512)), (29, Fraction(1, 2)), (832, 1)):
-        with pytest.raises(ValueError, match="tangent numbers stop at 830"):
-            epsilon_parameters(base, eps)
-    monkeypatch.setattr(experiments, "tangent_number", lambda n: -n)
-    assert epsilon_parameters(28, Fraction(1, 2)).t == -783
-    assert epsilon_parameters(831, 1).t == -830
-
-
 def test_find_cell_within_identity():
     e = identity(2)
-    assert find_cell_within(e, ClopenInterval.whole(2)) == ()
-    assert find_cell_within(e, ClopenInterval(min_point(2), q(0))) == (0,)
-    assert find_cell_within(e, ClopenInterval(Point(2, (1,), 0), max_point(2))) == (1,)
+    assert reference_find_cell_within(e, ClopenInterval.whole(2)) == ()
+    assert reference_find_cell_within(e, ClopenInterval(min_point(2), q(0))) == (0,)
+    assert reference_find_cell_within(e, ClopenInterval(Point(2, (1,), 0), max_point(2))) == (1,)
     iv = ClopenInterval(Point(2, (0, 1, 1), 0), q(1, 0, 0))
-    word = find_cell_within(e, iv)  # found by depth 3, the longer endpoint stem
+    word = reference_find_cell_within(e, iv)  # found by depth 3, the longer endpoint stem
     assert word is not None and len(word) <= 3 and Point(2, word, 0) >= iv.lo
 
 
@@ -90,15 +60,17 @@ def clopen_intervals(draw, base):
 def test_find_cell_within_default_bound_never_misses(h, data):
     # corollary (ii): h.support plus the longer endpoint stem always suffices
     interval = data.draw(clopen_intervals(h.base))
-    word = find_cell_within(h, interval)
+    word = reference_find_cell_within(h, interval)
     assert word is not None
     cell = _cell(h, word)
     assert interval.lo <= cell.lo and cell.hi <= interval.hi
 
 
 def reference_find_cell_within(h, interval, depth_bound=None):
-    """The lockstep walk of the two ends' cell chains that the point walk
-    replaced, with Point cell ends."""
+    """Word of some cell of h inside the interval, or None: a lockstep walk
+    of the two ends' cell chains, with Point cell ends, to depth_bound (by
+    default h.support plus the longer endpoint stem, the depth corollary
+    (ii) in surjections proves enough)."""
     if depth_bound is None:
         depth_bound = h.support + max(len(interval.lo.stem), len(interval.hi.stem))
     b, lo, hi = h.base, interval.lo, interval.hi
@@ -120,33 +92,6 @@ def reference_find_cell_within(h, interval, depth_bound=None):
         if rh - rl >= 2:
             return rank_word(rl + 1, d, b)
     return None
-
-
-@st.composite
-def cell_searches(draw):
-    """A filtering map of base 2-5 or a chain, and a clopen interval: cell
-    ends, cell ends' neighbours and random stems as its ends."""
-    if draw(st.booleans()):
-        h = draw(nested_maps())
-    else:
-        h = draw(filterings(bases=(2, 3, 4, 5)))
-    b, top = h.base, h.base - 1
-    digit = st.integers(0, top)
-    words = draw(st.lists(st.lists(digit, min_size=1, max_size=h.support + 4).map(tuple), min_size=2, max_size=2))
-    maxima = list(h.cell_maxima(words).values())
-    los = [Point(b, tuple(draw(st.lists(digit, max_size=6))), 0), min_point(b)]
-    los += [interval_successor(y) for y in maxima if not y.is_max]
-    his = [Point(b, tuple(draw(st.lists(digit, max_size=6))), top)] + maxima + [max_point(b)]
-    lo, hi = draw(st.sampled_from(los)), draw(st.sampled_from(his))
-    assume(lo < hi)
-    return h, ClopenInterval(lo, hi)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cell_searches())
-def test_find_cell_within_matches_the_lockstep_reference(case):
-    h, interval = case
-    assert find_cell_within(h, interval) == reference_find_cell_within(h, interval)
 
 
 def _structural_depth(h):
@@ -258,6 +203,29 @@ def test_qcopy_json_roundtrip():
     assert QCopy.from_json(y.to_json()).to_json() == y.to_json()
 
 
+def test_copies_are_their_pieces_no_cell_is_walked(monkeypatch):
+    # decoding a copy, its color and its witnesses read only the pieces
+    rng = derive_rng(5, "no-walk")
+    copies = [random_wide_qcopy(rng) for _ in range(6)]
+    chain = compose(from_filtering(random_filtering(rng, 2, 2)), from_filtering(random_filtering(rng, 2, 3)))
+    copies.append(QCopy(chain, copies[0].pieces))
+    want = [(y.to_json(), omega_coloring(y), [build_witness(y, r).to_json() for r in (0, 1, 5)]) for y in copies]
+    assert all(y.surjection.support > 0 for y in copies[1:])
+
+    def refuse(*args):
+        raise AssertionError("a cell was walked")
+
+    walk = intervals.point_words
+    for module in list(sys.modules.values()):
+        if getattr(module, "point_words", None) is walk:
+            monkeypatch.setattr(module, "point_words", refuse)
+    monkeypatch.setattr(Filtering, "cell_maxima", refuse)
+    for js, color, witnesses in want:
+        y = QCopy.from_json(js)
+        assert y.to_json() == js and omega_coloring(y) == color
+        assert [build_witness(y, r).to_json() for r in (0, 1, 5)] == witnesses
+
+
 def test_omega_coloring_goldens():
     full = QCopy.unrestricted(identity(2))
     assert omega_coloring(full) == 0
@@ -306,11 +274,6 @@ def test_witness_target_over_limit_refused_before_work(monkeypatch):
     monkeypatch.setattr(experiments, "_branch_splits", refuse)
     with pytest.raises(ValueError, match=f"over limit {MATERIALIZE_LIMIT}"):
         build_witness(QCopy.unrestricted(identity(2)), MATERIALIZE_LIMIT)
-
-
-def test_lower_bound_coloring():
-    assert lower_bound_coloring(identity(2), 1) == 0
-    assert lower_bound_coloring(identity(2), 2) == 0  # nested fingerprint: catch-all
 
 
 def test_realize_all_colors_identity():
@@ -514,6 +477,17 @@ def test_oscillation_on_a_table_is_linear_in_its_keys():
 def test_oscillation_depth_mismatch():
     with pytest.raises(ValueError):
         oscillation_search(ColoringSpec(2, 3, 16, "constant", constant=0), Fraction(3, 10))
+
+
+def test_oscillation_resolution_depth():
+    # k is the least depth with 2^-k < eps; any other coloring depth is refused
+    for base, eps, k in ((2, Fraction(3, 10), 2), (2, "0.3", 2), (2, 0.6, 1), (2, 1, 1), (3, Fraction(1, 2), 2)):
+        assert oscillation_search(ColoringSpec(base, k, 1, "constant"), eps).k == k
+        with pytest.raises(ValueError, match=f"needs depth {k}$"):
+            oscillation_search(ColoringSpec(base, k + 1, 1, "constant"), eps)
+    for eps in (0, -1, 2, Fraction(11, 10)):
+        with pytest.raises(ValueError, match=r"resolution must lie in \(0, 1\]"):
+            oscillation_search(ColoringSpec(2, 1, 1, "constant"), eps)
 
 
 def _count_scans(monkeypatch):

@@ -1026,7 +1026,7 @@ def test_factor_images_match_evaluate_on_a_fingerprint(h, data):
     assert factor_through(g, h, d).fingerprint(d) == g.outer.fingerprint(d)
 
 
-# -- one point walk for evaluate, cell searches and factor images ----------
+# -- one point walk for evaluate and factor images -----------------------------
 
 
 @st.composite
