@@ -127,8 +127,6 @@ class ClopenInterval:
 @dataclass(frozen=True, slots=True)
 class FilteringReport:
     ok: bool
-    clause: str = ""
-    path: tuple[int, ...] = ()
     message: str = ""
 
 
@@ -147,15 +145,11 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     entry, which also words the first fault.
     """
     if depth >= MATERIALIZE_LIMIT.bit_length():
-        return FilteringReport(
-            False, "length", (depth,),
-            f"depth {depth} has {len(entries)} entries, needs more than {MATERIALIZE_LIMIT}; over limit",
-        )
+        msg = f"depth {depth} has {len(entries)} entries, needs more than {MATERIALIZE_LIMIT}; over limit"
+        return FilteringReport(False, msg)
     want = base**depth - 1
     if len(entries) != want:
-        return FilteringReport(
-            False, "length", (depth,), f"depth {depth} has {len(entries)} entries, needs {want}"
-        )
+        return FilteringReport(False, f"depth {depth} has {len(entries)} entries, needs {want}")
     # one C-level pass per check (base and tail, stem, order), which pays
     # from four entries on; the loop checks shorter levels and words a fault
     if len(entries) > 3 and (
@@ -166,15 +160,11 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
         return _VALID
     for i, y in enumerate(entries):
         if y.base != base:
-            return FilteringReport(False, "entry", (depth, i), f"entry {i} base {y.base} != {base}")
+            return FilteringReport(False, f"entry {i} base {y.base} != {base}")
         if not y.is_q_point:
-            return FilteringReport(
-                False, "entry", (depth, i), f"entry {y} not an interior eventually-max point"
-            )
+            return FilteringReport(False, f"entry {y} not an interior eventually-max point")
         if i > 0 and not entries[i - 1] < y:
-            return FilteringReport(
-                False, "increasing", (depth, i), f"entries {i - 1},{i} out of order at depth {depth}"
-            )
+            return FilteringReport(False, f"entries {i - 1},{i} out of order at depth {depth}")
     return _VALID
 
 
@@ -195,10 +185,11 @@ class Evaluation:
 class BoundaryTuple:
     """Depth-k fingerprint: the strictly increasing cell maxima, minus the top.
 
-    The constructor and from_json validate (validate_level); trusted_tuple
-    skips that for a map's own fingerprint (boundary_tuple), the images in
-    tuple_to_factors' batch and scan witnesses in realize_all_colors
-    (increasing sub-tuples of a fingerprint), as the module docstring argues.
+    The constructor validates (validate_level); to_json writes one, and no
+    decoder reads one back.  trusted_tuple skips validation for a map's own
+    fingerprint (boundary_tuple), the images in tuple_to_factors' batch and
+    scan witnesses in realize_all_colors (increasing sub-tuples of a
+    fingerprint), as the module docstring argues.
     """
 
     base: int
@@ -212,11 +203,6 @@ class BoundaryTuple:
 
     def to_json(self) -> dict:
         return {"b": self.base, "depth": self.depth, "entries": [p.to_json() for p in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundaryTuple":
-        entries = tuple(Point.from_json(p) for p in obj["entries"])
-        return cls(json_int(obj["b"], "b"), json_int(obj["depth"], "depth"), entries)
 
 
 _set_b, _set_depth, _set_entries = (
@@ -422,8 +408,7 @@ def _pick_stems(
     ends of every child agree on their first n'+1 digits, as it lies in a
     cylinder that long."""
     k, m = len(hi), len(lo)
-    while (lo[n] if n < m else 0) == (hi[n] if n < k else top):
-        n += 1
+    n = _split_index(top, lo, hi, n)
     l, h = (lo[n] if n < m else 0), (hi[n] if n < k else top)
     if l > h:
         raise ValueError(f"empty interval: {Point(top + 1, lo, 0)} >= {Point(top + 1, hi, top)}")
@@ -442,16 +427,26 @@ def _pick_stems(
     return picks
 
 
+def _split_index(top: int, lo: tuple[int, ...], hi: tuple[int, ...], n: int) -> int:
+    """The first index where lo 0^w and hi top^w differ, given that they
+    agree on their first n digits; one exists, as the tails differ."""
+    k, m = len(hi), len(lo)
+    while (lo[n] if n < m else 0) == (hi[n] if n < k else top):
+        n += 1
+    return n
+
+
 def _greedy_split(
     top: int, lo: tuple[int, ...], hi: tuple[int, ...], n: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """_pick_stems of the cell [lo 0^w, hi top^w] and the new count of
-    digits its children's ends agree on; None for the picks when the cell is
-    the full cylinder [v], v = lo 0^w and hi top^w cut at that count less
-    one, whose descendant at word w is [v w]."""
-    picks = _pick_stems(top, lo, hi, n)
-    n = len(picks[0])
-    return (None if len(lo) < n and len(hi) < n else picks), n
+    """_pick_stems of the cell [lo 0^w, hi top^w] and n'+1, the count of
+    digits its children's ends agree on, n' their first difference; None for
+    the picks, built for no cylinder, when neither stem reaches past n': the
+    full cylinder [v], v = hi top^w cut at n', whose descendant at w is [v w]."""
+    n = _split_index(top, lo, hi, n)
+    if len(lo) <= n and len(hi) <= n:
+        return None, n + 1
+    return _pick_stems(top, lo, hi, n), n + 1
 
 
 def _child_stems(
@@ -516,16 +511,6 @@ class Filtering(Surjection):
         self.support = len(self.levels)
         self._known: list[tuple[Point, ...]] = [(), *self.levels]
         self._cell_memo: dict[tuple[int, ...], Point] = {}
-
-    def __eq__(self, other: object) -> bool:
-        """Equal stored data: base and levels.  Two filterings of different
-        support can be the same map; distance compares maps."""
-        if not isinstance(other, Filtering):
-            return NotImplemented
-        return self.base == other.base and self.levels == other.levels
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.levels))
 
     def __repr__(self) -> str:
         return f"Filtering(b={self.base}, support={self.support})"
@@ -675,6 +660,5 @@ def validate_filtering(f: Filtering) -> FilteringReport:
         # depth-j maximum i is entry b*i + b - 1; a bad i is sought only on failure
         if j > 0 and level[b - 1 :: b] != f.levels[j - 1]:
             i = next(i for i, y in enumerate(f.levels[j - 1]) if level[b * i + b - 1] != y)
-            msg = f"depth-{depth} tuple does not carry depth-{j} maximum {i}"
-            return FilteringReport(False, "nesting", (depth, b * i + b - 1), msg)
-    return FilteringReport(True)
+            return FilteringReport(False, f"depth-{depth} tuple does not carry depth-{j} maximum {i}")
+    return _VALID

@@ -19,9 +19,6 @@ from itertools import compress, count, product, repeat
 from operator import ne
 
 __all__ = [
-    "LT",
-    "EQ",
-    "GT",
     "Point",
     "Dyadic",
     "min_point",
@@ -31,10 +28,7 @@ __all__ = [
     "iter_points",
     "point_keys",
     "word_rank",
-    "rank_word",
 ]
-
-LT, EQ, GT = -1, 0, 1
 
 
 def _check_base(base: int) -> None:
@@ -110,39 +104,35 @@ class Point:
         """
         return self.tail == self.base - 1 and bool(self.stem)
 
-    def compare(self, other: "Point") -> int:
+    def _padded(self, other: "Point") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both stems padded with their tails one digit past the longer stem,
+        in tuple order as the points are, first differing where they do."""
         if self.base != other.base:
             raise ValueError("cannot compare points of different bases")
-        # padded with the tails one digit past the longer stem, tuple order is point order
         a, b = self.stem, other.stem
         n = max(len(a), len(b)) + 1
-        a += (self.tail,) * (n - len(a))
-        b += (other.tail,) * (n - len(b))
-        return (a > b) - (a < b)
+        return a + (self.tail,) * (n - len(a)), b + (other.tail,) * (n - len(b))
 
     def first_difference(self, other: "Point") -> int | None:
         """Index of the first differing digit, or None when equal: the first
-        index where the stems padded with their tails one digit past the
-        longer stem differ, found in C-level passes."""
-        if self.base != other.base:
-            raise ValueError("cannot compare points of different bases")
-        a, b = self.stem, other.stem
-        n = max(len(a), len(b)) + 1
-        a += (self.tail,) * (n - len(a))
-        b += (other.tail,) * (n - len(b))
-        return next(compress(count(), map(ne, a, b)), None)
+        index where the padded stems differ, found in C-level passes."""
+        return next(compress(count(), map(ne, *self._padded(other))), None)
 
     def __lt__(self, other: "Point") -> bool:
-        return self.compare(other) == LT
+        a, b = self._padded(other)
+        return a < b
 
     def __le__(self, other: "Point") -> bool:
-        return self.compare(other) != GT
+        a, b = self._padded(other)
+        return a <= b
 
     def __gt__(self, other: "Point") -> bool:
-        return self.compare(other) == GT
+        a, b = self._padded(other)
+        return a > b
 
     def __ge__(self, other: "Point") -> bool:
-        return self.compare(other) != LT
+        a, b = self._padded(other)
+        return a >= b
 
     def to_json(self) -> dict:
         return {"b": self.base, "stem": list(self.stem), "tail": self.tail}
@@ -203,7 +193,7 @@ def canonical_points(base: int, stems: list[tuple[int, ...]], tail: int) -> list
 def point_keys(points):
     """One key per point of a sequence of one base, in order and made
     lazily: its stem padded with its tail one digit past the longest stem,
-    the padding compare uses, so tuple order on the keys is point order."""
+    the padding the comparisons use, so tuple order on the keys is point order."""
     n = max([len(p.stem) for p in points], default=0) + 1
     return (p.stem + (p.tail,) * (n - len(p.stem)) for p in points)
 
@@ -291,10 +281,3 @@ def word_rank(word: tuple[int, ...], base: int) -> int:
         r = r * base + d
     return r
 
-
-def rank_word(rank: int, depth: int, base: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(depth):
-        rank, d = divmod(rank, base)
-        out.append(d)
-    return tuple(reversed(out))

@@ -37,11 +37,9 @@ from .points import Point, encode_binary
 
 __all__ = [
     "tangent_number",
-    "tangent_table",
     "TreeType",
     "type_rank",
     "diagonal_levels",
-    "similarity_type",
     "enumerate_types",
     "canonical_coloring",
     "search_tuple_of_type",
@@ -78,19 +76,15 @@ def _boustrophedon_rows():
             row.append(row[-1] + prev[-1 - j])
 
 
-def tangent_table(n: int) -> tuple[int, ...]:
-    """First n odd tangent numbers (1, 2, 16, 272, 7936, ...): the last
-    entries of the odd boustrophedon rows.  n past MAX_TANGENT_INDEX is
-    refused before any row is built."""
+def tangent_number(n: int) -> int:
+    """The n-th odd tangent number (1, 2, 16, 272, 7936, ...): the last
+    entry of boustrophedon row 2n-1.  n past MAX_TANGENT_INDEX is refused
+    before any row is built."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_TANGENT_INDEX:
         raise ValueError(f"tangent number {n} asked for; tangent numbers stop at {MAX_TANGENT_INDEX}")
-    return tuple(row[-1] for row in islice(_boustrophedon_rows(), 1, 2 * n, 2))
-
-
-def tangent_number(k: int) -> int:
-    return tangent_table(k)[-1]  # refuses k out of 1..MAX_TANGENT_INDEX
+    return next(islice(_boustrophedon_rows(), 2 * n - 1, None))[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,15 +368,6 @@ def diagonal_levels(points: tuple[Point, ...]) -> tuple[int, ...] | None:
         if not points[i - 1] < points[i]:
             raise ValueError("points must be strictly increasing")
     return _classify(_binary_stems(points))
-
-
-def similarity_type(points: tuple[Point, ...]) -> TreeType:
-    """The type of a strongly diagonal tuple, in any order; raises on
-    anything else, a repeated point included."""
-    levels = diagonal_levels(tuple(sorted(points)))
-    if levels is None:
-        raise ValueError("tuple is not strongly diagonal")
-    return TreeType(levels)
 
 
 def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:

@@ -46,6 +46,16 @@ def q(*stem, base=2):
     return Point(base, tuple(stem), base - 1)
 
 
+def rank_word(rank, depth, base):
+    """The length-`depth` word at position `rank` in lex order: the inverse
+    of points.word_rank."""
+    out = []
+    for _ in range(depth):
+        rank, d = divmod(rank, base)
+        out.append(d)
+    return tuple(reversed(out))
+
+
 def diagonal_points(levels):
     """A base-2 tuple of the given type: node i gets depth 3 * (levels[i] + 1);
     a window's root meet is padded with zeros to its depth, its left subtree

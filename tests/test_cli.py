@@ -22,7 +22,7 @@ from cantorsurj.experiments import QCopy, random_qcopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.randgen import derive_rng
-from cantorsurj.similarity import similarity_type, type_rank
+from cantorsurj.similarity import diagonal_levels, type_rank
 from cantorsurj.surjections import FactorizationError, compose, from_filtering, identity, surjection_from_json
 
 
@@ -110,7 +110,7 @@ def test_color_devlin(capsys, files):
 def test_seven_leaf_tuples_are_colored(capsys, files, levels):
     pts = diagonal_points(levels)
     path = files("pts.json", [p.to_json() for p in pts])
-    color = type_rank(similarity_type(pts).levels)
+    color = type_rank(diagonal_levels(pts))
     code, out, _ = run(capsys, "type-of", path)
     assert code == 0 and json.loads(out) == {"l": 7, "diagonal": True, "color": color, "levels": list(levels)}
     assert run(capsys, "color-devlin", path) == (0, f"{color}\n", "")
@@ -610,7 +610,6 @@ def test_json_input_cannot_reach_the_trusted_tuple(capsys, files, base, entries,
     filt = {"b": base, "kind": "filtering", "depth": 1, "boundaries": [level]}
     chain = {"b": base, "kind": "chain", "outer": identity(base).to_json(), "inner": filt}
     decoders = [
-        (BoundaryTuple.from_json, {"b": base, "depth": 1, "entries": level}),
         (Filtering.from_json, filt),
         (surjection_from_json, chain),
     ]
@@ -690,6 +689,26 @@ def test_out_of_memory_exits_2(files):
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
     )
     assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_eval_in_a_huge_base_builds_no_picks(files):
+    # every cell of the identity is a full cylinder, known as such before
+    # any of its b - 1 = 10^9 - 1 greedy picks is built; the limit is set in
+    # the child only
+    limit = 512 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    base = 10**9
+    surj = files("id.json", identity(base).to_json())
+    x = Point(base, (5, 7), 0)
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "eval", surj, "--point", json.dumps(x.to_json())],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout) == {"digits": [5, 7] + [0] * 22, "exact": x.to_json()}
 
 
 @pytest.mark.parametrize("verb", ["boundaries", "factor"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import cell_child_maxima, child_bounds, nested_maps, q, reference_cell_chain
+from conftest import cell_child_maxima, child_bounds, nested_maps, q, rank_word, reference_cell_chain
 import cantorsurj.experiments as experiments
 import cantorsurj.intervals as intervals
 from cantorsurj.experiments import (
@@ -22,7 +22,7 @@ from cantorsurj.experiments import (
     realize_all_colors,
 )
 from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
-from cantorsurj.points import Point, interval_successor, max_point, min_point, rank_word
+from cantorsurj.points import Point, interval_successor, max_point, min_point
 from cantorsurj.randgen import derive_rng, increasing_q_points, random_filtering
 from cantorsurj.similarity import canonical_coloring, scan_types, tangent_number
 from cantorsurj.surjections import ChainSurjection, compose, from_filtering, identity, tuple_to_factor

@@ -1,5 +1,6 @@
 """Every exported name resolves and is defined where it is exported, so a
-deleted function cannot linger as a stale export; the package root exports
+deleted function cannot linger as a stale export; every exported function
+is called by the program, not by the tests alone; the package root exports
 its library modules and no other name."""
 
 import ast
@@ -64,3 +65,33 @@ def test_importing_the_root_loads_every_traced_layer():
     loaded, not_modules = json.loads(out.stdout)
     assert not_modules == []
     assert {f"cantorsurj.{name}" for name in ("points", *_span_layers())} <= set(loaded)
+
+
+# documented for replaying a counterexample dump from a Python session
+CALLED_FROM_OUTSIDE = {("verify", "replay")}
+
+
+def _program_references() -> set[str]:
+    """Every name a Name or Attribute node reads in the program: the
+    package, its scripts and the benchmark; the tests are not the program."""
+    repo = Path(__file__).resolve().parent.parent
+    names = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (repo / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_exported_function_is_called_by_the_program():
+    used = _program_references()
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"cantorsurj.{name}")
+        for attr in getattr(module, "__all__", []):
+            if inspect.isfunction(getattr(module, attr)) and attr not in used:
+                unused.append((name, attr))
+    assert set(unused) == CALLED_FROM_OUTSIDE

@@ -3,11 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MALFORMED_POINTS, points, q
+from conftest import MALFORMED_POINTS, points, q, rank_word
 from cantorsurj.points import (
-    EQ,
-    GT,
-    LT,
     Dyadic,
     Point,
     encode_binary,
@@ -16,7 +13,6 @@ from cantorsurj.points import (
     max_point,
     min_point,
     point_keys,
-    rank_word,
     word_rank,
 )
 
@@ -57,8 +53,8 @@ def test_bad_construction():
 
 
 def reference_compare(x, y):
-    """Point.compare as a digit loop: the first differing digit, stems read
-    past their ends as the tails, then the tails."""
+    """Point order as a digit loop, -1, 0 or 1: the first differing digit,
+    stems read past their ends as the tails, then the tails."""
     if x.base != y.base:
         raise ValueError("cannot compare points of different bases")
     a, b = x.stem, y.stem
@@ -66,10 +62,10 @@ def reference_compare(x, y):
         da = a[i] if i < len(a) else x.tail
         db = b[i] if i < len(b) else y.tail
         if da != db:
-            return LT if da < db else GT
+            return -1 if da < db else 1
     if x.tail != y.tail:
-        return LT if x.tail < y.tail else GT
-    return EQ
+        return -1 if x.tail < y.tail else 1
+    return 0
 
 
 @st.composite
@@ -92,13 +88,15 @@ def point_pairs(draw):
 @given(point_pairs())
 def test_compare_matches_digit_loop(pair):
     x, y = pair
-    assert x.compare(y) == reference_compare(x, y)
-    assert y.compare(x) == -x.compare(y)
+    c = reference_compare(x, y)
+    assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (y < x, y <= x, y > x, y >= x) == (c > 0, c >= 0, c < 0, c <= 0)
 
 
 def test_compare_refuses_mixed_bases():
-    with pytest.raises(ValueError, match="different bases"):
-        q(0).compare(Point(3, (0,), 2))
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(ValueError, match="different bases"):
+            getattr(q(0), op)(Point(3, (0,), 2))
 
 
 @given(points(), points())
@@ -151,7 +149,7 @@ def test_point_keys_order_is_point_order(xs):
     assert len(keys) == len(xs)
     for x, kx in zip(xs, keys):
         for y, ky in zip(xs, keys):
-            assert (kx > ky) - (kx < ky) == x.compare(y)
+            assert (kx > ky) - (kx < ky) == reference_compare(x, y)
     assert sorted(range(len(xs)), key=keys.__getitem__) == sorted(range(len(xs)), key=xs.__getitem__)
 
 

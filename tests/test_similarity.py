@@ -22,12 +22,11 @@ from cantorsurj.similarity import (
     TypeWitness,
     TreeType,
     canonical_coloring,
+    diagonal_levels,
     enumerate_types,
     scan_types,
     search_tuple_of_type,
-    similarity_type,
     tangent_number,
-    tangent_table,
     type_rank,
     _Node,
     _binary_stems,
@@ -48,7 +47,7 @@ def zigzag(n):
 
 
 def test_tangent_numbers():
-    assert tangent_table(6) == (1, 2, 16, 272, 7936, 353792)
+    assert tuple(map(tangent_number, range(1, 7))) == (1, 2, 16, 272, 7936, 353792)
     for ell in range(1, 7):
         assert tangent_number(ell) == zigzag(2 * ell - 1)
     with pytest.raises(ValueError):
@@ -60,9 +59,8 @@ def test_tangent_index_is_bounded_before_any_row(monkeypatch):
         raise AssertionError("a boustrophedon row was built")
 
     monkeypatch.setattr(similarity, "_boustrophedon_rows", unreachable)
-    for call in (tangent_table, tangent_number):
-        with pytest.raises(ValueError, match=r"tangent numbers stop at 830"):
-            call(similarity.MAX_TANGENT_INDEX + 1)
+    with pytest.raises(ValueError, match=r"tangent numbers stop at 830"):
+        tangent_number(similarity.MAX_TANGENT_INDEX + 1)
 
 
 def test_type_counts():
@@ -201,19 +199,18 @@ def test_tree_type_accepts_exactly_the_meet_tree_parses():
 def test_coloring_of_a_seven_leaf_diagonal_tuple():
     levels = (12, 0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6)
     pts = diagonal_points(levels)
-    assert similarity_type(pts).levels == levels
+    assert diagonal_levels(pts) == levels
     assert canonical_coloring(pts, 7) == type_rank(levels) == reference_rank(levels) == 19_975_536
 
 
 def _has_type(points) -> bool:
-    """Whether similarity_type classifies the tuple; it refuses a repeated
-    point as not increasing and any other tuple as not strongly diagonal."""
+    """Whether diagonal_levels classifies the tuple, sorted; it refuses a
+    repeated point as not increasing."""
     try:
-        similarity_type(points)
+        return diagonal_levels(tuple(sorted(points))) is not None
     except ValueError as exc:
-        assert str(exc) in ("tuple is not strongly diagonal", "points must be strictly increasing")
+        assert str(exc) == "points must be strictly increasing"
         return False
-    return True
 
 
 def test_strongly_diagonal():
@@ -249,14 +246,15 @@ def test_strongly_diagonal_matches_definition(stems):
 
 def test_similarity_type_goldens():
     pair = (q(0, 0, 0), q(0, 0, 1, 0))
-    assert similarity_type(pair).levels == (1, 0, 2)
+    assert diagonal_levels(pair) == (1, 0, 2)
     # invariant under a common prefix shift and under level stretching
-    assert similarity_type((q(1, 0, 0, 0), q(1, 0, 0, 1, 0))).levels == (1, 0, 2)
-    assert similarity_type((q(0, 0, 0, 0), q(0, 0, 0, 1, 0))).levels == (1, 0, 2)
+    assert diagonal_levels((q(1, 0, 0, 0), q(1, 0, 0, 1, 0))) == (1, 0, 2)
+    assert diagonal_levels((q(0, 0, 0, 0), q(0, 0, 0, 1, 0))) == (1, 0, 2)
     swapped = (q(0, 0, 0, 0), q(0, 1, 0))  # lower point has the deeper stem
-    assert similarity_type(swapped).levels == (2, 0, 1)
-    with pytest.raises(ValueError):
-        similarity_type((q(0, 0), q(0)))
+    assert diagonal_levels(swapped) == (2, 0, 1)
+    assert diagonal_levels((q(0, 0), q(0))) is None  # comparable stems
+    with pytest.raises(ValueError, match="strictly increasing"):
+        diagonal_levels((q(0), q(0, 0)))
 
 
 def test_canonical_coloring():
@@ -287,7 +285,7 @@ def test_scan_identity_depth2():
     assert out.deepest_full == 6
     assert sorted(out.witnesses) == list(range(16))
     for label, w in out.witnesses.items():
-        assert type_rank(similarity_type(w.points).levels) == label
+        assert type_rank(diagonal_levels(w.points)) == label
         assert canonical_coloring(w.points, 3) == label
         assert all(p.stem and len(p.stem) <= w.depth for p in w.points)
 
@@ -429,7 +427,7 @@ def test_scan_matches_reference(args):
 def test_search_single_type():
     got = search_tuple_of_type(identity(2), TreeType((1, 0, 2)))
     assert got.found is not None and got.depth == 2
-    assert similarity_type(got.found).levels == (1, 0, 2)
+    assert diagonal_levels(got.found) == (1, 0, 2)
     assert not got.exhausted
 
 

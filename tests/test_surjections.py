@@ -78,26 +78,18 @@ def test_boundary_tuple_validation():
         BoundaryTuple(2, 2, (q(0), q(0, 0), q(1, 0)))  # out of order
 
 
-def test_boundary_tuple_from_json_is_strict():
-    bt = BoundaryTuple(2, 1, (q(0, 0),))
-    assert BoundaryTuple.from_json(bt.to_json()) == bt
-    for field, value in (("b", 2.0), ("depth", True)):
-        with pytest.raises(ValueError, match="expected an integer"):
-            BoundaryTuple.from_json({**bt.to_json(), field: value})
-
-
 @pytest.mark.parametrize("depth", [22, 100000, 10**8])
 def test_boundary_tuple_past_materialize_limit_refused_at_once(depth):
     # the level's length is refused before b^depth is computed
     code = (
         "from cantorsurj.intervals import validate_level\n"
         "from cantorsurj.surjections import BoundaryTuple\n"
-        f"print(validate_level(3, {depth}, ()).clause)\n"
-        f"BoundaryTuple.from_json({{'b': 3, 'depth': {depth}, 'entries': []}})\n"
+        f"print(validate_level(3, {depth}, ()).message)\n"
+        f"BoundaryTuple(3, {depth}, ())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
-    want = f"ValueError: depth {depth} has 0 entries, needs more than {MATERIALIZE_LIMIT}; over limit\n"
-    assert out.returncode == 1 and out.stdout == "length\n" and out.stderr.endswith(want)
+    want = f"depth {depth} has 0 entries, needs more than {MATERIALIZE_LIMIT}; over limit\n"
+    assert out.returncode == 1 and out.stdout == want and out.stderr.endswith(f"ValueError: {want}")
 
 
 def test_fingerprints():
@@ -232,7 +224,7 @@ def test_factor_deep_boundary_needs_no_cap():
     # bound corollary (i) gives; no depth cap is read
     deep = from_filtering(Filtering(2, ((q(0, 0, 0, 0, 0, 0, 0, 0, 0, 0),),)))
     got = factor_through(deep, identity(2), 1)
-    assert got == deep
+    assert got.to_json() == deep.to_json()
     assert compose(got, identity(2)).fingerprint(4) == deep.fingerprint(4)
 
 
@@ -364,9 +356,9 @@ def test_factor_batch_is_the_tuples_one_by_one(batch):
 
 
 def test_to_filtering():
-    assert to_filtering(SKEW, 1) == Filtering(2, ((q(0, 0),),))
+    assert to_filtering(SKEW, 1).to_json() == Filtering(2, ((q(0, 0),),)).to_json()
     # truncation below the support, greedy extension above it
-    assert to_filtering(SKEW, 0) == Filtering(2, ())
+    assert to_filtering(SKEW, 0).to_json() == Filtering(2, ()).to_json()
     assert to_filtering(SKEW, 2).support == 2
 
 
