@@ -159,7 +159,7 @@ class QCopy:
 
     def __init__(self, surjection: Surjection, pieces: tuple[ClopenInterval, ...]):
         if surjection.base != 2:
-            raise ValueError("copies are base-2 only; encode wider bases first")
+            raise ValueError(f"surjection is base {surjection.base}; copies are base-2 only")
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("restriction list must be nonempty")

@@ -50,7 +50,8 @@ from itertools import pairwise, starmap
 from operator import attrgetter, lt
 
 from .points import (
-    Point, _strip, canonical_point, canonical_points, json_int, max_point, min_point, point_keys, word_rank,
+    Point, _strip, _successor_stem, canonical_point, canonical_points, json_int, max_point, min_point,
+    point_keys, word_rank,
 )
 
 __all__ = [
@@ -463,13 +464,6 @@ def _max_stem(p: Point, top: int) -> tuple[int, ...]:
     if p.tail != top:
         raise ValueError(f"interval maximum must be eventually max-digit, got {p}")
     return p.stem
-
-
-def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
-    """Stem of interval_successor(stem top^w), whose tail is 0."""
-    if not stem:
-        raise ValueError("the top point has no successor")
-    return stem[:-1] + (stem[-1] + 1,)
 
 
 class Filtering(Surjection):

@@ -24,7 +24,6 @@ __all__ = [
     "min_point",
     "max_point",
     "interval_successor",
-    "encode_binary",
     "iter_points",
     "point_keys",
     "word_rank",
@@ -210,6 +209,13 @@ def max_point(base: int) -> Point:
     return Point(base, (), base - 1)
 
 
+def _successor_stem(stem: tuple[int, ...]) -> tuple[int, ...]:
+    """Stem of interval_successor(stem top^w), whose tail is 0."""
+    if not stem:
+        raise ValueError("the top point has no successor")
+    return stem[:-1] + (stem[-1] + 1,)
+
+
 def interval_successor(x: Point) -> Point:
     """The immediate lexicographic successor of an eventually-max point.
 
@@ -219,35 +225,7 @@ def interval_successor(x: Point) -> Point:
     """
     if x.tail != x.base - 1:
         raise ValueError(f"successor is defined for eventually-max points, got {x}")
-    if x.is_max:
-        raise ValueError("the top point has no successor")
-    stem = x.stem
-    return canonical_point(x.base, stem[:-1] + (stem[-1] + 1,), 0)
-
-
-def encode_binary(x: Point) -> Point:
-    """Order-preserving embedding of base-b points into base 2.
-
-    Digit d maps to 1^d 0 for d <= b-2 and the top digit b-1 maps to 1^(b-1);
-    this prefix code is strictly increasing digitwise, so lexicographic order
-    is preserved.  Only boundary-form points (tail 0 or tail b-1) stay
-    eventually constant under the encoding, and only those are accepted.
-    """
-    b = x.base
-    if b == 2:
-        return x
-    if x.tail not in (0, b - 1):
-        raise ValueError(
-            f"tail {x.tail} encodes to a periodic, non-constant binary tail (base {b})"
-        )
-    out: list[int] = []
-    for d in x.stem:
-        if d == b - 1:
-            out.extend([1] * (b - 1))
-        else:
-            out.extend([1] * d)
-            out.append(0)
-    return Point(2, tuple(out), 1 if x.tail == b - 1 else 0)
+    return canonical_point(x.base, _successor_stem(x.stem), 0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,11 +2,14 @@
 
 An increasing tuple of eventually-max points determines a binary meet tree:
 its leaves are the stems, its internal nodes the longest common prefixes of
-neighbouring stems.  When the tuple is strongly diagonal (stems form an
-antichain, meets distinct, all node depths distinct) the in-order depth
-ranks of its nodes form its similarity type.  The types over ell leaves are
-exactly the down-up permutations of 0..2*ell-2 (proof at type_rank), so
-there are t_ell of them, the ell-th odd tangent number.
+neighbouring stems.  A wider base is read through an order-keeping binary
+prefix code, whose node depths _node_depths computes from the base-b
+stems, at a cost per digit, never writing the code out.  When the tuple is
+strongly diagonal (stems form an antichain, meets distinct, all node depths
+distinct) the in-order depth ranks of its nodes form its similarity type.
+The types over ell leaves are exactly the down-up permutations of
+0..2*ell-2 (proof at type_rank), so there are t_ell of them, the ell-th
+odd tangent number.
 
 Colors: canonical_coloring maps every increasing tuple to {0..t_ell-1}: a
 strongly diagonal tuple gets its type's lex rank among the down-up
@@ -18,7 +21,7 @@ that no type not yet met extends (_walk_diagonal), and every run of
 candidates whose meet repeats a depth in one jump (_neighbour_gaps).  A
 prefix's node depths are the bits of one int, so the bisect position of a
 depth among them is the count of set bits below it.  At the last pick the
-first candidate of each stem length in a run of one meet stands for the
+first candidate of each leaf depth in a run of one meet stands for the
 run: the rest reach the same trie leaf, spent once met.  A walk state
 (last pick, depth mask, trie node) walked through once is passed when met
 again: live counts only fall, so it reaches no type not met before.
@@ -33,7 +36,7 @@ from itertools import islice
 from math import comb
 
 from . import caps
-from .points import Point, encode_binary
+from .points import Point
 
 __all__ = [
     "tangent_number",
@@ -181,68 +184,78 @@ def enumerate_types(leaves: int) -> tuple[TreeType, ...]:
     return tuple(out)
 
 
-def _binary_stems(points: tuple[Point, ...]) -> tuple[tuple[int, ...], ...]:
-    """Stems of the points, as base-2 words; wider bases are encoded first."""
+def _node_depths(points: tuple[Point, ...]) -> tuple[list[int], list[int]]:
+    """lens[k], the depth of leaf k, and gaps[k], the depth at which leaves
+    k and k+1 meet, in the binary meet tree of an increasing tuple of
+    interior eventually-max points, read off the base-b stems.
+
+    The tree is that of the prefix code sending digit d < top = b-1 to
+    1^d 0 and top to 1^top, which keeps order; the code is never written
+    out.  Digit d codes to d+1 bits below top and to top bits at top, so
+    stem s codes to W(s) = len(s) + sum(s) - s.count(top) bits.
+    Neighbours a < c that first differ at n, below both lengths, code
+    alike to W(a[:n]), then a[n] < c[n] share a[n] ones: they meet at
+    W(a[:n]) + a[n], shallower than both leaves.  Where one stem prefixes
+    the other, so does its code: they meet at the shorter stem's own W,
+    and are comparable.  At b = 2 every digit weighs 1, and the depths
+    are the stem lengths and common prefixes."""
     if not points:
         raise ValueError("empty tuple")
-    b = points[0].base
     for p in points:
-        if p.base != b:
-            raise ValueError("mixed bases in tuple")
         if not p.is_q_point:
             raise ValueError(f"{p} is not an interior eventually-max point")
-    if b > 2:
-        points = tuple(encode_binary(p) for p in points)
-    return tuple(p.stem for p in points)
+    top, stems = points[0].base - 1, [p.stem for p in points]
+    gaps, a = [], stems[0]
+    for c in stems[1:]:
+        w = 0  # the code length of the digits a and c share so far
+        for x, y in zip(a, c):
+            if x != y:
+                w += x
+                break
+            w += x + (x != top)
+        gaps.append(w)
+        a = c
+    return [len(s) + sum(s) - s.count(top) for s in stems], gaps
 
 
-def _lcp_len(a: tuple[int, ...], c: tuple[int, ...]) -> int:
-    n = min(len(a), len(c))
-    i = 0
-    while i < n and a[i] == c[i]:
-        i += 1
-    return i
-
-
-def _classify(stems: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
-    """In-order level ranks of a point-ordered stem tuple, or None when the
-    tuple is not strongly diagonal.
+def _classify(lens: list[int], gaps: list[int]) -> tuple[int, ...] | None:
+    """In-order level ranks of a tuple with node depths (lens, gaps), or
+    None when the tuple is not strongly diagonal.
 
     Checking prefix-comparability only between neighbours is enough: in
     point order, a stem extending another sits immediately before a point
     of the same subtree, so any comparable pair forces a comparable
-    neighbouring pair.
+    neighbouring pair.  A meet is never deeper than its leaves, so a pair
+    is comparable when it meets at one of them.
     """
-    lengths = [len(stems[0])]
-    for i in range(1, len(stems)):
-        a, c = stems[i - 1], stems[i]
-        m = _lcp_len(a, c)
-        if m == len(a) or m == len(c):
+    depths = [lens[0]]
+    for a, m, c in zip(lens, gaps, lens[1:]):
+        if m == a or m == c:
             return None
-        lengths.append(m)
-        lengths.append(len(c))
-    if len(set(lengths)) != len(lengths):
+        depths += (m, c)
+    if len(set(depths)) != len(depths):
         return None
-    return tuple(map(sorted(lengths).index, lengths))
+    return tuple(map(sorted(depths).index, depths))
 
 
-def _neighbour_gaps(stems: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
-    """gaps[k], the common prefix depth of stems k and k+1, and nxt[k], the
-    first index after k with a smaller gap (len(gaps) when none).
+def _neighbour_gaps(gaps: list[int]) -> list[int]:
+    """nxt[k], the first index after k with a smaller gap than gaps[k]
+    (len(gaps) when none).
 
-    The meet of stems i < j is min(gaps[i..j-1]), so gaps[k] for j = k+1
-    up to nxt[k].  Stems of increasing points end in 0, so s 1^w tops the
-    cylinder of s.  If the common prefix c of stems i < j is shorter than
-    both, the stems between extend c strictly (else their points would pass
-    point j): every gap is at least |c|, and |c| where digit |c| goes 0 to
-    1.  Else stem j prefixes stem i and all between: no gap is below |stem j|."""
-    gaps = [_lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+    The meet of leaves i < j is min(gaps[i..j-1]), so gaps[k] for j = k+1
+    up to nxt[k].  Read the leaves as their codes x (see _node_depths): a
+    stem ends below top, so its code ends in 0, and its point x 1^w tops
+    the binary cylinder of x.  If the common prefix c of codes i < j is
+    shorter than both, the codes between extend c strictly (else their
+    points would pass point j): every gap is at least |c|, and |c| where
+    bit |c| goes 0 to 1.  Else code j prefixes code i and all between: no
+    gap is below |code j|."""
     nxt, stack = [len(gaps)] * len(gaps), []
     for k, g in enumerate(gaps):
         while stack and gaps[stack[-1]] > g:
             nxt[stack.pop()] = k
         stack.append(k)
-    return gaps, nxt
+    return nxt
 
 
 class _Node:
@@ -279,8 +292,8 @@ def _combination_index(picked: list[int], n: int) -> int:
     return index
 
 
-def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node, found) -> list[int] | None:
-    """Walk combinations(range(len(stems)), leaves) in lex order along the
+def _walk_diagonal(lens: list[int], gaps: list[int], leaves: int, root: _Node, found) -> list[int] | None:
+    """Walk combinations(range(len(lens)), leaves) in lex order along the
     type trie at `root`, and call found(rank, picked) on the first tuple of
     each type not met before; returns the combination at which found
     returned True, else None.
@@ -301,14 +314,13 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
     Candidate j's meet with the last pick i, min(gaps[i..j-1]), is gaps[k]
     for j in the run k+1..nxt[k], along the chain k = i, nxt[i], ...; a
     meet that repeats a depth fails its whole run at once.  At the last
-    pick the step's child is a leaf, keyed by the meet and the leaf length
-    alone, and spent once met, so only the first candidate of each length
+    pick the step's child is a leaf, keyed by the meet and the leaf depth
+    alone, and spent once met, so only the first candidate of each depth
     in a run (firsts[k]) can meet a new type.  A walk state (last pick,
     depth mask, trie node) fixes every extension the walk can take from
     it, and live counts only fall, so a state reached again after it was
     walked through holds no type not met before, and is passed."""
-    n, lens = len(stems), [len(s) for s in stems]
-    gaps, nxt = _neighbour_gaps(stems) if leaves > 1 else ((), ())  # one leaf meets none
+    n, nxt = len(lens), _neighbour_gaps(gaps)
     firsts: list[list[int] | None] = [None] * len(gaps)  # built as the runs are met
     picked, last, done = [0] * leaves, leaves - 1, set()
 
@@ -329,9 +341,9 @@ def _walk_diagonal(stems: tuple[tuple[int, ...], ...], leaves: int, root: _Node,
                 e = nxt[k]
                 if pos < last:
                     run = range(k + 1, (e if e < top else top) + 1)
-                else:  # a leaf step: the first candidate of each length stands for the run
+                else:  # a leaf step: the first candidate of each depth stands for the run
                     run = firsts[k]
-                    if run is None:  # smaller candidates overwrite a length's entry
+                    if run is None:  # smaller candidates overwrite a depth's entry
                         run = firsts[k] = sorted(dict(zip(lens[e:k:-1], range(e, k, -1))).values())
                 for j in run:
                     leaf = lens[j]
@@ -367,7 +379,7 @@ def diagonal_levels(points: tuple[Point, ...]) -> tuple[int, ...] | None:
     for i in range(1, len(points)):
         if not points[i - 1] < points[i]:
             raise ValueError("points must be strictly increasing")
-    return _classify(_binary_stems(points))
+    return _classify(*_node_depths(points))
 
 
 def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
@@ -441,7 +453,7 @@ def scan_types(
             witnesses[r] = TypeWitness(tuple(pts[i] for i in picked), d)
             return want <= witnesses.keys()
 
-        stop = _walk_diagonal(_binary_stems(pts), leaves, root, found)
+        stop = _walk_diagonal(*_node_depths(pts), leaves, root, found)
         if stop is not None:
             return ScanOutcome(witnesses, combos + _combination_index(stop, n) + 1, d, True)
         combos += comb(n, leaves)

@@ -344,6 +344,12 @@ def test_omega_copy_with_a_base_3_piece_exits_2(capsys, files, argv, extra):
     assert err.startswith(f"error: {copy}: restriction ") and "is base 3; copies are base-2 only" in err
 
 
+def test_omega_copy_of_a_base_3_map_exits_2(capsys, files):
+    y = {"surjection": identity(3).to_json(), "restrictions": [ClopenInterval.whole(3).to_json()]}
+    copy = files("y.json", y)
+    assert run(capsys, "color-omega", copy) == (2, "", f"error: {copy}: surjection is base 3; copies are base-2 only\n")
+
+
 def test_witness_omega_ignores_cap(capsys, files):
     # a positive --cap is still accepted; the witness lies past it
     copy = files("y.json", QCopy.unrestricted(identity(2)).to_json())
@@ -709,6 +715,25 @@ def test_eval_in_a_huge_base_builds_no_picks(files):
     )
     assert (out.returncode, out.stderr) == (0, "")
     assert json.loads(out.stdout) == {"digits": [5, 7] + [0] * 22, "exact": x.to_json()}
+
+
+def test_type_of_in_a_huge_base_reads_digits_not_bits(files):
+    # node depths come from the base-b stems: a digit near 10^7 is not
+    # written out as 10^7 bits; the limit is set in the child only
+    limit = 300 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    base = 10**7
+    stems = ([base - 3], [base - 2, 5], [base - 2, base - 3])
+    pts = files("pts.json", [Point(base, tuple(s), base - 1).to_json() for s in stems])
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorsurj", "type-of", pts],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout) == {"l": 3, "diagonal": True, "color": 0, "levels": [1, 0, 3, 2, 4]}
 
 
 @pytest.mark.parametrize("verb", ["boundaries", "factor"])

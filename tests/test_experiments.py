@@ -1,5 +1,4 @@
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -448,30 +447,51 @@ def test_oscillation_table_labels_are_default_and_key_labels(base, k, seed, n_ke
 
 
 def test_oscillation_on_a_table_is_linear_in_its_keys():
-    # one lookup per candidate: 8x the keys costs far less than 8^2 = 64x
+    # one lookup per candidate: the search's reads of the table and of its
+    # dict are counted, so a scan of the table per candidate (n^2 reads)
+    # fails at once, whatever the host's timings
     rng = derive_rng(0, "linear-table")
+    reads = [0]
 
-    def table_spec(n):
+    class Table(tuple):
+        def __iter__(self):
+            for entry in tuple.__iter__(self):
+                reads[0] += 1
+                yield entry
+
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __contains__(self, entry):  # through the counted walk
+            return any(entry == e for e in self)
+
+    class Lookup(dict):
+        def __getitem__(self, key):
+            reads[0] += 1
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            reads[0] += 1
+            return dict.__contains__(self, key)
+
+        def get(self, key, default=None):
+            reads[0] += 1
+            return dict.get(self, key, default)
+
+    for n in (500, 4000):
         table = {}
         while len(table) < n:
             fp = from_filtering(random_filtering(rng, 2, rng.randint(2, 6))).fingerprint(2)
             table[_fingerprint_key(fp)] = rng.randrange(8)
-        return ColoringSpec(2, 2, 8, "table", table=tuple(sorted(table.items())), constant=7), table
-
-    def best_time(spec):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            rep = oscillation_search(spec, Fraction(1, 2))
-            times.append(time.perf_counter() - start)
-        return min(times), rep
-
-    (small, _), (large, table) = table_spec(500), table_spec(4000)
-    best_time(small)  # warm the identity's caches
-    t_small, _ = best_time(small)
-    t_large, rep = best_time(large)
-    assert set(rep.labels) == {7} | set(table.values())
-    assert t_large < 20 * t_small, (t_small, t_large)
+        spec = ColoringSpec(2, 2, 8, "table", table=tuple(sorted(table.items())), constant=7)
+        object.__setattr__(spec, "table", Table(spec.table))
+        object.__setattr__(spec, "_lookup", Lookup(spec._lookup))
+        reads[0] = 0
+        rep = oscillation_search(spec, Fraction(1, 2))
+        assert set(rep.labels) == {7} | set(table.values())
+        # one walk of the keys, a label per key, and at most n + 1 tests for the miss
+        assert reads[0] <= 3 * n + 1, (n, reads[0])
 
 
 def test_oscillation_depth_mismatch():

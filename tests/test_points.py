@@ -7,7 +7,6 @@ from conftest import MALFORMED_POINTS, points, q, rank_word
 from cantorsurj.points import (
     Dyadic,
     Point,
-    encode_binary,
     interval_successor,
     iter_points,
     max_point,
@@ -191,23 +190,6 @@ def test_successor_roundtrip(x):
         stem = x.stem
         y = Point(3, stem[:-1] + (stem[-1] - 1,), 2)
         assert y < x and interval_successor(y) == x
-
-
-def test_encode_binary_goldens():
-    assert encode_binary(min_point(3)) == min_point(2)
-    assert encode_binary(max_point(3)) == max_point(2)
-    # base-3 digits 0,1,2 become the prefix code 0, 10, 11
-    assert encode_binary(Point(3, (1,), 2)) == Point(2, (1, 0), 1)
-    assert encode_binary(Point(3, (2, 0), 0)) == Point(2, (1, 1, 0), 0)
-    assert encode_binary(q(0, 1)) == q(0, 1)  # base 2 passes through
-    with pytest.raises(ValueError):
-        encode_binary(Point(3, (), 1))
-
-
-@given(points(base=3, max_stem=6), points(base=3, max_stem=6))
-def test_encode_binary_preserves_order(x, y):
-    if x.tail in (0, 2) and y.tail in (0, 2):
-        assert (x < y) == (encode_binary(x) < encode_binary(y))
 
 
 @given(st.integers(2, 4), st.integers(0, 5), st.data())

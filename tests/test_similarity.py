@@ -10,10 +10,10 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import diagonal_points, filterings, nested_maps, q
+from conftest import diagonal_points, filterings, nested_maps, points, q
 from cantorsurj import similarity
 from cantorsurj.caps import DEFAULT_DEPTH_CAP
-from cantorsurj.points import Point
+from cantorsurj.points import Point, max_point, min_point
 from cantorsurj.randgen import random_filtering, random_surjection
 from cantorsurj.similarity import (
     DEFAULT_SCAN_BUDGET,
@@ -29,10 +29,9 @@ from cantorsurj.similarity import (
     tangent_number,
     type_rank,
     _Node,
-    _binary_stems,
     _classify,
-    _lcp_len,
     _neighbour_gaps,
+    _node_depths,
 )
 from cantorsurj.surjections import compose, from_filtering, identity
 
@@ -257,6 +256,23 @@ def test_similarity_type_goldens():
         diagonal_levels((q(0), q(0, 0)))
 
 
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        ((), "empty tuple"),
+        ((q(1), q(0)), "points must be strictly increasing"),
+        ((q(0), q(0, 1, base=3)), "cannot compare points of different bases"),
+        ((q(0), Point(2, (1,), 0)), "1(0)w is not an interior eventually-max point"),
+        ((q(0, base=3), max_point(3)), "^(2)w is not an interior eventually-max point"),
+    ],
+    ids=["empty", "decreasing", "mixed-bases", "tail-0", "top"],
+)
+def test_diagonal_levels_refusals(pts, message):
+    with pytest.raises(ValueError) as exc:
+        diagonal_levels(pts)
+    assert str(exc.value) == message
+
+
 def test_canonical_coloring():
     assert canonical_coloring((q(0, 0, 0), q(0, 0, 1, 0)), 2) == 0
     assert canonical_coloring((q(0, 0, 0, 0), q(0, 1, 0)), 2) == 1
@@ -314,6 +330,103 @@ def test_scan_four_leaves_on_identity_finds_none():
     assert out.witnesses == {}
 
 
+# -- the binary code written out: the reference for _node_depths ----------
+
+
+def encode_binary(x):
+    """Order-preserving embedding of base-b points into base 2.
+
+    Digit d maps to 1^d 0 for d <= b-2 and the top digit b-1 maps to 1^(b-1);
+    this prefix code is strictly increasing digitwise, so lexicographic order
+    is preserved.  Only boundary-form points (tail 0 or tail b-1) stay
+    eventually constant under the encoding, and only those are accepted.
+    """
+    b = x.base
+    if b == 2:
+        return x
+    if x.tail not in (0, b - 1):
+        raise ValueError(f"tail {x.tail} encodes to a periodic, non-constant binary tail (base {b})")
+    out = []
+    for d in x.stem:
+        if d == b - 1:
+            out.extend([1] * (b - 1))
+        else:
+            out.extend([1] * d)
+            out.append(0)
+    return Point(2, tuple(out), 1 if x.tail == b - 1 else 0)
+
+
+def binary_stems(pts):
+    """The stems of the points' binary codes, written out."""
+    return tuple(encode_binary(p).stem for p in pts)
+
+
+def lcp_len(a, c):
+    n = min(len(a), len(c))
+    i = 0
+    while i < n and a[i] == c[i]:
+        i += 1
+    return i
+
+
+def reference_classify(stems):
+    """Level ranks of a point-ordered tuple of binary stems, read off the
+    stems themselves, or None when the tuple is not strongly diagonal."""
+    lengths = [len(stems[0])]
+    for a, c in zip(stems, stems[1:]):
+        m = lcp_len(a, c)
+        if m == len(a) or m == len(c):
+            return None
+        lengths += (m, len(c))
+    if len(set(lengths)) != len(lengths):
+        return None
+    return tuple(map(sorted(lengths).index, lengths))
+
+
+def test_reference_encoder_goldens():
+    assert encode_binary(min_point(3)) == min_point(2)
+    assert encode_binary(max_point(3)) == max_point(2)
+    # base-3 digits 0,1,2 become the prefix code 0, 10, 11
+    assert encode_binary(Point(3, (1,), 2)) == Point(2, (1, 0), 1)
+    assert encode_binary(Point(3, (2, 0), 0)) == Point(2, (1, 1, 0), 0)
+    assert encode_binary(q(0, 1)) == q(0, 1)  # base 2 passes through
+    with pytest.raises(ValueError):
+        encode_binary(Point(3, (), 1))
+
+
+@given(points(base=3, max_stem=6), points(base=3, max_stem=6))
+def test_reference_encoder_preserves_order(x, y):
+    if x.tail in (0, 2) and y.tail in (0, 2):
+        assert (x < y) == (encode_binary(x) < encode_binary(y))
+
+
+@st.composite
+def q_point_tuples(draw):
+    """An increasing tuple of interior eventually-max points in base 2-7:
+    stems hold top digits inside them, and half of them extend an earlier
+    stem, so neighbours where one stem prefixes the other are common."""
+    b = draw(st.integers(2, 7))
+    top, stems = b - 1, []
+    for _ in range(draw(st.integers(1, 6))):
+        head = draw(st.sampled_from(stems)) if stems and draw(st.booleans()) else ()
+        body = draw(st.lists(st.integers(0, top), max_size=4))
+        stems.append(head + tuple(body) + (draw(st.integers(0, top - 1)),))
+    return tuple(sorted({Point(b, s, top) for s in stems}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(q_point_tuples())
+@example((Point(7, (6, 3), 6),))  # one point
+@example((Point(7, (6, 5, 6, 0), 6), Point(7, (6, 5), 6)))  # the second stem prefixes the first
+@example((Point(7, (2, 6, 0), 6), Point(7, (2, 6, 3, 1), 6), Point(7, (4,), 6)))
+def test_node_depths_match_the_written_out_code(pts):
+    lens, gaps = _node_depths(pts)
+    stems = binary_stems(pts)
+    assert lens == [len(s) for s in stems]
+    assert gaps == [lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+    assert _classify(lens, gaps) == reference_classify(stems)
+
+
 def reference_scan_types(h, leaves, depth_cap=DEFAULT_DEPTH_CAP, budget=DEFAULT_SCAN_BUDGET, targets=None):
     """scan_types as one loop over combinations: classify every tuple of
     every depth's max-set, in construction order."""
@@ -330,10 +443,10 @@ def reference_scan_types(h, leaves, depth_cap=DEFAULT_DEPTH_CAP, budget=DEFAULT_
             continue
         if comb(n, leaves) > budget:
             break
-        stems = _binary_stems(pts)
+        stems = binary_stems(pts)
         for picked in combinations(range(n), leaves):
             combos += 1
-            ranks = _classify(tuple(stems[i] for i in picked))
+            ranks = reference_classify(tuple(stems[i] for i in picked))
             if ranks is None:
                 continue
             r = index[ranks]
@@ -396,7 +509,8 @@ def _long_stem_chain():
 def test_long_stem_examples_pass_64_binary_digits():
     # so the scan's depth masks in those examples are multi-word ints
     for h, longest in ((_long_stem_filtering(), 76), (_long_stem_chain(), 68)):
-        assert max(map(len, _binary_stems(h.fingerprint(2)))) == longest
+        pts = h.fingerprint(2)
+        assert max(_node_depths(pts)[0]) == max(map(len, binary_stems(pts))) == longest
 
 
 @settings(max_examples=150, deadline=None)
@@ -446,24 +560,25 @@ def reference_meet_table(stems):
         row = [-1] * len(stems)
         for j in range(i + 1, len(stems)):
             c = stems[j]
-            m = _lcp_len(a, c)
+            m = lcp_len(a, c)
             if m != len(a) and m != len(c):
                 row[j] = m
         table.append(row)
     return table
 
 
-def meet_table_from_gaps(stems):
-    """reference_meet_table read off _neighbour_gaps alone: row i holds
-    gaps[k] for j = k+1 up to nxt[k], along the chain k = i, nxt[i], ...,
-    save where stem j is no longer than that (stem j prefixes stem i)."""
-    gaps, nxt = _neighbour_gaps(stems)
+def meet_table_from_gaps(lens, gaps):
+    """reference_meet_table read off the node depths and _neighbour_gaps
+    alone: row i holds gaps[k] for j = k+1 up to nxt[k], along the chain
+    k = i, nxt[i], ..., save where leaf j is no deeper than that (stem j
+    prefixes stem i)."""
+    nxt = _neighbour_gaps(gaps)
     table = []
-    for i in range(len(stems)):
-        row, k = [-1] * len(stems), i
+    for i in range(len(lens)):
+        row, k = [-1] * len(lens), i
         while k < len(gaps):
             for j in range(k + 1, nxt[k] + 1):
-                row[j] = gaps[k] if gaps[k] < len(stems[j]) else -1
+                row[j] = gaps[k] if gaps[k] < lens[j] else -1
             k = nxt[k]
         table.append(row)
     return table
@@ -475,17 +590,18 @@ def meet_table_from_gaps(stems):
     | nested_maps(bases=(2, 3, 4, 5))
 )
 def test_meet_rows_from_gaps_match_pairwise_reference(h):
-    # wider bases are binary-encoded first, so their stems run longer
+    # the reference writes wider bases out in binary, so their stems run longer
     for d in range(1, 8):
         pts = h.fingerprint(d)
         if len(pts) > 130:
             break
-        stems = _binary_stems(pts)
-        gaps, nxt = _neighbour_gaps(stems)
-        assert gaps == [_lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+        stems = binary_stems(pts)
+        lens, gaps = _node_depths(pts)
+        assert gaps == [lcp_len(a, c) for a, c in zip(stems, stems[1:])]
+        nxt = _neighbour_gaps(gaps)
         for k, g in enumerate(gaps):
             assert nxt[k] == next((t for t in range(k + 1, len(gaps)) if gaps[t] < g), len(gaps))
-        assert meet_table_from_gaps(stems) == reference_meet_table(stems)
+        assert meet_table_from_gaps(lens, gaps) == reference_meet_table(stems)
 
 
 def _outcome_bytes(out):
