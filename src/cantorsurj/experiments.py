@@ -4,8 +4,9 @@ Three strands share this module:
 
 * realization: for a fixed inner surjection h, every color is reachable by
   some outer factor f, found by scanning h's max-set for each type and
-  pulling the witness tuple back through h, the one certified witness path
-  (oscillation_search reads the identity's realization);
+  pulling the witness tuple back through h, the one certified witness path;
+  every plain identity map (realize_all_colors on a filtering with no stored
+  levels, and oscillation_search) reads one cached realization per process;
 * order-copies and the branch coloring: a finitely described copy of the
   rationals (max-set cut to finitely many clopen pieces) has a derived
   binary tree whose extreme branches split at every depth from the longest
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import caps
-from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Surjection, trusted_tuple, validate_level
+from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering, Surjection, trusted_tuple, validate_level
 from .points import Point, interval_successor, json_int, max_point, min_point
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
@@ -115,11 +116,31 @@ def realize_all_colors(
     covers the metric ball too: tuple_to_surjection(t) stores t.entries as
     its level k (the slice at d = k is entries[0::1]), so its color is w's.
     Colors whose type never shows up within the cap are reported missing,
-    not raised."""
+    not raised.  A filtering with no stored levels is identity(b) (the
+    greedy rule from the whole space gives the cylinder partition), so its
+    report is read from _identity_realization, realized once per process."""
     # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
     if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
         raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
     depth_cap = caps.depth_cap(depth_cap)
+    if isinstance(h, Filtering) and not h.levels:
+        return _identity_realization(h.base, k, depth_cap, budget)
+    return _realize(h, k, depth_cap, budget)
+
+
+# keys hold caller-chosen caps and budgets: keep a few; typed, so that a cap
+# of 20.0, which the scan refuses, does not read back the entry of 20
+@lru_cache(maxsize=16, typed=True)
+def _identity_realization(b: int, k: int, depth_cap: int, budget: int) -> ExperimentReport:
+    """The realization of identity(b): its rows are the scan's first tuple
+    per type, in type order, each certified; no coloring enters it, and a
+    report is frozen tuples, so every caller shares it."""
+    return _realize(identity(b), k, depth_cap, budget)
+
+
+def _realize(h: Surjection, k: int, depth_cap: int, budget: int) -> ExperimentReport:
+    """realize_all_colors' scan, certificate and check, uncached, for a k
+    within the leaf cap and a resolved depth cap."""
     ell = h.base**k - 1
     t = tangent_number(ell)
     outcome = scan_types(h, ell, depth_cap, budget)
@@ -485,14 +506,6 @@ class OscillationReport:
         }
 
 
-@lru_cache(maxsize=16)  # keys hold caller-chosen budgets: keep a few
-def _identity_realization(b: int, k: int, budget: int) -> ExperimentReport:
-    """realize_all_colors over the identity: its rows are the scan's first
-    tuple per type, in type order, each certified; no coloring enters it.
-    The default depth cap never binds: the budget stops the sweep first."""
-    return realize_all_colors(identity(b), k, None, budget)
-
-
 def oscillation_search(
     spec: ColoringSpec,
     eps,
@@ -511,8 +524,9 @@ def oscillation_search(
     validated, or the miss, built valid.  On the identity cube a valid
     tuple is the fingerprint of its own composite (corollary (i)), so a
     witness is certified by its validity alone.  The rows do not depend on
-    the coloring, so a process realizes each identity cube once
-    (_identity_realization)."""
+    the coloring: they are the identity's realization at the default depth
+    cap, which realize_all_colors shares (_identity_realization), so a
+    process realizes each identity cube once."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     # the color budget t_ell is not needed here, and is huge for fine eps
@@ -522,7 +536,7 @@ def oscillation_search(
     b, ell = spec.base, spec.ell
     ident = identity(b).fingerprint(k)
     if spec.kind == "relabeled_types":
-        rep = _identity_realization(b, k, budget)
+        rep = _identity_realization(b, k, caps.depth_cap(None), budget)
         if not rep.complete:
             raise RuntimeError("type sweep incomplete within budget; cannot certify the bound")
         # each row's witness has its row's color, so its label is spec.color_of(witness)

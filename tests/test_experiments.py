@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import cell_child_maxima, child_bounds, nested_maps, q, rank_word, reference_cell_chain
+import cantorsurj.caps as caps
 import cantorsurj.experiments as experiments
 import cantorsurj.intervals as intervals
 from cantorsurj.experiments import (
@@ -23,7 +25,7 @@ from cantorsurj.experiments import (
 from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
 from cantorsurj.points import Point, interval_successor, max_point, min_point
 from cantorsurj.randgen import derive_rng, increasing_q_points, random_filtering
-from cantorsurj.similarity import canonical_coloring, scan_types, tangent_number
+from cantorsurj.similarity import DEFAULT_SCAN_BUDGET, canonical_coloring, scan_types, tangent_number
 from cantorsurj.surjections import ChainSurjection, compose, from_filtering, identity, tuple_to_factor
 
 
@@ -574,6 +576,71 @@ def test_oscillation_cache_is_keyed_on_the_budget():
     assert oscillation_search(spec, Fraction(3, 10)).labels == tuple(range(16))
 
 
+IDENTITY_KEYS = [
+    (b, k, cap, budget)
+    for b, k in ((2, 1), (2, 2), (3, 1), (4, 1))
+    for cap in (20, None)
+    for budget in (100, DEFAULT_SCAN_BUDGET)
+]
+
+
+def test_identity_realization_cold_and_warm_equal_the_uncached_body():
+    # one cache across every key: a key that drops the base, the cap or the
+    # budget makes a later cold call read another key's report
+    experiments._identity_realization.cache_clear()
+    want = {
+        (b, k, cap, budget): json.dumps(experiments._realize(identity(b), k, caps.depth_cap(cap), budget).to_json())
+        for b, k, cap, budget in IDENTITY_KEYS
+    }
+    for _ in ("cold", "warm"):
+        for b, k, cap, budget in IDENTITY_KEYS:
+            got = realize_all_colors(Filtering(b, ()), k, cap, budget)
+            assert json.dumps(got.to_json()) == want[b, k, cap, budget]
+    assert experiments._identity_realization.cache_info().misses == len(IDENTITY_KEYS)
+
+
+def test_identity_realization_keys_carry_their_types():
+    realize_all_colors(identity(2), 2, 20)
+    with pytest.raises(TypeError):
+        realize_all_colors(identity(2), 2, 20.0)
+
+
+def _count_realization_work(monkeypatch):
+    calls = []
+    for name in ("scan_types", "tuple_to_factors", "canonical_coloring"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def test_warm_identity_realization_scans_certifies_and_classifies_nothing(monkeypatch):
+    experiments._identity_realization.cache_clear()
+    cold = realize_all_colors(identity(2), 2, 20)
+    calls = _count_realization_work(monkeypatch)
+    assert realize_all_colors(identity(2), 2, 20) is cold and calls == []
+    # oscillation reads the same cache, at the default cap
+    realize_all_colors(identity(2), 2)
+    calls.clear()
+    oscillation_search(ColoringSpec(2, 2, 16, "relabeled_types", relabel=tuple(range(16))), Fraction(3, 10))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "h",
+    [Filtering(2, ((q(0),),)), ChainSurjection(identity(2), identity(2))],
+    ids=["stored-identity-level", "support-0-chain"],
+)
+def test_maps_other_than_a_plain_filtering_always_scan(monkeypatch, h):
+    # each is the identity as a map, and the chain has support 0
+    experiments._identity_realization.cache_clear()
+    want = realize_all_colors(identity(2), 2, 20)
+    calls = _count_realization_work(monkeypatch)
+    for _ in range(2):
+        got = realize_all_colors(h, 2, 20)
+        assert got.to_json() == want.to_json() and got is not want
+    assert calls.count("scan_types") == 2
+
+
 def test_realize_all_colors_refuses_a_witness_of_another_color(monkeypatch):
     scan = experiments.scan_types
 
@@ -584,5 +651,6 @@ def test_realize_all_colors_refuses_a_witness_of_another_color(monkeypatch):
         return out
 
     monkeypatch.setattr(experiments, "scan_types", swapped)
+    experiments._identity_realization.cache_clear()
     with pytest.raises(RuntimeError, match="realization of color 0 failed verification: composite 1$"):
         realize_all_colors(identity(2), 2, 20)

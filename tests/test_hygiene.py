@@ -85,7 +85,7 @@ def test_the_check_sees_an_environment_read():
 TRUSTED_SITES = {
     ("intervals.py", "Surjection.boundary_tuple"),
     ("surjections.py", "tuple_to_factors"),
-    ("experiments.py", "realize_all_colors"),
+    ("experiments.py", "_realize"),
 }
 
 

@@ -181,8 +181,8 @@ def test_check6_records_a_refused_factorization(monkeypatch):
 def test_check9_catches_an_unordered_witness(monkeypatch):
     rows = experiments._identity_realization
 
-    def swapped(b, k, budget):
-        rep = rows(b, k, budget)
+    def swapped(b, k, depth_cap, budget):
+        rep = rows(b, k, depth_cap, budget)
         row = rep.realizations[0]
         w = row.witness
         bad = replace(row, witness=(w[1], w[0], *w[2:]))
