@@ -4,10 +4,10 @@ One executable, subcommand per task, JSON as the only structured wire
 format.  Structured inputs come from files ("-" reads stdin); small values
 ride on flags.  Exit status: 0 on success, 1 when an assertion or
 verification fails (a counterexample dump goes to stdout), 2 on malformed
-input, on input nested past the stack and when memory runs out (a one-line
-note goes to stderr).  Capped operations default to a depth cap of 64;
-dist --cap, search-type --depth-cap and realize-all --depth-cap set it per
-call.  The branch coloring is exact: color-omega and witness-omega check a
+input, on JSON nested too deeply to decode and when memory runs out (a
+one-line note goes to stderr).  Capped operations default to a depth cap of
+64; dist --cap, search-type --depth-cap and realize-all --depth-cap set it
+per call.  The branch coloring is exact: color-omega and witness-omega check a
 --cap and then ignore it.
 """
 
@@ -241,11 +241,9 @@ def _cmd_color_omega(args) -> int:
 
 def _emit_report(compute, **context) -> int:
     """Print compute()'s report with exit 0, or its RuntimeError as a JSON
-    dump with exit 1; a RecursionError goes on to main's exit 2."""
+    dump with exit 1."""
     try:
         rep = compute()
-    except RecursionError:
-        raise
     except RuntimeError as exc:
         _emit({"error": str(exc), **context})
         return 1
@@ -421,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # BadInput, and every library refusal of its input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # a chain nested deeper than the interpreter's stack
+    except RecursionError:  # a chain that json parses but is nested too deeply to decode
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return 2
     except MemoryError:

@@ -237,6 +237,12 @@ class Surjection(ABC):
     def _level(self, depth: int) -> tuple[Point, ...]:
         """The whole depth-`depth` boundary tuple; fingerprint checks depth."""
 
+    @abstractmethod
+    def least_support(self) -> int:
+        """A depth, at most support, from which the greedy rule alone makes
+        every level: two maps whose levels agree down to it agree at every
+        depth (distance)."""
+
     # -- derived cell geometry -----------------------------------------
 
     def fingerprint(self, depth: int) -> tuple[Point, ...]:
@@ -605,6 +611,14 @@ class Filtering(Surjection):
             level[top::b] = above
             known[d : d + 1] = (tuple(level),)
         return known[depth]
+
+    def least_support(self) -> int:
+        """The stored depth s, walked back while stored level s is what the
+        greedy rule builds from the levels above it."""
+        s = self.support
+        while s and Filtering(self.base, self.levels[: s - 1])._level(s) == self.levels[s - 1]:
+            s -= 1
+        return s
 
     # -- serialization ---------------------------------------------------
 

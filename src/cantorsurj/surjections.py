@@ -7,10 +7,11 @@ boundary data (intervals.Filtering) and a lazy composition chain
 (ChainSurjection, here), and each gives two primitives: the word-keyed cell
 maxima of a batch of words, cell_maxima(words), and a whole level.  A
 filtering answers a batch with one shared descent, whose maxima it memoizes
-by word; a chain answers it with the outer's batch and then one inner batch
-for the distinct stems of the outer maxima, and its level is the outer's
-level pulled the same way, so nested chains stay batched.  A chain keeps no
-memo, so chains over one inner map share its filterings' memos.
+by word.  A chain is the flat tuple of its leaf maps, outer first; it
+answers a batch with the first map's batch and then, for each later map in
+turn, one batch for the distinct stems of the maxima so far, and its level
+is the first map's level pulled the same way: one loop, however deep the
+nesting.  A chain keeps no memo, so chains over one map share its memo.
 Both share all derived operations: evaluation and fingerprints (in
 intervals), distance and factorization (here).
 Evaluation, a batch of points at once (evaluate_all), and factor images
@@ -19,8 +20,12 @@ which asks for cell_maxima a depth at a time above the support.
 Factorization is one walk and one pull for a batch of boundary tuples,
 tuple_to_factors; factor_through calls it on the composite's tuple alone.
 
-Every surjection has a support, the depth from which the greedy rule alone
-makes its levels, so distance is exact for every representation.
+Every surjection has a support, a depth from which the greedy rule alone
+makes its levels: the stored one (support) bounds the point walk and the
+factor images and is the depth to_json writes; the least one
+(least_support) is a filtering's stored depth walked back over its greedy
+stored levels, and a chain's sum over its maps.  distance stops at the
+least supports, and is exact for every representation.
 Composition is kept as a chain and never flattened implicitly;
 to_filtering(f, d) is lossy below f.support and exact from it on.
 
@@ -80,17 +85,24 @@ def _pull(inner: Surjection, ys) -> dict[tuple[int, ...], Point]:
     return inner.cell_maxima(stems)
 
 
+def _maps(f: Surjection) -> tuple[Surjection, ...]:
+    return f.maps if isinstance(f, ChainSurjection) else (f,)
+
+
 class ChainSurjection(Surjection):
     """outer o inner, evaluated lazily and exactly.
 
-    The depth-d preimage cells of the composite are the inner-preimages of
-    the outer's cells, so each cell maximum is the maximum of the inner
-    preimage of {x : x <= y}, y the outer's cell maximum: the inner cell
-    maximum at y's stem.  A batch of words, and a whole level, takes the
-    outer's maxima in one call and pulls their distinct stems through one
-    inner cell_maxima call (_pull), so shared inner cells are split once.
-    The chain keeps no memo: a repeated pull, by it or by another chain over
-    the same inner map, is a lookup in the inner filterings' cell memos.
+    The chain is the flat tuple of its leaf maps, outer first (maps): a part
+    that is a chain already holds its own tuple, so nesting costs no
+    recursion, and outer and inner are kept only for to_json.  The depth-d
+    preimage cells of f o h are the h-preimages of f's cells, so each cell
+    maximum is the maximum of the h-preimage of {x : x <= y}, y f's cell
+    maximum: h's cell maximum at y's stem.  A batch of words, and a whole
+    level, takes the first map's maxima in one call and pulls them through
+    each later map in turn, the distinct stems in one cell_maxima call per
+    map (_pull), so shared cells are split once.  The chain keeps no memo: a
+    repeated pull, by it or by another chain over the same map, is a lookup
+    in that map's cell memo.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -120,10 +132,11 @@ class ChainSurjection(Surjection):
        D_v = h^{-1}([v]), so on D_v it is x -> v sigma_{D_v}(x), and by 2
        the preimages of K's children, its children in f o h, are the greedy
        split of h^{-1}(K).  Only where each part turns greedy is used, so
-       nested chains add their supports too.
+       the supports of the maps add up, stored (support) or least
+       (least_support) alike.
     """
 
-    __slots__ = ("base", "outer", "inner", "support")
+    __slots__ = ("base", "outer", "inner", "maps", "support")
 
     def __init__(self, outer: Surjection, inner: Surjection):
         if outer.base != inner.base:
@@ -131,18 +144,25 @@ class ChainSurjection(Surjection):
         self.base = outer.base
         self.outer = outer
         self.inner = inner
+        self.maps = _maps(outer) + _maps(inner)
         self.support = outer.support + inner.support
 
+    def _pull_all(self, ys) -> list[Point]:
+        """The first map's cell maxima ys, pulled through every later map."""
+        for h in self.maps[1:]:
+            pulled = _pull(h, ys)
+            ys = [pulled[y.stem] for y in ys]
+        return ys
+
     def cell_maxima(self, words) -> dict[tuple[int, ...], Point]:
-        ys = self.outer.cell_maxima(words)
-        pulled = _pull(self.inner, ys.values())
-        return {w: pulled[y.stem] for w, y in ys.items()}
+        ys = self.maps[0].cell_maxima(words)
+        return dict(zip(ys, self._pull_all(ys.values())))
 
     def _level(self, depth: int) -> tuple[Point, ...]:
-        # the outer's whole level, pulled in bulk through the inner map
-        ys = self.outer.fingerprint(depth)
-        pulled = _pull(self.inner, ys)
-        return tuple(pulled[y.stem] for y in ys)
+        return tuple(self._pull_all(self.maps[0].fingerprint(depth)))
+
+    def least_support(self) -> int:
+        return sum(h.least_support() for h in self.maps)
 
     def to_json(self) -> dict:
         return {
@@ -153,7 +173,7 @@ class ChainSurjection(Surjection):
         }
 
     def __repr__(self) -> str:
-        return f"ChainSurjection({self.outer!r} o {self.inner!r})"
+        return f"ChainSurjection({' o '.join(map(repr, self.maps))})"
 
 
 def surjection_from_json(obj: dict) -> Surjection:
@@ -192,7 +212,7 @@ def to_filtering(f: Surjection, depth: int) -> Filtering:
 
 
 def truncate(f: Surjection, depth: int) -> Filtering:
-    """to_filtering, kept for perfbench/workloads.py until ROADMAP item 6."""
+    """to_filtering, kept for perfbench/workloads.py until ROADMAP item 13."""
     return to_filtering(f, depth)
 
 
@@ -227,16 +247,23 @@ def distance(f: Surjection, g: Surjection, cap: int | None = None, guard: int | 
 
     Fingerprints equal exactly at depths 1..m and differing at m+1 give
     distance exactly 2^-m; tuple agreement is downward closed so the scan
-    stops at the first mismatching level.  Past the deeper support both maps
-    split every cell greedily, so agreement there is agreement at every depth.
+    stops at the first mismatching level.  Past both least supports both
+    maps split every cell greedily, so agreement there is agreement at every
+    depth: the scan stops at the first agreeing depth at or past them.  The
+    least supports are read once depth 1 agrees, so a pair that differs
+    there pays for none.
     """
     # guard is accepted for callers written before supports bounded the scan
     if f.base != g.base:
         raise ValueError("base mismatch")
     cap = caps.depth_cap(cap)
-    for d in range(1, min(cap, max(f.support, g.support)) + 1):
+    d, last = 1, min(cap, max(f.support, g.support))
+    while d <= last:
         if f.fingerprint(d) != g.fingerprint(d):
             return DistanceResult("exact", d - 1)
+        if d == 1:
+            last = min(last, max(f.least_support(), g.least_support()))
+        d += 1
     return DistanceResult("zero", cap)
 
 

@@ -126,17 +126,30 @@ def surjections(draw, max_depth=3, chain_prob=0.3):
     return random_surjection(random.Random(seed), 2, max_depth, chain_prob)
 
 
+def balanced(maps):
+    """The chain of maps, outer first, composed pairwise into a balanced tree."""
+    while len(maps) > 1:
+        maps = [compose(*maps[i : i + 2]) if i + 1 < len(maps) else maps[i] for i in range(0, len(maps), 2)]
+    return maps[0]
+
+
 @st.composite
-def nested_maps(draw, bases=(2, 3), max_factors=3):
-    """A filtering map, or a chain of up to max_factors of them nested on
-    either side; base-3 factors are kept shallower."""
+def nested_maps(draw, bases=(2, 3), max_factors=3, shapes=("mixed",)):
+    """A filtering map, or a chain of up to max_factors of them: each new
+    factor composed on a random side ("mixed"), always outside ("right":
+    g o (... o h)) or inside ("left": (h o ...) o g), or the factors
+    composed as a balanced tree; base-3 factors are kept shallower."""
     seed = draw(st.integers(0, 2**32 - 1))
     b = draw(st.sampled_from(bases))
     n = draw(st.integers(1, max_factors))
+    shape = draw(st.sampled_from(shapes))
     rng = random.Random(seed)
     deepest = 3 if b == 2 else 2
     h = from_filtering(random_filtering(rng, b, rng.randint(0, deepest)))
-    for _ in range(n - 1):
-        g = from_filtering(random_filtering(rng, b, rng.randint(0, deepest - 1)))
-        h = compose(g, h) if rng.random() < 0.5 else compose(h, g)
+    factors = [from_filtering(random_filtering(rng, b, rng.randint(0, deepest - 1))) for _ in range(n - 1)]
+    if shape == "balanced":
+        return balanced([h, *factors])
+    for g in factors:
+        outside = rng.random() < 0.5 if shape == "mixed" else shape == "right"
+        h = compose(g, h) if outside else compose(h, g)
     return h

@@ -474,6 +474,20 @@ def nested_chain(n, leaf):
 SUPPORT_ONE = {"b": 2, "depth": 1, "boundaries": [[q(0).to_json()]]}
 
 
+def run_capped(argv, timeout):
+    """The CLI in a child process under a timeout and a 512 MiB address-space
+    limit, set in the child only, so a runaway run fails fast."""
+    limit = 512 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cantorsurj", *argv], capture_output=True, text=True, timeout=timeout,
+        preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "leaf, argv",
     [
@@ -485,12 +499,41 @@ SUPPORT_ONE = {"b": 2, "depth": 1, "boundaries": [[q(0).to_json()]]}
     ],
     ids=["boundaries-identity", "dist", "boundaries", "factor", "realize-all"],
 )
-def test_chain_nested_past_the_stack_exits_2(files, leaf, argv):
-    # the file decodes, but evaluating 600 nested maps overflows the stack
+def test_chain_nested_past_the_stack_answers_as_its_leaf(capsys, files, leaf, argv):
+    # 600 nested maps are one flat tuple, evaluated in one loop; each map
+    # equals its one-map leaf, and dist stops at the least supports, 0 here
     deep = files("deep.json", nested_chain(600, leaf))
-    argv = [deep if a == "F" else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "cantorsurj", *argv], capture_output=True, text=True, timeout=120)
-    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: input nested too deeply to evaluate\n")
+    out = run_capped([deep if a == "F" else a for a in argv], timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == run(capsys, *[files("leaf.json", leaf) if a == "F" else a for a in argv])[1]
+
+
+@pytest.mark.parametrize(
+    "n, verb, want",
+    [
+        (984, "boundaries", None),
+        (984, "realize-all", None),
+        (985, "boundaries", "error: input nested too deeply to evaluate\n"),
+        (985, "realize-all", "error: input nested too deeply to evaluate\n"),
+        (986, "boundaries", "error: {path}: JSON nested too deeply\n"),
+    ],
+    ids=["984-boundaries", "984-realize-all", "985-boundaries", "985-realize-all", "986-boundaries"],
+)
+def test_chain_nesting_answers_up_to_the_decoders_limit(capsys, files, tmp_path, n, verb, want):
+    # the json parser takes 985 nested identity chains, and decoding them
+    # recurses once per level: 984 decode and answer as the identity, 985
+    # overflow the decoder, which main reports, and 986 the json parser
+    extra = ["--depth", "2"] if verb == "boundaries" else ["--k", "1"]
+    leaf = json.dumps(identity(2).to_json())  # the text of nested_chain(n, leaf), too deep for json.dumps here
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"b": 2, "kind": "chain", "outer": ' * (n - 1) + leaf + (', "inner": ' + leaf + "}") * (n - 1))
+    deep = str(deep)
+    out = run_capped([verb, deep, *extra], timeout=60)
+    if want is None:
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == run(capsys, verb, files("id.json", identity(2).to_json()), *extra)[1]
+    else:
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", want.format(path=deep))
 
 
 def test_chain_nested_within_the_stack_still_answers(capsys, files):

@@ -900,6 +900,47 @@ def test_chain_cell_maxima_match_cell_max_and_reference(h, pull_first, data):
         assert cell_child_maxima(h, w) == tuple(reference_cell_max(h, w + (p,), walks) for p in range(b - 1))
 
 
+def recursive_cell_maxima(h, words):
+    """A chain's batch by recursion on its tree: the outer's batch, then one
+    inner batch for the distinct stems of the outer maxima."""
+    if not isinstance(h, ChainSurjection):
+        return h.cell_maxima(words)
+    ys = recursive_cell_maxima(h.outer, words)
+    pulled = recursive_cell_maxima(h.inner, {y.stem for y in ys.values()})
+    return {w: pulled[y.stem] for w, y in ys.items()}
+
+
+def recursive_level(h, depth):
+    """A chain's level by recursion on its tree: the outer's level, pulled
+    through the inner map."""
+    if not isinstance(h, ChainSurjection):
+        return h.fingerprint(depth)
+    ys = recursive_level(h.outer, depth)
+    pulled = recursive_cell_maxima(h.inner, {y.stem for y in ys})
+    return tuple(pulled[y.stem] for y in ys)
+
+
+def tree_leaves(h):
+    return tree_leaves(h.outer) + tree_leaves(h.inner) if isinstance(h, ChainSurjection) else [h]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_maps(max_factors=30, shapes=("left", "right", "balanced")), st.data())
+def test_flat_chain_matches_recursive_evaluation(h, data):
+    # the flat tuple is the tree's leaves, outer first, and its one loop
+    # answers as the recursion on the tree does, on a decoded copy whose
+    # filterings share no memo with h's
+    b = h.base
+    assert list(getattr(h, "maps", (h,))) == tree_leaves(h)
+    words = data.draw(st.lists(st.lists(st.integers(0, b - 1), max_size=6).map(tuple), min_size=1, max_size=8))
+    got, fresh, walks = h.cell_maxima(words), surjection_from_json(h.to_json()), {}
+    assert got == recursive_cell_maxima(fresh, words)
+    for w in words[:3]:
+        assert got[w] == reference_cell_max(h, w, walks)
+    for depth in (1, 2, 3) if b == 2 else (1, 2):
+        assert h.fingerprint(depth) == recursive_level(fresh, depth)
+
+
 @settings(max_examples=60, deadline=None)
 @given(filterings(bases=(2, 3, 4, 5)), st.data())
 def test_cell_memo_answers_equal_a_fresh_filtering(f, data):

@@ -5,10 +5,10 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import nested_maps, q, surjections
+from conftest import balanced, nested_maps, q, surjections
 from cantorsurj.intervals import MATERIALIZE_LIMIT, Filtering, Surjection, validate_filtering
-from cantorsurj.points import Point, iter_points, max_point, min_point
-from cantorsurj.randgen import random_filtering
+from cantorsurj.points import Point, interval_successor, iter_points, max_point, min_point
+from cantorsurj.randgen import increasing_q_points, random_filtering
 from cantorsurj.surjections import (
     BoundaryTuple,
     ChainSurjection,
@@ -177,6 +177,105 @@ def test_distance_ultrametric(f, g, h):
     dfg = distance(f, g, cap=10).agree_depth
     dgh = distance(g, h, cap=10).agree_depth
     assert dfh >= min(dfg, dgh)
+
+
+def stored_scan_distance(f, g, cap=64):
+    """The reference distance: the level scan to the deeper stored support."""
+    for d in range(1, min(cap, max(f.support, g.support)) + 1):
+        if f.fingerprint(d) != g.fingerprint(d):
+            return DistanceResult("exact", d - 1)
+    return DistanceResult("zero", cap)
+
+
+def least_support_oracle(h):
+    """The least s whose first s levels, re-extended greedily, are h."""
+    return next(s for s in range(h.support + 1) if stored_scan_distance(to_filtering(h, s), h).kind == "zero")
+
+
+def greedy_then_not():
+    """Stored levels off the greedy rule at depth 1, on it at depth 2 and
+    off it again at depth 3: least support 3, though depth 2 is greedy."""
+    l1 = (q(0, 0),)  # greedy would be q(0)
+    l3 = list(Filtering(2, (l1,)).fingerprint(3))
+    assert l3[6] == q(1, 0)  # the last cell's greedy pick
+    l3[6] = q(1, 0, 0)
+    return from_filtering(Filtering(2, (l1, Filtering(2, (l1,)).fingerprint(2), tuple(l3))))
+
+
+def random_level_below(rng, b, above):
+    """A random level nested in `above`, drawn as random_filtering draws one."""
+    entries, lo = [], min_point(b)
+    for hi in above:
+        entries += increasing_q_points(rng, lo, hi, b - 1) + [hi]
+        lo = interval_successor(hi)
+    return tuple(entries + increasing_q_points(rng, lo, max_point(b), b - 1))
+
+
+@st.composite
+def supported_maps(draw):
+    """Maps whose least support is often below the stored one: nested maps,
+    their truncations past the support, identity o h o identity, chains of
+    such truncations, and filterings whose stored levels turn greedy and then
+    stop being greedy."""
+    h = draw(nested_maps())
+    b, rng = h.base, random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["map", "truncation", "sandwich", "chain", "greedy-then-not"]))
+    if kind == "truncation":
+        return to_filtering(h, draw(st.integers(0, h.support + 2)))
+    if kind == "sandwich":
+        return compose(compose(identity(b), h), identity(b))
+    if kind == "chain":
+        maps = [to_filtering(g, g.support + rng.randint(0, 2)) for g in (h, draw(nested_maps(bases=(b,))))]
+        return balanced(maps + [identity(b)])
+    if kind == "greedy-then-not":
+        if b == 3 and h.support > 2:
+            h = to_filtering(h, 2)
+        levels = to_filtering(h, h.support + draw(st.integers(1, 2))).levels
+        return from_filtering(Filtering(b, levels + (random_level_below(rng, b, levels[-1]),)))
+    return h
+
+
+def test_least_support_walks_back_past_a_greedy_level():
+    f = greedy_then_not()
+    assert f.least_support() == least_support_oracle(f) == 3
+    assert distance(f, to_filtering(f, 1)) == DistanceResult("exact", 2)
+    support_one = from_filtering(Filtering(2, (identity(2).fingerprint(1),)))
+    chain = compose(support_one, compose(identity(2), support_one))
+    assert (support_one.least_support(), chain.least_support(), chain.support) == (0, 0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(supported_maps())
+def test_least_support_matches_the_oracle(h):
+    # exact for a filtering; for a chain the sum over its maps, which step 3
+    # of the chain proof makes an upper bound of the oracle
+    if isinstance(h, Filtering):
+        assert h.least_support() == least_support_oracle(h)
+    else:
+        assert least_support_oracle(h) <= h.least_support() == sum(m.least_support() for m in h.maps) <= h.support
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_maps(), st.data())
+def test_distance_matches_the_stored_support_scan(f, data):
+    b = f.base
+    g = data.draw(st.one_of(
+        st.integers(0, f.support + 1).map(lambda d: to_filtering(f, d)),
+        st.just(compose(compose(identity(b), f), identity(b))),
+        supported_maps().filter(lambda g: g.base == b),
+    ))
+    for cap in (64, 2):
+        assert distance(f, g, cap) == distance(g, f, cap) == stored_scan_distance(f, g, cap)
+
+
+def test_a_pair_differing_at_depth_one_reads_no_least_support(monkeypatch):
+    def refuse(self):
+        raise AssertionError("least_support read")
+
+    monkeypatch.setattr(Filtering, "least_support", refuse)
+    monkeypatch.setattr(ChainSurjection, "least_support", refuse)
+    deep = compose(greedy_then_not(), SKEW)
+    assert distance(identity(2), SKEW) == distance(deep, identity(2)) == DistanceResult("exact", 0)
 
 
 @given(surjections(), st.data())
