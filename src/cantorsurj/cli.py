@@ -4,7 +4,7 @@ One executable, subcommand per task, JSON as the only structured wire
 format.  Structured inputs come from files ("-" reads stdin); small values
 ride on flags.  Exit status: 0 on success, 1 when an assertion or
 verification fails (a counterexample dump goes to stdout), 2 on malformed
-input, on JSON nested too deeply to decode and when memory runs out (a
+input, on JSON nested too deeply to parse and when memory runs out (a
 one-line note goes to stderr).  Capped operations default to a depth cap of
 64; dist --cap, search-type --depth-cap and realize-all --depth-cap set it
 per call.  The branch coloring is exact: color-omega and witness-omega check a
@@ -51,10 +51,6 @@ from .surjections import (
 
 __all__ = ["main"]
 
-class BadInput(ValueError):
-    pass
-
-
 def _reason(exc: Exception) -> str:
     """What a decoder error says about the input; a KeyError names the key."""
     return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
@@ -67,13 +63,13 @@ def _read_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise BadInput(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise BadInput(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
-        raise BadInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except RecursionError as exc:
-        raise BadInput(f"{path}: JSON nested too deeply") from exc
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _decode(path: str, decoder):
@@ -82,7 +78,7 @@ def _decode(path: str, decoder):
     try:
         return decoder(obj)
     except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"{path}: {_reason(exc)}") from exc
+        raise ValueError(f"{path}: {_reason(exc)}") from exc
 
 
 def _surjection(path: str):
@@ -105,7 +101,7 @@ def _point_arg(text: str) -> Point:
     try:
         return Point.from_json(json.loads(text))
     except (ValueError, KeyError, TypeError) as exc:
-        raise BadInput(f"--point: {_reason(exc)}") from exc
+        raise ValueError(f"--point: {_reason(exc)}") from exc
 
 
 def _emit(obj) -> None:
@@ -120,9 +116,9 @@ def _levels_arg(text: str) -> TreeType:
     try:
         t = TreeType(tuple(int(t) for t in text.split(",") if t.strip() != ""))
     except ValueError as exc:
-        raise BadInput(f"--levels: {exc}") from exc
+        raise ValueError(f"--levels: {exc}") from exc
     if t.leaf_count > MAX_TYPE_LEAVES:
-        raise BadInput(f"--levels: {t.leaf_count} leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
+        raise ValueError(f"--levels: {t.leaf_count} leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
     return t
 
 
@@ -131,14 +127,14 @@ def _levels_arg(text: str) -> TreeType:
 
 def _cmd_tangent(args) -> int:
     if not 1 <= args.k <= MAX_TANGENT_INDEX:
-        raise BadInput(f"k must lie in 1..{MAX_TANGENT_INDEX}")
+        raise ValueError(f"k must lie in 1..{MAX_TANGENT_INDEX}")
     print(tangent_number(args.k))
     return 0
 
 
 def _cmd_types(args) -> int:
     if not 1 <= args.l <= MAX_TYPE_LEAVES:
-        raise BadInput(f"l must lie in 1..{MAX_TYPE_LEAVES}")
+        raise ValueError(f"l must lie in 1..{MAX_TYPE_LEAVES}")
     types = enumerate_types(args.l)
     _emit({"l": args.l, "count": len(types), "types": [list(t.levels) for t in types]})
     return 0
@@ -148,11 +144,11 @@ def _colored_points(path: str) -> tuple[int, tuple[int, ...] | None, int]:
     """Length, type levels (None unless strongly diagonal) and color, from one classification."""
     pts = _points(path)
     if len(pts) > MAX_TANGENT_INDEX:
-        raise BadInput(f"{path}: {len(pts)} points; types are ranked up to {MAX_TANGENT_INDEX} leaves")
+        raise ValueError(f"{path}: {len(pts)} points; types are ranked up to {MAX_TANGENT_INDEX} leaves")
     try:
         levels = diagonal_levels(pts)
     except ValueError as exc:
-        raise BadInput(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return len(pts), levels, 0 if levels is None else type_rank(levels)
 
 
@@ -209,7 +205,7 @@ def _cmd_factor(args) -> int:
     g = _surjection(args.composite)
     h = _surjection(args.inner)
     if args.depth < 1:
-        raise BadInput("depth must be >= 1")
+        raise ValueError("depth must be >= 1")
     try:
         f = factor_through(g, h, args.depth)
     except FactorizationError as exc:
@@ -222,7 +218,7 @@ def _cmd_factor(args) -> int:
 def _cmd_boundaries(args) -> int:
     f = _surjection(args.surjection)
     if args.depth < 1:
-        raise BadInput("depth must be >= 1")
+        raise ValueError("depth must be >= 1")
     _emit(f.boundary_tuple(args.depth).to_json())
     return 0
 
@@ -260,7 +256,7 @@ def _cmd_witness_omega(args) -> int:
 def _cmd_realize_all(args) -> int:
     h = _surjection(args.surjection)
     if args.k < 1:
-        raise BadInput("k must be >= 1")
+        raise ValueError("k must be >= 1")
     return _emit_report(lambda: realize_all_colors(h, args.k, args.depth_cap, args.budget))
 
 
@@ -271,11 +267,11 @@ def _eps(text: str) -> Fraction:
     most |e| + len(text) digits, so that sum is bounded before parsing."""
     magnitude = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
     if magnitude.isdecimal() and (len(magnitude) > 4 or int(magnitude) + len(text) > 4300):
-        raise BadInput("--eps: decimal exponent too large: |exponent| + length must be at most 4300")
+        raise ValueError("--eps: decimal exponent too large: |exponent| + length must be at most 4300")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadInput(f"--eps: {exc}") from exc
+        raise ValueError(f"--eps: {exc}") from exc
 
 
 def _cmd_oscillation(args) -> int:
@@ -292,12 +288,12 @@ def _cmd_verify(args) -> int:
         try:
             only = {int(t) for t in args.only.split(",") if t.strip() != ""}
         except ValueError as exc:
-            raise BadInput(f"--only: {exc}") from exc
+            raise ValueError(f"--only: {exc}") from exc
         if not only:
-            raise BadInput("--only: no checks selected")
+            raise ValueError("--only: no checks selected")
         unknown = only - CHECK_NAMES.keys()
         if unknown:
-            raise BadInput(f"--only: no such checks {sorted(unknown)}")
+            raise ValueError(f"--only: no such checks {sorted(unknown)}")
     rep = run_suite(args.seed, only)
     if args.json:
         _emit(rep.to_json())
@@ -416,10 +412,12 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:  # BadInput, and every library refusal of its input
+    except ValueError as exc:  # bad input: the verbs' and the library's refusals
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # a chain that json parses but is nested too deeply to decode
+    except RecursionError:
+        # a safety net: decoding and evaluation are loops, but
+        # ChainSurjection.to_json recurses, bounded by the parser's depth + 1
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return 2
     except MemoryError:

@@ -5,8 +5,8 @@ Three strands share this module:
 * realization: for a fixed inner surjection h, every color is reachable by
   some outer factor f, found by scanning h's max-set for each type and
   pulling the witness tuple back through h, the one certified witness path;
-  every plain identity map (realize_all_colors on a filtering with no stored
-  levels, and oscillation_search) reads one cached realization per process;
+  realize_all_colors on any map of support 0, which is the identity, and
+  oscillation_search read one cached realization per process;
 * order-copies and the branch coloring: a finitely described copy of the
   rationals (max-set cut to finitely many clopen pieces) has a derived
   binary tree whose extreme branches split at every depth from the longest
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import caps
-from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Filtering, Surjection, trusted_tuple, validate_level
+from .intervals import MATERIALIZE_LIMIT, ClopenInterval, Surjection, trusted_tuple, validate_level
 from .points import Point, interval_successor, json_int, max_point, min_point
 from .randgen import increasing_q_points, random_filtering
 from .similarity import (
@@ -116,14 +116,14 @@ def realize_all_colors(
     covers the metric ball too: tuple_to_surjection(t) stores t.entries as
     its level k (the slice at d = k is entries[0::1]), so its color is w's.
     Colors whose type never shows up within the cap are reported missing,
-    not raised.  A filtering with no stored levels is identity(b) (the
-    greedy rule from the whole space gives the cylinder partition), so its
-    report is read from _identity_realization, realized once per process."""
+    not raised.  A map of support 0 is identity(b) (the greedy rule from
+    the whole space gives the cylinder partition), so its report is read
+    from _identity_realization, realized once per process."""
     # b^k - 1 >= k, so a k past the leaf cap is refused before b^k is built
     if k > MAX_TYPE_LEAVES or h.base**k - 1 > MAX_TYPE_LEAVES:
         raise ValueError(f"k={k} gives {h.base}^{k} - 1 leaves; types are enumerated up to {MAX_TYPE_LEAVES}")
     depth_cap = caps.depth_cap(depth_cap)
-    if isinstance(h, Filtering) and not h.levels:
+    if h.support == 0:
         return _identity_realization(h.base, k, depth_cap, budget)
     return _realize(h, k, depth_cap, budget)
 

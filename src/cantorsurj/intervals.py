@@ -243,6 +243,12 @@ class Surjection(ABC):
         every level: two maps whose levels agree down to it agree at every
         depth (distance)."""
 
+    @property
+    def maps(self) -> tuple[Surjection, ...]:
+        """The leaf maps this map composes, outer first: itself alone, but
+        for a chain (surjections.ChainSurjection)."""
+        return (self,)
+
     # -- derived cell geometry -----------------------------------------
 
     def fingerprint(self, depth: int) -> tuple[Point, ...]:

@@ -125,14 +125,6 @@ class Point:
         a, b = self._padded(other)
         return a <= b
 
-    def __gt__(self, other: "Point") -> bool:
-        a, b = self._padded(other)
-        return a > b
-
-    def __ge__(self, other: "Point") -> bool:
-        a, b = self._padded(other)
-        return a >= b
-
     def to_json(self) -> dict:
         return {"b": self.base, "stem": list(self.stem), "tail": self.tail}
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice
 from math import comb
 
@@ -116,27 +116,7 @@ class TreeType:
         return (len(self.levels) + 1) // 2
 
 
-class _RankMemo(dict):
-    """type_rank's answers by level tuple: a hit is one dict subscription."""
-
-    def __missing__(self, levels: tuple[int, ...]) -> int:
-        leaves = TreeType(levels).leaf_count
-        if leaves > MAX_TANGENT_INDEX:
-            raise ValueError(f"{leaves} leaves; types are ranked up to {MAX_TANGENT_INDEX}")
-        n, rank = len(levels), 0
-        free: list[int] = []  # levels[i:], sorted
-        for i, row in zip(range(n - 1, -1, -1), _boustrophedon_rows()):
-            insort(free, levels[i])
-            below = bisect_left(free, levels[i])
-            past = bisect_left(free, levels[i - 1]) if i and i % 2 == 0 else 0
-            rank += sum((row if i % 2 == 0 else row[::-1])[past:below])
-        self[levels] = rank
-        return rank
-
-
-_RANKS = _RankMemo()
-
-
+@cache
 def type_rank(levels: tuple[int, ...]) -> int:
     """Lex rank of a type's level sequence among all types of its leaf
     count, which is its canonical color.
@@ -156,7 +136,17 @@ def type_rank(levels: tuple[int, ...]) -> int:
     next step goes up, by D(m, m-r), the count for the complement.
     Position i reads row m = n-1-i, so one row sweep serves every position.
     """
-    return _RANKS[tuple(levels)]
+    leaves = TreeType(levels).leaf_count
+    if leaves > MAX_TANGENT_INDEX:
+        raise ValueError(f"{leaves} leaves; types are ranked up to {MAX_TANGENT_INDEX}")
+    n, rank = len(levels), 0
+    free: list[int] = []  # levels[i:], sorted
+    for i, row in zip(range(n - 1, -1, -1), _boustrophedon_rows()):
+        insort(free, levels[i])
+        below = bisect_left(free, levels[i])
+        past = bisect_left(free, levels[i - 1]) if i and i % 2 == 0 else 0
+        rank += sum((row if i % 2 == 0 else row[::-1])[past:below])
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +379,7 @@ def canonical_coloring(points: tuple[Point, ...], leaves: int) -> int:
     if len(points) != leaves:
         raise ValueError(f"expected {leaves} points, got {len(points)}")
     levels = diagonal_levels(points)
-    return 0 if levels is None else _RANKS[levels]
+    return 0 if levels is None else type_rank(levels)
 
 
 @dataclass(frozen=True, slots=True)
@@ -477,7 +467,7 @@ def search_tuple_of_type(
 ) -> TypeSearch:
     """First tuple from h's max-set realizing the type, in construction
     order (depths outermost, sorted-tuple combinations innermost)."""
-    r = _RANKS[tree_type.levels]
+    r = type_rank(tree_type.levels)
     out = scan_types(h, tree_type.leaf_count, depth_cap, budget, targets=frozenset({r}))
     if r in out.witnesses:
         w = out.witnesses[r]

@@ -7,11 +7,14 @@ boundary data (intervals.Filtering) and a lazy composition chain
 (ChainSurjection, here), and each gives two primitives: the word-keyed cell
 maxima of a batch of words, cell_maxima(words), and a whole level.  A
 filtering answers a batch with one shared descent, whose maxima it memoizes
-by word.  A chain is the flat tuple of its leaf maps, outer first; it
-answers a batch with the first map's batch and then, for each later map in
-turn, one batch for the distinct stems of the maxima so far, and its level
-is the first map's level pulled the same way: one loop, however deep the
-nesting.  A chain keeps no memo, so chains over one map share its memo.
+by word.  Every surjection has maps, the flat tuple of its leaf maps,
+outer first: a filtering's is itself alone, and a chain's its parts' maps
+joined.  A chain answers a batch with the first map's batch and then,
+for each later map in turn, one batch for the distinct stems of the maxima
+so far, and its level is the first map's level pulled the same way: one
+loop, however deep the nesting, and decoding is one loop too
+(surjection_from_json).  A chain keeps no memo, so chains over one map
+share its memo.
 Both share all derived operations: evaluation and fingerprints (in
 intervals), distance and factorization (here).
 Evaluation, a batch of points at once (evaluate_all), and factor images
@@ -85,24 +88,20 @@ def _pull(inner: Surjection, ys) -> dict[tuple[int, ...], Point]:
     return inner.cell_maxima(stems)
 
 
-def _maps(f: Surjection) -> tuple[Surjection, ...]:
-    return f.maps if isinstance(f, ChainSurjection) else (f,)
-
-
 class ChainSurjection(Surjection):
     """outer o inner, evaluated lazily and exactly.
 
-    The chain is the flat tuple of its leaf maps, outer first (maps): a part
-    that is a chain already holds its own tuple, so nesting costs no
-    recursion, and outer and inner are kept only for to_json.  The depth-d
-    preimage cells of f o h are the h-preimages of f's cells, so each cell
-    maximum is the maximum of the h-preimage of {x : x <= y}, y f's cell
-    maximum: h's cell maximum at y's stem.  A batch of words, and a whole
-    level, takes the first map's maxima in one call and pulls them through
-    each later map in turn, the distinct stems in one cell_maxima call per
-    map (_pull), so shared cells are split once.  The chain keeps no memo: a
-    repeated pull, by it or by another chain over the same map, is a lookup
-    in that map's cell memo.
+    The chain is the flat tuple of its leaf maps, outer first (maps): every
+    surjection has maps, so a chain's is its parts' maps joined, nesting
+    costs no recursion, and outer and inner are kept only for to_json.  The
+    depth-d preimage cells of f o h are the h-preimages of f's cells, so
+    each cell maximum is the maximum of the h-preimage of {x : x <= y}, y
+    f's cell maximum: h's cell maximum at y's stem.  A batch of words, and
+    a whole level, takes the first map's maxima in one call and pulls them
+    through each later map in turn, the distinct stems in one cell_maxima
+    call per map (_pull), so shared cells are split once.  The chain keeps
+    no memo: a repeated pull, by it or by another chain over the same map,
+    is a lookup in that map's cell memo.
 
     Support: if f splits greedily from depth s_f on and h from s_h on, so
     does f o h from s_f + s_h on.  "Least" is the greedy rule's order on
@@ -144,7 +143,7 @@ class ChainSurjection(Surjection):
         self.base = outer.base
         self.outer = outer
         self.inner = inner
-        self.maps = _maps(outer) + _maps(inner)
+        self.maps = outer.maps + inner.maps
         self.support = outer.support + inner.support
 
     def _pull_all(self, ys) -> list[Point]:
@@ -177,18 +176,32 @@ class ChainSurjection(Surjection):
 
 
 def surjection_from_json(obj: dict) -> Surjection:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a surjection object, got {type(obj).__name__}")
-    kind = obj.get("kind", "filtering")
-    if kind == "filtering":
-        return Filtering.from_json(obj)
-    if kind == "chain":
-        base = json_int(obj["b"], "chain b")
-        chain = ChainSurjection(surjection_from_json(obj["outer"]), surjection_from_json(obj["inner"]))
-        if chain.base != base:
-            raise ValueError(f"chain b {base} but its maps have base {chain.base}")
-        return chain
-    raise ValueError(f"unknown surjection kind {kind!r}")
+    """Decode a surjection object in one loop over an explicit stack, so the
+    JSON parser alone bounds the nesting.  Faults are found in depth-first
+    order: a chain's b, its outer part (read, then decoded), its inner part,
+    then its b against its parts' base.  Two markers private to the call
+    resume the innermost pending chain (chains), so no input matches one."""
+    inner_next, join, todo, done, chains = object(), object(), [obj], [], []
+    while todo:
+        obj = todo.pop()
+        if obj is inner_next:
+            todo += join, chains[-1][1]["inner"]
+        elif obj is join:
+            base, inner = chains.pop()[0], done.pop()
+            chain = ChainSurjection(done.pop(), inner)
+            if chain.base != base:
+                raise ValueError(f"chain b {base} but its maps have base {chain.base}")
+            done.append(chain)
+        elif not isinstance(obj, dict):
+            raise ValueError(f"expected a surjection object, got {type(obj).__name__}")
+        elif (kind := obj.get("kind", "filtering")) == "filtering":
+            done.append(Filtering.from_json(obj))
+        elif kind == "chain":
+            chains.append((json_int(obj["b"], "chain b"), obj))
+            todo += inner_next, obj["outer"]
+        else:
+            raise ValueError(f"unknown surjection kind {kind!r}")
+    return done[0]
 
 
 def identity(base: int) -> Filtering:

@@ -626,19 +626,36 @@ def test_warm_identity_realization_scans_certifies_and_classifies_nothing(monkey
 
 
 @pytest.mark.parametrize(
-    "h",
-    [Filtering(2, ((q(0),),)), ChainSurjection(identity(2), identity(2))],
-    ids=["stored-identity-level", "support-0-chain"],
+    "h, uncached",
+    [(Filtering(2, ((q(0),),)), False), (ChainSurjection(identity(2), Filtering(2, ((q(0, 0),),))), True)],
+    ids=["stored-identity-level", "identity-o-support-1"],
 )
-def test_maps_other_than_a_plain_filtering_always_scan(monkeypatch, h):
-    # each is the identity as a map, and the chain has support 0
+def test_maps_of_positive_support_always_scan(monkeypatch, h, uncached):
+    # the identity with its level stored answers the identity's report; a
+    # chain whose first map is the identity but whose support is 1 answers
+    # its own, as an uncached realization does
     experiments._identity_realization.cache_clear()
-    want = realize_all_colors(identity(2), 2, 20)
+    ident = realize_all_colors(identity(2), 2, 20)
+    want = (experiments._realize(h, 2, 20, DEFAULT_SCAN_BUDGET) if uncached else ident).to_json()
     calls = _count_realization_work(monkeypatch)
     for _ in range(2):
         got = realize_all_colors(h, 2, 20)
-        assert got.to_json() == want.to_json() and got is not want
+        assert json.dumps(got.to_json()) == json.dumps(want) and got is not ident
     assert calls.count("scan_types") == 2
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_chain_of_support_0_reads_the_identity_cache(monkeypatch, n):
+    # a chain of identities is the identity as a map, and its support is 0
+    h = identity(2)
+    for _ in range(n - 1):
+        h = ChainSurjection(h, identity(2))
+    want = json.dumps(experiments._realize(h, 2, 20, DEFAULT_SCAN_BUDGET).to_json())
+    experiments._identity_realization.cache_clear()
+    cold = realize_all_colors(identity(2), 2, 20)
+    calls = _count_realization_work(monkeypatch)
+    got = realize_all_colors(h, 2, 20)
+    assert got is cold and json.dumps(got.to_json()) == want and calls == []
 
 
 def test_realize_all_colors_refuses_a_witness_of_another_color(monkeypatch):

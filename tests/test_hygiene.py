@@ -4,7 +4,8 @@ each answer is a function of its arguments alone, and the unvalidated
 BoundaryTuple constructor is used only at the sites a lemma covers, and
 never by the verification suite, which checks what it is handed.  Callers
 outside the package take each name from its defining module, never from
-the package root, which holds modules only."""
+the package root, which holds modules only.  No module asks which
+representation a surjection has: each answers through the interface."""
 
 import ast
 from pathlib import Path
@@ -208,3 +209,40 @@ def test_the_check_sees_a_name_taken_from_the_root():
         "from cantorsurj.points import Point\n"
     )
     assert root_name_uses(source) == [2, 5]
+
+
+REPRESENTATIONS = {"Filtering", "ChainSurjection", "Surjection"}
+
+
+def representation_checks(source):
+    """Lines asking isinstance or issubclass whether a value is one of the
+    surjection classes, named alone or in a tuple, bare or as an attribute."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 2):
+            continue
+        if node.func.id not in ("isinstance", "issubclass"):
+            continue
+        spec = node.args[1]
+        classes = spec.elts if isinstance(spec, ast.Tuple) else [spec]
+        if any(getattr(c, "id", getattr(c, "attr", None)) in REPRESENTATIONS for c in classes):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_asks_which_representation_it_holds(path):
+    # every surjection answers through the interface: maps, support
+    assert representation_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_representation_test():
+    source = (
+        "if isinstance(h, Filtering) and not h.levels:\n"
+        "    pass\n"
+        "maps = h.maps if isinstance(h, surjections.ChainSurjection) else (h,)\n"
+        "ok = isinstance(h, (dict, Surjection))\n"
+        "sub = issubclass(type(h), Filtering)\n"
+        "fine = isinstance(obj, dict) or isinstance(x, int)\n"
+    )
+    assert representation_checks(source) == [1, 3, 4, 5]

@@ -475,6 +475,44 @@ def test_json_rejects_unknown_kind():
         surjection_from_json({"kind": "mystery"})
 
 
+def test_a_chain_past_any_stack_decodes_and_answers():
+    # decoding is a loop: no depth of nesting recurses
+    h = identity(2).to_json()
+    for _ in range(4999):
+        h = {"b": 2, "kind": "chain", "outer": h, "inner": identity(2).to_json()}
+    assert surjection_from_json(h).boundary_tuple(2) == identity(2).boundary_tuple(2)
+
+
+MYSTERY, OTHER = {"kind": "mystery"}, {"kind": "other"}
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        ((2,), ValueError, "expected a surjection object, got tuple"),
+        ((), ValueError, "expected a surjection object, got tuple"),
+        ({"b": 2, "kind": "chain", "outer": [identity(2).to_json()]}, ValueError, "surjection object, got list"),
+        ({"b": 2, "kind": "chain"}, KeyError, "'outer'"),
+        ({"b": "x", "kind": "chain"}, ValueError, "chain b: expected an integer"),
+        ({"b": "x", "kind": "chain", "outer": MYSTERY, "inner": OTHER}, ValueError, "chain b: expected an integer"),
+        ({"b": 2, "kind": "chain", "outer": MYSTERY, "inner": OTHER}, ValueError, "kind 'mystery'"),
+        ({"b": 2, "kind": "chain", "outer": MYSTERY}, ValueError, "kind 'mystery'"),
+        ({"b": 2, "kind": "chain", "outer": {"b": "x", "kind": "chain"}, "inner": OTHER}, ValueError, "chain b: "),
+        ({"b": 2, "kind": "chain", "outer": identity(3).to_json(), "inner": OTHER}, ValueError, "kind 'other'"),
+        ({"b": 2, "kind": "chain", "outer": compose(identity(2), identity(2)).to_json() | {"b": 3},
+          "inner": identity(2).to_json()}, ValueError, "chain b 3 but its maps have base 2"),
+    ],
+    ids=["tuple", "empty-tuple", "list-part", "no-parts", "bad-b-no-parts", "bad-b-bad-parts",
+         "bad-outer-bad-inner", "bad-outer-no-inner", "outer-chain-bad-b", "parts-of-two-bases-bad-inner",
+         "nested-chain-b"],
+)
+def test_json_reports_the_first_fault_in_decoding_order(obj, error, message):
+    # a chain's b, then its outer part read and decoded, then its inner part
+    # read, and the bases checked once both parts are built
+    with pytest.raises(error, match=message):
+        surjection_from_json(obj)
+
+
 def test_identity_is_filtering_surjection():
     e = identity(3)
     assert isinstance(e, Filtering)
