@@ -29,7 +29,7 @@ from .experiments import (
     oscillation_search,
     realize_all_colors,
 )
-from .points import Point
+from .points import Point, points_from_json
 from .similarity import (
     DEFAULT_SCAN_BUDGET,
     MAX_TANGENT_INDEX,
@@ -90,7 +90,7 @@ def _point_list(obj) -> tuple[Point, ...]:
         obj = obj.get("points", obj)
     if not isinstance(obj, list):
         raise ValueError("expected a JSON list of points")
-    return tuple(Point.from_json(p) for p in obj)
+    return points_from_json(obj)
 
 
 def _points(path: str) -> tuple[Point, ...]:

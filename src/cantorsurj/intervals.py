@@ -31,11 +31,12 @@ once the shallowest cell each is an end of, or its cell at a depth limit
 walks are in closed form.  No cell is a ClopenInterval:
 the depth-d partition is its boundary tuple.  A pick stem c + (l,) has
 l < top, so it is canonical as it stands and its point skips validation
-(points.canonical_point(s)); decoders and public constructors validate.
-So does BoundaryTuple (validate_level, C-level passes over point_keys);
-trusted_tuple skips that only where a lemma gives validity, named at each
-of its three calls: a valid map's own fingerprint
-(Surjection.boundary_tuple), the images of a batch of valid tuples
+(points.canonical_point(s), one tuple built in C per point); decoders and
+public constructors validate, Filtering.from_json a whole level in C-level
+passes (points.points_from_json).  So does BoundaryTuple (validate_level,
+C-level passes over point_keys); trusted_tuple skips that only where a
+lemma gives validity, named at each of its three calls: a valid map's own
+fingerprint (Surjection.boundary_tuple), the images of a batch of valid tuples
 (surjections.tuple_to_factors: increasing cell maxima have increasing
 images), and a scan witness, an increasing sub-tuple of a fingerprint
 (experiments.realize_all_colors).  Every from_json and the CLI decode
@@ -51,7 +52,7 @@ from operator import attrgetter, lt
 
 from .points import (
     Point, _strip, _successor_stem, canonical_point, canonical_points, json_int, max_point, min_point,
-    point_keys, word_rank,
+    point_keys, points_from_json, word_rank,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ class FilteringReport:
 
 
 _VALID = FilteringReport(True)
-_base_tail, _stem = attrgetter("base", "tail"), attrgetter("stem")
+_base_tail, _stem, _tail = attrgetter("base", "tail"), attrgetter("stem"), attrgetter("tail")
 
 
 def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> FilteringReport:
@@ -591,25 +592,31 @@ class Filtering(Surjection):
     def _level(self, depth: int) -> tuple[Point, ...]:
         """The known level at `depth`, after building every greedy level
         down to it, each in one pass over the cells [lo 0^w, hi top^w] of
-        the level above.  A full cylinder [v] (v is the longer of lo and hi,
-        the other v stripped of 0s or top digits) splits at v l top^w.  A
+        the level above, read as end stems: the entries' stems, checked to
+        be stems of interior q-points in C-level passes, then () for the
+        last cell.  A full cylinder [v] (v is the longer of lo and hi, the
+        other v stripped of 0s or top digits) splits at v l top^w.  A
         level is stored at its depth's index, so a repeated build stores an
         equal level in place."""
         known = self._known
         while len(known) <= depth:
             b, top, d = self.base, self.base - 1, len(known)
             above, stems, lo = known[d - 1], [], ()
+            his = list(map(_stem, above))
+            if not all(his) or set(map(_tail, above)) - {top}:
+                for p in above:  # raises at the first entry that is no interior q-point
+                    _successor_stem(_max_stem(p, top))
+            his.append(())  # the last cell's maximum, the top point
             ends = [(l,) for l in range(top)]
-            last = canonical_point(b, (), top)  # the last cell's maximum, a fresh object
-            for p in above + (last,):
-                hi = p.stem if p.tail == top else _max_stem(p, top)  # the latter raises
+            for hi in his:
                 k, m = len(lo), len(hi)
-                v = lo if k > m and lo[:m] == hi and lo[m:] == (top,) * (k - m) else None
-                v = hi if k <= m and hi[:k] == lo and hi[k:] == (0,) * (m - k) else v
+                if k > m:
+                    v = lo if lo == hi + (top,) * (k - m) else None
+                else:
+                    v = hi if hi == lo + (0,) * (m - k) else None
                 stems += _pick_stems(top, lo, hi) if v is None else map(v.__add__, ends)
-                if p is last:
-                    break
-                lo = hi[:-1] + (hi[-1] + 1,) if m else _successor_stem(hi)  # the latter raises
+                if m:
+                    lo = hi[:-1] + (hi[-1] + 1,)
             # cell i's picks go to entries b*i .. b*i + top - 1, its maximum to b*i + top
             picks, level = canonical_points(b, stems, top), [None] * (len(above) + len(stems))
             for l in range(top):
@@ -648,7 +655,7 @@ class Filtering(Surjection):
             raise ValueError(f"malformed filtering object: {exc}") from exc
         if depth != len(raw):
             raise ValueError(f"declared depth {depth} but {len(raw)} boundary levels")
-        levels = tuple(tuple(Point.from_json(p) for p in level) for level in raw)
+        levels = tuple(map(points_from_json, raw))
         f = cls(base, levels)
         report = validate_filtering(f)
         if not report.ok:

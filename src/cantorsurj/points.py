@@ -9,14 +9,22 @@ floats appear anywhere in this module.
 Canonical form: the stem never ends with the tail digit.  With that
 normalization, structural equality of (stem, tail) coincides with equality
 as infinite sequences.
+
+A Point is the tuple (base, stem, tail), so building, equality and hashing
+run in C; only lex order is Python, all four comparisons on one padding of
+the stems.  The validating constructor and decoders check digits in C-level
+passes, a level of point objects at once in points_from_json, and word a
+fault point by point; canonical_point(s) build the cell walks' points, which
+are canonical by construction, with no check at all.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, product, repeat
-from operator import ne
+from itertools import chain, compress, count, product, repeat
+from operator import eq, itemgetter, ne
 
 __all__ = [
     "Point",
@@ -26,6 +34,7 @@ __all__ = [
     "interval_successor",
     "iter_points",
     "point_keys",
+    "points_from_json",
     "word_rank",
 ]
 
@@ -48,6 +57,9 @@ def _strip(word: tuple[int, ...], digit: int) -> tuple[int, ...]:
     return word[:k]
 
 
+_new = tuple.__new__
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a JSON integer: an int, not a bool or a float."""
     if type(value) is not int:
@@ -55,31 +67,36 @@ def json_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    """An eventually constant sequence over {0, ..., base-1}.
+class Point(namedtuple("Point", "base stem tail")):
+    """An eventually constant sequence over {0, ..., base-1}: the tuple
+    (base, stem, tail), so it is built, compared for equality and hashed in C.
 
     The constructor canonicalizes: trailing stem digits equal to the tail
     are stripped, so two Points are equal iff they denote the same sequence.
     Digits are checked in C-level passes; a fault is worded digit by digit.
+    Order is lex order on the sequences, all four of <, <=, > and >= defined
+    here: tuple order on (base, stem, tail) is not point order.
     """
 
-    base: int
-    stem: tuple[int, ...] = ()
-    tail: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        base, tail = self.base, self.tail
+    def __new__(cls, base: int, stem: tuple[int, ...] = (), tail: int = 0) -> "Point":
         # the checkers only run to word a fault, in the order base, tail, stem
         if not (isinstance(base, int) and base >= 2 and isinstance(tail, int) and 0 <= tail < base):
             _check_base(base)
             _check_digit(tail, base)
-        stem = tuple(self.stem)
+        stem = tuple(stem)
         # one C-level pass for the type; the range is read off the distinct digits
         if stem and not (all(map(isinstance, stem, repeat(int))) and min(ds := set(stem)) >= 0 and max(ds) < base):
             for d in stem:
                 _check_digit(d, base)
-        object.__setattr__(self, "stem", _strip(stem, tail))
+        return _new(cls, (base, _strip(stem, tail), tail))
+
+    @classmethod
+    def _make(cls, iterable) -> "Point":
+        """Point(*iterable): namedtuple's own _make, which _replace calls,
+        would build through tuple.__new__ and skip the checks."""
+        return cls(*iterable)
 
     def digit(self, n: int) -> int:
         return self.stem[n] if n < len(self.stem) else self.tail
@@ -125,6 +142,14 @@ class Point:
         a, b = self._padded(other)
         return a <= b
 
+    def __gt__(self, other: "Point") -> bool:
+        a, b = self._padded(other)
+        return a > b
+
+    def __ge__(self, other: "Point") -> bool:
+        a, b = self._padded(other)
+        return a >= b
+
     def to_json(self) -> dict:
         return {"b": self.base, "stem": list(self.stem), "tail": self.tail}
 
@@ -153,7 +178,37 @@ class Point:
         return f"Point(b={self.base}, stem={''.join(map(str, self.stem))!r}, tail={self.tail})"
 
 
-_set_base, _set_stem, _set_tail = Point.base.__set__, Point.stem.__set__, Point.tail.__set__
+_fields, _last = itemgetter("b", "stem", "tail"), itemgetter(-1)
+
+
+def points_from_json(objs: list) -> tuple[Point, ...]:
+    """tuple(map(Point.from_json, objs)) in C-level passes, for a list of
+    point objects of one base: one itemgetter pass, one type check over
+    every base, tail and stem digit (`type(...) is int`, which refuses
+    bools), range checks by min and max, and one canonical-stem check, past
+    which the stems are stripped.  Any doubt (a fault, or mixed bases)
+    decodes point by point, which words the first fault as Point.from_json
+    does, and so does a list of fewer than four objects, where the passes
+    cost more than they save."""
+    if len(objs) < 4:
+        return tuple(map(Point.from_json, objs))
+    try:
+        bases, stems, tails = zip(*map(_fields, objs))
+    except (KeyError, TypeError):
+        return tuple(map(Point.from_json, objs))
+    base = bases[0]
+    if (
+        set(map(type, stems)) <= {list}
+        and set(map(type, chain(bases, tails, chain.from_iterable(stems)))) == {int}
+        and len(set(bases)) == 1 and base >= 2 and min(tails) >= 0 and max(tails) < base
+        and (not (ds := set(chain.from_iterable(stems))) or (min(ds) >= 0 and max(ds) < base))
+    ):
+        words = map(tuple, stems)
+        # canonical as written unless some stem is empty or ends in its tail digit
+        if not all(stems) or any(map(eq, map(_last, stems), tails)):
+            words = map(_strip, words, tails)
+        return tuple(map(_new, repeat(Point), zip(bases, words, tails)))
+    return tuple(map(Point.from_json, objs))
 
 
 def canonical_point(base: int, stem: tuple[int, ...], tail: int) -> Point:
@@ -165,20 +220,13 @@ def canonical_point(base: int, stem: tuple[int, ...], tail: int) -> Point:
     shallowest cell a point of that tail is an end of.  Not exported:
     decoders and public constructors validate.
     """
-    p = object.__new__(Point)
-    _set_base(p, base)
-    _set_stem(p, stem)
-    _set_tail(p, tail)
-    return p
+    return _new(Point, (base, stem, tail))
 
 
 def canonical_points(base: int, stems: list[tuple[int, ...]], tail: int) -> list[Point]:
-    """[canonical_point(base, s, tail) for s in stems] in C-level passes,
-    no Python call per point (a setter returns None, so any() runs it out)."""
-    points = list(map(object.__new__, repeat(Point, len(stems))))
-    for setter, values in ((_set_base, repeat(base)), (_set_stem, stems), (_set_tail, repeat(tail))):
-        any(map(setter, points, values))
-    return points
+    """[canonical_point(base, s, tail) for s in stems] in one C-level pass,
+    no Python call per point."""
+    return list(map(_new, repeat(Point), zip(repeat(base), stems, repeat(tail))))
 
 
 def point_keys(points):

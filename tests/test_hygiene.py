@@ -139,7 +139,7 @@ def test_the_check_sees_a_trusted_decoder():
     assert not forbidden(("intervals.py", "decode"))
 
 
-UNVALIDATED = {"trusted_tuple", "canonical_point", "canonical_points"}
+UNVALIDATED = {"trusted_tuple", "canonical_point", "canonical_points", "_new"}
 
 
 def unvalidated_names(source):
@@ -168,6 +168,7 @@ def test_the_check_sees_a_trusted_witness_in_the_suite():
     assert "def _oscillation_predicate" in source and "trusted_tuple(rep.base" in source
     assert len(unvalidated_names(source)) == 1
     assert unvalidated_names("from .points import canonical_points as cps\ny = points.canonical_point\n") == [1, 2]
+    assert unvalidated_names("from .points import _new\n") == [1]
 
 
 MODULE_NAMES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -36,6 +37,7 @@ from cantorsurj.points import (
     iter_points,
     max_point,
     min_point,
+    points_from_json,
     word_rank,
 )
 from cantorsurj.randgen import random_filtering
@@ -445,6 +447,79 @@ def test_filtering_json_roundtrip():
     f = Filtering(2, ((q(0, 0),), (q(0, 0, 0), q(0, 0), q(1, 0))))
     back = Filtering.from_json(f.to_json())
     assert (back.base, back.levels) == (f.base, f.levels)
+
+
+def _corrupt_level(obj, kind, j, i, data):
+    """obj with point i of its level j corrupted by `kind`, or the whole
+    level for "empty-level"; the points stay JSON objects."""
+    b, level = obj["b"], obj["boundaries"][j]
+    p = level[i % len(level)]
+    at = data.draw(st.integers(0, len(p["stem"]) - 1)) if p["stem"] else None
+    if kind == "bool-digit":
+        p["stem"][at] = data.draw(st.booleans())
+    elif kind == "float-digit":
+        p["stem"][at] = float(p["stem"][at])
+    elif kind == "digit-out-of-range":
+        p["stem"][at] = data.draw(st.sampled_from([-1, b, b + 3]))
+    elif kind == "tail-out-of-range":
+        p["tail"] = data.draw(st.sampled_from([-1, b, b + 3]))
+    elif kind == "bool-or-float-field":
+        key = data.draw(st.sampled_from(["b", "tail"]))
+        p[key] = data.draw(st.sampled_from([float(p[key]), p[key] == 1]))
+    elif kind == "mixed-bases":
+        p["b"] = b + 1  # a valid point of another base
+    elif kind == "stem-ends-in-tail":
+        p["stem"] += [p["tail"]] * data.draw(st.integers(1, 3))
+    elif kind == "missing-key":
+        del p[data.draw(st.sampled_from(["b", "stem", "tail"]))]
+    elif kind == "non-list-stem":
+        p["stem"] = data.draw(st.sampled_from(["01", None, {"0": 1}, tuple(p["stem"]), 1]))
+    elif kind == "not-an-object":
+        level[i % len(level)] = [p["b"], p["stem"], p["tail"]]
+    elif kind == "empty-level":
+        level.clear()
+    return obj
+
+
+def _outcome(decode, *args):
+    try:
+        return "decoded", decode(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+def _levels(outcome):
+    kind, value = outcome
+    return (kind, (value.base, value.levels)) if kind == "decoded" else outcome
+
+
+CORRUPTIONS = [
+    "none", "bool-digit", "float-digit", "digit-out-of-range", "tail-out-of-range", "bool-or-float-field",
+    "mixed-bases", "stem-ends-in-tail", "missing-key", "non-list-stem", "not-an-object", "empty-level",
+]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=40)
+@given(filterings(bases=(2, 3, 5), max_support=3), st.data())
+def test_level_decoder_answers_as_the_per_point_decoder(kind, f, data):
+    # a level decodes in C-level passes and falls back to Point.from_json
+    # only to word a fault: every corrupted level decodes to the same
+    # points, or is refused with the same message, by both decoders.  The
+    # deepest level is corrupted, as the longest mostly take the passes
+    assume(f.support > 0)
+    j = f.support - 1
+    obj = _corrupt_level(json.loads(json.dumps(f.to_json())), kind, j, data.draw(st.integers(0, 10**6)), data)
+    level = obj["boundaries"][j]
+    got = _outcome(points_from_json, level)
+    assert got == _outcome(lambda ps: tuple(map(Point.from_json, ps)), level)
+    if got[0] == "decoded":
+        assert all(type(p) is Point and type(p.stem) is tuple for p in got[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "points_from_json", lambda ps: tuple(map(Point.from_json, ps)))
+        want = _levels(_outcome(Filtering.from_json, obj))
+    assert _levels(_outcome(Filtering.from_json, obj)) == want
+    assert (want[0] == "decoded") == (kind in ("none", "stem-ends-in-tail"))
 
 
 # messages recorded from the per-entry validator, before its C-level passes

@@ -1,3 +1,4 @@
+import functools
 import json
 import operator
 
@@ -8,6 +9,7 @@ from conftest import MALFORMED_POINTS, points, q, rank_word
 from cantorsurj.points import (
     Dyadic,
     Point,
+    canonical_points,
     interval_successor,
     iter_points,
     max_point,
@@ -97,6 +99,48 @@ def test_compare_refuses_mixed_bases():
     for op in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(ValueError, match="different bases"):
             op(q(0), Point(3, (0,), 2))
+
+
+def test_make_and_replace_validate_and_canonicalize():
+    # namedtuple's own _make and _replace build through tuple.__new__
+    p = Point(2, (1, 0), 1)
+    with pytest.raises(ValueError):
+        p._replace(tail=7)
+    with pytest.raises(ValueError):
+        Point._make([2, (1, 1), 2])
+    with pytest.raises(ValueError):
+        Point._make([True, (), 0])
+    assert p._replace(tail=0) == Point(2, (1,), 0) and p._replace(tail=0).stem == (1,)
+    assert Point._make([3, (2, 2), 2]) == Point(3, (), 2) and type(p._replace(base=3)) is Point
+
+
+@given(point_pairs())
+def test_a_point_hashes_as_the_tuple_of_its_fields(pair):
+    # set orders, and so output bytes, rest on the hash the dataclass had
+    for x in pair:
+        assert hash(x) == hash((x.base, x.stem, x.tail))
+        assert tuple(x) == (x.base, x.stem, x.tail)
+    x, y = pair
+    assert (x == y) == (reference_compare(x, y) == 0)
+
+
+@given(st.integers(2, 5).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b - 1), st.lists(st.lists(st.integers(0, b - 1), max_size=8), max_size=10))))
+def test_canonical_points_are_the_constructors_points(case):
+    base, tail, words = case
+    stems = [tuple(w) for w in words if not w or w[-1] != tail]  # canonical stems only
+    got = canonical_points(base, stems, tail)
+    assert got == [Point(base, s, tail) for s in stems]
+    assert all(type(p) is Point for p in got)
+
+
+@given(st.integers(2, 5).flatmap(lambda b: st.lists(points(base=b, max_stem=10), min_size=1, max_size=10)))
+def test_min_max_and_sorted_follow_point_order(xs):
+    # tuple order on (base, stem, tail) is not point order: every one of
+    # <, <=, > and >= is defined on Point, and min, max and sorted read them
+    key = functools.cmp_to_key(reference_compare)
+    want = sorted(xs, key=key)
+    assert sorted(xs) == want and sorted(xs, reverse=True) == want[::-1]
+    assert reference_compare(min(xs), want[0]) == 0 and reference_compare(max(xs), want[-1]) == 0
 
 
 @given(points(), points())
