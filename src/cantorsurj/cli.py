@@ -37,7 +37,7 @@ from .similarity import (
     TreeType,
     diagonal_levels,
     enumerate_types,
-    search_tuple_of_type,
+    scan_types,
     tangent_number,
     type_rank,
 )
@@ -126,15 +126,11 @@ def _levels_arg(text: str) -> TreeType:
 
 
 def _cmd_tangent(args) -> int:
-    if not 1 <= args.k <= MAX_TANGENT_INDEX:
-        raise ValueError(f"k must lie in 1..{MAX_TANGENT_INDEX}")
     print(tangent_number(args.k))
     return 0
 
 
 def _cmd_types(args) -> int:
-    if not 1 <= args.l <= MAX_TYPE_LEAVES:
-        raise ValueError(f"l must lie in 1..{MAX_TYPE_LEAVES}")
     types = enumerate_types(args.l)
     _emit({"l": args.l, "count": len(types), "types": [list(t.levels) for t in types]})
     return 0
@@ -161,14 +157,16 @@ def _cmd_type_of(args) -> int:
 def _cmd_search_type(args) -> int:
     t = _levels_arg(args.levels)
     h = _surjection(args.surjection)
-    out = search_tuple_of_type(h, t, args.depth_cap, args.budget)
+    r = type_rank(t.levels)
+    out = scan_types(h, t.leaf_count, args.depth_cap, args.budget, frozenset({r}))
+    w = out.witnesses.get(r)
     _emit(
         {
             "levels": list(t.levels),
-            "found": None if out.found is None else [p.to_json() for p in out.found],
-            "depth": out.depth,
+            "found": None if w is None else [p.to_json() for p in w.points],
+            "depth": out.deepest_full if w is None else w.depth,
             "combos": out.combos,
-            "exhausted": out.exhausted,
+            "exhausted": w is None,
         }
     )
     return 0

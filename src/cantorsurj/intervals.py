@@ -71,16 +71,6 @@ __all__ = [
 MATERIALIZE_LIMIT = 1 << 21
 
 
-def check_materialize(base: int, depth: int, what: str) -> None:
-    """Refuse a negative depth, and one whose b^depth - 1 entries exceed
-    MATERIALIZE_LIMIT.  From depth MATERIALIZE_LIMIT.bit_length() on every
-    base b >= 2 is over, so such a depth is refused before the power."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if depth >= MATERIALIZE_LIMIT.bit_length() or base**depth - 1 > MATERIALIZE_LIMIT:
-        raise ValueError(f"depth {depth} {what} has more than {MATERIALIZE_LIMIT} entries; over limit")
-
-
 @dataclass(frozen=True, slots=True)
 class ClopenInterval:
     """[lo, hi] with lo eventually 0 and hi eventually b-1.
@@ -141,10 +131,10 @@ def validate_level(base: int, depth: int, entries: tuple[Point, ...]) -> Filteri
     entries interior eventually-max points of this base, strict increase.
 
     The single boundary-level check behind BoundaryTuple and
-    validate_filtering.  A depth past check_materialize's bound is refused
-    before the power is computed.  Each check is one C-level pass, the
-    order on point_keys; only a short or failing level is walked entry by
-    entry, which also words the first fault.
+    validate_filtering.  A depth past Surjection.fingerprint's bound is
+    refused before the power is computed.  Each check is one C-level
+    pass, the order on point_keys; only a short or failing level is
+    walked entry by entry, which also words the first fault.
     """
     if depth >= MATERIALIZE_LIMIT.bit_length():
         msg = f"depth {depth} has {len(entries)} entries, needs more than {MATERIALIZE_LIMIT}; over limit"
@@ -256,9 +246,14 @@ class Surjection(ABC):
         """All cell maxima down to `depth`, sorted, without the top point.
 
         By nesting this is also the max-set to that depth: level d's tuple
-        contains every shallower tuple as a subsequence.
+        contains every shallower tuple as a subsequence.  A negative depth
+        is refused, and one whose b^depth - 1 entries pass MATERIALIZE_LIMIT:
+        from the limit's bit length on, without computing the power.
         """
-        check_materialize(self.base, depth, "fingerprint")
+        if depth < 0:
+            raise ValueError(f"depth must be nonnegative, got {depth}")
+        if depth >= MATERIALIZE_LIMIT.bit_length() or self.base**depth - 1 > MATERIALIZE_LIMIT:
+            raise ValueError(f"depth {depth} fingerprint has more than {MATERIALIZE_LIMIT} entries; over limit")
         return self._level(depth)
 
     def boundary_tuple(self, depth: int) -> BoundaryTuple:

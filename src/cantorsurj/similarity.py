@@ -45,9 +45,7 @@ __all__ = [
     "diagonal_levels",
     "enumerate_types",
     "canonical_coloring",
-    "search_tuple_of_type",
     "scan_types",
-    "TypeSearch",
     "ScanOutcome",
     "MAX_TYPE_LEAVES",
     "MAX_TANGENT_INDEX",
@@ -417,7 +415,7 @@ def scan_types(
 ) -> ScanOutcome:
     """Classify tuples from h's max-set, deepening until every target type
     (default: all of them, up to MAX_TYPE_LEAVES leaves) has a witness or
-    the cap/budget stops play."""
+    the cap/budget stops play; one target is the search for one type."""
     depth_cap = caps.depth_cap(depth_cap)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -449,27 +447,3 @@ def scan_types(
         combos += comb(n, leaves)
         deepest_full = d
     return ScanOutcome(witnesses, combos, deepest_full, want <= witnesses.keys())
-
-
-@dataclass(frozen=True, slots=True)
-class TypeSearch:
-    found: tuple[Point, ...] | None
-    depth: int  # depth found at, else deepest fully scanned depth
-    combos: int
-    exhausted: bool  # True when the cap or budget ended the scan unfound
-
-
-def search_tuple_of_type(
-    h,
-    tree_type: TreeType,
-    depth_cap: int | None = None,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> TypeSearch:
-    """First tuple from h's max-set realizing the type, in construction
-    order (depths outermost, sorted-tuple combinations innermost)."""
-    r = type_rank(tree_type.levels)
-    out = scan_types(h, tree_type.leaf_count, depth_cap, budget, targets=frozenset({r}))
-    if r in out.witnesses:
-        w = out.witnesses[r]
-        return TypeSearch(w.points, w.depth, out.combos, False)
-    return TypeSearch(None, out.deepest_full, out.combos, True)

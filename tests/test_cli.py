@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import MALFORMED_POINTS, diagonal_points, q
 from cantorsurj import experiments, intervals, surjections
-from cantorsurj.cli import _emit, main
+from cantorsurj.cli import _emit, build_parser, main
 from cantorsurj.experiments import QCopy, random_qcopy
 from cantorsurj.intervals import MATERIALIZE_LIMIT, BoundaryTuple, ClopenInterval, Filtering
 from cantorsurj.points import Point, max_point, min_point
@@ -200,6 +201,15 @@ PIN_IDENTITY = {"b": 2, "depth": 0, "boundaries": []}
 PIN_RELABELED = {"b": 2, "k": 2, "colors": 3, "kind": "relabeled_types", "relabel": [i % 3 for i in range(16)]}
 PIN_CONSTANT = {"b": 2, "k": 2, "colors": 2, "kind": "constant", "value": 1}
 PIN_TABLE = {"b": 2, "k": 2, "colors": 3, "kind": "table", "table": {"00|0|10": 1, "000|00|10": 2}, "default": 0}
+# a strongly diagonal 3-tuple (levels 2,0,3,1,4) and a two-piece copy of PIN_FILTERING
+PIN_POINTS = [_q_json(0, 0), _q_json(1, 0, 0), _q_json(1, 1, 0, 0)]
+PIN_COPY = {
+    "surjection": PIN_FILTERING,
+    "restrictions": [
+        {"lo": {"b": 2, "stem": [0, 1], "tail": 0}, "hi": _q_json(1, 0, 1)},
+        {"lo": {"b": 2, "stem": [1, 1, 0], "tail": 0}, "hi": {"b": 2, "stem": [], "tail": 1}},
+    ],
+}
 
 # sha256 of each verb's stdout on the pinned maps, recorded before filterings
 # became surjections themselves; the realize-all and oscillation pins were
@@ -220,37 +230,61 @@ CLI_STDOUT_SHA256 = {
     "oscillation-relabeled": "2999bb0c8766aef23c0f7f5119f0b2274e0322f2f769e6d39e18ead3b4fb53ca",
     "oscillation-constant": "ee95998cefed07ab1dc80a4e8948bd7203a53a99f42d1424cc42086b2b102a1e",
     "oscillation-table": "3a021411bb41c73512f82cd3ad9b1f905b1600ba9b4b15e5bd38899212ce0b25",
+    # these nine were recorded while search-type still read a report of its
+    # own: a type found at depth 4, one the depth cap stops at 2, one the
+    # budget stops at 3
+    "search-type-found": "139170c40e4179dc20f8f18e4c19ed8c3abff24c25eaed2500b482c688f43aa3",
+    "search-type-capped": "94a2d46ccba9b352feb089cc3fe28502e376e325448b672cd707076cb37c045d",
+    "search-type-budget": "bdaebcd86342f2c058aec1bc57d8af63c072fe66ff4c7e4fa405bb41dc5e5f13",
+    "tangent": "192b72b04e05c741791b358fa12439c1b22557e0310d615f89b4e1a71b1a1d1b",
+    "types": "020eea7dbc17c31887b41c81db2a4399dd04fd6a34c5ea8192ad1968355e4bf2",
+    "type-of": "4487d3af4d0ee63b4df8c5efd1a32a740ff5d0119d190383ba04ca849545b5bc",
+    "color-devlin": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "color-omega": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "witness-omega": "049fa25f6561eab48cf5bbbbee06a4f475295ae33477ad249f4092acc34d5c83",
 }
 
+PINNED_RUNS = [
+    ("compose", ["compose", "F", "H"]),
+    ("factor", ["factor", "C", "H", "--depth", "2"]),
+    ("boundaries-filtering", ["boundaries", "F", "--depth", "3"]),
+    ("boundaries-chain", ["boundaries", "C", "--depth", "3"]),
+    ("eval-filtering", ["eval", "F", "--point", PIN_POINT, "--digits", "8"]),
+    ("eval-chain", ["eval", "C", "--point", PIN_POINT, "--digits", "8"]),
+    ("dist", ["dist", "F", "C"]),
+    ("realize-all-identity", ["realize-all", "I", "--k", "2"]),
+    ("realize-all-filtering", ["realize-all", "F", "--k", "2"]),
+    ("realize-all-capped", ["realize-all", "I", "--k", "2", "--depth-cap", "1"]),
+    ("realize-all-one-color", ["realize-all", "I", "--k", "1"]),
+    ("oscillation-relabeled", ["oscillation", "R", "--eps", "0.3"]),
+    ("oscillation-constant", ["oscillation", "K", "--eps", "0.3"]),
+    ("oscillation-table", ["oscillation", "T", "--eps", "0.3"]),
+    ("search-type-found", ["search-type", "I", "--levels", "2,0,3,1,4"]),
+    ("search-type-capped", ["search-type", "I", "--levels", "2,0,3,1,4", "--depth-cap", "2"]),
+    ("search-type-budget", ["search-type", "I", "--levels", "4,0,3,1,2", "--budget", "50"]),
+    ("tangent", ["tangent", "5"]),
+    ("types", ["types", "3"]),
+    ("type-of", ["type-of", "P"]),
+    ("color-devlin", ["color-devlin", "P"]),
+    ("color-omega", ["color-omega", "Y"]),
+    ("witness-omega", ["witness-omega", "Y", "--target", "2"]),
+]
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        pytest.param(name, argv, id=name)
-        for name, argv in [
-            ("compose", ["compose", "F", "H"]),
-            ("factor", ["factor", "C", "H", "--depth", "2"]),
-            ("boundaries-filtering", ["boundaries", "F", "--depth", "3"]),
-            ("boundaries-chain", ["boundaries", "C", "--depth", "3"]),
-            ("eval-filtering", ["eval", "F", "--point", PIN_POINT, "--digits", "8"]),
-            ("eval-chain", ["eval", "C", "--point", PIN_POINT, "--digits", "8"]),
-            ("dist", ["dist", "F", "C"]),
-            ("realize-all-identity", ["realize-all", "I", "--k", "2"]),
-            ("realize-all-filtering", ["realize-all", "F", "--k", "2"]),
-            ("realize-all-capped", ["realize-all", "I", "--k", "2", "--depth-cap", "1"]),
-            ("realize-all-one-color", ["realize-all", "I", "--k", "1"]),
-            ("oscillation-relabeled", ["oscillation", "R", "--eps", "0.3"]),
-            ("oscillation-constant", ["oscillation", "K", "--eps", "0.3"]),
-            ("oscillation-table", ["oscillation", "T", "--eps", "0.3"]),
-        ]
-    ],
-)
+
+@pytest.mark.parametrize("name, argv", [pytest.param(name, argv, id=name) for name, argv in PINNED_RUNS])
 def test_cli_stdout_is_pinned(capsys, files, name, argv):
     pinned = {"F": PIN_FILTERING, "H": PIN_INNER, "C": PIN_CHAIN, "I": PIN_IDENTITY,
-              "R": PIN_RELABELED, "K": PIN_CONSTANT, "T": PIN_TABLE}
+              "R": PIN_RELABELED, "K": PIN_CONSTANT, "T": PIN_TABLE, "P": PIN_POINTS, "Y": PIN_COPY}
     code, out, err = run(capsys, *[files(f"{a}.json", pinned[a]) if a in pinned else a for a in argv])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[name]
+
+
+def test_every_verb_has_a_stdout_pin():
+    # verify's stdout is pinned by the acceptance hashes (test_c10)
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(verbs) - {"verify"} <= {argv[0] for _, argv in PINNED_RUNS}
+    assert {name for name, _ in PINNED_RUNS} == CLI_STDOUT_SHA256.keys()
 
 
 CAPPED_VERBS = [
@@ -575,12 +609,26 @@ def test_levels_over_leaf_bound_exit_2(capsys, files, monkeypatch):
     def refuse(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(cli, "search_tuple_of_type", refuse)
+    monkeypatch.setattr(cli, "scan_types", refuse)
     surj = files("id.json", identity(2).to_json())
     levels = "7,3,8,1,9,4,10,0,11,5,12,2,13,6,14"  # a valid 8-leaf type
     code, out, err = run(capsys, "search-type", surj, "--levels", levels)
     assert code == 2 and out == ""
     assert err == "error: --levels: 8 leaves; types are enumerated up to 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tangent", "0"], "need n >= 1, got 0"),
+        (["tangent", "831"], "tangent number 831 asked for; tangent numbers stop at 830"),
+        (["types", "0"], "need leaves >= 1, got 0"),
+        (["types", "7"], "enumeration capped at 6 leaves, got 7"),
+    ],
+    ids=["tangent-0", "tangent-831", "types-0", "types-7"],
+)
+def test_out_of_range_index_exits_2_in_the_library_words(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_tangent_index_over_print_limit_exits_2():

@@ -5,9 +5,11 @@ BoundaryTuple constructor is used only at the sites a lemma covers, and
 never by the verification suite, which checks what it is handed.  Callers
 outside the package take each name from its defining module, never from
 the package root, which holds modules only.  No module asks which
-representation a surjection has: each answers through the interface."""
+representation a surjection has: each answers through the interface.
+README's module table has one row per module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -247,3 +249,17 @@ def test_the_check_sees_a_representation_test():
         "fine = isinstance(obj, dict) or isinstance(x, int)\n"
     )
     assert representation_checks(source) == [1, 3, 4, 5]
+
+
+def readme_module_rows(text):
+    """The modules named in the first cell of a README table row."""
+    return set(re.findall(r"^\| `cantorsurj\.(\w+)` \|", text, re.MULTILINE))
+
+
+def test_readme_table_has_a_row_per_module():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert readme_module_rows((REPO / "README.md").read_text(encoding="utf-8")) == modules
+
+
+def test_the_check_sees_a_missing_row():
+    assert readme_module_rows("| `cantorsurj.a` | x |\n| see `cantorsurj.b` | y |\n") == {"a"}

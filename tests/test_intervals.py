@@ -26,7 +26,6 @@ from cantorsurj.intervals import (
     FilteringReport,
     _pick_stems,
     _strip,
-    check_materialize,
     least_q_point_between,
     point_words,
     validate_filtering,
@@ -632,10 +631,12 @@ def test_deep_levels_are_refused_before_the_power(depth):
 
 
 @pytest.mark.parametrize("base, depth", [(2, 21), (3, 13), (5, 9)])
-def test_materialize_limit_is_the_entry_count(base, depth):
+def test_materialize_limit_is_the_entry_count(monkeypatch, base, depth):
     # the last depth within the limit passes the check; one more is refused
     assert base**depth - 1 <= MATERIALIZE_LIMIT < base ** (depth + 1) - 1
-    check_materialize(base, depth, "boundary tuple")
+    # the bound alone: no level of up to 2M points is built, past it or not
+    monkeypatch.setattr(Filtering, "_level", lambda self, d: f"level {d}")
+    assert Filtering(base).fingerprint(depth) == f"level {depth}"
     with pytest.raises(ValueError, match="over limit"):
         Filtering(base).fingerprint(depth + 1)
     with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):

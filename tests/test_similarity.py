@@ -25,7 +25,6 @@ from cantorsurj.similarity import (
     diagonal_levels,
     enumerate_types,
     scan_types,
-    search_tuple_of_type,
     tangent_number,
     type_rank,
     _Node,
@@ -310,8 +309,9 @@ def test_scan_targets_subset():
     out = scan_types(identity(2), 3, targets={0, 5})
     assert out.complete and sorted(out.witnesses) == [0, 5]
     # named targets past the leaf cap are ranked; all 22M of them are refused
-    seven = TreeType((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 12))
-    assert search_tuple_of_type(identity(2), seven).exhausted
+    seven = type_rank((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 12))
+    out = scan_types(identity(2), 7, targets=frozenset({seven}))
+    assert not out.complete and not out.witnesses
     with pytest.raises(ValueError, match="capped at 6 leaves"):
         scan_types(identity(2), 7)
 
@@ -539,10 +539,11 @@ def test_scan_matches_reference(args):
 
 
 def test_search_single_type():
-    got = search_tuple_of_type(identity(2), TreeType((1, 0, 2)))
-    assert got.found is not None and got.depth == 2
-    assert diagonal_levels(got.found) == (1, 0, 2)
-    assert not got.exhausted
+    r = type_rank((1, 0, 2))
+    got = scan_types(identity(2), 2, targets=frozenset({r}))
+    assert got.complete and list(got.witnesses) == [r]
+    assert got.witnesses[r].depth == 2
+    assert diagonal_levels(got.witnesses[r].points) == (1, 0, 2)
 
 
 def test_scan_base3():
